@@ -39,7 +39,7 @@ func runBenchcmp(oldPath, newPath string, tol float64) {
 // compareBench is the gate itself, separated from file I/O and process
 // exit so the wall-clock-exclusion contract is unit-testable: two
 // reports that differ only in host-environment fields (generated_unix,
-// cpus_online, wall_ns, events_per_sec, ns_per_io, speedup) must
+// cpus_online, wall_ns, events_per_sec, ns_per_io) must
 // produce zero regressions.
 func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) (regressions, infos []string) {
 	reg := func(format string, args ...interface{}) {
@@ -118,27 +118,6 @@ func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) 
 		if drifted(float64(oSum), float64(nSum)) {
 			reg("breakdown %s: stage_sum_ns %d -> %d (%+.2f%%)",
 				k, oSum, nSum, relPct(float64(oSum), float64(nSum)))
-		}
-	}
-
-	newScale := make(map[int]scalingRun)
-	for _, s := range newRep.Scaling {
-		newScale[s.Cores] = s
-	}
-	for _, o := range oldRep.Scaling {
-		n, ok := newScale[o.Cores]
-		if !ok {
-			reg("scaling cores=%d: missing from %s", o.Cores, newPath)
-			continue
-		}
-		if o.Hosts != n.Hosts || o.IOs != n.IOs {
-			info("scaling cores=%d: config changed (%d hosts %d IOs -> %d hosts %d IOs), skipping",
-				o.Cores, o.Hosts, o.IOs, n.Hosts, n.IOs)
-			continue
-		}
-		if drifted(float64(o.VirtualNs), float64(n.VirtualNs)) {
-			reg("scaling cores=%d: virtual_ns %d -> %d (%+.2f%%)",
-				o.Cores, o.VirtualNs, n.VirtualNs, relPct(float64(o.VirtualNs), float64(n.VirtualNs)))
 		}
 	}
 

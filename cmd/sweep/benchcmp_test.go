@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// benchFixture builds a small but fully-populated report: two runs, a
-// scaling point, and the top-level host-environment fields.
+// benchFixture builds a small but fully-populated report: two runs, two
+// QoS entries, and the top-level host-environment fields.
 func benchFixture() *wallclockReport {
 	return &wallclockReport{
 		SchemaVersion: benchSchemaVersion,
@@ -19,11 +19,6 @@ func benchFixture() *wallclockReport {
 			{Scenario: "nvmeof", Op: "read", QueueDepth: 4, IOs: 400, Cores: 1,
 				Events: 150_000, WallNs: 6_000_000, VirtualNs: 14_000_000,
 				EventsPerSec: 2.5e7, NsPerIO: 15_000},
-		},
-		Scaling: []scalingRun{
-			{Cores: 1, Shards: 4, Hosts: 8, IOs: 200, Events: 80_000,
-				VirtualNs: 4_000_000, WallNs: 3_000_000, EventsPerSec: 2.6e7,
-				Speedup: 1.0, Digest: "fnv1a:abc123"},
 		},
 		QoS: []qosEntry{
 			{Scenario: "noisy-neighbor", QoS: false,
@@ -49,11 +44,6 @@ func TestBenchcmpIgnoresWallClock(t *testing.T) {
 		newRep.Runs[i].WallNs *= 7
 		newRep.Runs[i].EventsPerSec /= 7
 		newRep.Runs[i].NsPerIO *= 7
-	}
-	for i := range newRep.Scaling {
-		newRep.Scaling[i].WallNs *= 7
-		newRep.Scaling[i].EventsPerSec /= 7
-		newRep.Scaling[i].Speedup = 0.4
 	}
 
 	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)

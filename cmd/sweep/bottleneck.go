@@ -13,9 +13,8 @@ import (
 )
 
 // runBottleneck produces the ranked bottleneck-attribution report: each
-// Figure 9 scenario traced end to end and blamed per resource, the
-// 4-host sharing scenario, and the sharded 16x4 fleet scenario's
-// window-protocol occupancy. Every number is a virtual-time fact and
+// Figure 9 scenario traced end to end and blamed per resource, and the
+// 4-host sharing scenario. Every number is a virtual-time fact and
 // every float uses a fixed format, so the report is byte-identical at
 // any GOMAXPROCS — CI compares the bytes across core counts. A nonzero
 // blame residual on any span aborts the report: attribution that does
@@ -61,28 +60,6 @@ func runBottleneck(op fio.Op, opName string, qd, ios int, out string) {
 	}
 	rep := blameReport("multihost-4", tr.Spans(), res.Utils)
 	fmt.Fprintf(&b, "== multihost-4 (op=randrw qd=%d ios=%d per host) ==\n%s\n", qd, mhIOs, rep.Table())
-
-	// The sharded fleet scenario has no per-IO spans (it is an
-	// event-level model), so its bottleneck surface is the parallel
-	// kernel's own occupancy: window protocol participation, barrier
-	// stalls and mailbox pressure.
-	reg := trace.NewRegistry()
-	if _, err := cluster.RunShardedScale(cluster.ShardScaleConfig{
-		IOsPerHost: ios, Parallel: true, Registry: reg,
-	}); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(&b, "== sharded 16x4 (parallel-kernel occupancy) ==\n")
-	for _, mv := range reg.Snapshot() {
-		if !strings.HasPrefix(mv.Name, "sim.shard.") {
-			continue
-		}
-		if mv.Name == "sim.shard.lookahead_utilization" {
-			fmt.Fprintf(&b, "%-32s %10.4f\n", mv.Name, mv.Value)
-		} else {
-			fmt.Fprintf(&b, "%-32s %10.0f\n", mv.Name, mv.Value)
-		}
-	}
 
 	fmt.Print(b.String())
 	if out != "" && out != "BENCH_sim.json" { // -out default belongs to -wallclock

@@ -17,17 +17,15 @@
 //
 // The -wallclock mode measures the simulator itself (not the simulated
 // system): kernel events dispatched per real second and real nanoseconds
-// per simulated I/O for each Figure 9 scenario, plus a GOMAXPROCS
-// 1/2/4/8 scaling curve over the sharded parallel kernel, written as
-// JSON so the perf trajectory is tracked across PRs. With -digest PATH
-// it also writes a small text file containing only virtual-time facts
-// (event counts, virtual durations, run digests) — byte-identical at
-// any GOMAXPROCS, which CI compares across core counts.
+// per simulated I/O for each Figure 9 scenario, written as JSON so the
+// perf trajectory is tracked across PRs. With -digest PATH it also
+// writes a small text file containing only virtual-time facts (event
+// counts, virtual durations, run digests) — byte-identical at any
+// GOMAXPROCS, which CI compares across core counts.
 //
 // -cpuprofile and -memprofile write pprof profiles of whichever mode
 // ran, for digging into simulator hot paths; -blockprofile and
-// -mutexprofile enable and write the contention profiles, the pair that
-// actually explains parallel-kernel scaling plateaus.
+// -mutexprofile enable and write the contention profiles.
 //
 // The -bottleneck mode runs every scenario traced, folds each IO's
 // causal hops into per-resource blamed nanoseconds (service vs
@@ -352,29 +350,6 @@ type wallclockRun struct {
 	NsPerIO      float64 `json:"ns_per_io"`
 }
 
-// scalingRun is one point of the parallel-kernel scaling curve: the
-// sharded fleet-scale scenario executed at a pinned GOMAXPROCS. Digest
-// is identical at every core count — the determinism contract — and
-// sweepWallclock aborts if it is not.
-type scalingRun struct {
-	Cores        int     `json:"cores"`
-	Shards       int     `json:"shards"`
-	Hosts        int     `json:"hosts"`
-	Controllers  int     `json:"controllers"`
-	Parallel     bool    `json:"parallel"`
-	IOs          int     `json:"ios"`
-	Events       uint64  `json:"events"`
-	Windows      uint64  `json:"windows"`
-	Messages     uint64  `json:"messages"`
-	VirtualNs    int64   `json:"virtual_ns"`
-	WallNs       int64   `json:"wall_ns"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is EventsPerSec relative to the cores=1 point of the same
-	// sweep; meaningful only when cpus_online provides real parallelism.
-	Speedup float64 `json:"speedup_vs_1core"`
-	Digest  string  `json:"digest"`
-}
-
 // benchSchemaVersion stamps BENCH_sim.json so downstream tooling can
 // detect layout changes. Bump when fields are added, removed or change
 // meaning. v3: per-stage p50/p95/p999 in breakdowns, labeled metric
@@ -388,7 +363,9 @@ type scalingRun struct {
 // predicted_ns/actual_ns/error_pct and the ranked "top_lever". v7: the
 // "qos" section — per (scenario, qos-mode) max sustainable open-loop
 // arrival rate before SLO violation, with the evaluated ladder points.
-const benchSchemaVersion = 7
+// v8: the "scaling" curve and the "sharded-scale" sensitivity entry are
+// removed along with the parallel kernel they measured.
+const benchSchemaVersion = 8
 
 // sweepConfig echoes the scenario configuration a report was produced
 // with, so a BENCH_sim.json is self-describing.
@@ -423,13 +400,11 @@ type wallclockReport struct {
 	SchemaVersion int   `json:"schema_version"`
 	GeneratedUnix int64 `json:"generated_unix"`
 	// CPUsOnline is runtime.NumCPU() — the physical parallelism actually
-	// available. Scaling curves flatten when cores exceed this.
+	// available.
 	CPUsOnline int                 `json:"cpus_online"`
 	Config     sweepConfig         `json:"config"`
 	Runs       []wallclockRun      `json:"runs"`
 	Breakdowns []scenarioBreakdown `json:"breakdowns"`
-	// Scaling is the parallel-kernel scaling curve (v4).
-	Scaling []scalingRun `json:"scaling"`
 	// Sensitivity is the executed counterfactual matrix per scenario (v6):
 	// every knob x factor run for real, with the blame-predicted delta and
 	// its error alongside, and the measured top lever.
@@ -443,9 +418,8 @@ type wallclockReport struct {
 type sensitivityEntry = *whatif.Report
 
 // sweepWallclock measures simulator throughput per scenario at QD1 and
-// QD8, sweeps the sharded parallel kernel over GOMAXPROCS 1/2/4/8, and
-// writes the JSON report (plus, optionally, the deterministic digest
-// file CI byte-compares across core counts).
+// QD8 and writes the JSON report (plus, optionally, the deterministic
+// digest file CI byte-compares across core counts).
 func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) {
 	if ios <= 0 {
 		fatal(fmt.Errorf("-wallclock needs -ios > 0 (got %d)", ios))
@@ -503,7 +477,6 @@ func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOu
 				s, qd, run.Events, run.EventsPerSec, run.NsPerIO)
 		}
 	}
-	rep.Scaling = sweepScaling(ios)
 	// A short traced run per scenario yields the latency-breakdown table
 	// and a cluster metrics snapshot; virtual-time results are unaffected
 	// by tracing, so these describe the same system the runs above timed.
@@ -549,63 +522,6 @@ func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOu
 	}
 }
 
-// sweepScaling runs the sharded fleet-scale scenario at GOMAXPROCS
-// 1/2/4/8 (restoring the ambient value afterwards) and returns the
-// scaling curve. The run digest must agree across every core count; a
-// mismatch means the parallel kernel broke determinism and the sweep
-// aborts rather than publish wrong numbers.
-func sweepScaling(ios int) []scalingRun {
-	cfg := cluster.ShardScaleConfig{Hosts: 16, IOsPerHost: ios, Parallel: true}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var curve []scalingRun
-	var baseline float64
-	var refDigest uint64
-	for _, cores := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(cores)
-		// Warm run, then the measured run.
-		if _, err := cluster.RunShardedScale(cfg); err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		res, err := cluster.RunShardedScale(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		wall := time.Since(start)
-		if len(curve) == 0 {
-			refDigest = res.Digest
-		} else if res.Digest != refDigest {
-			fatal(fmt.Errorf("scaling: digest %#016x at %d cores != %#016x at 1 core — parallel kernel diverged",
-				res.Digest, cores, refDigest))
-		}
-		pt := scalingRun{
-			Cores:        cores,
-			Shards:       res.Shards,
-			Hosts:        res.Hosts,
-			Controllers:  res.Controllers,
-			Parallel:     res.Parallel,
-			IOs:          res.TotalIOs,
-			Events:       res.Events,
-			Windows:      res.Windows,
-			Messages:     res.Messages,
-			VirtualNs:    res.ElapsedNs,
-			WallNs:       wall.Nanoseconds(),
-			EventsPerSec: float64(res.Events) / wall.Seconds(),
-			Digest:       fmt.Sprintf("%016x", res.Digest),
-		}
-		if len(curve) == 0 {
-			baseline = pt.EventsPerSec
-		}
-		if baseline > 0 {
-			pt.Speedup = pt.EventsPerSec / baseline
-		}
-		curve = append(curve, pt)
-		fmt.Printf("scale cores=%d  %9d events  %8.0f events/sec  %.2fx  digest=%s\n",
-			cores, pt.Events, pt.EventsPerSec, pt.Speedup, pt.Digest)
-	}
-	return curve
-}
-
 // digestText renders the virtual-time facts of a report — and nothing
 // wall-clock dependent — as a stable text file. Two sweeps of the same
 // binary and flags produce byte-identical digests regardless of
@@ -616,10 +532,6 @@ func digestText(rep *wallclockReport) string {
 	for _, r := range rep.Runs {
 		fmt.Fprintf(&b, "run %s op=%s qd=%d ios=%d events=%d virtual_ns=%d\n",
 			r.Scenario, r.Op, r.QueueDepth, r.IOs, r.Events, r.VirtualNs)
-	}
-	for _, s := range rep.Scaling {
-		fmt.Fprintf(&b, "scale cores=%d shards=%d ios=%d events=%d windows=%d messages=%d virtual_ns=%d digest=%s\n",
-			s.Cores, s.Shards, s.IOs, s.Events, s.Windows, s.Messages, s.VirtualNs, s.Digest)
 	}
 	for _, bd := range rep.Breakdowns {
 		sum, e2e := bd.Breakdown.ReconcileNs()

@@ -11,9 +11,9 @@ import (
 
 // runWhatifMatrix executes the counterfactual sensitivity matrix over
 // the standard scenario set. ios bounds the traced-run size; the
-// sharing and sharded scenarios scale their per-host budgets down so
-// one matrix (4 scenarios x 9 knobs x 4 factors, every cell an executed
-// run) stays a few seconds of wall clock.
+// sharing scenario scales its per-host budget down so one matrix (3
+// scenarios x 9 knobs x 4 factors, every cell an executed run) stays a
+// few seconds of wall clock.
 func runWhatifMatrix(qd, ios int) []*whatif.Report {
 	n := ios
 	if n > 120 {
@@ -26,13 +26,6 @@ func runWhatifMatrix(qd, ios int) []*whatif.Report {
 	if mh < 1 {
 		mh = 1
 	}
-	shard := ios
-	if shard > 100 {
-		shard = 100
-	}
-	if shard < 1 {
-		shard = 1
-	}
 	var reports []*whatif.Report
 	for _, s := range []cluster.Scenario{cluster.OursLocal, cluster.OursRemote} {
 		rep, err := whatif.RunScenario(s, qd, n)
@@ -42,11 +35,6 @@ func runWhatifMatrix(qd, ios int) []*whatif.Report {
 		reports = append(reports, rep)
 	}
 	rep, err := whatif.RunMultiHost(4, qd, mh)
-	if err != nil {
-		fatal(err)
-	}
-	reports = append(reports, rep)
-	rep, err = whatif.RunShardScale(8, shard)
 	if err != nil {
 		fatal(err)
 	}

@@ -14,10 +14,9 @@ import (
 // The cross-core determinism contract: every artifact the repo treats as
 // golden — fault transcripts, Chrome traces, telemetry dumps — must come
 // out byte-identical no matter how many OS threads the Go runtime uses.
-// The existing scenarios run on a single kernel (trivially deterministic
-// by construction) and the sharded scenario runs the windowed parallel
-// protocol; both are pinned here at GOMAXPROCS 1 vs 8 so a regression in
-// either execution path fails loudly.
+// Every scenario runs on a single kernel that hands control between
+// process goroutines one at a time; pinning the artifacts at GOMAXPROCS
+// 1 vs 8 makes a regression in that handoff's determinism fail loudly.
 
 // atProcs runs fn under the given GOMAXPROCS and restores the ambient
 // value afterwards.
@@ -98,27 +97,5 @@ func TestCrossCoreTraceAndTelemetry(t *testing.T) {
 	eight := atProcs(8, func() []byte { return tracedClusterBytes(t) })
 	if !bytes.Equal(one, eight) {
 		t.Fatalf("trace+telemetry bytes differ between GOMAXPROCS 1 and 8 (%d vs %d bytes)", len(one), len(eight))
-	}
-}
-
-// The sharded scenario's full result must byte-match across core counts
-// with parallel execution on — the contract CI's digest comparison
-// enforces end to end through cmd/sweep.
-func TestCrossCoreShardedScale(t *testing.T) {
-	run := func() []byte {
-		res, err := RunShardedScale(ShardScaleConfig{Hosts: 12, HostShards: 6, IOsPerHost: 80, Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return enc
-	}
-	one := atProcs(1, run)
-	eight := atProcs(8, run)
-	if !bytes.Equal(one, eight) {
-		t.Fatalf("sharded scale result differs between GOMAXPROCS 1 and 8:\n1: %s\n8: %s", one, eight)
 	}
 }

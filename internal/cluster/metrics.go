@@ -28,7 +28,6 @@ import (
 //	host.*{host}         fairness inputs (ios_completed, latency)
 //	attr.*               resource-occupancy accounting (internal/attr
 //	                     instruments: levels, busy time, residence)
-//	sim.shard.*          parallel shard-kernel window protocol
 
 // WireKernelMetrics registers the simulation kernel's own accounting.
 func WireKernelMetrics(reg *trace.Registry, k *sim.Kernel) {
@@ -129,24 +128,6 @@ func WireClientMetrics(reg *trace.Registry, cl *core.Client, host int) {
 	reg.GaugeFunc("attr.client.slots_busy_ns", func() float64 { return float64(cl.SlotOcc.BusyAsOf(int64(k.Now()))) }, hl)
 	reg.GaugeFunc("host.ios_completed", func() float64 { return float64(cl.Reads + cl.Writes + cl.Flushes) }, hl)
 	cl.SetLatencyHist(reg.Histogram("host.latency", hl).Hist())
-}
-
-// WireShardGroupMetrics registers the parallel shard kernel's window
-// protocol counters (unlabeled: one group per simulation). Wire after
-// the group has run — gauge callbacks aggregate across shards and must
-// not race a parallel window in flight.
-func WireShardGroupMetrics(reg *trace.Registry, g *sim.ShardGroup) {
-	reg.GaugeFunc("sim.shard.windows", func() float64 { return float64(g.Stats().Windows) })
-	reg.GaugeFunc("sim.shard.lockstep_rounds", func() float64 { return float64(g.Stats().LockstepRounds) })
-	reg.GaugeFunc("sim.shard.messages_sent", func() float64 { return float64(g.Stats().MessagesSent) })
-	reg.GaugeFunc("sim.shard.messages_delivered", func() float64 { return float64(g.Stats().MessagesDelivered) })
-	reg.GaugeFunc("sim.shard.stale_deliveries", func() float64 { return float64(g.Stats().StaleDeliveries) })
-	reg.GaugeFunc("sim.shard.max_mailbox_depth", func() float64 { return float64(g.Stats().MaxMailboxDepth) })
-	reg.GaugeFunc("sim.shard.participations", func() float64 { return float64(g.Stats().Participations) })
-	reg.GaugeFunc("sim.shard.barrier_stalls", func() float64 { return float64(g.Stats().StallWindows) })
-	reg.GaugeFunc("sim.shard.barrier_stall_ns", func() float64 { return float64(g.Stats().StallNs) })
-	reg.GaugeFunc("sim.shard.lookahead_ns", func() float64 { return float64(g.Stats().Lookahead) })
-	reg.GaugeFunc("sim.shard.lookahead_utilization", func() float64 { return g.Stats().LookaheadUtilization() })
 }
 
 // WireHostDriverMetrics registers the stock driver's per-queue counters

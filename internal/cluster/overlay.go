@@ -41,7 +41,7 @@ const (
 	KnobHostMMIO = "host.mmio"
 	// KnobHostSubmit scales host-side submission software (the
 	// distributed client's SubmitOverheadNs, the stock driver's
-	// SubmitNs, the sharded model's HostComputeNs).
+	// SubmitNs).
 	KnobHostSubmit = "host.submit"
 	// KnobHostComplete scales host-side completion software (the
 	// client's CompleteOverheadNs, the stock driver's ISRNs).
@@ -249,24 +249,5 @@ func (o LatencyOverlay) ApplyMultiHost(cfg MultiHostConfig) MultiHostConfig {
 	cfg.Cluster = o.applyCluster(cfg.Cluster)
 	cfg.NVMe = o.applyNVMe(cfg.NVMe)
 	cfg.Client = o.applyClient(cfg.Client)
-	return cfg
-}
-
-// ApplyShardScale is ApplyScenario for the sharded fleet scenario. The
-// scaled crossing cost flows into both the derived latency model and
-// the shard plan's conservative lookahead, so the window protocol stays
-// consistent with the counterfactual fabric.
-func (o LatencyOverlay) ApplyShardScale(cfg ShardScaleConfig) ShardScaleConfig {
-	if len(o) == 0 {
-		return cfg
-	}
-	cfg.Cluster = o.applyCluster(cfg.Cluster)
-	cfg.NVMe = o.applyNVMe(cfg.NVMe)
-	if f, ok := o.active(KnobHostSubmit); ok {
-		if cfg.HostComputeNs == 0 {
-			cfg.HostComputeNs = 1800 // ShardScaleConfig.withDefaults calibration
-		}
-		cfg.HostComputeNs = ScaleNs(cfg.HostComputeNs, f)
-	}
 	return cfg
 }

@@ -136,15 +136,3 @@ func TestOverlayIdentity(t *testing.T) {
 		t.Errorf("factor-1 overlay materialized defaults: %+v", got)
 	}
 }
-
-// TestOverlayShardScaleLookaheadConsistency checks a scaled crossing
-// flows into both the latency model and the shard plan lookahead —
-// RunShardedScale hard-errors if they diverge.
-func TestOverlayShardScaleLookaheadConsistency(t *testing.T) {
-	for _, f := range []float64{0.5, 2} {
-		cfg := ShardScaleConfig{Hosts: 2, IOsPerHost: 10, Overlay: LatencyOverlay{KnobNTBCross: f}}
-		if _, err := RunShardedScale(cfg); err != nil {
-			t.Fatalf("factor %v: %v", f, err)
-		}
-	}
-}

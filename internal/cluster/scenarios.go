@@ -186,15 +186,32 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 	return nil, fmt.Errorf("cluster: unknown scenario %q", s)
 }
 
+// DrainedError reports that a scenario's simulation ran out of events
+// before its workload returned: every process blocked with nothing left
+// to wake it, so the workload can never finish. It is the signature of a
+// lost wakeup or a deadlock in the modeled stack.
+type DrainedError struct {
+	Scenario Scenario
+	// AtNs is the virtual time at which the kernel drained.
+	AtNs sim.Time
+}
+
+func (e *DrainedError) Error() string {
+	return fmt.Sprintf("cluster: %s: simulation drained at %d ns with the workload unfinished", e.Scenario, e.AtNs)
+}
+
 // RunWorkload builds scenario s and executes fn (from a simulation
-// process) against its block queue, then drains the simulation.
+// process) against its block queue, then drains the simulation. It
+// returns a *DrainedError if the kernel drains before fn returns.
 func RunWorkload(s Scenario, cfg ScenarioConfig, fn func(p *sim.Proc, env *Env) error) error {
 	c, ctrl, err := Build(s, cfg)
 	if err != nil {
 		return err
 	}
 	var runErr error
+	finished := false
 	c.Go(string(s), func(p *sim.Proc) {
+		defer func() { finished = true }()
 		env, err := bringUp(p, s, c, ctrl, cfg)
 		if err != nil {
 			runErr = err
@@ -202,7 +219,11 @@ func RunWorkload(s Scenario, cfg ScenarioConfig, fn func(p *sim.Proc, env *Env) 
 		}
 		runErr = fn(p, env)
 	})
-	c.Run()
+	c.K.RunAll()
+	if !finished {
+		runErr = &DrainedError{Scenario: s, AtNs: c.K.Now()}
+	}
+	c.K.Shutdown()
 	return runErr
 }
 
@@ -223,20 +244,16 @@ type SimStats struct {
 
 // RunJobStats is RunJob plus kernel statistics from the run.
 func RunJobStats(s Scenario, cfg ScenarioConfig, spec fio.JobSpec) (*fio.Result, SimStats, error) {
-	c, ctrl, err := Build(s, cfg)
-	if err != nil {
-		return nil, SimStats{}, err
-	}
 	var res *fio.Result
-	var runErr error
-	c.Go(string(s), func(p *sim.Proc) {
-		env, err := bringUp(p, s, c, ctrl, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		res, runErr = fio.Run(p, env.Queue, spec)
+	var k *sim.Kernel
+	err := RunWorkload(s, cfg, func(p *sim.Proc, env *Env) error {
+		k = p.Kernel()
+		var err error
+		res, err = fio.Run(p, env.Queue, spec)
+		return err
 	})
-	c.Run()
-	return res, SimStats{Events: c.K.Executed(), VirtualNs: c.K.Now()}, runErr
+	if k == nil {
+		return res, SimStats{}, err
+	}
+	return res, SimStats{Events: k.Executed(), VirtualNs: k.Now()}, err
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -54,5 +55,58 @@ func TestStandardScenariosNeverHitIOTimeout(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNVMeoFTargetPollerNoLostWakeup is the regression test for the
+// NVMe-oF target poller's lost wakeup: after an empty CQ sweep the
+// poller rang the CQ head doorbell (a yielding MMIO) and only then
+// blocked on the completion signal, so a CQE landing during that
+// doorbell set the signal with no waiter and the poller slept forever.
+// These seeds of a 64 KiB QD4 write run (warm-up, then a measured job
+// on the same target) hit that window.
+func TestNVMeoFTargetPollerNoLostWakeup(t *testing.T) {
+	for _, seed := range []int64{2, 88, 103, 105} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			job := fio.JobSpec{
+				Name: "warmup", Op: fio.RandWrite, BlockSize: 64 << 10,
+				QueueDepth: 4, MaxIOs: 1000, RangeBlocks: 1 << 16, Seed: seed ^ 0x5bd1e995,
+			}
+			var res *fio.Result
+			err := RunWorkload(NVMeoFRemote, ScenarioConfig{NVMe: NVMeConfig{Seed: seed}},
+				func(p *sim.Proc, env *Env) error {
+					if _, err := fio.Run(p, env.Queue, job); err != nil {
+						return err
+					}
+					job.Name, job.MaxIOs, job.Seed = "measured", 2000, seed
+					var err error
+					res, err = fio.Run(p, env.Queue, job)
+					return err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res == nil || res.IOs != job.MaxIOs {
+				t.Fatalf("measured job did not complete: %+v", res)
+			}
+		})
+	}
+}
+
+// TestRunWorkloadDrainedIsError pins that a workload which can never
+// finish is an error, not a silent success: when every process blocks
+// with nothing scheduled, the kernel drains and RunWorkload (and
+// RunJobStats built on it) must report a *DrainedError.
+func TestRunWorkloadDrainedIsError(t *testing.T) {
+	err := RunWorkload(OursLocal, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
+		p.Wait(sim.NewEvent(p.Kernel())) // never triggered
+		return nil
+	})
+	var de *DrainedError
+	if !errors.As(err, &de) {
+		t.Fatalf("RunWorkload with a blocked body returned %v, want *DrainedError", err)
+	}
+	if de.Scenario != OursLocal || de.AtNs <= 0 {
+		t.Fatalf("DrainedError = %+v, want scenario %s at a positive virtual time", de, OursLocal)
 	}
 }

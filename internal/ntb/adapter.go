@@ -97,12 +97,6 @@ func NewClusterAdapter(cfg AdapterConfig) (*ClusterAdapter, error) {
 // BAR returns the adapter's claimed range.
 func (a *ClusterAdapter) BAR() pcie.Range { return a.bar }
 
-// MinCrossingNs returns the conservative floor on the adapter's one-way
-// cluster crossing: CrossNs exactly — fault injection (stalls) only adds
-// latency, and every routed path additionally pays fabric traversal on
-// both sides. The sharded kernel derives its lookahead from this floor.
-func (a *ClusterAdapter) MinCrossingNs() int64 { return a.CrossNs }
-
 // Node returns the adapter's endpoint node in the local domain.
 func (a *ClusterAdapter) Node() pcie.NodeID { return a.node }
 

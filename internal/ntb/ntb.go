@@ -138,12 +138,6 @@ func New(cfg Config) (*NTB, error) {
 // BAR returns the local address range the NTB claims.
 func (n *NTB) BAR() pcie.Range { return n.bar }
 
-// MinCrossingNs returns the conservative floor on this bridge's one-way
-// crossing latency: CrossNs exactly, since injected stalls only ever add
-// delay. This is the sync horizon the sharded kernel may safely use as
-// lookahead when the bridge is the only path between two shards.
-func (n *NTB) MinCrossingNs() int64 { return n.CrossNs }
-
 // Remote returns the far-side domain.
 func (n *NTB) Remote() *pcie.Domain { return n.remote }
 

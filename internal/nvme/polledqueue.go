@@ -56,6 +56,11 @@ func (q *PolledQueue) poll(p *sim.Proc) {
 		if q.closed {
 			return
 		}
+		// Capture the signal sequence before sweeping: FlushCQ yields on
+		// the doorbell MMIO, and a CQE landing then sets the signal with
+		// no waiter. Blocking only when nothing fired since the capture
+		// re-sweeps instead of sleeping forever on that lost edge.
+		seq := q.sig.Sets()
 		cqe, ok, err := q.View.Poll(p, q.host)
 		if err != nil {
 			return
@@ -67,7 +72,9 @@ func (q *PolledQueue) poll(p *sim.Proc) {
 			if err := q.View.FlushCQ(p, q.host); err != nil {
 				return
 			}
-			p.WaitSignal(q.sig)
+			if q.sig.Sets() == seq {
+				p.WaitSignal(q.sig)
+			}
 			p.Sleep(q.PollCheckNs)
 			continue
 		}

@@ -190,12 +190,6 @@ type Domain struct {
 	// NTB boundary (Crossings > 0): offered busy time and mean bytes in
 	// flight on the cluster link, as seen from this domain's initiators.
 	link attr.Window
-	// shard is the execution-shard assignment for the parallel sharded
-	// kernel (sim.ShardGroup): domains on the same shard may interact
-	// synchronously; cross-shard interactions must ride messages with at
-	// least the fabric's minimum crossing latency. 0 (the default) is the
-	// single-shard fallback — today's sequential kernel.
-	shard int
 }
 
 // DomainStats counts fabric transactions initiated in this domain. All
@@ -231,14 +225,6 @@ func NewDomain(name string, k *sim.Kernel, params LinkParams) *Domain {
 
 // Kernel returns the simulation kernel the domain runs on.
 func (d *Domain) Kernel() *sim.Kernel { return d.kernel }
-
-// SetShard assigns the domain to an execution shard of the parallel
-// kernel. Purely an assignment label: the scenario wiring is responsible
-// for actually placing the domain's processes on that shard's kernel.
-func (d *Domain) SetShard(id int) { d.shard = id }
-
-// Shard returns the domain's execution-shard assignment (default 0).
-func (d *Domain) Shard() int { return d.shard }
 
 // Params returns the domain's link cost model.
 func (d *Domain) Params() LinkParams { return d.params }

@@ -325,27 +325,6 @@ func (k *Kernel) After(d Duration, fn func()) {
 	k.schedule(k.now+d, fn)
 }
 
-// At schedules fn to run at absolute virtual time t. Panics if t is in the
-// past. This is the injection point the sharded executor uses to merge
-// cross-shard messages into a kernel between execution windows.
-func (k *Kernel) At(t Time, fn func()) {
-	k.schedule(t, fn)
-}
-
-// PeekTime returns the virtual time of the earliest pending item, or
-// MaxTime when nothing is scheduled. Between Run calls the run queue is
-// empty, so the heap top is authoritative; tickers are weak timers and do
-// not count as pending work.
-func (k *Kernel) PeekTime() Time {
-	if k.rqh < len(k.runq) {
-		return k.now
-	}
-	if len(k.heap) > 0 {
-		return k.heap[0].t
-	}
-	return MaxTime
-}
-
 // Ticker is a weak repeating timer: fn fires at every multiple of the
 // interval, but only while other simulation work remains, so a ticker
 // never keeps RunAll alive on its own. This is the sampling primitive

@@ -184,53 +184,3 @@ func (b Boxplot) AsciiBox(lo, hi float64, width int) string {
 	row[cMed] = '#'
 	return string(row)
 }
-
-// Histogram is a fixed-width-bucket histogram for quick latency shape
-// inspection in tests and tools.
-type Histogram struct {
-	lo, hi  float64
-	buckets []int
-	under   int
-	over    int
-	count   int
-}
-
-// NewHistogram builds a histogram over [lo, hi) with n buckets.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]int, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.hi:
-		h.over++
-	default:
-		idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Count returns the number of observations including out-of-range ones.
-func (h *Histogram) Count() int { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// OutOfRange returns the counts below lo and at-or-above hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }

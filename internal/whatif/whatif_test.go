@@ -79,10 +79,9 @@ func TestScenarioMatrixDeterministic(t *testing.T) {
 
 // TestCounterfactualsActuallyChangeOutcomes guards against an overlay
 // that silently fails to reach the executed model: a halved medium must
-// measurably beat the baseline in both the traced and the sharded
-// scenarios.
+// measurably beat the baseline of the concurrent sharing scenario.
 func TestCounterfactualsActuallyChangeOutcomes(t *testing.T) {
-	rep, err := RunShardScale(4, 50)
+	rep, err := RunMultiHost(2, 2, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestCounterfactualsActuallyChangeOutcomes(t *testing.T) {
 	if medium.ActualNs >= rep.BaselineNs {
 		t.Fatalf("medium x0.5 actual %.1f did not improve on baseline %.1f", medium.ActualNs, rep.BaselineNs)
 	}
-	// admin.service has no sharded steady-state surface at all.
+	// admin.service has no steady-state surface at all.
 	if admin.ActualNs != rep.BaselineNs {
 		t.Fatalf("admin x0.5 actual %.1f, want baseline %.1f", admin.ActualNs, rep.BaselineNs)
 	}
