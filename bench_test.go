@@ -14,9 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/stats"
 )
 
@@ -308,37 +306,30 @@ func BenchmarkMultiHostScaling(b *testing.B) {
 
 func runMultiHost(b *testing.B, clients int) float64 {
 	b.Helper()
-	c, err := cluster.New(cluster.Config{Hosts: clients + 1, MemBytes: 16 << 20, AdapterWindows: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: clients + 1},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const iosPerClient = 100
 	totalIOs := 0
 	var elapsed sim.Duration
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	err = r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			b.Error(err)
-			return
+			return err
 		}
 		start := p.Now()
 		done := make([]*sim.Event, 0, clients)
 		for i := 1; i <= clients; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go("client", func(cp *sim.Proc) {
+			r.Go("client", func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, "cl", svc, c.Hosts[host].Node, mgr,
+				cl, err := core.NewClient(cp, "cl", r.Svc, r.Hosts[host].Node, mgr,
 					core.ClientParams{QueueDepth: 8, PartitionBytes: 8192})
 				if err != nil {
 					b.Error(err)
@@ -359,8 +350,11 @@ func runMultiHost(b *testing.B, clients int) float64 {
 			p.Wait(fin)
 		}
 		elapsed = p.Now() - start
+		return nil
 	})
-	c.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
 	if elapsed == 0 {
 		return 0
 	}

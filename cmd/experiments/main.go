@@ -1,6 +1,7 @@
 // Command experiments runs the complete evaluation-reproduction suite
 // (E1–E13, see EXPERIMENTS.md) and prints a paper-vs-measured table.
-// This is the one-shot artifact regeneration entry point.
+// This is the one-shot artifact regeneration entry point. It exits 1 if
+// any row mismatches.
 //
 // Usage:
 //
@@ -16,9 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 var ios = flag.Int("ios", 1000, "measured I/Os per scenario run")
@@ -33,10 +32,12 @@ func main() {
 	fmt.Println("Reproduction suite: Multi-Host Sharing of a Single-Function NVMe Device (SC 2024)")
 	fmt.Println()
 	fmt.Printf("%-44s %-18s %-18s %s\n", "experiment", "paper", "measured", "verdict")
+	mismatch := false
 	line := func(name, paper, measured string, ok bool) {
 		verdict := "OK"
 		if !ok {
 			verdict = "MISMATCH"
+			mismatch = true
 		}
 		fmt.Printf("%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
 	}
@@ -95,6 +96,9 @@ func main() {
 	fmt.Println()
 	fmt.Println("E7 (component breakdown): run `fiobench -breakdown`.")
 	fmt.Println("E9/E10 (QD and host scaling), E13 (target offload): run `go test -bench . -benchmem .`")
+	if mismatch {
+		os.Exit(1)
+	}
 }
 
 func fatal(err error) {
@@ -169,34 +173,28 @@ func zeroCopyPair(n int) (bounce, zerocopy float64) {
 }
 
 func thirtyOneHosts() (int, bool) {
-	c, err := cluster.New(cluster.Config{Hosts: 32, MemBytes: 8 << 20, AdapterWindows: 1024})
-	if err != nil {
-		fatal(err)
-	}
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
-	if err != nil {
-		fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: 32, MemBytes: 8 << 20},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	if err != nil {
 		fatal(err)
 	}
 	ok := 0
 	refused := false
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	err = r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		done := make([]*sim.Event, 0, 31)
 		for i := 1; i < 32; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go("client", func(cp *sim.Proc) {
+			r.Go("client", func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, "cl", svc, c.Hosts[host].Node, mgr,
+				cl, err := core.NewClient(cp, "cl", r.Svc, r.Hosts[host].Node, mgr,
 					core.ClientParams{QueueDepth: 8, PartitionBytes: 8192})
 				if err != nil {
 					return
@@ -211,12 +209,15 @@ func thirtyOneHosts() (int, bool) {
 		for _, fin := range done {
 			p.Wait(fin)
 		}
-		if _, err := core.NewClient(p, "extra", svc, c.Hosts[1].Node, mgr,
+		if _, err := core.NewClient(p, "extra", r.Svc, r.Hosts[1].Node, mgr,
 			core.ClientParams{QueueDepth: 8, PartitionBytes: 8192}); err != nil {
 			refused = true
 		}
+		return nil
 	})
-	c.Run()
+	if err != nil {
+		fatal(err)
+	}
 	return ok, refused
 }
 

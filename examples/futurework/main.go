@@ -15,26 +15,21 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 func main() {
-	c, err := cluster.New(cluster.Config{Hosts: 3, AdapterWindows: 512})
-	check(err)
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{
-		Ctrl:  nvme.Params{CMBBytes: 16 << 10},
-		Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12},
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: 3, AdapterWindows: 512},
+		NVMe: []cluster.NVMeConfig{{
+			Ctrl:  nvme.Params{CMBBytes: 16 << 10},
+			Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12},
+		}},
 	})
 	check(err)
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
-	check(err)
 
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node,
-			core.ManagerParams{EnableIOMMU: true})
+	check(r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{EnableIOMMU: true})
 		check(err)
 		fmt.Printf("manager up with IOMMU domain and %d B of controller memory buffer\n\n",
 			mgr.CMBBytes())
@@ -53,7 +48,7 @@ func main() {
 			}, 2},
 		}
 		for _, v := range variants {
-			cl, err := core.NewClient(p, v.name, svc, c.Hosts[v.host].Node, mgr, v.params)
+			cl, err := core.NewClient(p, v.name, r.Svc, r.Hosts[v.host].Node, mgr, v.params)
 			check(err)
 			want := bytes.Repeat([]byte{0xF7}, 4096)
 			check(cl.WriteBlocks(p, 123, 8, want))
@@ -84,8 +79,8 @@ func main() {
 		fmt.Println("that polling avoids, while zero-copy saves the bounce memcpy and the")
 		fmt.Println("CMB saves the SQE fetch. The wins compound for large transfers")
 		fmt.Println("(see BenchmarkZeroCopyIOMMU) and for CPU efficiency (no poll burn).")
-	})
-	c.Run()
+		return nil
+	}))
 }
 
 func check(err error) {

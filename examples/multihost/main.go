@@ -12,36 +12,33 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 const clients = 8
 
 func main() {
-	c, err := cluster.New(cluster.Config{Hosts: clients + 2, MemBytes: 16 << 20, AdapterWindows: 512})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: clients + 2, AdapterWindows: 512},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	check(err)
-	ctrl, err := c.AttachNVMe(0, cluster.NVMeConfig{})
-	check(err)
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
-	check(err)
+	ctrl := r.Ctrls[0]
 
 	verified := 0
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	check(r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		check(err)
 
 		done := make([]*sim.Event, 0, clients)
 		for i := 1; i <= clients; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
+			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), svc,
-					c.Hosts[host].Node, mgr, core.ClientParams{QueueDepth: 16, PartitionBytes: 16 << 10})
+				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
+					r.Hosts[host].Node, mgr, core.ClientParams{QueueDepth: 16, PartitionBytes: 16 << 10})
 				check(err)
 				// Each host owns LBAs [host*16384, ...): write a unique
 				// pattern across 32 stripes, then verify every stripe.
@@ -72,7 +69,7 @@ func main() {
 		}
 
 		// Late join: a new host attaches while the cluster is live.
-		late, err := core.NewClient(p, "dnvme-late", svc, c.Hosts[clients+1].Node, mgr, core.ClientParams{})
+		late, err := core.NewClient(p, "dnvme-late", r.Svc, r.Hosts[clients+1].Node, mgr, core.ClientParams{})
 		check(err)
 		probe := make([]byte, 4096)
 		check(late.ReadBlocks(p, 1*16384, 8, probe)) // reads host 1's first stripe
@@ -89,9 +86,8 @@ func main() {
 		}
 		fmt.Printf("late-joining host %d attached (queue pair %d) and read host 1's data — shared-disk semantics hold\n",
 			clients+1, late.QID())
-		check(late.Close(p))
-	})
-	c.Run()
+		return late.Close(p)
+	}))
 
 	fmt.Printf("\n%d/%d clients verified; controller executed %d reads, %d writes, 0 interrupts (pure polling)\n",
 		verified, clients, ctrl.Stats.ReadCmds, ctrl.Stats.WriteCmds)

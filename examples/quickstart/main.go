@@ -12,29 +12,24 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 func main() {
 	// 1. Build a two-host PCIe cluster (NTB adapters + cluster switch)
 	//    and plug an Optane-class NVMe device into host 0.
-	c, err := cluster.New(cluster.Config{Hosts: 2})
-	check(err)
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
-	check(err)
-
 	// 2. Register the device with the SmartIO service: its BAR becomes a
 	//    shared-memory segment any host can map.
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: 2},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	check(err)
 
-	c.Go("main", func(p *sim.Proc) {
+	check(r.Run("main", func(p *sim.Proc) error {
 		// 3. The manager (on the device host) initializes the controller
 		//    and publishes the metadata segment.
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		check(err)
 		fmt.Printf("manager up: %s, %d I/O queue pairs available\n",
 			mgr.Metadata().Serial, mgr.Metadata().MaxQueues)
@@ -43,7 +38,7 @@ func main() {
 		//    receives its own queue pair. Its submission queue lands in
 		//    device-host memory (Fig. 8 placement), its completion queue
 		//    stays local for polling.
-		cl, err := core.NewClient(p, "dnvme1", svc, c.Hosts[1].Node, mgr, core.ClientParams{})
+		cl, err := core.NewClient(p, "dnvme1", r.Svc, r.Hosts[1].Node, mgr, core.ClientParams{})
 		check(err)
 		fmt.Printf("client on host 1: queue pair %d, SQ placement %s\n", cl.QID(), cl.Placement())
 
@@ -65,8 +60,8 @@ func main() {
 		}
 		fmt.Printf("remote 4 kB QD1 read latency: %.2f us average\n",
 			float64(p.Now()-start)/50/1000)
-	})
-	c.Run()
+		return nil
+	}))
 }
 
 func check(err error) {

@@ -13,10 +13,8 @@ import (
 	"repro/internal/block"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/shareddisk"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 const (
@@ -26,23 +24,21 @@ const (
 )
 
 func main() {
-	c, err := cluster.New(cluster.Config{Hosts: writers + 2, AdapterWindows: 512, MemBytes: 16 << 20})
-	check(err)
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
-	check(err)
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: writers + 2, AdapterWindows: 512},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	check(err)
 
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	check(r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		check(err)
 
 		newQueue := func(host int) *block.Queue {
-			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), svc,
-				c.Hosts[host].Node, mgr, core.ClientParams{})
+			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.Svc,
+				r.Hosts[host].Node, mgr, core.ClientParams{})
 			check(err)
-			return block.NewQueue(c.K, cl, block.QueueParams{})
+			return block.NewQueue(r.K, cl, block.QueueParams{})
 		}
 
 		// Host 1 formats the shared device.
@@ -60,9 +56,9 @@ func main() {
 			}
 			q := queues[host]
 			idx := w
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("writer%d", idx), func(wp *sim.Proc) {
+			r.Go(fmt.Sprintf("writer%d", idx), func(wp *sim.Proc) {
 				defer fin.Trigger(nil)
 				j, err := shareddisk.Open(wp, q, idx)
 				check(err)
@@ -99,8 +95,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "expected %d records\n", writers*recsPerHost)
 			os.Exit(1)
 		}
-	})
-	c.Run()
+		return nil
+	}))
 	fmt.Println("shared-disk semantics verified over one single-function NVMe device")
 }
 

@@ -8,17 +8,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // FaultRunConfig parameterizes the fault/recovery scenario: the
 // multihost sharing topology plus a deterministic fault plan (one host
-// crash by default, optional fabric noise and a manager restart) and
-// the lease/retry knobs that govern recovery.
+// crash, optional fabric noise and a manager restart) and the
+// lease/retry knobs that govern recovery.
 type FaultRunConfig struct {
 	// Hosts is the number of client hosts (default 4).
 	Hosts int
@@ -31,7 +29,8 @@ type FaultRunConfig struct {
 	// Seed drives the workload RNGs and the fault plane's random plan.
 	Seed int64
 
-	// CrashHost is the host killed mid-run (default 2; 0 disables).
+	// CrashHost is the host killed mid-run (1..Hosts, default 2). Every
+	// fault run crashes one host.
 	CrashHost int
 	// CrashAtNs is the crash time relative to client start (default 500µs).
 	CrashAtNs int64
@@ -163,71 +162,46 @@ func WireClientRecoveryMetrics(reg *trace.Registry, cl *core.Client, host int) {
 
 // RunFaultScenario executes the fault/recovery scenario: the multihost
 // sharing topology with a session/lease manager, one heartbeating
-// client per host, and a deterministic fault plane that (by default)
-// crashes one host mid-run. It then verifies recovery end to end: the
-// manager must reclaim the dead host's queue pair, the freed QID must
-// be re-grantable to a probe client that completes a real I/O through
-// it, and every survivor must finish its full I/O budget.
+// client per host, and a deterministic fault plane that crashes one
+// host mid-run. It then verifies recovery end to end: the manager must
+// reclaim the dead host's queue pair, the freed QID must be
+// re-grantable to a probe client that completes a real I/O through it,
+// and every survivor must finish its full I/O budget.
 func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Hosts < 2 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: fault scenario needs 2..31 client hosts, got %d", cfg.Hosts)
 	}
-	if cfg.CrashHost < 0 || cfg.CrashHost > cfg.Hosts {
+	if cfg.CrashHost < 1 || cfg.CrashHost > cfg.Hosts {
 		return nil, fmt.Errorf("cluster: crash host %d out of range 1..%d", cfg.CrashHost, cfg.Hosts)
 	}
 	cc := cfg.Cluster
 	cc.Hosts = cfg.Hosts + 1
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
+	ctrl := r.Ctrls[0]
 
-	plane := fault.New(c.K, cfg.Seed)
+	plane := fault.New(r.K, cfg.Seed)
 	// Link faults target client hosts only; the device host's adapter
 	// carries every DMA and would turn a single-host fault into a
 	// cluster partition.
 	for i := 1; i <= cfg.Hosts; i++ {
-		plane.BindAdapter(i, c.Hosts[i].Adapter)
+		plane.BindAdapter(i, r.Hosts[i].Adapter)
 	}
 	plane.BindController(ctrl)
-
 	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
 		plane.Wire(cfg.Registry)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
 	}
 
 	res := &FaultRunResult{}
-	var setupErr error
 	var crashT, endT sim.Time
-	c.Go("manager", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node,
-			core.ManagerParams{LeaseNs: cfg.LeaseNs})
+	err = r.Run("manager", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{LeaseNs: cfg.LeaseNs})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		plane.BindManager(mgr)
 		if cfg.Registry != nil {
@@ -237,10 +211,8 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 
 		// Arm the plan relative to client start: the explicit crash and
 		// restart, then the seed-derived noise.
-		if cfg.CrashHost > 0 {
-			plane.Schedule(fault.Action{AtNs: int64(start) + cfg.CrashAtNs,
-				Kind: fault.CrashHost, Host: cfg.CrashHost})
-		}
+		plane.Schedule(fault.Action{AtNs: int64(start) + cfg.CrashAtNs,
+			Kind: fault.CrashHost, Host: cfg.CrashHost})
 		if cfg.ManagerRestart > 0 {
 			plane.Schedule(fault.Action{AtNs: int64(start) + cfg.ManagerRestartAtNs,
 				Kind: fault.RestartManager, DurationNs: cfg.ManagerRestart})
@@ -261,14 +233,14 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		done := make([]*sim.Event, 0, cfg.Hosts)
 		for i := 1; i <= cfg.Hosts; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
+			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
 				run := &runs[host-1]
 				run.Host = host
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), svc,
-					c.Hosts[host].Node, mgr, core.ClientParams{
+				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
+					r.Hosts[host].Node, mgr, core.ClientParams{
 						QueueDepth:     cfg.QueueDepth + 1,
 						PartitionBytes: 16 << 10,
 						IOTimeoutNs:    cfg.IOTimeoutNs,
@@ -298,24 +270,22 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		}
 		p.WaitAll(done...)
 
-		// With a crash in the plan, prove the reclaimed QID is reusable:
-		// wait for the reaper, then re-request a queue on a survivor host
-		// while every survivor still holds its own QID — the only grant
-		// the manager can hand the probe is the reclaimed one — and push
-		// one real I/O through it.
-		if cfg.CrashHost > 0 {
-			for mgr.Reclaims == 0 {
-				p.Sleep(cfg.LeaseNs / 2)
-			}
-			probe, err := core.NewClient(p, "dnvme-probe", svc, c.Hosts[1].Node, mgr,
-				core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
-			if err == nil {
-				res.ReusedQID = probe.QID()
-				buf := make([]byte, probe.BlockSize())
-				res.ReuseOK = probe.ReadBlocks(p, 0, 1, buf) == nil &&
-					res.ReusedQID == runs[cfg.CrashHost-1].QID
-				probe.Close(p)
-			}
+		// Prove the reclaimed QID is reusable: wait for the reaper, then
+		// re-request a queue on a survivor host while every survivor
+		// still holds its own QID — the only grant the manager can hand
+		// the probe is the reclaimed one — and push one real I/O through
+		// it.
+		for mgr.Reclaims == 0 {
+			p.Sleep(cfg.LeaseNs / 2)
+		}
+		probe, err := core.NewClient(p, "dnvme-probe", r.Svc, r.Hosts[1].Node, mgr,
+			core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
+		if err == nil {
+			res.ReusedQID = probe.QID()
+			buf := make([]byte, probe.BlockSize())
+			res.ReuseOK = probe.ReadBlocks(p, 0, 1, buf) == nil &&
+				res.ReusedQID == runs[cfg.CrashHost-1].QID
+			probe.Close(p)
 		}
 		for i := 1; i <= cfg.Hosts; i++ {
 			cl := clients[i]
@@ -332,15 +302,14 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		res.ElapsedNs = int64(endT - start)
 		res.Heartbeats = mgr.HeartbeatsSeen
 		res.Restarts = mgr.Restarts
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
+	if err != nil {
+		return nil, err
 	}
 	res.Fault = plane.C
 	res.Plan = plane.Plan()
 	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
 		res.JainBefore = jainWindow(cfg.Pipeline, 0, int64(crashT), -1)
 		res.JainAfter = jainWindow(cfg.Pipeline, int64(crashT), int64(endT), cfg.CrashHost)
 	}

@@ -8,9 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/hostdriver"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -136,64 +134,39 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	cc.Hosts = cfg.Hosts + 1
 	if cfg.LocalBaseline {
 		cc.Hosts++
-	}
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-		if cfg.LocalBaseline {
+		if cc.MemBytes == 0 {
 			// The stock driver's default calibration (QD 256, 32-page
 			// PRP pools) needs more DRAM than the lean clients do.
 			cc.MemBytes = 64 << 20
 		}
 	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
+	ctrl := r.Ctrls[0]
 	if cfg.Tracer != nil {
 		ctrl.SetTracer(cfg.Tracer)
 		cfg.Client.Tracer = cfg.Tracer
 	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
 
 	res := &MultiHostResult{}
-	var setupErr error
-	c.Go("manager", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	r.Start("manager", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		done := make([]*sim.Event, 0, cfg.Hosts)
 		for i := 1; i <= cfg.Hosts; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
+			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), svc,
-					c.Hosts[host].Node, mgr, cfg.Client)
+				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
+					r.Hosts[host].Node, mgr, cfg.Client)
 				if err != nil {
 					res.PerHost = append(res.PerHost, HostRun{Host: host, Err: err})
 					return
@@ -202,27 +175,30 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireClientMetrics(cfg.Registry, cl, host)
 					WireControllerQueueMetrics(cfg.Registry, ctrl, cl.QID(), host)
 				}
-				q := block.NewQueue(c.K, cl, block.QueueParams{})
+				q := block.NewQueue(r.K, cl, block.QueueParams{})
 				op := cfg.Op
-				r, err := fio.Run(cp, q, fio.JobSpec{
+				fr, err := fio.Run(cp, q, fio.JobSpec{
 					Name: fmt.Sprintf("host%d", host), Op: op,
 					QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
 					RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(host),
 				})
-				res.PerHost = append(res.PerHost, HostRun{Host: host, Res: r, Err: err})
+				res.PerHost = append(res.PerHost, HostRun{Host: host, Res: fr, Err: err})
 			})
 		}
 		p.WaitAll(done...)
 		res.ElapsedNs = p.Now() - start
+		return nil
 	})
+	// The baseline controller attaches after the manager process is
+	// spawned: same-timestamp event order depends on it.
 	if cfg.LocalBaseline {
 		base := cfg.Hosts + 1
-		bctrl, err := c.AttachNVMe(base, cfg.NVMe)
+		bctrl, err := r.AttachNVMe(base, cfg.NVMe)
 		if err != nil {
 			return nil, err
 		}
-		c.Go("baseline", func(p *sim.Proc) {
-			drv, err := hostdriver.New(p, "nvme-local", c.Hosts[base].Port,
+		r.Go("baseline", func(p *sim.Proc) {
+			drv, err := hostdriver.New(p, "nvme-local", r.Hosts[base].Port,
 				NVMeBARBase, bctrl, hostdriver.Params{})
 			if err != nil {
 				res.PerHost = append(res.PerHost, HostRun{Host: base, Err: err})
@@ -234,29 +210,25 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireControllerQueueMetrics(cfg.Registry, bctrl, qid, base)
 				}
 			}
-			q := block.NewQueue(c.K, drv, block.QueueParams{})
+			q := block.NewQueue(r.K, drv, block.QueueParams{})
 			if cfg.Registry != nil {
 				// The stock driver has no client-side completion hook, so
 				// the baseline's host.latency fairness input comes from the
 				// block layer (submit-to-completion, same end-to-end span).
 				q.SetLatencyHist(cfg.Registry.Histogram("host.latency", trace.L("host", base)).Hist())
 			}
-			r, err := fio.Run(p, q, fio.JobSpec{
+			fr, err := fio.Run(p, q, fio.JobSpec{
 				Name: "baseline", Op: cfg.Op,
 				QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
 				RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(base),
 			})
-			res.PerHost = append(res.PerHost, HostRun{Host: base, Res: r, Err: err})
+			res.PerHost = append(res.PerHost, HostRun{Host: base, Res: fr, Err: err})
 		})
 	}
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
+	if err := r.Wait(); err != nil {
+		return nil, err
 	}
 	if cfg.Pipeline != nil {
-		// Flush the tail below one sampling interval (and anything at
-		// the final instant: ticks fire before same-time completions).
-		cfg.Pipeline.Sample(c.K.Now())
 		f := cfg.Pipeline.Fairness(0)
 		res.Fairness = &f
 	}
@@ -266,6 +238,6 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 			res.TotalIOs += hr.Res.IOs + hr.Res.Errors
 		}
 	}
-	res.Utils = resourceUtils(ctrl, c.Hosts, int64(c.K.Now()))
+	res.Utils = resourceUtils(ctrl, r.Hosts, int64(r.K.Now()))
 	return res, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/pcie"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 // tenantResult is one sharing technology's outcome with k hosts.
@@ -25,57 +24,22 @@ type tenantResult struct {
 // and returns per-host median latency plus aggregate IOPS.
 func runOursTenants(t *testing.T, k, iosPerHost int) tenantResult {
 	t.Helper()
-	c, err := New(Config{Hosts: k + 1, MemBytes: 16 << 20, AdapterWindows: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AttachNVMe(0, NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}}); err != nil {
-		t.Fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
+	mh, err := RunMultiHost(MultiHostConfig{
+		Hosts: k, QueueDepth: 2, IOsPerHost: iosPerHost, Op: fio.RandRead,
+		NVMe:   NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
+		Client: core.ClientParams{QueueDepth: 8, PartitionBytes: 8192},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res []*fio.Result
-	var elapsed sim.Duration
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
-		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
+	for _, h := range mh.PerHost {
+		if h.Err != nil {
+			t.Fatalf("host %d: %v", h.Host, h.Err)
 		}
-		start := p.Now()
-		done := make([]*sim.Event, 0, k)
-		for i := 1; i <= k; i++ {
-			host := i
-			fin := sim.NewEvent(c.K)
-			done = append(done, fin)
-			c.Go(fmt.Sprintf("t%d", host), func(cp *sim.Proc) {
-				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, "t", svc, c.Hosts[host].Node, mgr,
-					core.ClientParams{QueueDepth: 8, PartitionBytes: 8192})
-				if err != nil {
-					t.Errorf("client %d: %v", host, err)
-					return
-				}
-				q := block.NewQueue(c.K, cl, block.QueueParams{})
-				r, err := fio.Run(cp, q, fio.JobSpec{
-					Name: fmt.Sprintf("t%d", host), Op: fio.RandRead, QueueDepth: 2,
-					MaxIOs: iosPerHost, RangeBlocks: 1 << 14, Seed: int64(host),
-				})
-				if err != nil {
-					t.Errorf("fio %d: %v", host, err)
-					return
-				}
-				res = append(res, r)
-			})
-		}
-		p.WaitAll(done...)
-		elapsed = p.Now() - start
-	})
-	c.Run()
-	return summarize(t, res, elapsed, k, iosPerHost)
+		res = append(res, h.Res)
+	}
+	return summarize(t, res, mh.ElapsedNs, k, iosPerHost)
 }
 
 // runFabricsTenants does the same over NVMe-oF: one target, k initiators.

@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/qos"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -74,11 +72,11 @@ type QoSRunConfig struct {
 	P999SLONs int64
 	// NoisyP99SLONs is the noisy class's own (loose) budget — the lever
 	// admission control uses to make an overdriving tenant back off
-	// (default 400µs).
+	// (default 300µs).
 	NoisyP99SLONs int64
 	// ViolationBudget is the tolerated fraction of SLO-violating windows
-	// before a class counts as failing (default 0.05: one bad window in
-	// twenty is noise, more is interference).
+	// before a class counts as failing (default 0.10: one bad window in
+	// ten is noise, more is interference).
 	ViolationBudget float64
 
 	NVMe     NVMeConfig
@@ -296,44 +294,19 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 
 	cc := cfg.Cluster
 	cc.Hosts = len(classes) + 1
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
+	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, err
-	}
+	ctrl := r.Ctrls[0]
 	ctrl.SetTracer(cfg.Tracer)
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrl)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
 
 	res := &QoSRunResult{Scenario: cfg.Scenario, QoS: cfg.QoS, RateScale: cfg.RateScale}
 	for _, qc := range classes {
 		res.OfferedIOPS += qc.rateHz
 	}
-	var setupErr error
-	c.Go("qos-run", func(p *sim.Proc) {
+	err = r.Run("qos-run", func(p *sim.Proc) error {
 		mgrParams := core.ManagerParams{}
 		if cfg.QoS {
 			// Burst 4, weights high 8 / medium 4 / low 1: the latency
@@ -341,10 +314,9 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			// backlogged, without ever starving it.
 			mgrParams.WRR = &core.ArbConfig{Burst: 2, HPW: 7, MPW: 3, LPW: 0}
 		}
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, mgrParams)
+		mgr, err := r.Manager(p, 0, mgrParams)
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		start := p.Now()
 
@@ -364,11 +336,10 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			if cfg.Tracer != nil {
 				params.Tracer = cfg.Tracer
 			}
-			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), svc,
-				c.Hosts[host].Node, mgr, params)
+			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.Svc,
+				r.Hosts[host].Node, mgr, params)
 			if err != nil {
-				setupErr = err
-				return
+				return err
 			}
 			clients[ci] = cl
 
@@ -376,7 +347,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			for i, s := range qc.specs {
 				tenants[i] = qos.TenantConfig{Name: s.Name, SLO: qc.slo, Exempt: qc.exempt}
 			}
-			qctrl := qos.NewController(c.K, qos.Params{
+			qctrl := qos.NewController(r.K, qos.Params{
 				WindowNs: cfg.WindowNs,
 				// Trip on the first bad window, back off hard, recover
 				// slowly: a bursty aggressor must not shake the throttle
@@ -418,8 +389,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 				HorizonNs: cfg.DurationNs,
 			})
 			if err != nil {
-				setupErr = err
-				return
+				return err
 			}
 			engines[ci] = eng
 			if cfg.Registry != nil {
@@ -428,7 +398,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 				WireQoSMetrics(cfg.Registry, qctrl, qc.name)
 				WireArrivalMetrics(cfg.Registry, eng, qc.name)
 			}
-			gp := c.K.Spawn(fmt.Sprintf("arrival/%s", qc.name), eng.Run)
+			gp := r.K.Spawn(fmt.Sprintf("arrival/%s", qc.name), eng.Run)
 			gens = append(gens, gp.Exited())
 		}
 		p.WaitAll(gens...)
@@ -487,18 +457,17 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			res.Retries += cl.Retries
 			res.Quarantined += uint64(cl.QuarantinedSlots())
 			res.ClientSheds += cl.Sheds
-			cl.Close(p)
+			if err := cl.Close(p); err != nil {
+				return fmt.Errorf("%s client close: %w", qc.name, err)
+			}
 		}
 		res.ArrivalDigest = fmt.Sprintf("%016x", digest)
 		res.ElapsedNs = int64(p.Now() - start)
 		res.SLOMet = res.Classes[0].SLOMet
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/pcie"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/trace"
 )
 
@@ -89,6 +88,16 @@ type Env struct {
 
 // Build creates the cluster for scenario s (but no drivers yet).
 func Build(s Scenario, cfg ScenarioConfig) (*Cluster, *nvme.Controller, error) {
+	r, err := buildRig(s, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Cluster, r.Ctrls[0], nil
+}
+
+// buildRig is Build keeping the rig, whose registered device the ours-*
+// scenarios bring up.
+func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
 	cfg = cfg.Overlay.ApplyScenario(cfg)
 	cc := cfg.Cluster
 	switch s {
@@ -97,32 +106,34 @@ func Build(s Scenario, cfg ScenarioConfig) (*Cluster, *nvme.Controller, error) {
 	case NVMeoFRemote, OursRemote:
 		cc.Hosts = 2
 	default:
-		return nil, nil, fmt.Errorf("cluster: unknown scenario %q", s)
+		return nil, fmt.Errorf("cluster: unknown scenario %q", s)
+	}
+	if cc.MemBytes == 0 {
+		// The stock driver's default calibration (QD 256, 32-page PRP
+		// pools) needs more DRAM than the rig's multi-host default.
+		cc.MemBytes = 64 << 20
 	}
 	if cc.AdapterWindows == 0 {
 		cc.AdapterWindows = 256
 	}
-	c, err := New(cc)
+	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe}})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ctrl, err := c.AttachNVMe(0, cfg.NVMe)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctrl.SetTracer(cfg.Tracer)
-	return c, ctrl, nil
+	r.Ctrls[0].SetTracer(cfg.Tracer)
+	return r, nil
 }
 
 // bringUp constructs the scenario's driver stack inside process p and
 // returns the block queue.
-func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg ScenarioConfig) (*Env, error) {
+func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) {
 	cfg = cfg.Overlay.ApplyScenario(cfg)
 	if cfg.Tracer != nil {
 		cfg.HostDriver.Tracer = cfg.Tracer
 		cfg.Client.Tracer = cfg.Tracer
 		cfg.Initiator.Tracer = cfg.Tracer
 	}
+	c, ctrl := r.Cluster, r.Ctrls[0]
 	env := &Env{Scenario: s, Cluster: c, Ctrl: ctrl}
 	switch s {
 	case LinuxLocal:
@@ -135,12 +146,7 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 		return env, nil
 
 	case OursLocal, OursRemote:
-		svc := smartio.NewService(c.Dir)
-		dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, cfg.Manager)
+		mgr, err := r.Manager(p, 0, cfg.Manager)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +154,7 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 		if s == OursRemote {
 			clientHost = 1
 		}
-		cl, err := core.NewClient(p, "dnvme0", svc, c.Hosts[clientHost].Node, mgr, cfg.Client)
+		cl, err := core.NewClient(p, "dnvme0", r.Svc, c.Hosts[clientHost].Node, mgr, cfg.Client)
 		if err != nil {
 			return nil, err
 		}
@@ -186,45 +192,21 @@ func bringUp(p *sim.Proc, s Scenario, c *Cluster, ctrl *nvme.Controller, cfg Sce
 	return nil, fmt.Errorf("cluster: unknown scenario %q", s)
 }
 
-// DrainedError reports that a scenario's simulation ran out of events
-// before its workload returned: every process blocked with nothing left
-// to wake it, so the workload can never finish. It is the signature of a
-// lost wakeup or a deadlock in the modeled stack.
-type DrainedError struct {
-	Scenario Scenario
-	// AtNs is the virtual time at which the kernel drained.
-	AtNs sim.Time
-}
-
-func (e *DrainedError) Error() string {
-	return fmt.Sprintf("cluster: %s: simulation drained at %d ns with the workload unfinished", e.Scenario, e.AtNs)
-}
-
 // RunWorkload builds scenario s and executes fn (from a simulation
 // process) against its block queue, then drains the simulation. It
 // returns a *DrainedError if the kernel drains before fn returns.
 func RunWorkload(s Scenario, cfg ScenarioConfig, fn func(p *sim.Proc, env *Env) error) error {
-	c, ctrl, err := Build(s, cfg)
+	r, err := buildRig(s, cfg)
 	if err != nil {
 		return err
 	}
-	var runErr error
-	finished := false
-	c.Go(string(s), func(p *sim.Proc) {
-		defer func() { finished = true }()
-		env, err := bringUp(p, s, c, ctrl, cfg)
+	return r.Run(string(s), func(p *sim.Proc) error {
+		env, err := bringUp(p, s, r, cfg)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
-		runErr = fn(p, env)
+		return fn(p, env)
 	})
-	c.K.RunAll()
-	if !finished {
-		runErr = &DrainedError{Scenario: s, AtNs: c.K.Now()}
-	}
-	c.K.Shutdown()
-	return runErr
 }
 
 // RunJob builds scenario s and runs one fio job on it.

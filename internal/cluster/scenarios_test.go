@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fio"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 // runScenario executes one 4 kB QD1 job (the paper's workload shape) and
@@ -121,34 +119,24 @@ func TestScenarioDataIntegrity(t *testing.T) {
 // simultaneously."
 func TestE4ThirtyOneHostSharing(t *testing.T) {
 	const hosts = 32 // host 0 runs the manager; hosts 1..31 are clients
-	c, err := New(Config{Hosts: hosts, MemBytes: 8 << 20, AdapterWindows: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := c.AttachNVMe(0, NVMeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
+	r, err := NewRig(RigConfig{Cluster: Config{Hosts: hosts, MemBytes: 8 << 20}, NVMe: []NVMeConfig{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	okCount := 0
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	err = r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
+			return err
 		}
 		done := make([]*sim.Event, 0, hosts-1)
 		for i := 1; i < hosts; i++ {
 			host := i
-			fin := sim.NewEvent(c.K)
+			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
-			c.Go("client", func(cp *sim.Proc) {
+			r.Go("client", func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, "cl", svc, c.Hosts[host].Node, mgr,
+				cl, err := core.NewClient(cp, "cl", r.Svc, r.Hosts[host].Node, mgr,
 					core.ClientParams{QueueDepth: 8, PartitionBytes: 8192})
 				if err != nil {
 					t.Errorf("client %d: %v", host, err)
@@ -181,16 +169,19 @@ func TestE4ThirtyOneHostSharing(t *testing.T) {
 			p.Wait(fin)
 		}
 		// A 32nd client must be refused: no queue pairs left.
-		if _, err := core.NewClient(p, "cl32", svc, c.Hosts[1].Node, mgr,
+		if _, err := core.NewClient(p, "cl32", r.Svc, r.Hosts[1].Node, mgr,
 			core.ClientParams{QueueDepth: 8, PartitionBytes: 8192}); err == nil {
 			t.Error("32nd simultaneous client admitted; device has only 31 I/O queue pairs")
 		}
+		return nil
 	})
-	c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if okCount != 31 {
 		t.Fatalf("%d/31 clients completed verified I/O", okCount)
 	}
-	if ctrl.Stats.ReadCmds != 31 || ctrl.Stats.WriteCmds != 31 {
+	if ctrl := r.Ctrls[0]; ctrl.Stats.ReadCmds != 31 || ctrl.Stats.WriteCmds != 31 {
 		t.Fatalf("controller stats %+v", ctrl.Stats)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/sim"
 )
@@ -93,20 +94,46 @@ func TestNVMeoFTargetPollerNoLostWakeup(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadDrainedIsError pins that a workload which can never
-// finish is an error, not a silent success: when every process blocks
-// with nothing scheduled, the kernel drains and RunWorkload (and
-// RunJobStats built on it) must report a *DrainedError.
-func TestRunWorkloadDrainedIsError(t *testing.T) {
-	err := RunWorkload(OursLocal, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
-		p.Wait(sim.NewEvent(p.Kernel())) // never triggered
-		return nil
-	})
-	var de *DrainedError
-	if !errors.As(err, &de) {
-		t.Fatalf("RunWorkload with a blocked body returned %v, want *DrainedError", err)
-	}
-	if de.Scenario != OursLocal || de.AtNs <= 0 {
-		t.Fatalf("DrainedError = %+v, want scenario %s at a positive virtual time", de, OursLocal)
+// TestDrainedIsError pins that a run which can never finish is an
+// error, not a silent success: when every process blocks with nothing
+// scheduled, the kernel drains and both RunWorkload (and RunJobStats
+// built on it) and Rig.Run (and every scenario built on it) must report
+// a *DrainedError naming the run.
+func TestDrainedIsError(t *testing.T) {
+	block := func(p *sim.Proc) { p.Wait(sim.NewEvent(p.Kernel())) } // never triggered
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{string(OursLocal), func() error {
+			return RunWorkload(OursLocal, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
+				block(p)
+				return nil
+			})
+		}},
+		{"rig", func() error {
+			r, err := NewRig(RigConfig{Cluster: Config{Hosts: 2}, NVMe: []NVMeConfig{{}}})
+			if err != nil {
+				return err
+			}
+			return r.Run("rig", func(p *sim.Proc) error {
+				if _, err := r.Manager(p, 0, core.ManagerParams{}); err != nil {
+					return err
+				}
+				block(p)
+				return nil
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			var de *DrainedError
+			if !errors.As(err, &de) {
+				t.Fatalf("blocked body returned %v, want *DrainedError", err)
+			}
+			if string(de.Scenario) != tc.name || de.AtNs <= 0 {
+				t.Fatalf("DrainedError = %+v, want %s at a positive virtual time", de, tc.name)
+			}
+		})
 	}
 }

@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/volume"
@@ -172,16 +170,6 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 	cfg = cfg.withDefaults()
 	cc := cfg.Cluster
 	cc.Hosts = 3
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 1024
-	}
-	c, err := New(cc)
-	if err != nil {
-		return nil, err
-	}
 	nvA := cfg.NVMe
 	if nvA.Seed == 0 {
 		nvA.Seed = cfg.Seed + 1
@@ -190,33 +178,12 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 	if nvB.Seed == 0 {
 		nvB.Seed = cfg.Seed + 2
 	}
-	ctrlA, err := c.AttachNVMe(0, nvA)
+	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{nvA, nvB},
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err
 	}
-	ctrlB, err := c.AttachNVMe(1, nvB)
-	if err != nil {
-		return nil, err
-	}
-	svc := smartio.NewService(c.Dir)
-	devA, err := svc.Register(0, "nvmeA", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-	devB, err := svc.Register(1, "nvmeB", pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Registry != nil {
-		WireKernelMetrics(cfg.Registry, c.K)
-		for _, h := range c.Hosts {
-			WireHostMetrics(cfg.Registry, h)
-		}
-		WireControllerMetrics(cfg.Registry, ctrlA)
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Attach(c.K)
-	}
+	ctrlA, ctrlB := r.Ctrls[0], r.Ctrls[1]
 
 	const (
 		keyA     = 0x0A11
@@ -224,18 +191,15 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		fenceKey = 0xFE2C
 	)
 	res := &VolumeRunResult{}
-	var setupErr error
-	c.Go("volume", func(p *sim.Proc) {
+	err = r.Run("volume", func(p *sim.Proc) error {
 		start := p.Now()
-		mgrA, err := core.NewManager(p, svc, devA.ID, c.Hosts[0].Node, core.ManagerParams{})
+		mgrA, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			setupErr = fmt.Errorf("manager A: %w", err)
-			return
+			return fmt.Errorf("manager A: %w", err)
 		}
-		mgrB, err := core.NewManager(p, svc, devB.ID, c.Hosts[1].Node, core.ManagerParams{})
+		mgrB, err := r.Manager(p, 1, core.ManagerParams{})
 		if err != nil {
-			setupErr = fmt.Errorf("manager B: %w", err)
-			return
+			return fmt.Errorf("manager B: %w", err)
 		}
 		cp := core.ClientParams{
 			QueueDepth:     cfg.QueueDepth,
@@ -243,33 +207,27 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			IOTimeoutNs:    cfg.IOTimeoutNs,
 			MaxRetries:     cfg.MaxRetries,
 		}
-		clA, err := core.NewClient(p, "pathA", svc, c.Hosts[2].Node, mgrA, cp)
+		clA, err := core.NewClient(p, "pathA", r.Svc, r.Hosts[2].Node, mgrA, cp)
 		if err != nil {
-			setupErr = fmt.Errorf("path A client: %w", err)
-			return
+			return fmt.Errorf("path A client: %w", err)
 		}
-		clB, err := core.NewClient(p, "pathB", svc, c.Hosts[2].Node, mgrB, cp)
+		clB, err := core.NewClient(p, "pathB", r.Svc, r.Hosts[2].Node, mgrB, cp)
 		if err != nil {
-			setupErr = fmt.Errorf("path B client: %w", err)
-			return
+			return fmt.Errorf("path B client: %w", err)
 		}
 		// Each path registers and holds Write Exclusive on its own
 		// controller: the fence below preempts exactly this registration.
 		if err := clA.ResvRegister(p, nvme.ResvRegisterKey, 0, keyA, 2); err != nil {
-			setupErr = fmt.Errorf("path A register: %w", err)
-			return
+			return fmt.Errorf("path A register: %w", err)
 		}
 		if err := clA.ResvAcquire(p, nvme.ResvAcquireAct, nvme.ResvWriteExclusive, keyA, 0); err != nil {
-			setupErr = fmt.Errorf("path A acquire: %w", err)
-			return
+			return fmt.Errorf("path A acquire: %w", err)
 		}
 		if err := clB.ResvRegister(p, nvme.ResvRegisterKey, 0, keyB, 2); err != nil {
-			setupErr = fmt.Errorf("path B register: %w", err)
-			return
+			return fmt.Errorf("path B register: %w", err)
 		}
 		if err := clB.ResvAcquire(p, nvme.ResvAcquireAct, nvme.ResvWriteExclusive, keyB, 0); err != nil {
-			setupErr = fmt.Errorf("path B acquire: %w", err)
-			return
+			return fmt.Errorf("path B acquire: %w", err)
 		}
 
 		// The fence: a fresh client on device A's own host (everything
@@ -281,7 +239,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			if path != 0 {
 				return fmt.Errorf("cluster: unexpected fence of path %d", path)
 			}
-			fc, err := core.NewClient(fp, "fenceA", svc, c.Hosts[0].Node, mgrA,
+			fc, err := core.NewClient(fp, "fenceA", r.Svc, r.Hosts[0].Node, mgrA,
 				core.ClientParams{QueueDepth: 4, PartitionBytes: 16 << 10})
 			if err != nil {
 				return err
@@ -292,10 +250,9 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			}
 			return fc.ResvAcquire(fp, nvme.ResvPreemptAndAbort, nvme.ResvWriteExclusive, fenceKey, keyA)
 		}
-		nx, err := volume.New("nexus0", c.K, clA, clB, fence)
+		nx, err := volume.New("nexus0", r.K, clA, clB, fence)
 		if err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if cfg.Registry != nil {
 			WireNexusMetrics(cfg.Registry, nx)
@@ -315,8 +272,8 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			errsW := make([]int, cfg.Workers)
 			for w := 0; w < cfg.Workers; w++ {
 				w := w
-				fins[w] = sim.NewEvent(c.K)
-				c.Go(fmt.Sprintf("phase%d/w%d", gen, w), func(wp *sim.Proc) {
+				fins[w] = sim.NewEvent(r.K)
+				r.Go(fmt.Sprintf("phase%d/w%d", gen, w), func(wp *sim.Proc) {
 					defer fins[w].Trigger(nil)
 					base := uint64(w) * cfg.RangePerWorker
 					buf := make([]byte, bs)
@@ -349,10 +306,10 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 
 		// Phase 2: device A's host drops off the fabric mid-traffic.
 		downAt := p.Now()
-		c.Hosts[0].Adapter.InjectLinkDown(cfg.LinkDownNs)
+		r.Hosts[0].Adapter.InjectLinkDown(cfg.LinkDownNs)
 		fins := make([]*sim.Event, 1)
-		fins[0] = sim.NewEvent(c.K)
-		c.Go("phase2", func(wp *sim.Proc) {
+		fins[0] = sim.NewEvent(r.K)
+		r.Go("phase2", func(wp *sim.Proc) {
 			defer fins[0].Trigger(nil)
 			res.Phase2Acked, errs2 = runPhase(wp, 2)
 		})
@@ -360,8 +317,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		// dead path (reservation preempt through the local fence client).
 		p.Sleep(cfg.DetectNs)
 		if err := nx.FencePath(p, 0); err != nil {
-			setupErr = fmt.Errorf("fence: %w", err)
-			return
+			return fmt.Errorf("fence: %w", err)
 		}
 		p.WaitAll(fins[0])
 		res.WriteErrors = errs1 + errs2
@@ -427,31 +383,25 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		// Teardown: the stale client closes last (its Close drains any
 		// still-quarantined slots from the outage window).
 		if err := clB.Close(p); err != nil {
-			setupErr = fmt.Errorf("path B close: %w", err)
-			return
+			return fmt.Errorf("path B close: %w", err)
 		}
 		if err := clA.Close(p); err != nil {
-			setupErr = fmt.Errorf("path A close: %w", err)
-			return
+			return fmt.Errorf("path A close: %w", err)
 		}
 		res.PathALateCQEs = clA.LateCompletions
 		res.PathAAbandoned = clA.AbandonedSlots
 		if fenceClient != nil {
 			if err := fenceClient.Close(p); err != nil {
-				setupErr = fmt.Errorf("fence close: %w", err)
-				return
+				return fmt.Errorf("fence close: %w", err)
 			}
 		}
 		res.CtrlAFatal = ctrlA.Fatal()
 		res.CtrlBFatal = ctrlB.Fatal()
 		res.ElapsedNs = int64(p.Now() - start)
+		return nil
 	})
-	c.Run()
-	if setupErr != nil {
-		return nil, setupErr
-	}
-	if cfg.Pipeline != nil {
-		cfg.Pipeline.Sample(c.K.Now())
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -9,13 +9,14 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nvme"
-	"repro/internal/pcie"
 	"repro/internal/sim"
 	"repro/internal/smartio"
 )
 
-// rig: N hosts, controller on host 0, SmartIO service, manager ready.
+// rig is a cluster.Rig with N hosts and the controller on host 0, plus
+// the manager its test body runs beside.
 type rig struct {
+	*cluster.Rig
 	c    *cluster.Cluster
 	svc  *smartio.Service
 	dev  *smartio.Device
@@ -25,36 +26,38 @@ type rig struct {
 
 func newRig(t *testing.T, hosts int, nvmeCfg cluster.NVMeConfig) *rig {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Hosts: hosts, AdapterWindows: 256})
+	cr, err := cluster.NewRig(cluster.RigConfig{
+		// Room for several default clients' multi-MiB bounce partitions.
+		Cluster: cluster.Config{Hosts: hosts, MemBytes: 64 << 20, AdapterWindows: 256},
+		NVMe:    []cluster.NVMeConfig{nvmeCfg},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := c.AttachNVMe(0, nvmeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0",
-		pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{c: c, svc: svc, dev: dev, ctrl: ctrl}
+	return &rig{Rig: cr, c: cr.Cluster, svc: cr.Svc, dev: cr.Devs[0], ctrl: cr.Ctrls[0]}
 }
 
 // start runs fn in a proc after creating the manager on host 0.
 func (r *rig) start(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
-	r.c.Go("test", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, r.svc, r.dev.ID, r.c.Hosts[0].Node, core.ManagerParams{})
+	r.startWith(t, core.ManagerParams{}, fn)
+}
+
+// startWith is start with explicit manager parameters.
+func (r *rig) startWith(t *testing.T, mp core.ManagerParams, fn func(p *sim.Proc)) {
+	t.Helper()
+	err := r.Run("test", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, mp)
 		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
+			return err
 		}
 		r.mgr = mgr
 		fn(p)
+		return nil
 	})
-	r.c.Run()
+	if err != nil {
+		t.Error(err)
+	}
 }
 
 func TestManagerPublishesMetadata(t *testing.T) {

@@ -13,22 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// startWith is rig.start with explicit manager parameters (lease and
-// reaper knobs for the fault tests).
-func (r *rig) startWith(t *testing.T, mp core.ManagerParams, fn func(p *sim.Proc)) {
-	t.Helper()
-	r.c.Go("test", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, r.svc, r.dev.ID, r.c.Hosts[0].Node, mp)
-		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
-		}
-		r.mgr = mgr
-		fn(p)
-	})
-	r.c.Run()
-}
-
 // TestLateCompletionQuarantine is the timed-out-slot regression test: a
 // command that times out must park its bounce slot until the late CQE
 // drains, so a subsequent I/O can neither reuse the slot early nor leak

@@ -2,77 +2,56 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 // TestTwoDevicesTwoManagers: the SmartIO registry is cluster-wide; two
 // single-function NVMe devices on different hosts are shared through two
 // independent managers, and one client host attaches to both.
 func TestTwoDevicesTwoManagers(t *testing.T) {
-	c, err := cluster.New(cluster.Config{Hosts: 3, AdapterWindows: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Device A on host 0; device B on host 1 (same BAR address: separate
 	// domains).
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{Seed: 1})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: 3, MemBytes: 64 << 20, AdapterWindows: 256},
+		NVMe:    []cluster.NVMeConfig{{Seed: 1}, {Seed: 2}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.AttachNVMe(1, cluster.NVMeConfig{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Svc.Devices()) != 2 {
+		t.Fatalf("registry has %d devices", len(r.Svc.Devices()))
 	}
-	svc := smartio.NewService(c.Dir)
-	devA, err := svc.Register(0, "nvmeA", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	devB, err := svc.Register(1, "nvmeB", pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(svc.Devices()) != 2 {
-		t.Fatalf("registry has %d devices", len(svc.Devices()))
-	}
-	c.Go("main", func(p *sim.Proc) {
-		mgrA, err := core.NewManager(p, svc, devA.ID, c.Hosts[0].Node, core.ManagerParams{})
+	err = r.Run("main", func(p *sim.Proc) error {
+		mgrA, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			t.Errorf("manager A: %v", err)
-			return
+			return fmt.Errorf("manager A: %w", err)
 		}
-		mgrB, err := core.NewManager(p, svc, devB.ID, c.Hosts[1].Node, core.ManagerParams{})
+		mgrB, err := r.Manager(p, 1, core.ManagerParams{})
 		if err != nil {
-			t.Errorf("manager B: %v", err)
-			return
+			return fmt.Errorf("manager B: %w", err)
 		}
 		// Host 2 attaches to both devices at once.
-		clA, err := core.NewClient(p, "dA", svc, c.Hosts[2].Node, mgrA, core.ClientParams{})
+		clA, err := core.NewClient(p, "dA", r.Svc, r.Hosts[2].Node, mgrA, core.ClientParams{})
 		if err != nil {
-			t.Errorf("client A: %v", err)
-			return
+			return fmt.Errorf("client A: %w", err)
 		}
-		clB, err := core.NewClient(p, "dB", svc, c.Hosts[2].Node, mgrB, core.ClientParams{})
+		clB, err := core.NewClient(p, "dB", r.Svc, r.Hosts[2].Node, mgrB, core.ClientParams{})
 		if err != nil {
-			t.Errorf("client B: %v", err)
-			return
+			return fmt.Errorf("client B: %w", err)
 		}
 		// Same LBA, different devices, different data: no cross-talk.
 		patA := bytes.Repeat([]byte{0xAA}, 4096)
 		patB := bytes.Repeat([]byte{0xBB}, 4096)
 		if err := clA.WriteBlocks(p, 10, 8, patA); err != nil {
-			t.Errorf("write A: %v", err)
-			return
+			return fmt.Errorf("write A: %w", err)
 		}
 		if err := clB.WriteBlocks(p, 10, 8, patB); err != nil {
-			t.Errorf("write B: %v", err)
-			return
+			return fmt.Errorf("write B: %w", err)
 		}
 		got := make([]byte, 4096)
 		if err := clA.ReadBlocks(p, 10, 8, got); err != nil || !bytes.Equal(got, patA) {
@@ -81,8 +60,11 @@ func TestTwoDevicesTwoManagers(t *testing.T) {
 		if err := clB.ReadBlocks(p, 10, 8, got); err != nil || !bytes.Equal(got, patB) {
 			t.Errorf("device B cross-talk (err=%v)", err)
 		}
+		return nil
 	})
-	c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestClientChurnLeaksNothing attaches and closes clients repeatedly and

@@ -11,25 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// startIOMMU is start() with an IOMMU-enabled manager.
-func (r *rig) startIOMMU(t *testing.T, fn func(p *sim.Proc)) {
-	t.Helper()
-	r.c.Go("test", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, r.svc, r.dev.ID, r.c.Hosts[0].Node,
-			core.ManagerParams{EnableIOMMU: true})
-		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
-		}
-		r.mgr = mgr
-		fn(p)
-	})
-	r.c.Run()
-}
+// iommu is the manager configuration zero-copy clients need.
+var iommu = core.ManagerParams{EnableIOMMU: true}
 
 func TestZeroCopyReadWrite(t *testing.T) {
 	r := newRig(t, 2, cluster.NVMeConfig{})
-	r.startIOMMU(t, func(p *sim.Proc) {
+	r.startWith(t, iommu, func(p *sim.Proc) {
 		done := sim.NewEvent(r.c.K)
 		r.c.Go("client", func(cp *sim.Proc) {
 			defer done.Trigger(nil)
@@ -65,7 +52,7 @@ func TestZeroCopyReadWrite(t *testing.T) {
 
 func TestZeroCopyLargeTransfer(t *testing.T) {
 	r := newRig(t, 2, cluster.NVMeConfig{})
-	r.startIOMMU(t, func(p *sim.Proc) {
+	r.startWith(t, iommu, func(p *sim.Proc) {
 		done := sim.NewEvent(r.c.K)
 		r.c.Go("client", func(cp *sim.Proc) {
 			defer done.Trigger(nil)
@@ -144,11 +131,7 @@ func TestZeroCopyVsBounceCrossover(t *testing.T) {
 			Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12},
 		})
 		var out sim.Duration
-		run := r.start
-		if zeroCopy {
-			run = r.startIOMMU
-		}
-		run(t, func(p *sim.Proc) {
+		r.startWith(t, core.ManagerParams{EnableIOMMU: zeroCopy}, func(p *sim.Proc) {
 			done := sim.NewEvent(r.c.K)
 			r.c.Go("client", func(cp *sim.Proc) {
 				defer done.Trigger(nil)

@@ -9,10 +9,8 @@ import (
 	"repro/internal/block"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/shareddisk"
 	"repro/internal/sim"
-	"repro/internal/smartio"
 )
 
 func runScenario(t *testing.T, s cluster.Scenario, fn func(p *sim.Proc, q *block.Queue)) {
@@ -161,47 +159,37 @@ func TestBadHostID(t *testing.T) {
 // reads the other's journal — a shared-disk filesystem in miniature over
 // one single-function NVMe device.
 func TestSharedJournalAcrossHosts(t *testing.T) {
-	c, err := cluster.New(cluster.Config{Hosts: 3, AdapterWindows: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.AttachNVMe(0, cluster.NVMeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := smartio.NewService(c.Dir)
-	dev, err := svc.Register(0, "nvme0",
-		pcie.Range{Base: cluster.NVMeBARBase, Size: cluster.NVMeBARSize})
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: 3, AdapterWindows: 256},
+		NVMe:    []cluster.NVMeConfig{{}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const recsPerHost = 6
-	c.Go("main", func(p *sim.Proc) {
-		mgr, err := core.NewManager(p, svc, dev.ID, c.Hosts[0].Node, core.ManagerParams{})
+	err = r.Run("main", func(p *sim.Proc) error {
+		mgr, err := r.Manager(p, 0, core.ManagerParams{})
 		if err != nil {
-			t.Errorf("manager: %v", err)
-			return
+			return err
 		}
 		queues := make([]*block.Queue, 2)
 		for i := 0; i < 2; i++ {
-			cl, err := core.NewClient(p, fmt.Sprintf("d%d", i), svc, c.Hosts[i+1].Node, mgr, core.ClientParams{})
+			cl, err := core.NewClient(p, fmt.Sprintf("d%d", i), r.Svc, r.Hosts[i+1].Node, mgr, core.ClientParams{})
 			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
+				return fmt.Errorf("client %d: %w", i, err)
 			}
-			queues[i] = block.NewQueue(c.K, cl, block.QueueParams{})
+			queues[i] = block.NewQueue(r.K, cl, block.QueueParams{})
 		}
 		// Host 1 formats; both open.
 		if err := shareddisk.Format(p, queues[0], 2, 32); err != nil {
-			t.Errorf("format: %v", err)
-			return
+			return fmt.Errorf("format: %w", err)
 		}
 		done := make([]*sim.Event, 2)
 		for i := 0; i < 2; i++ {
 			host := i
-			done[i] = sim.NewEvent(c.K)
+			done[i] = sim.NewEvent(r.K)
 			fin := done[i]
-			c.Go(fmt.Sprintf("writer%d", host), func(wp *sim.Proc) {
+			r.Go(fmt.Sprintf("writer%d", host), func(wp *sim.Proc) {
 				defer fin.Trigger(nil)
 				j, err := shareddisk.Open(wp, queues[host], host)
 				if err != nil {
@@ -225,28 +213,26 @@ func TestSharedJournalAcrossHosts(t *testing.T) {
 		for reader := 0; reader < 2; reader++ {
 			j, err := shareddisk.Open(p, queues[reader], reader)
 			if err != nil {
-				t.Errorf("reopen %d: %v", reader, err)
-				return
+				return fmt.Errorf("reopen %d: %w", reader, err)
 			}
 			other := 1 - reader
 			got, err := j.ReadAll(p, other)
 			if err != nil {
-				t.Errorf("cross read %d->%d: %v", reader, other, err)
-				return
+				return fmt.Errorf("cross read %d->%d: %w", reader, other, err)
 			}
 			if len(got) != recsPerHost {
-				t.Errorf("reader %d saw %d records from host %d, want %d",
+				return fmt.Errorf("reader %d saw %d records from host %d, want %d",
 					reader, len(got), other, recsPerHost)
-				return
 			}
 			for k, rec := range got {
-				want := fmt.Sprintf("host%d-rec%d", other, k)
-				if string(rec) != want {
-					t.Errorf("reader %d record %d = %q, want %q", reader, k, rec, want)
-					return
+				if want := fmt.Sprintf("host%d-rec%d", other, k); string(rec) != want {
+					return fmt.Errorf("reader %d record %d = %q, want %q", reader, k, rec, want)
 				}
 			}
 		}
+		return nil
 	})
-	c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
