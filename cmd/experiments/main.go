@@ -1,7 +1,8 @@
-// Command experiments runs the complete evaluation-reproduction suite
-// (E1–E13, see EXPERIMENTS.md) and prints a paper-vs-measured table.
-// This is the one-shot artifact regeneration entry point. It exits 1 if
-// any row mismatches.
+// Command experiments runs the evaluation-reproduction suite (E1–E12,
+// see EXPERIMENTS.md) and prints a paper-vs-measured table: one verdict
+// row per number EXPERIMENTS.md cites, with the latency summaries,
+// component costs and curves behind a row indented below it. This is the
+// one command per experiment; it exits 1 if any row mismatches.
 //
 // Usage:
 //
@@ -17,14 +18,42 @@ import (
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/nvme"
+	"repro/internal/nvmeof"
+	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 var ios = flag.Int("ios", 1000, "measured I/Os per scenario run")
 
+// flat de-jitters the medium so ablation medians differ only by the
+// mechanism under test.
+var flat = nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}
+
+var mismatch bool
+
+// row prints one paper-vs-measured verdict line.
+func row(name, paper, measured string, ok bool) {
+	verdict := "OK"
+	if !ok {
+		verdict = "MISMATCH"
+		mismatch = true
+	}
+	fmt.Printf("%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
+}
+
+// detail prints one indented line of the data behind the row above it.
+func detail(format string, args ...any) {
+	fmt.Printf("    "+format+"\n", args...)
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "reduce sample counts for a fast pass")
 	flag.Parse()
+	if *ios < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -ios must be at least 1 (got %d)\n", *ios)
+		os.Exit(2)
+	}
 	if *quick {
 		*ios = 200
 	}
@@ -32,73 +61,166 @@ func main() {
 	fmt.Println("Reproduction suite: Multi-Host Sharing of a Single-Function NVMe Device (SC 2024)")
 	fmt.Println()
 	fmt.Printf("%-44s %-18s %-18s %s\n", "experiment", "paper", "measured", "verdict")
-	mismatch := false
-	line := func(name, paper, measured string, ok bool) {
-		verdict := "OK"
-		if !ok {
-			verdict = "MISMATCH"
-			mismatch = true
-		}
-		fmt.Printf("%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
-	}
 
-	// E1-E3: Fig. 10 minimum-latency deltas.
-	mins := map[string]float64{}
-	for _, s := range cluster.Scenarios() {
-		for _, op := range []fio.Op{fio.RandRead, fio.RandWrite} {
-			mins[string(s)+"/"+op.String()] = minLatency(s, op)
+	// E1-E3: Fig. 10 latency boxplots and the minimum-latency deltas.
+	ops := []fio.Op{fio.RandRead, fio.RandWrite}
+	boxes := map[fio.Op]map[cluster.Scenario]stats.Boxplot{}
+	for i, op := range ops {
+		boxes[op] = map[cluster.Scenario]stats.Boxplot{}
+		for _, s := range cluster.Scenarios() {
+			boxes[op][s] = fig10(s, op)
+		}
+		b := boxes[op]
+		order := []cluster.Scenario{cluster.LinuxLocal, cluster.OursLocal, cluster.OursRemote, cluster.NVMeoFRemote}
+		ordered := true
+		for j := 1; j < len(order); j++ {
+			lo, hi := b[order[j-1]], b[order[j]]
+			ordered = ordered && lo.Min < hi.Min && lo.Median < hi.Median
+		}
+		row(fmt.Sprintf("E%d Fig.10 %s: latency ordering", i+1, op), "local<ours<NVMe-oF",
+			fmt.Sprintf("%.2f<%.2f<%.2f<%.2f us", b[order[0]].Min/1000, b[order[1]].Min/1000,
+				b[order[2]].Min/1000, b[order[3]].Min/1000), ordered)
+		for _, s := range cluster.Scenarios() {
+			detail("%-14s %s", s, b[s])
 		}
 	}
-	d := func(op string, a, b cluster.Scenario) float64 {
-		return (mins[string(b)+"/"+op] - mins[string(a)+"/"+op]) / 1000
+	d := func(op fio.Op, a, b cluster.Scenario) float64 {
+		return (boxes[op][b].Min - boxes[op][a].Min) / 1000
 	}
-	rd := d("randread", cluster.LinuxLocal, cluster.NVMeoFRemote)
-	line("E1/E3 read: NVMe-oF vs local min latency", "7.7 us", fmt.Sprintf("%.2f us", rd), rd > 6.9 && rd < 8.5)
-	ro := d("randread", cluster.OursLocal, cluster.OursRemote)
-	line("E1/E3 read: ours remote vs local", "~1 us", fmt.Sprintf("%.2f us", ro), ro > 0.6 && ro < 1.6)
-	wd := d("randwrite", cluster.LinuxLocal, cluster.NVMeoFRemote)
-	line("E2/E3 write: NVMe-oF vs local min latency", "7.5 us", fmt.Sprintf("%.2f us", wd), wd > 6.7 && wd < 8.3)
-	wo := d("randwrite", cluster.OursLocal, cluster.OursRemote)
-	line("E2/E3 write: ours remote vs local", "~2 us", fmt.Sprintf("%.2f us", wo), wo > 1.4 && wo < 3.0)
+	rd := d(fio.RandRead, cluster.LinuxLocal, cluster.NVMeoFRemote)
+	row("E1/E3 read: NVMe-oF vs local min latency", "7.7 us", fmt.Sprintf("%.2f us", rd), rd > 6.9 && rd < 8.5)
+	ro := d(fio.RandRead, cluster.OursLocal, cluster.OursRemote)
+	row("E1/E3 read: ours remote vs local", "~1 us", fmt.Sprintf("%.2f us", ro), ro > 0.6 && ro < 1.6)
+	wd := d(fio.RandWrite, cluster.LinuxLocal, cluster.NVMeoFRemote)
+	row("E2/E3 write: NVMe-oF vs local min latency", "7.5 us", fmt.Sprintf("%.2f us", wd), wd > 6.7 && wd < 8.3)
+	wo := d(fio.RandWrite, cluster.OursLocal, cluster.OursRemote)
+	row("E2/E3 write: ours remote vs local", "~2 us", fmt.Sprintf("%.2f us", wo), wo > 1.4 && wo < 3.0)
 
 	// E4: 31-host sharing.
 	n, refused := thirtyOneHosts()
-	line("E4 simultaneous hosts on one controller", "31", fmt.Sprintf("%d (32nd refused: %v)", n, refused), n == 31 && refused)
+	row("E4 simultaneous hosts on one controller", "31", fmt.Sprintf("%d (32nd refused: %v)", n, refused), n == 31 && refused)
 
-	// E5: Fig. 8 queue placement.
+	// E5: Fig. 8 queue placement, plus the controller memory buffer.
 	devSide := placementLatency(core.SQDeviceSide)
 	cliLocal := placementLatency(core.SQClientLocal)
-	line("E5 Fig.8: device-side SQ saves", "fetch RT", fmt.Sprintf("%.2f us/cmd", (cliLocal-devSide)/1000), devSide < cliLocal)
+	cmb := placementLatency(core.SQCMB)
+	row("E5 Fig.8: device-side SQ saves", "fetch RT",
+		fmt.Sprintf("%.2f us (%.2f vs %.2f)", (cliLocal-devSide)/1000, devSide/1000, cliLocal/1000), devSide < cliLocal)
+	row("E5 CMB SQ saves a further (beyond paper)", "-",
+		fmt.Sprintf("%.2f us (%.2f)", (devSide-cmb)/1000, cmb/1000), cmb < devSide)
 
-	// E6: per-switch-chip cost.
+	// E6: per-switch-chip cost, directly and on QD1 read latency.
 	per := hopCost()
-	line("E6 per switch chip per direction", "100-150 ns", fmt.Sprintf("%.0f ns", per), per >= 100 && per <= 150)
+	row("E6 per switch chip per direction", "100-150 ns", fmt.Sprintf("%.0f ns", per), per >= 100 && per <= 150)
+	hops := []int{0, 1, 2, 4}
+	hopLat := make([]float64, len(hops))
+	perChipOK := true
+	for i, k := range hops {
+		hopLat[i] = hopLatency(k)
+		if k > 0 {
+			// A QD1 read crosses each chip four times on its critical
+			// path: doorbell, SQE fetch request and completion, and the
+			// posted data/CQE writes.
+			perChip := (hopLat[i] - hopLat[0]) / float64(k)
+			perChipOK = perChipOK && perChip >= 4*100 && perChip <= 4*150
+		}
+	}
+	last := len(hops) - 1
+	row("E6 QD1 read latency per extra chip", "4 x 100-150 ns",
+		fmt.Sprintf("+%.0f ns", (hopLat[last]-hopLat[0])/float64(hops[last])), perChipOK)
+	for i, k := range hops {
+		detail("%d extra chips  median %.2f us", k, hopLat[i]/1000)
+	}
+
+	// E7: NVMe-oF critical-path components and our measured phases.
+	tp := nvmeof.DefaultTargetParams()
+	ip := nvmeof.DefaultInitiatorParams()
+	rp := rdma.DefaultParams()
+	msg := rp.TxNs + rp.WireNs + rp.RxNs
+	ser := 4096 / rp.BytesPerNs
+	sum := float64(ip.SubmitNs+2*msg+tp.PollNs+tp.CapsuleProcNs+tp.SubmitNs+tp.CplProcNs+ip.IRQEntryNs+ip.CompleteNs) + ser
+	row("E7 NVMe-oF sw + NIC costs per 4 KiB read", "Fig.3: sw in path",
+		fmt.Sprintf("%.2f of %.2f us", sum/1000, rd), sum/1000 <= rd && sum/1000 >= 0.75*rd)
+	detail("initiator submit sw        %5d ns", ip.SubmitNs)
+	detail("NIC tx + wire + NIC rx     %5d ns per message (one way, x2)", msg)
+	detail("target poll pickup         %5d ns", tp.PollNs)
+	detail("target capsule processing  %5d ns (+%d ns for in-capsule data)", tp.CapsuleProcNs, tp.DataCapsuleNs)
+	detail("target NVMe submit (SPDK)  %5d ns", tp.SubmitNs)
+	detail("target completion path     %5d ns", tp.CplProcNs)
+	detail("initiator IRQ + complete   %5d ns", ip.IRQEntryNs+ip.CompleteNs)
+	detail("4 KiB serialization        %5.0f ns at %.1f B/ns", ser, rp.BytesPerNs)
+	rdPh, wrPh := phaseMeans(fio.RandRead), phaseMeans(fio.RandWrite)
+	swSame := rdPh[0] == wrPh[0] && rdPh[1] == wrPh[1] && rdPh[3] == wrPh[3]
+	row("E7 ours-remote write vs read phases", "non-posted fetch",
+		fmt.Sprintf("device +%.2f us", (wrPh[2]-rdPh[2])/1000), swSame && wrPh[2] > rdPh[2])
+	detail("%-22s %9s %9s", "mean ns per I/O", "read", "write")
+	for i, name := range []string{"driver submit sw", "bounce copy", "device (incl. fabric)", "completion sw"} {
+		detail("%-22s %9.0f %9.0f", name, rdPh[i], wrPh[i])
+	}
 
 	// E8: bounce vs dynamic remap.
 	bounce := modeLatency(core.ClientParams{})
 	remap := modeLatency(core.ClientParams{RemapPerIO: true})
-	line("E8 dynamic NTB remap penalty vs bounce", "infeasible (§V)", fmt.Sprintf("+%.1f us/IO", (remap-bounce)/1000), remap > bounce+10_000)
+	row("E8 dynamic NTB remap penalty vs bounce", "infeasible (§V)",
+		fmt.Sprintf("%.2f vs %.2f us", bounce/1000, remap/1000), remap > bounce+10_000)
+
+	// E9: queue-depth scaling on ours-remote.
+	qds := []int{1, 2, 4, 8, 16, 32}
+	qdIOPS := map[int]float64{}
+	qdMed := map[int]float64{}
+	for _, qd := range qds {
+		qdIOPS[qd], qdMed[qd] = qdRun(qd)
+	}
+	row("E9 ours-remote QD1->8 IOPS", "beyond paper",
+		fmt.Sprintf("%.1fk->%.1fk", qdIOPS[1]/1000, qdIOPS[8]/1000),
+		qdIOPS[8] >= 7*qdIOPS[1] && qdMed[8] <= 1.01*qdMed[1])
+	row("E9 ours-remote QD16->32 saturation", "beyond paper",
+		fmt.Sprintf("%.1fk->%.1fk", qdIOPS[16]/1000, qdIOPS[32]/1000), within(qdIOPS[32], qdIOPS[16], 0.02))
+	for _, qd := range qds {
+		detail("qd=%-2d  %7.1fk IOPS  median %6.2f us", qd, qdIOPS[qd]/1000, qdMed[qd]/1000)
+	}
+
+	// E10: multi-host aggregate scaling.
+	hostCounts := []int{1, 2, 4, 8, 16, 31}
+	agg := map[int]float64{}
+	for _, k := range hostCounts {
+		agg[k] = multiHostIOPS(k)
+	}
+	row("E10 aggregate IOPS, 1->8 hosts", "31 hosts share",
+		fmt.Sprintf("%.1fk->%.1fk", agg[1]/1000, agg[8]/1000), agg[8] >= 7*agg[1])
+	row("E10 aggregate IOPS, 16->31 hosts", "31 hosts share",
+		fmt.Sprintf("%.1fk->%.1fk", agg[16]/1000, agg[31]/1000), within(agg[31], agg[16], 0.05))
+	for _, k := range hostCounts {
+		detail("hosts=%-2d  %7.1fk IOPS", k, agg[k]/1000)
+	}
 
 	// E11: bandwidth parity at QD32.
 	localBW := qd32IOPS(cluster.LinuxLocal)
 	fabricBW := qd32IOPS(cluster.NVMeoFRemote)
 	oursBW := qd32IOPS(cluster.OursRemote)
 	parity := fabricBW > 0.9*localBW && oursBW > 0.9*localBW
-	line("E11 QD32 bandwidth parity (local/nvmeof/ours)", "comparable",
+	row("E11 QD32 bandwidth parity (local/nvmeof/ours)", "comparable",
 		fmt.Sprintf("%.0fk/%.0fk/%.0fk IOPS", localBW/1000, fabricBW/1000, oursBW/1000), parity)
 
 	// E12: zero-copy crossover.
-	b4, z4 := zeroCopyPair(4096)
-	b128, z128 := zeroCopyPair(128 << 10)
-	line("E12 IOMMU zero-copy at 4 KiB", "bounce wins", fmt.Sprintf("%.2f vs %.2f us", b4/1000, z4/1000), b4 < z4)
-	line("E12 IOMMU zero-copy at 128 KiB", "zero-copy wins", fmt.Sprintf("%.2f vs %.2f us", b128/1000, z128/1000), z128 < b128)
+	for _, kb := range []int{4, 16, 64, 128} {
+		b, z := zeroCopyLatency(kb<<10, false), zeroCopyLatency(kb<<10, true)
+		want, ok := "bounce wins", b < z
+		if kb >= 64 {
+			want, ok = "zero-copy wins", z < b
+		}
+		row(fmt.Sprintf("E12 IOMMU zero-copy at %d KiB", kb), want,
+			fmt.Sprintf("%.2f vs %.2f us", b/1000, z/1000), ok)
+	}
 
-	fmt.Println()
-	fmt.Println("E7 (component breakdown): run `fiobench -breakdown`.")
-	fmt.Println("E9/E10 (QD and host scaling), E13 (target offload): run `go test -bench . -benchmem .`")
 	if mismatch {
 		os.Exit(1)
 	}
+}
+
+// within reports whether v is within frac of ref.
+func within(v, ref, frac float64) bool {
+	return v >= (1-frac)*ref && v <= (1+frac)*ref
 }
 
 func fatal(err error) {
@@ -106,70 +228,103 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func minLatency(s cluster.Scenario, op fio.Op) float64 {
-	res, err := cluster.RunJob(s, cluster.ScenarioConfig{}, fio.JobSpec{
-		Name: string(s), Op: op, MaxIOs: *ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
-	})
+// run executes one fio job on scenario s; any error is fatal.
+func run(s cluster.Scenario, cfg cluster.ScenarioConfig, spec fio.JobSpec) *fio.Result {
+	res, err := cluster.RunJob(s, cfg, spec)
 	if err != nil {
 		fatal(err)
 	}
+	return res
+}
+
+func fig10(s cluster.Scenario, op fio.Op) stats.Boxplot {
+	res := run(s, cluster.ScenarioConfig{}, fio.JobSpec{
+		Name: string(s), Op: op, MaxIOs: *ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
+	})
 	if op == fio.RandWrite {
-		return res.WriteLat.Min()
+		return res.WriteLat.Box()
 	}
-	return res.ReadLat.Min()
+	return res.ReadLat.Box()
 }
 
 func placementLatency(pl core.SQPlacement) float64 {
-	res, err := cluster.RunJob(cluster.OursRemote, cluster.ScenarioConfig{
+	return run(cluster.OursRemote, cluster.ScenarioConfig{
 		Client: core.ClientParams{Placement: pl},
-		NVMe:   cluster.NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
-	}, fio.JobSpec{Name: "pl", Op: fio.RandRead, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7})
+		NVMe:   cluster.NVMeConfig{Ctrl: nvme.Params{CMBBytes: 16 << 10}, Flash: flat},
+	}, fio.JobSpec{Name: "pl", Op: fio.RandRead, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
+	).ReadLat.Median()
+}
+
+func hopLatency(chips int) float64 {
+	return run(cluster.LinuxLocal, cluster.ScenarioConfig{
+		NVMe: cluster.NVMeConfig{ExtraSwitches: chips, Flash: flat},
+	}, fio.JobSpec{Name: "hops", Op: fio.RandRead, MaxIOs: 200, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
+	).ReadLat.Median()
+}
+
+// phaseMeans runs ours-remote and returns the client's mean submit,
+// bounce-copy, device and completion time per I/O.
+func phaseMeans(op fio.Op) [4]float64 {
+	var phases core.PhaseStats
+	err := cluster.RunWorkload(cluster.OursRemote, cluster.ScenarioConfig{},
+		func(p *sim.Proc, env *cluster.Env) error {
+			_, err := fio.Run(p, env.Queue, fio.JobSpec{
+				Name: "phases", Op: op, MaxIOs: 300, RangeBlocks: 1 << 16, Seed: 7,
+			})
+			phases = env.Client.Phases
+			return err
+		})
 	if err != nil {
 		fatal(err)
 	}
-	return res.ReadLat.Median()
+	submit, move, device, complete := phases.Mean()
+	return [4]float64{submit, move, device, complete}
 }
 
 func modeLatency(params core.ClientParams) float64 {
-	res, err := cluster.RunJob(cluster.OursRemote, cluster.ScenarioConfig{
+	return run(cluster.OursRemote, cluster.ScenarioConfig{
 		Client: params,
-		NVMe:   cluster.NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
-	}, fio.JobSpec{Name: "mode", Op: fio.RandWrite, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7})
-	if err != nil {
-		fatal(err)
-	}
-	return res.WriteLat.Median()
+		NVMe:   cluster.NVMeConfig{Flash: flat},
+	}, fio.JobSpec{Name: "mode", Op: fio.RandWrite, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
+	).WriteLat.Median()
 }
 
-func qd32IOPS(s cluster.Scenario) float64 {
-	res, err := cluster.RunJob(s, cluster.ScenarioConfig{}, fio.JobSpec{
-		Name: string(s), Op: fio.RandRead, QueueDepth: 32,
-		MaxIOs: 2 * *ios, WarmupIOs: 50, RangeBlocks: 1 << 18, Seed: 7,
+func qdRun(qd int) (iops, median float64) {
+	res := run(cluster.OursRemote, cluster.ScenarioConfig{}, fio.JobSpec{
+		Name: "qd", Op: fio.RandRead, QueueDepth: qd,
+		MaxIOs: *ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
+	})
+	return res.IOPS(), res.ReadLat.Median()
+}
+
+func multiHostIOPS(hosts int) float64 {
+	res, err := cluster.RunMultiHost(cluster.MultiHostConfig{
+		Hosts: hosts, QueueDepth: 1, IOsPerHost: 100, Seed: 7, Op: fio.RandRead,
+		Client: core.ClientParams{QueueDepth: 8, PartitionBytes: 8192},
 	})
 	if err != nil {
 		fatal(err)
 	}
-	return res.IOPS()
+	return res.AggIOPS()
 }
 
-func zeroCopyPair(n int) (bounce, zerocopy float64) {
-	for _, zc := range []bool{false, true} {
-		res, err := cluster.RunJob(cluster.OursRemote, cluster.ScenarioConfig{
-			Client:  core.ClientParams{ZeroCopy: zc, PartitionBytes: 256 << 10},
-			Manager: core.ManagerParams{EnableIOMMU: zc},
-			NVMe:    cluster.NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
-		}, fio.JobSpec{Name: "zc", Op: fio.RandWrite, BlockSize: n,
-			MaxIOs: 50, WarmupIOs: 5, RangeBlocks: 1 << 18, Seed: 7})
-		if err != nil {
-			fatal(err)
-		}
-		if zc {
-			zerocopy = res.WriteLat.Median()
-		} else {
-			bounce = res.WriteLat.Median()
-		}
-	}
-	return
+func qd32IOPS(s cluster.Scenario) float64 {
+	return run(s, cluster.ScenarioConfig{}, fio.JobSpec{
+		Name: string(s), Op: fio.RandRead, QueueDepth: 32,
+		MaxIOs: 2 * *ios, WarmupIOs: 50, RangeBlocks: 1 << 18, Seed: 7,
+	}).IOPS()
+}
+
+// zeroCopyLatency is the median write latency of n-byte writes through
+// the bounce buffer or, with zc, through per-request IOMMU mappings.
+func zeroCopyLatency(n int, zc bool) float64 {
+	return run(cluster.OursRemote, cluster.ScenarioConfig{
+		Client:  core.ClientParams{ZeroCopy: zc, PartitionBytes: 256 << 10},
+		Manager: core.ManagerParams{EnableIOMMU: zc},
+		NVMe:    cluster.NVMeConfig{Flash: flat},
+	}, fio.JobSpec{Name: "zc", Op: fio.RandWrite, BlockSize: n,
+		MaxIOs: 50, WarmupIOs: 5, RangeBlocks: 1 << 18, Seed: 7},
+	).WriteLat.Median()
 }
 
 func thirtyOneHosts() (int, bool) {

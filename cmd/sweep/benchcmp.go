@@ -10,10 +10,10 @@ import (
 // runBenchcmp compares two BENCH_sim.json files and exits nonzero when
 // the new one regresses the old beyond tol (a relative fraction, e.g.
 // 0.05 = 5%). Only virtual-time facts gate: event counts, virtual
-// durations, ranked bottlenecks, sensitivity actuals and top levers —
-// the quantities that are byte-stable for a given binary. Wall-clock
-// fields (events/sec, ns/IO) are machine-dependent, so they print as
-// information only and never fail the comparison. Runs are matched by
+// durations, ranked bottlenecks, sensitivity actuals, top levers and
+// QoS capacity — the quantities that are byte-stable for a given
+// binary. The host-environment fields (generated_unix, cpus_online)
+// never fail the comparison. Runs are matched by
 // (scenario, op, queue depth, ios); entries present on only one side
 // are reported (missing on the new side is a regression, new-only
 // entries are fine — schemas grow).
@@ -37,11 +37,10 @@ func runBenchcmp(oldPath, newPath string, tol float64) {
 }
 
 // compareBench is the gate itself, separated from file I/O and process
-// exit so the wall-clock-exclusion contract is unit-testable: two
-// reports that differ only in host-environment fields (generated_unix,
-// cpus_online, wall_ns, events_per_sec, ns_per_io) must
+// exit so the host-environment-exclusion contract is unit-testable: two
+// reports that differ only in generated_unix and cpus_online must
 // produce zero regressions.
-func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) (regressions, infos []string) {
+func compareBench(oldRep, newRep *benchReport, newPath string, tol float64) (regressions, infos []string) {
 	reg := func(format string, args ...interface{}) {
 		regressions = append(regressions, fmt.Sprintf(format, args...))
 	}
@@ -64,10 +63,10 @@ func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) 
 		return math.Abs(newV-oldV)/base > tol
 	}
 
-	runKey := func(r wallclockRun) string {
+	runKey := func(r benchRun) string {
 		return fmt.Sprintf("%s op=%s qd=%d ios=%d", r.Scenario, r.Op, r.QueueDepth, r.IOs)
 	}
-	newRuns := make(map[string]wallclockRun)
+	newRuns := make(map[string]benchRun)
 	for _, r := range newRep.Runs {
 		newRuns[runKey(r)] = r
 	}
@@ -85,10 +84,6 @@ func compareBench(oldRep, newRep *wallclockReport, newPath string, tol float64) 
 		if drifted(float64(o.Events), float64(n.Events)) {
 			reg("run %s: events %d -> %d (%+.2f%%)",
 				k, o.Events, n.Events, relPct(float64(o.Events), float64(n.Events)))
-		}
-		if o.EventsPerSec > 0 && n.EventsPerSec > 0 {
-			info("run %s: %.0f -> %.0f events/sec (wall clock, not gated)",
-				k, o.EventsPerSec, n.EventsPerSec)
 		}
 	}
 
@@ -194,12 +189,12 @@ func relPct(oldV, newV float64) float64 {
 	return (newV - oldV) / math.Abs(oldV) * 100
 }
 
-func readBench(path string) *wallclockReport {
+func readBench(path string) *benchReport {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-	var rep wallclockReport
+	var rep benchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}

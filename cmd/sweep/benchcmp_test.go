@@ -7,18 +7,16 @@ import (
 
 // benchFixture builds a small but fully-populated report: two runs, two
 // QoS entries, and the top-level host-environment fields.
-func benchFixture() *wallclockReport {
-	return &wallclockReport{
+func benchFixture() *benchReport {
+	return &benchReport{
 		SchemaVersion: benchSchemaVersion,
 		GeneratedUnix: 1_700_000_000,
 		CPUsOnline:    8,
-		Runs: []wallclockRun{
-			{Scenario: "ours-remote", Op: "read", QueueDepth: 4, IOs: 400, Cores: 1,
-				Events: 120_000, WallNs: 5_000_000, VirtualNs: 9_000_000,
-				EventsPerSec: 2.4e7, NsPerIO: 12_500},
-			{Scenario: "nvmeof", Op: "read", QueueDepth: 4, IOs: 400, Cores: 1,
-				Events: 150_000, WallNs: 6_000_000, VirtualNs: 14_000_000,
-				EventsPerSec: 2.5e7, NsPerIO: 15_000},
+		Runs: []benchRun{
+			{Scenario: "ours-remote", Op: "read", QueueDepth: 4, IOs: 400,
+				Events: 120_000, VirtualNs: 9_000_000},
+			{Scenario: "nvmeof", Op: "read", QueueDepth: 4, IOs: 400,
+				Events: 150_000, VirtualNs: 14_000_000},
 		},
 		QoS: []qosEntry{
 			{Scenario: "noisy-neighbor", QoS: false,
@@ -30,9 +28,9 @@ func benchFixture() *wallclockReport {
 }
 
 // TestBenchcmpIgnoresWallClock pins the flake-proofing contract: two
-// reports generated at different wall times on different machines — all
+// reports generated at different wall times on different machines — both
 // host-environment fields differ, every virtual-time fact identical —
-// must compare clean. A timestamp or throughput delta failing CI would
+// must compare clean. A timestamp or core-count delta failing CI would
 // make the gate flaky by construction.
 func TestBenchcmpIgnoresWallClock(t *testing.T) {
 	oldRep := benchFixture()
@@ -40,15 +38,10 @@ func TestBenchcmpIgnoresWallClock(t *testing.T) {
 	// Everything a different machine at a different time would change.
 	newRep.GeneratedUnix = 1_800_000_000 // report generated later
 	newRep.CPUsOnline = 2                // smaller machine
-	for i := range newRep.Runs {
-		newRep.Runs[i].WallNs *= 7
-		newRep.Runs[i].EventsPerSec /= 7
-		newRep.Runs[i].NsPerIO *= 7
-	}
 
 	regressions, _ := compareBench(oldRep, newRep, "new.json", 0.05)
 	if len(regressions) != 0 {
-		t.Fatalf("wall-clock-only differences flagged as regressions:\n%s",
+		t.Fatalf("host-environment-only differences flagged as regressions:\n%s",
 			strings.Join(regressions, "\n"))
 	}
 }

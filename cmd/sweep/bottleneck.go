@@ -62,7 +62,7 @@ func runBottleneck(op fio.Op, opName string, qd, ios int, out string) {
 	fmt.Fprintf(&b, "== multihost-4 (op=randrw qd=%d ios=%d per host) ==\n%s\n", qd, mhIOs, rep.Table())
 
 	fmt.Print(b.String())
-	if out != "" && out != "BENCH_sim.json" { // -out default belongs to -wallclock
+	if out != "" {
 		if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
 			fatal(err)
 		}

@@ -1,31 +1,30 @@
-// Command sweep runs parameter sweeps over the simulation and emits CSV
-// for plotting: queue-depth scaling, switch-hop latency scaling, transfer-
-// size behaviour (including the bounce-vs-IOMMU crossover), and host-count
-// scaling. Each sweep regenerates one curve underlying the evaluation.
+// Command sweep runs the simulator's report modes: per-IO traces,
+// telemetry dumps, fault, volume and QoS scenarios, bottleneck
+// attribution, the causal what-if matrix, and the virtual-time baseline
+// that -benchcmp gates. The paper's experiments (E1–E12) live in
+// cmd/experiments; the simulator's wall-clock cost is measured by
+// bench/run.sh.
 //
 // Usage:
 //
-//	sweep -what qd|hops|size|hosts [-op read|write] [-ios N]
-//	sweep -wallclock [-ios N] [-out BENCH_sim.json] [-digest PATH]
+//	sweep -baseline [-ios N] [-out BENCH_sim.json] [-digest PATH]
 //	sweep -trace out.json [-scenario ours-remote] [-qd 4] [-op read|write] [-ios N]
 //	sweep -telemetry out.json [-hosts N] [-qd D] [-ios N] [-interval NS]
 //	sweep -faults [-seed N] [-hosts N] [-qd D] [-ios N] [-out FAULTS_sim.json]
+//	sweep -volume [-seed N] [-workers N] [-qd D] [-ios N] [-out VOLUME_sim.json]
+//	sweep -qos [-out QOS_sim.json] [-trace out.json]
 //	sweep -serve 127.0.0.1:9120 [-linger] [-telemetry out.json]
 //	sweep -bottleneck [-op read|write] [-qd D] [-ios N] [-out report.txt]
 //	sweep -whatif [-qd D] [-ios N] [-out report.txt] [-maxerr PCT]
 //	sweep -benchcmp [-tolerance F] old.json new.json
 //
-// The -wallclock mode measures the simulator itself (not the simulated
-// system): kernel events dispatched per real second and real nanoseconds
-// per simulated I/O for each Figure 9 scenario, written as JSON so the
-// perf trajectory is tracked across PRs. With -digest PATH it also
-// writes a small text file containing only virtual-time facts (event
-// counts, virtual durations, run digests) — byte-identical at any
+// The -baseline mode writes BENCH_sim.json: the event count and virtual
+// duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
+// breakdowns with bottleneck attribution, the what-if sensitivity
+// matrix and the QoS rate search. Every field but generated_unix and
+// cpus_online is a virtual-time fact. With -digest PATH it also writes
+// those facts as a small text file that is byte-identical at any
 // GOMAXPROCS, which CI compares across core counts.
-//
-// -cpuprofile and -memprofile write pprof profiles of whichever mode
-// ran, for digging into simulator hot paths; -blockprofile and
-// -mutexprofile enable and write the contention profiles.
 //
 // The -bottleneck mode runs every scenario traced, folds each IO's
 // causal hops into per-resource blamed nanoseconds (service vs
@@ -45,9 +44,9 @@
 // exceeds the documented bound (-maxerr overrides it).
 //
 // The -benchcmp mode compares two BENCH_sim.json files on virtual-time
-// facts only (event counts, virtual durations, top bottlenecks, top
-// levers, sensitivity actuals) within -tolerance, exiting nonzero on
-// regression; wall-clock numbers are printed but never gate.
+// facts (event counts, virtual durations, top bottlenecks, top levers,
+// sensitivity actuals, QoS capacity) within -tolerance, exiting nonzero
+// on regression.
 //
 // The -trace mode runs one scenario with per-IO tracing on and writes a
 // Chrome trace-event JSON file (loadable at ui.perfetto.dev), plus a
@@ -69,15 +68,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fio"
-	"repro/internal/nvme"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -86,11 +82,10 @@ import (
 
 func main() {
 	var (
-		what      = flag.String("what", "qd", "sweep: qd, hops, size, hosts")
 		op        = flag.String("op", "read", "operation: read or write")
-		ios       = flag.Int("ios", 400, "measured I/Os per point")
-		wallclock = flag.Bool("wallclock", false, "measure simulator wall-clock throughput and write JSON")
-		out       = flag.String("out", "BENCH_sim.json", "output path for -wallclock JSON")
+		ios       = flag.Int("ios", 400, "measured I/Os per run (per worker for -volume, default 150 there)")
+		baseline  = flag.Bool("baseline", false, "run every scenario and write the virtual-time baseline JSON that -benchcmp gates")
+		out       = flag.String("out", "BENCH_sim.json", "output path for -baseline; -faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json, and -bottleneck and -whatif write a file only when it is set")
 		traceOut  = flag.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
 		scenario  = flag.String("scenario", "ours-remote", "scenario for -trace")
 		qd        = flag.Int("qd", 4, "queue depth for -trace")
@@ -104,11 +99,7 @@ func main() {
 		interval  = flag.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
 		serve     = flag.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
 		linger    = flag.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
-		digest    = flag.String("digest", "", "with -wallclock, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-		blockprof = flag.String("blockprofile", "", "enable blocking profiling (rate 1) and write the pprof block profile at exit to this path")
-		mutexprof = flag.String("mutexprofile", "", "enable mutex profiling (fraction 1) and write the pprof mutex profile at exit to this path")
+		digest    = flag.String("digest", "", "with -baseline, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
 		bottleck  = flag.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
 		whatifM   = flag.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
 		maxErr    = flag.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
@@ -116,115 +107,53 @@ func main() {
 		tolerance = flag.Float64("tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
 	)
 	flag.Parse()
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fatal(err)
+	if *ios < 1 {
+		fmt.Fprintf(os.Stderr, "sweep: -ios must be at least 1 (got %d)\n", *ios)
+		os.Exit(2)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// outOr is -out when given on the command line, else the mode's own
+	// default, so no mode overwrites another's file by accident.
+	outOr := func(def string) string {
+		if set["out"] {
+			return *out
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprof != "" {
-		path := *memprof
-		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-		}()
-	}
-	if *blockprof != "" {
-		runtime.SetBlockProfileRate(1)
-		path := *blockprof
-		defer func() { writeProfile("block", path) }()
-	}
-	if *mutexprof != "" {
-		runtime.SetMutexProfileFraction(1)
-		path := *mutexprof
-		defer func() { writeProfile("mutex", path) }()
+		return def
 	}
 	fop := fio.RandRead
 	if *op == "write" {
 		fop = fio.RandWrite
 	}
-	if *qosM {
-		qout := *out
-		if qout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			qout = "QOS_sim.json"
-		}
-		runQoS(qout, *traceOut)
-		return
-	}
-	if *traceOut != "" {
+	switch {
+	case *qosM:
+		runQoS(outOr("QOS_sim.json"), *traceOut)
+	case *traceOut != "":
 		runTrace(*scenario, fop, *op, *qd, *ios, *traceOut)
-		return
-	}
-	if *bottleck {
-		runBottleneck(fop, *op, *qd, *ios, *out)
-		return
-	}
-	if *whatifM {
-		runWhatif(*qd, *ios, *out, *maxErr)
-		return
-	}
-	if *benchcmp {
+	case *bottleck:
+		runBottleneck(fop, *op, *qd, *ios, outOr(""))
+	case *whatifM:
+		runWhatif(*qd, *ios, outOr(""), *maxErr)
+	case *benchcmp:
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-benchcmp needs exactly two arguments: old.json new.json"))
 		}
 		runBenchcmp(flag.Arg(0), flag.Arg(1), *tolerance)
-		return
-	}
-	if *faults {
-		fout := *out
-		if fout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			fout = "FAULTS_sim.json"
-		}
-		runFaults(*seed, *hosts, *qd, *ios, *interval, fout)
-		return
-	}
-	if *volumeM {
-		vout := *out
-		if vout == "BENCH_sim.json" { // the -wallclock default; don't clobber it
-			vout = "VOLUME_sim.json"
-		}
-		// -ios defaults to 400 for the latency sweeps; the volume scenario's
-		// per-worker budget of 150 is the scenario default.
+	case *faults:
+		runFaults(*seed, *hosts, *qd, *ios, *interval, outOr("FAULTS_sim.json"))
+	case *volumeM:
 		vios := *ios
-		if vios == 400 {
-			vios = 150
+		if !set["ios"] {
+			vios = 150 // the volume scenario's per-worker budget
 		}
-		runVolume(*seed, *workers, *qd, vios, *interval, vout)
-		return
-	}
-	if *telOut != "" || *serve != "" {
+		runVolume(*seed, *workers, *qd, vios, *interval, outOr("VOLUME_sim.json"))
+	case *telOut != "" || *serve != "":
 		runTelemetry(*telOut, *hosts, *qd, *ios, *interval, *serve, *linger)
-		return
-	}
-	if *wallclock {
-		sweepWallclock(fop, *ios, *interval, *out, *digest)
-		return
-	}
-	switch *what {
-	case "qd":
-		sweepQD(fop, *ios)
-	case "hops":
-		sweepHops(fop, *ios)
-	case "size":
-		sweepSize(*ios)
-	case "hosts":
-		sweepHosts(*ios, *interval)
+	case *baseline:
+		runBaseline(fop, *ios, *interval, *out, *digest)
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown -what %q\n", *what)
+		fmt.Fprintln(os.Stderr, "sweep: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck, -whatif or -benchcmp)")
+		flag.Usage()
 		os.Exit(2)
 	}
 }
@@ -335,19 +264,14 @@ func runTrace(scenario string, op fio.Op, opName string, qd, ios int, out string
 	fmt.Printf("\nreconciled: stage sum == end-to-end == %d ns\n", e2e)
 }
 
-// wallclockRun is one measured scenario run in BENCH_sim.json.
-type wallclockRun struct {
+// benchRun is one scenario run in BENCH_sim.json.
+type benchRun struct {
 	Scenario   string `json:"scenario"`
 	Op         string `json:"op"`
 	QueueDepth int    `json:"queue_depth"`
 	IOs        int    `json:"ios"`
-	// Cores is the GOMAXPROCS the run executed under (v4).
-	Cores        int     `json:"cores"`
-	Events       uint64  `json:"events"`
-	WallNs       int64   `json:"wall_ns"`
-	VirtualNs    int64   `json:"virtual_ns"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	NsPerIO      float64 `json:"ns_per_io"`
+	Events     uint64 `json:"events"`
+	VirtualNs  int64  `json:"virtual_ns"`
 }
 
 // benchSchemaVersion stamps BENCH_sim.json so downstream tooling can
@@ -364,8 +288,10 @@ type wallclockRun struct {
 // "qos" section — per (scenario, qos-mode) max sustainable open-loop
 // arrival rate before SLO violation, with the evaluated ladder points.
 // v8: the "scaling" curve and the "sharded-scale" sensitivity entry are
-// removed along with the parallel kernel they measured.
-const benchSchemaVersion = 8
+// removed along with the parallel kernel they measured. v9: the per-run
+// wall-clock fields "wall_ns", "events_per_sec", "ns_per_io" and
+// "cores" are removed; bench/ measures wall time.
+const benchSchemaVersion = 9
 
 // sweepConfig echoes the scenario configuration a report was produced
 // with, so a BENCH_sim.json is self-describing.
@@ -396,14 +322,14 @@ type scenarioBreakdown struct {
 	Bottlenecks   []attr.Row `json:"bottlenecks"`
 }
 
-type wallclockReport struct {
+type benchReport struct {
 	SchemaVersion int   `json:"schema_version"`
 	GeneratedUnix int64 `json:"generated_unix"`
 	// CPUsOnline is runtime.NumCPU() — the physical parallelism actually
 	// available.
 	CPUsOnline int                 `json:"cpus_online"`
 	Config     sweepConfig         `json:"config"`
-	Runs       []wallclockRun      `json:"runs"`
+	Runs       []benchRun          `json:"runs"`
 	Breakdowns []scenarioBreakdown `json:"breakdowns"`
 	// Sensitivity is the executed counterfactual matrix per scenario (v6):
 	// every knob x factor run for real, with the blame-predicted delta and
@@ -417,13 +343,10 @@ type wallclockReport struct {
 // sensitivityEntry is one scenario's sensitivity matrix in the report.
 type sensitivityEntry = *whatif.Report
 
-// sweepWallclock measures simulator throughput per scenario at QD1 and
-// QD8 and writes the JSON report (plus, optionally, the deterministic
-// digest file CI byte-compares across core counts).
-func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) {
-	if ios <= 0 {
-		fatal(fmt.Errorf("-wallclock needs -ios > 0 (got %d)", ios))
-	}
+// runBaseline runs every scenario at QD1 and QD8 and writes the JSON
+// report (plus, optionally, the deterministic digest file CI
+// byte-compares across core counts).
+func runBaseline(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) {
 	opName := "read"
 	if op == fio.RandWrite {
 		opName = "write"
@@ -432,7 +355,7 @@ func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOu
 	for _, s := range cluster.Scenarios() {
 		names = append(names, string(s))
 	}
-	rep := wallclockReport{
+	rep := benchReport{
 		SchemaVersion: benchSchemaVersion,
 		GeneratedUnix: time.Now().Unix(),
 		CPUsOnline:    runtime.NumCPU(),
@@ -445,41 +368,29 @@ func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOu
 	}
 	for _, s := range cluster.Scenarios() {
 		for _, qd := range []int{1, 8} {
-			spec := fio.JobSpec{
-				Name: "wallclock", Op: op, QueueDepth: qd,
+			_, st, err := cluster.RunJobStats(s, cluster.ScenarioConfig{}, fio.JobSpec{
+				Name: "baseline", Op: op, QueueDepth: qd,
 				MaxIOs: ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
-			}
-			// One untimed run to warm code paths, then the measured run.
-			if _, _, err := cluster.RunJobStats(s, cluster.ScenarioConfig{}, spec); err != nil {
-				fatal(err)
-			}
-			start := time.Now()
-			_, st, err := cluster.RunJobStats(s, cluster.ScenarioConfig{}, spec)
+			})
 			if err != nil {
 				fatal(err)
 			}
-			wall := time.Since(start)
-			run := wallclockRun{
+			run := benchRun{
 				Scenario:   string(s),
 				Op:         opName,
 				QueueDepth: qd,
 				IOs:        ios,
-				Cores:      runtime.GOMAXPROCS(0),
 				Events:     st.Events,
-				WallNs:     wall.Nanoseconds(),
 				VirtualNs:  st.VirtualNs,
-				EventsPerSec: float64(st.Events) /
-					wall.Seconds(),
-				NsPerIO: float64(wall.Nanoseconds()) / float64(ios),
 			}
 			rep.Runs = append(rep.Runs, run)
-			fmt.Printf("%-14s qd=%d  %9d events  %8.0f events/sec  %8.0f ns/IO\n",
-				s, qd, run.Events, run.EventsPerSec, run.NsPerIO)
+			fmt.Printf("%-14s qd=%d  %9d events  %12d virtual ns\n",
+				s, qd, run.Events, run.VirtualNs)
 		}
 	}
 	// A short traced run per scenario yields the latency-breakdown table
 	// and a cluster metrics snapshot; virtual-time results are unaffected
-	// by tracing, so these describe the same system the runs above timed.
+	// by tracing, so these describe the same system as the runs above.
 	bdIOs := ios
 	if bdIOs > 200 {
 		bdIOs = 200
@@ -526,7 +437,7 @@ func sweepWallclock(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOu
 // wall-clock dependent — as a stable text file. Two sweeps of the same
 // binary and flags produce byte-identical digests regardless of
 // GOMAXPROCS or machine speed; CI compares the files across core counts.
-func digestText(rep *wallclockReport) string {
+func digestText(rep *benchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schema %d\n", rep.SchemaVersion)
 	for _, r := range rep.Runs {
@@ -605,116 +516,4 @@ func tracedBreakdown(s cluster.Scenario, op fio.Op, qd, ios int) (scenarioBreakd
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sweep:", err)
 	os.Exit(1)
-}
-
-// writeProfile dumps one runtime/pprof named profile (block, mutex) to
-// path at exit.
-func writeProfile(name, path string) {
-	p := pprof.Lookup(name)
-	if p == nil {
-		fatal(fmt.Errorf("no %s profile", name))
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := p.WriteTo(f, 0); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	f.Close()
-}
-
-// sweepQD: queue depth vs IOPS and median latency, local vs remote vs
-// fabrics.
-func sweepQD(op fio.Op, ios int) {
-	fmt.Println("scenario,qd,viops,vmed_us")
-	for _, s := range []cluster.Scenario{cluster.LinuxLocal, cluster.OursRemote, cluster.NVMeoFRemote} {
-		for _, qd := range []int{1, 2, 4, 8, 16, 32} {
-			res, err := cluster.RunJob(s, cluster.ScenarioConfig{}, fio.JobSpec{
-				Name: "qd", Op: op, QueueDepth: qd,
-				MaxIOs: ios, WarmupIOs: 20, RangeBlocks: 1 << 18, Seed: 7,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			lat := res.ReadLat
-			if op == fio.RandWrite {
-				lat = res.WriteLat
-			}
-			fmt.Printf("%s,%d,%.0f,%.2f\n", s, qd, res.IOPS(), lat.Median()/1000)
-		}
-	}
-}
-
-// sweepHops: extra switch chips vs QD1 latency (E6 curve).
-func sweepHops(op fio.Op, ios int) {
-	fmt.Println("chips,vmed_us")
-	for _, chips := range []int{0, 1, 2, 3, 4, 6, 8} {
-		res, err := cluster.RunJob(cluster.LinuxLocal, cluster.ScenarioConfig{
-			NVMe: cluster.NVMeConfig{ExtraSwitches: chips,
-				Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
-		}, fio.JobSpec{
-			Name: "hops", Op: op, MaxIOs: ios, WarmupIOs: 10,
-			RangeBlocks: 1 << 16, Seed: 7,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		lat := res.ReadLat
-		if op == fio.RandWrite {
-			lat = res.WriteLat
-		}
-		fmt.Printf("%d,%.2f\n", chips, lat.Median()/1000)
-	}
-}
-
-// sweepSize: write size vs latency for bounce and IOMMU zero-copy (the
-// E12 crossover curve).
-func sweepSize(ios int) {
-	fmt.Println("mode,kib,vmed_us")
-	for _, mode := range []string{"bounce", "iommu"} {
-		for _, kb := range []int{4, 8, 16, 32, 64, 96, 128, 192, 224} {
-			res, err := cluster.RunJob(cluster.OursRemote, cluster.ScenarioConfig{
-				Client: core.ClientParams{
-					ZeroCopy:       mode == "iommu",
-					PartitionBytes: 256 << 10,
-				},
-				Manager: core.ManagerParams{EnableIOMMU: mode == "iommu"},
-				NVMe:    cluster.NVMeConfig{Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}},
-			}, fio.JobSpec{
-				Name: mode, Op: fio.RandWrite, BlockSize: kb << 10,
-				MaxIOs: ios / 4, WarmupIOs: 5, RangeBlocks: 1 << 18, Seed: 7,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s,%d,%.2f\n", mode, kb, res.WriteLat.Median()/1000)
-		}
-	}
-}
-
-// sweepHosts: concurrent client hosts vs aggregate IOPS (E10 curve),
-// with a per-host fairness summary (share of the device, Jain index,
-// tail-latency spread) printed after each point — the single-function
-// controller must not just scale, it must share evenly.
-func sweepHosts(iosPerHost int, telemetryIntervalNs int64) {
-	fmt.Println("hosts,aggregate_viops,jain,p99_spread_us")
-	for _, k := range []int{1, 2, 4, 8, 12, 16, 24, 31} {
-		reg := trace.NewRegistry()
-		pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: telemetryIntervalNs})
-		res, err := cluster.RunMultiHost(cluster.MultiHostConfig{
-			Hosts: k, QueueDepth: 8, IOsPerHost: iosPerHost / 4, Seed: 7,
-			Client:   core.ClientParams{QueueDepth: 8, PartitionBytes: 8192},
-			Registry: reg, Pipeline: pipe,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		f := res.Fairness
-		fmt.Printf("%d,%.0f,%.4f,%.2f\n", k, res.AggIOPS(), f.JainIndex, f.P99SpreadNs/1000)
-		for _, line := range strings.Split(strings.TrimRight(f.Table(), "\n"), "\n") {
-			fmt.Printf("#   %s\n", line)
-		}
-	}
 }

@@ -77,7 +77,7 @@ func runWhatif(qd, ios int, out string, maxErrPct float64) {
 	reports := runWhatifMatrix(qd, ios)
 	text := whatifText(reports)
 	fmt.Print(text)
-	if out != "" && out != "BENCH_sim.json" { // the -wallclock default; don't clobber it
+	if out != "" {
 		if err := os.WriteFile(out, []byte(text), 0o644); err != nil {
 			fatal(err)
 		}

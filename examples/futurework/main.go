@@ -78,7 +78,7 @@ func main() {
 		fmt.Println("At 4 kB the extensions roughly break even: interrupts cost IRQ latency")
 		fmt.Println("that polling avoids, while zero-copy saves the bounce memcpy and the")
 		fmt.Println("CMB saves the SQE fetch. The wins compound for large transfers")
-		fmt.Println("(see BenchmarkZeroCopyIOMMU) and for CPU efficiency (no poll burn).")
+		fmt.Println("(see experiment E12) and for CPU efficiency (no poll burn).")
 		return nil
 	}))
 }

@@ -83,10 +83,6 @@ func (o *Occ) ExitN(nowNs int64, n int64) {
 	o.exitSumNs += n * nowNs
 }
 
-// Sync folds idle/busy time up to nowNs without changing the level, so
-// a subsequent direct read of IntegralNs/BusyNs is current.
-func (o *Occ) Sync(nowNs int64) { o.advance(nowNs) }
-
 // Level is the current occupancy.
 func (o Occ) Level() int64 { return o.level }
 
@@ -119,15 +115,6 @@ func (o Occ) Utilization(nowNs int64) float64 {
 		return 0
 	}
 	return float64(o.BusyAsOf(nowNs)) / float64(nowNs)
-}
-
-// MeanLevel is the time-averaged occupancy over [0, nowNs] — Little's
-// L, measured.
-func (o Occ) MeanLevel(nowNs int64) float64 {
-	if nowNs <= 0 {
-		return 0
-	}
-	return float64(o.IntegralAsOf(nowNs)) / float64(nowNs)
 }
 
 // LittleCheck reports both sides of the L = λW identity. balanced is

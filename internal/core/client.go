@@ -81,7 +81,7 @@ type ClientParams struct {
 	// statically mapped bounce buffer, reprogram an NTB window for each
 	// request's buffer (map + unmap at the LUT programming cost). The
 	// paper rejects this because it "would cause a significant delay in
-	// the critical I/O path"; BenchmarkBounceBuffer quantifies it.
+	// the critical I/O path"; experiment E8 quantifies it.
 	RemapPerIO bool
 	// UseInterrupts enables the extension the paper leaves as future
 	// work ("our SISCI API extension does not currently support
@@ -426,11 +426,11 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		c.bar+nvme.SQTailDoorbell(grant.QID, grant.DSTRD),
 		c.bar+nvme.CQHeadDoorbell(grant.QID, grant.DSTRD))
 	c.view.EnableLocking(node.Host().Domain().Kernel())
-	// At QD>1, burst submitters coalesce the SQ tail doorbell (one NTB
-	// MMIO write per burst) and the poller rings the CQ head once per
-	// sweep instead of per entry — both doorbells cross the fabric here,
-	// so coalescing removes remote posted writes from the hot path.
-	c.view.CoalesceSQ = true
+	// At QD>1, the locked view coalesces burst submitters' SQ tail
+	// doorbells (one NTB MMIO write per burst) and the poller rings the
+	// CQ head once per sweep instead of per entry — both doorbells cross
+	// the fabric here, so coalescing removes remote posted writes from
+	// the hot path.
 	c.view.LazyCQ = true
 	c.view.Tracer = params.Tracer
 

@@ -666,14 +666,6 @@ func (m *Manager) RequestQueue(p *sim.Proc, r QueueRequest) (QueueGrant, error) 
 	return QueueGrant{}, ErrBadGrant
 }
 
-// RequestQueuePair is the positional-argument form of RequestQueue,
-// without session tracking. A nonzero msiDevAddr additionally requests
-// MSI-X delivery to that (device-domain) address.
-func (m *Manager) RequestQueuePair(p *sim.Proc, depth int, sqDevAddr, cqDevAddr, msiDevAddr, iovaBytes, cmbBytes uint64) (QueueGrant, error) {
-	return m.RequestQueue(p, QueueRequest{Depth: depth, SQDevAddr: sqDevAddr,
-		CQDevAddr: cqDevAddr, MSIAddr: msiDevAddr, IOVABytes: iovaBytes, CMBBytes: cmbBytes})
-}
-
 // Heartbeat refreshes the client's session lease (fire-and-forget: one
 // posted mailbox write, no reply to wait for).
 func (m *Manager) Heartbeat(p *sim.Proc, qid uint16) {

@@ -85,50 +85,3 @@ func (c *Client) ResvAcquire(p *sim.Proc, action uint32, rtype uint8, crkey, prk
 	}
 	return resvStatusErr(st)
 }
-
-// ResvRelease releases the held reservation (action nvme.ResvReleaseAct,
-// rtype must match what is held) or clears all reservation state
-// (nvme.ResvClearAct).
-func (c *Client) ResvRelease(p *sim.Proc, action uint32, rtype uint8, crkey uint64) error {
-	data := make([]byte, 8)
-	binary.LittleEndian.PutUint64(data, crkey)
-	cdw10 := action&0x7 | uint32(rtype)<<nvme.ResvRTYPEShift
-	st, err := c.resvExec(p, nvme.IOResvRelease, cdw10, 0, data)
-	if err != nil {
-		return err
-	}
-	return resvStatusErr(st)
-}
-
-// ResvReport reads the namespace's reservation status through a bounce
-// partition (the controller DMA-writes the report like read data).
-func (c *Client) ResvReport(p *sim.Proc) (nvme.ResvStatus, error) {
-	if c.closed {
-		return nvme.ResvStatus{}, ErrClosed
-	}
-	p.Sleep(c.params.SubmitOverheadNs)
-	slot := c.acquireSlot(p)
-	const reportBytes = 4096
-	cmd := nvme.SQE{
-		Opcode: nvme.IOResvReport, NSID: 1,
-		PRP1:  c.bounce.DevAddr + c.dataBase + uint64(slot)*c.params.PartitionBytes,
-		CDW10: reportBytes/4 - 1, // NUMD, 0-based dwords
-	}
-	st, parked, err := c.exec(p, &cmd, slot)
-	if parked {
-		return nvme.ResvStatus{}, err
-	}
-	defer c.releaseSlot(slot)
-	if err != nil {
-		return nvme.ResvStatus{}, err
-	}
-	if err := resvStatusErr(st); err != nil {
-		return nvme.ResvStatus{}, err
-	}
-	buf := make([]byte, reportBytes)
-	partCPU := c.bounce.Seg.Addr + c.dataBase + uint64(slot)*c.params.PartitionBytes
-	if err := c.node.Host().Read(p, partCPU, buf); err != nil {
-		return nvme.ResvStatus{}, err
-	}
-	return nvme.UnmarshalResvStatus(buf), nil
-}

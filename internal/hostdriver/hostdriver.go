@@ -221,10 +221,9 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 	}
 	q.view.EnableLocking(d.kernel)
 	q.view.Tracer = d.params.Tracer
-	// blk-mq-style batching: the last submitter of a contended burst
-	// commits the SQ tail once, and the ISR's CQ sweep acknowledges all
-	// reaped entries with a single head doorbell.
-	q.view.CoalesceSQ = true
+	// blk-mq-style batching: the locked view lets the last submitter of
+	// a contended burst commit the SQ tail once, and the ISR's CQ sweep
+	// acknowledges all reaped entries with a single head doorbell.
 	q.view.LazyCQ = true
 	q.ctxs = make([]*cmdCtx, depth)
 	for i := range q.ctxs {

@@ -99,9 +99,6 @@ func New(name string, dom *pcie.Domain, entry pcie.NodeID, aperture pcie.Range, 
 	return u, nil
 }
 
-// Aperture returns the claimed IOVA range.
-func (u *Unit) Aperture() pcie.Range { return u.aperture }
-
 // Mapped returns the number of live page mappings.
 func (u *Unit) Mapped() int { return len(u.pages) }
 

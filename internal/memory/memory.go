@@ -173,9 +173,6 @@ func (m *Memory) Free(addr Addr) error {
 	return nil
 }
 
-// Allocated returns the number of live allocations.
-func (m *Memory) Allocated() int { return len(m.allocated) }
-
 // FreeBytes returns the total bytes available across all holes.
 func (m *Memory) FreeBytes() uint64 {
 	var n uint64

@@ -167,7 +167,7 @@ func (n *NTB) MapWindow(off, size uint64, remoteAddr pcie.Addr) error {
 
 // MapWindowSync is MapWindow plus the in-band reprogramming delay. The
 // paper rejects per-I/O remapping because of exactly this cost; the
-// BenchmarkDynamicRemap ablation uses it.
+// core.ClientParams.RemapPerIO ablation (experiment E8) uses it.
 func (n *NTB) MapWindowSync(p *sim.Proc, off, size uint64, remoteAddr pcie.Addr) error {
 	p.Sleep(n.ProgramCostNs)
 	return n.MapWindow(off, size, remoteAddr)

@@ -42,9 +42,8 @@ func NewPolledQueue(name string, host *pcie.HostPort, view *QueueView, pollCheck
 		pending:     make(map[uint16]*polledPending),
 		sig:         sim.NewSignal(host.Domain().Kernel()),
 	}
-	// SPDK-style batching: burst submitters ring the SQ tail once, and the
-	// poll sweep rings the CQ head once per wakeup.
-	view.CoalesceSQ = true
+	// SPDK-style batching: the poll sweep rings the CQ head once per
+	// wakeup (a locked view also rings the SQ tail once per burst).
 	view.LazyCQ = true
 	q.unwatch = host.Watch(r, func(pcie.Addr, int) { q.sig.Set() })
 	host.Domain().Kernel().Spawn(name+"/poll", q.poll)

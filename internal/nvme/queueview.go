@@ -35,12 +35,6 @@ type QueueView struct {
 	SQDoorbell pcie.Addr
 	CQDoorbell pcie.Addr
 
-	// CoalesceSQ defers the SQ tail doorbell while other submitters are
-	// queued on the lock: the last submitter of a burst rings once with
-	// the cumulative tail, like blk-mq's commit_rqs/bd->last batching.
-	// Requires EnableLocking; with a single submitter (QD1) no waiter is
-	// ever present, so behavior is identical to per-command ringing.
-	CoalesceSQ bool
 	// LazyCQ defers the CQ head doorbell from Poll to FlushCQ, so one
 	// poll sweep rings once for all entries it consumed (the SPDK
 	// adminq/io-qpair strategy). Pollers must FlushCQ before blocking:
@@ -103,7 +97,11 @@ func NewQueueView(id uint16, size int, sqAddr, cqAddr, sqDB, cqDB pcie.Addr) *Qu
 }
 
 // EnableLocking makes Submit safe for multiple concurrent submitting
-// processes on k.
+// processes on k. A locked view also coalesces SQ doorbells: a submitter
+// that finds others queued on the lock defers its tail doorbell, and the
+// last submitter of the burst rings once with the cumulative tail, like
+// blk-mq's commit_rqs/bd->last batching. With a single submitter (QD1)
+// no waiter is ever present, so every command rings its own doorbell.
 func (q *QueueView) EnableLocking(k *sim.Kernel) {
 	q.lock = sim.NewSemaphore(k, 1)
 }
@@ -150,7 +148,7 @@ func (q *QueueView) Submit(p *sim.Proc, h *pcie.HostPort, cmd *SQE) error {
 		return err
 	}
 	tr.Hop(q.ID, cmd.CID, trace.StageSQWrite, t0, p.Now())
-	if q.CoalesceSQ && q.lock != nil && q.lock.Waiters() > 0 {
+	if q.lock != nil && q.lock.Waiters() > 0 {
 		// Another submitter is already blocked on the lock; let it carry
 		// (or further defer) the doorbell for this entry too.
 		q.sqDeferred = true

@@ -52,9 +52,10 @@ func TestQueueViewLockingSerializesSubmitters(t *testing.T) {
 	const workers = 6
 	const perWorker = 10
 	completed := 0
+	var q *QueueView
 	r.run(t, func(p *sim.Proc) {
 		a := r.enable(t, p)
-		q := r.ioQueue(t, p, a, 8) // small: forces wraps and Full waits
+		q = r.ioQueue(t, p, a, 8) // small: forces wraps and Full waits
 		q.EnableLocking(r.k)
 		buf, _ := r.host.Alloc(PageSize, PageSize)
 		done := make([]*sim.Event, 0, workers)
@@ -116,6 +117,11 @@ func TestQueueViewLockingSerializesSubmitters(t *testing.T) {
 	}
 	if r.ctrl.Stats.ReadCmds != uint64(workers*perWorker) {
 		t.Fatalf("controller reads %d", r.ctrl.Stats.ReadCmds)
+	}
+	// A locked view coalesces: submitters that find others queued on the
+	// lock leave the doorbell to the last of the burst.
+	if q.SQDoorbellsSaved == 0 {
+		t.Fatalf("locked view saved no SQ doorbells under contention (%d rung)", q.SQDoorbells)
 	}
 }
 

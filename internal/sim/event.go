@@ -15,9 +15,6 @@ func NewEvent(k *Kernel) *Event {
 	return &Event{k: k}
 }
 
-// Triggered reports whether the event has fired.
-func (e *Event) Triggered() bool { return e.triggered }
-
 // Payload returns the value passed to Trigger, or nil before triggering.
 func (e *Event) Payload() any { return e.payload }
 

@@ -78,9 +78,6 @@ func NewSemaphore(k *Kernel, n int) *Semaphore {
 	return &Semaphore{k: k, avail: n, sig: NewSignal(k)}
 }
 
-// Available returns the current number of permits.
-func (s *Semaphore) Available() int { return s.avail }
-
 // Waiters returns the number of processes currently blocked in Acquire.
 // Holders of the semaphore use this to detect contention — e.g. a queue
 // submitter deciding whether to coalesce its doorbell write with the

@@ -71,9 +71,6 @@ func (c *Cluster) Node(id NodeID) (*Node, error) {
 	return n, nil
 }
 
-// Nodes returns the number of registered nodes.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // Node is one host's SISCI endpoint.
 type Node struct {
 	ID       NodeID
@@ -146,9 +143,6 @@ func (n *Node) RemoveSegment(id SegmentID) error {
 
 // SetAvailable publishes the segment so remote nodes may connect.
 func (s *Segment) SetAvailable() { s.available = true }
-
-// Available reports whether remote nodes may connect.
-func (s *Segment) Available() bool { return s.available }
 
 // LocalSegment returns a local segment by ID.
 func (n *Node) LocalSegment(id SegmentID) (*Segment, error) {

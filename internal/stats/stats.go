@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample collects float64 observations (latencies in nanoseconds). It keeps
@@ -149,38 +148,4 @@ func (b Boxplot) String() string {
 	us := func(v float64) string { return fmt.Sprintf("%.2f", v/1000) }
 	return fmt.Sprintf("n=%d min=%sus q1=%sus med=%sus q3=%sus p99=%sus max=%sus mean=%sus",
 		b.N, us(b.Min), us(b.Q1), us(b.Median), us(b.Q3), us(b.P99), us(b.Max), us(b.Mean))
-}
-
-// AsciiBox renders a crude horizontal ASCII boxplot of b in the value range
-// [lo, hi] over width columns. Used by cmd/fiobench to show Figure 10 in a
-// terminal.
-func (b Boxplot) AsciiBox(lo, hi float64, width int) string {
-	if width < 10 {
-		width = 10
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	col := func(v float64) int {
-		c := int((v - lo) / (hi - lo) * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
-	}
-	row := []byte(strings.Repeat(" ", width))
-	cMin, cQ1, cMed, cQ3, cP99 := col(b.Min), col(b.Q1), col(b.Median), col(b.Q3), col(b.P99)
-	for i := cMin; i <= cP99 && i < width; i++ {
-		row[i] = '-'
-	}
-	for i := cQ1; i <= cQ3 && i < width; i++ {
-		row[i] = '='
-	}
-	row[cMin] = '|'
-	row[cP99] = '|'
-	row[cMed] = '#'
-	return string(row)
 }

@@ -98,35 +98,6 @@ func TestBoxplotString(t *testing.T) {
 	}
 }
 
-func TestAsciiBoxWidthAndMarkers(t *testing.T) {
-	s := NewSample(100)
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	b := s.Box()
-	row := b.AsciiBox(0, 110, 50)
-	if len(row) != 50 {
-		t.Fatalf("width %d, want 50", len(row))
-	}
-	found := false
-	for _, c := range row {
-		if c == '#' {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("median marker missing")
-	}
-}
-
-func TestAsciiBoxDegenerateRange(t *testing.T) {
-	s := NewSample(1)
-	s.Add(5)
-	// hi <= lo must not panic.
-	_ = s.Box().AsciiBox(10, 10, 20)
-	_ = s.Box().AsciiBox(10, 5, 5)
-}
-
 // Property: percentile is monotone nondecreasing in p.
 func TestPropPercentileMonotone(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {

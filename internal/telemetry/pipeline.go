@@ -93,14 +93,6 @@ func (p *Pipeline) Attach(k *sim.Kernel) {
 	p.ticker = k.NewTicker(p.cfg.IntervalNs, func(now sim.Time) { p.Sample(now) })
 }
 
-// Detach stops the sampling ticker, keeping the collected series.
-func (p *Pipeline) Detach() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-		p.ticker = nil
-	}
-}
-
 // Sample takes one snapshot of every registered metric at virtual time
 // now. It must run on the simulation loop (ticker callback, or outside
 // Run) per the registry's concurrency contract; series mutation happens
