@@ -183,7 +183,7 @@ type Domain struct {
 	// lastArrival enforces per-initiator posted-write ordering: a later
 	// posted write from the same initiator never arrives before an
 	// earlier one, matching PCIe ordering rules.
-	lastArrival map[string]sim.Time
+	lastArrival map[NodeID]sim.Time
 	hopCache    map[[2]NodeID]int
 	stats       DomainStats
 	// link accounts the flight intervals of transactions that cross an
@@ -218,7 +218,7 @@ func NewDomain(name string, k *sim.Kernel, params LinkParams) *Domain {
 		kernel:      k,
 		params:      params.withDefaults(),
 		adj:         make(map[NodeID][]NodeID),
-		lastArrival: make(map[string]sim.Time),
+		lastArrival: make(map[NodeID]sim.Time),
 		hopCache:    make(map[[2]NodeID]int),
 	}
 }
@@ -397,20 +397,14 @@ func (d *Domain) Resolve(from NodeID, addr Addr, n uint64) (Resolved, error) {
 	}
 }
 
-// initiatorKey identifies a posted-write ordering stream.
-func (d *Domain) initiatorKey(from NodeID) string {
-	return fmt.Sprintf("%s/%d", d.Name, from)
-}
-
 // postedArrival computes the delivery time for a posted write issued now,
 // enforcing per-initiator FIFO ordering.
 func (d *Domain) postedArrival(from NodeID, lat int64) sim.Time {
-	key := d.initiatorKey(from)
 	arr := d.kernel.Now() + lat
-	if last := d.lastArrival[key]; arr < last {
+	if last := d.lastArrival[from]; arr < last {
 		arr = last
 	}
-	d.lastArrival[key] = arr
+	d.lastArrival[from] = arr
 	return arr
 }
 

@@ -26,8 +26,9 @@ func BenchmarkKernelSleepChain(b *testing.B) {
 }
 
 // BenchmarkKernelPingPong is the slow-path floor: two processes waking
-// each other through signals, so every event is a real cross-goroutine
-// resume plus heap (or run-queue) traffic.
+// each other through signals, so every wakeup hands the dispatch loop to
+// the other process's goroutine (one switch) plus heap (or run-queue)
+// traffic.
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := NewKernel()
 	ping, pong := NewSignal(k), NewSignal(k)

@@ -28,7 +28,6 @@ func (e *Event) Trigger(v any) {
 	e.triggered = true
 	e.payload = v
 	for _, p := range e.waiters {
-		e.k.unpark(p)
 		e.k.scheduleProc(e.k.now, p)
 	}
 	e.waiters = nil
@@ -47,7 +46,6 @@ func (p *Proc) Wait(e *Event) any {
 		return e.payload
 	}
 	e.waiters = append(e.waiters, p)
-	p.k.park(p)
 	p.yield()
 	if !e.triggered {
 		// A resume without a trigger means another goroutine called this
@@ -73,7 +71,6 @@ func (p *Proc) WaitTimeout(e *Event, d Duration) (any, bool) {
 	}
 	tm := p.wakeAt(p.k.now + d)
 	e.waiters = append(e.waiters, p)
-	p.k.park(p)
 	p.yield()
 	if e.triggered {
 		p.k.cancel(tm)
@@ -86,7 +83,6 @@ func (p *Proc) WaitTimeout(e *Event, d Duration) (any, bool) {
 			break
 		}
 	}
-	p.k.unpark(p)
 	return nil, false
 }
 
@@ -111,7 +107,6 @@ func (s *Signal) Set() {
 	s.sets++
 	ws := s.waiters
 	for _, p := range ws {
-		s.k.unpark(p)
 		s.k.scheduleProc(s.k.now, p)
 	}
 	// Set runs atomically (no process executes mid-loop), so the backing
@@ -123,7 +118,6 @@ func (s *Signal) Set() {
 // WaitSignal blocks until the next Set.
 func (p *Proc) WaitSignal(s *Signal) {
 	s.waiters = append(s.waiters, p)
-	p.k.park(p)
 	p.yield()
 }
 
@@ -136,7 +130,6 @@ func (p *Proc) WaitSignalTimeout(s *Signal, d Duration) bool {
 	before := s.sets
 	tm := p.wakeAt(p.k.now + d)
 	s.waiters = append(s.waiters, p)
-	p.k.park(p)
 	p.yield()
 	if s.sets != before {
 		p.k.cancel(tm)
@@ -148,6 +141,5 @@ func (p *Proc) WaitSignalTimeout(s *Signal, d Duration) bool {
 			break
 		}
 	}
-	p.k.unpark(p)
 	return false
 }

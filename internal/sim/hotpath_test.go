@@ -253,7 +253,7 @@ func TestWakeupZeroAllocSteadyState(t *testing.T) {
 		}
 	})
 	k.RunAll()
-	for i := 0; i < 8; i++ { // warm pool, waiter slice, park map
+	for i := 0; i < 8; i++ { // warm pool and waiter slice
 		s.Set()
 		k.RunAll()
 	}
@@ -265,4 +265,59 @@ func TestWakeupZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("signal wakeup allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 	k.Shutdown()
+}
+
+// TestHandoffsPerSwitch pins the direct handoff: a switch between two
+// processes is one goroutine handoff, and a process whose own wakeup comes
+// next keeps the dispatch loop without any. A central kernel goroutine
+// needs two per resume (kernel to process and back).
+func TestHandoffsPerSwitch(t *testing.T) {
+	t.Run("ping-pong", func(t *testing.T) {
+		const rounds = 50
+		k := NewKernel()
+		ping, pong := NewSignal(k), NewSignal(k)
+		var during uint64
+		k.Spawn("pong", func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.WaitSignal(pong)
+				ping.Set()
+			}
+		})
+		k.Spawn("ping", func(p *Proc) {
+			before := k.handoffs
+			for i := 0; i < rounds; i++ {
+				pong.Set()
+				p.WaitSignal(ping)
+			}
+			during = k.handoffs - before
+		})
+		k.RunAll()
+		if during != 2*rounds {
+			t.Errorf("%d rounds took %d handoffs, want %d", rounds, during, 2*rounds)
+		}
+		// Plus one start per process and the return to Run's caller.
+		if want := uint64(2*rounds + 3); k.handoffs != want {
+			t.Errorf("run took %d handoffs, want %d", k.handoffs, want)
+		}
+	})
+	t.Run("sleep past a callback", func(t *testing.T) {
+		k := NewKernel()
+		ran := false
+		var during uint64
+		var woke Time
+		k.Spawn("sleeper", func(p *Proc) {
+			k.After(5, func() { ran = true })
+			before := k.handoffs
+			p.Sleep(10) // the pending callback rules out the inline fast path
+			during = k.handoffs - before
+			woke = p.Now()
+		})
+		k.RunAll()
+		if !ran || woke != 10 || k.Stats().InlineSleeps != 0 {
+			t.Fatalf("ran=%v woke=%d inline=%d, want true, 10, 0", ran, woke, k.Stats().InlineSleeps)
+		}
+		if during != 0 {
+			t.Errorf("sleep took %d handoffs, want 0", during)
+		}
+	})
 }

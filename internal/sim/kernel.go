@@ -9,12 +9,22 @@
 // order. This gives SimPy-style ergonomics (Sleep, Wait, Signal) with
 // bit-reproducible runs.
 //
+// The dispatch loop runs on whichever goroutine holds it: Run's caller
+// until the first process wakes, then each process as it blocks.
+// Callbacks and ticks run inline on that goroutine. When the next item
+// wakes another process, the loop passes to it with one channel send
+// (direct handoff); when it wakes the blocking process itself, that
+// process keeps running with no goroutine switch. Run's caller gets the
+// loop back once no item is left within the limit. So a panicking
+// callback panics on whichever goroutine holds the loop, just as a
+// panicking process panics on its own.
+//
 // Hot-path design (see DESIGN.md "Performance"): scheduled items are
 // pooled with generation counters (zero allocations per schedule in the
 // steady state), same-timestamp items scheduled during dispatch bypass the
 // heap through a FIFO run queue, and a process that sleeps to a wakeup
 // that would be the next item anyway advances the clock inline without
-// yielding to the kernel goroutine at all — no channel handoffs.
+// running the dispatch loop at all.
 package sim
 
 import (
@@ -51,8 +61,8 @@ const (
 type item struct {
 	t    Time
 	seq  uint64
-	fn   func() // callback: runs inline in the kernel loop; must not block
-	proc *Proc  // wakeup: resume this process...
+	fn   func() // callback: runs inline in the dispatch loop; must not block
+	proc *Proc  // wakeup: resume (or start) this process...
 	wake uint64 // ...only if it is still blocked in the same yield epoch
 	idx  int
 	gen  uint64
@@ -175,17 +185,20 @@ type Kernel struct {
 	rqh  int
 	// pool is the item free list; released items keep their backing
 	// storage so steady-state scheduling allocates nothing.
-	pool        []*item
-	ack         chan struct{} // a running process signals the kernel here when it yields or exits
+	pool []*item
+	// ack hands the dispatch loop back to the goroutine waiting in Run
+	// or Shutdown.
+	ack         chan struct{}
 	stopping    bool
 	dispatching bool // inside Run (or Shutdown) dispatch
 	limit       Time // Run's current limit, valid while dispatching
-	nprocs      int
 	executed    uint64
-	parked      waiterSet
-	// tickers are weak repeating timers driven by the Run loop (telemetry
-	// samplers). nextTick caches the earliest pending tick so the hot path
-	// pays one comparison; MaxTime when no ticker is armed.
+	// procs holds every process spawned and not yet exited, so Shutdown
+	// can unwind them; Proc.slot is each one's index.
+	procs []*Proc
+	// tickers are weak repeating timers driven by the dispatch loop
+	// (telemetry samplers). nextTick caches the earliest pending tick so
+	// the hot path pays one comparison; MaxTime when no ticker is armed.
 	tickers  []*Ticker
 	nextTick Time
 	// Observability counters (plain increments on the hot path; read via
@@ -195,6 +208,9 @@ type Kernel struct {
 	poolMisses   uint64
 	inlineSleeps uint64
 	ticks        uint64
+	// handoffs counts goroutine handoffs of the dispatch loop. Tests pin
+	// it; it is kept off KernelStats so no report gains a series.
+	handoffs uint64
 }
 
 // KernelStats is a snapshot of the kernel's scheduler-work counters. All
@@ -317,7 +333,7 @@ func (k *Kernel) cancel(tm timer) {
 }
 
 // After schedules fn to run after delay d of virtual time. fn runs inline in
-// the kernel loop and must not block; use Spawn for blocking logic.
+// the dispatch loop and must not block; use Spawn for blocking logic.
 func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -334,7 +350,7 @@ func (k *Kernel) After(d Duration, fn func()) {
 //
 // Ordering: a tick due at time T fires before any scheduled item at T,
 // so a sample at T sees the state strictly before T's events run. fn
-// runs inline on the kernel goroutine and must not block; it may read
+// runs inline in the dispatch loop and must not block; it may read
 // simulation state freely.
 type Ticker struct {
 	k        *Kernel
@@ -417,6 +433,10 @@ type Proc struct {
 	epoch  uint64
 	dead   bool
 	exitEv *Event
+	// body is the process function until its first wakeup starts the
+	// goroutine; nil afterwards.
+	body func(p *Proc)
+	slot int // index in Kernel.procs while alive
 }
 
 // Name returns the process name given at Spawn.
@@ -431,53 +451,56 @@ func (p *Proc) Now() Time { return p.k.now }
 // Spawn creates a process executing fn. The process starts at the current
 // virtual time, after already-scheduled items for that time.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k)}
-	k.nprocs++
-	k.schedule(k.now, func() {
-		go p.run(fn)
-		<-k.ack
-	})
-	return p
+	return k.SpawnAt(0, name, fn)
 }
 
-// SpawnAt is like Spawn but delays process start by d.
+// SpawnAt is like Spawn but delays process start by d. The start is the
+// process's first wakeup; its goroutine is created then.
 func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k)}
-	k.nprocs++
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k), body: fn, slot: len(k.procs)}
+	k.procs = append(k.procs, p)
 	if d < 0 {
 		d = 0
 	}
-	k.schedule(k.now+d, func() {
-		go p.run(fn)
-		<-k.ack
-	})
+	k.scheduleProc(k.now+d, p)
 	return p
 }
 
+// run is the body of p's goroutine. On return it passes the dispatch loop
+// on, to the next process or back to Run's caller.
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
+		k := p.k
 		p.dead = true
-		p.k.nprocs--
+		last := k.procs[len(k.procs)-1]
+		k.procs[p.slot], last.slot = last, p.slot
+		k.procs[len(k.procs)-1] = nil
+		k.procs = k.procs[:len(k.procs)-1]
 		if r := recover(); r != nil {
 			if _, ok := r.(Stopped); ok {
 				// Unwound by kernel shutdown: hand control back quietly.
-				p.k.ack <- struct{}{}
+				k.handoff(nil)
 				return
 			}
 			panic(r)
 		}
 		p.exitEv.Trigger(nil)
-		p.k.ack <- struct{}{}
+		k.handoff(k.step())
 	}()
 	fn(p)
 }
 
-// yield hands control back to the kernel and blocks until resumed.
+// yield blocks p until its next wakeup. p's goroutine runs the dispatch
+// loop; unless that loop resumes p itself, p hands the loop on and waits
+// for it to come back.
 func (p *Proc) yield() {
-	p.k.ack <- struct{}{}
-	<-p.resume
+	k := p.k
+	if next := k.step(); next != p {
+		k.handoff(next)
+		<-p.resume
+	}
 	p.epoch++
-	if p.k.stopping {
+	if k.stopping {
 		panic(Stopped{})
 	}
 }
@@ -536,29 +559,27 @@ func (k *Kernel) next() *item {
 	return k.heap.popMin()
 }
 
-// dispatch executes one item and releases it to the pool.
-func (k *Kernel) dispatch(it *item) {
-	switch {
-	case it.proc != nil:
-		p := it.proc
-		if !p.dead && p.epoch == it.wake {
-			p.resume <- struct{}{}
-			<-k.ack
-		}
-	case it.fn != nil:
-		it.fn()
+// take pops the earliest item and releases it to the pool before acting
+// on it: a callback runs inline; a wakeup returns its process, unless the
+// process has exited or was already resumed in the item's epoch (nil).
+func (k *Kernel) take() *Proc {
+	it := k.next()
+	p, fn := it.proc, it.fn
+	if p != nil && (p.dead || p.epoch != it.wake) {
+		p = nil
 	}
 	k.put(it)
+	if fn != nil {
+		fn()
+	}
+	return p
 }
 
-// Run executes scheduled items until none remain or until the clock
-// would pass limit. It returns the virtual time at which execution stopped.
-// Use MaxTime to run to completion.
-func (k *Kernel) Run(limit Time) Time {
-	k.dispatching = true
-	k.limit = limit
-	defer func() { k.dispatching = false }()
-	for {
+// step runs the dispatch loop on the calling goroutine until an item wakes
+// a process, and returns that process. It returns nil when no item is left
+// within Run's limit, and during Shutdown, which drives its own drain.
+func (k *Kernel) step() *Proc {
+	for !k.stopping {
 		var tnext Time
 		if k.rqh < len(k.runq) {
 			tnext = k.now
@@ -567,9 +588,9 @@ func (k *Kernel) Run(limit Time) Time {
 		} else {
 			break
 		}
-		if tnext > limit {
-			k.now = limit
-			return k.now
+		if tnext > k.limit {
+			k.now = k.limit
+			break
 		}
 		// Weak-timer semantics: ticks fire only when simulation work
 		// remains at or after the tick time within the limit.
@@ -577,10 +598,44 @@ func (k *Kernel) Run(limit Time) Time {
 			k.fireTickers()
 			continue
 		}
-		it := k.next()
-		k.now = it.t
+		k.now = tnext
 		k.executed++
-		k.dispatch(it)
+		if p := k.take(); p != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// handoff passes the dispatch loop to p, starting p's goroutine on its
+// first wakeup, or back to the goroutine waiting in Run or Shutdown when p
+// is nil. The caller must not touch kernel state afterwards: the receiver
+// owns it.
+func (k *Kernel) handoff(p *Proc) {
+	k.handoffs++
+	switch {
+	case p == nil:
+		k.ack <- struct{}{}
+	case p.body != nil:
+		fn := p.body
+		p.body = nil
+		go p.run(fn)
+	default:
+		p.resume <- struct{}{}
+	}
+}
+
+// Run executes scheduled items until none remain or until the clock
+// would pass limit. It returns the virtual time at which execution stopped.
+// Use MaxTime to run to completion. The calling goroutine runs the
+// dispatch loop until a process wakes, then waits for the loop to end.
+func (k *Kernel) Run(limit Time) Time {
+	k.dispatching = true
+	k.limit = limit
+	defer func() { k.dispatching = false }()
+	if p := k.step(); p != nil {
+		k.handoff(p)
+		<-k.ack
 	}
 	return k.now
 }
@@ -595,59 +650,31 @@ func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 // only items genuinely run by Run do.
 func (k *Kernel) Shutdown() {
 	k.stopping = true
-	// Resuming a blocked process makes it panic with Stopped{} in yield.
-	// Blocked processes are exactly those with live goroutines waiting on
-	// p.resume. We cannot enumerate them from here, so shutdown works by
-	// the cooperation of wakeups: drain pending items (timers resume and
-	// immediately unwind), then unwind waiters parked on events. Unwinding
-	// defers may schedule again (e.g. trigger an exit event), so loop
-	// until nothing is left.
+	// Resuming a blocked process makes it panic with Stopped{} in yield,
+	// unwind, and hand control back on k.ack. First drain pending items:
+	// callbacks run, wakeups resume their process (an unstarted one starts
+	// and unwinds at its first block). Then resume every process still
+	// alive. Unwinding defers may schedule again, so loop until nothing is
+	// left.
 	for {
 		progress := false
 		k.dispatching = true
 		k.limit = k.now
 		for k.rqh < len(k.runq) || len(k.heap) > 0 {
-			k.dispatch(k.next())
+			if p := k.take(); p != nil {
+				k.handoff(p)
+				<-k.ack
+			}
 			progress = true
 		}
 		k.dispatching = false
-		for _, w := range k.collectWaiters() {
-			if !w.dead {
-				w.resume <- struct{}{}
-				<-k.ack
-				progress = true
-			}
+		for len(k.procs) > 0 {
+			k.handoff(k.procs[len(k.procs)-1])
+			<-k.ack
+			progress = true
 		}
 		if !progress {
 			return
 		}
 	}
-}
-
-// waiterSet tracks processes parked on events so Shutdown can unwind them.
-// Events register and deregister their waiters here.
-type waiterSet map[*Proc]struct{}
-
-// parked processes indexed on the kernel.
-func (k *Kernel) collectWaiters() []*Proc {
-	out := make([]*Proc, 0, len(k.parked))
-	for p := range k.parked {
-		out = append(out, p)
-	}
-	// Deterministic order is unnecessary during shutdown, but keep it
-	// stable for debuggability: order by name then pointer identity is
-	// not available; shutdown order does not affect simulation results.
-	return out
-}
-
-// park/unpark bookkeeping used by Event.
-func (k *Kernel) park(p *Proc) {
-	if k.parked == nil {
-		k.parked = make(waiterSet)
-	}
-	k.parked[p] = struct{}{}
-}
-
-func (k *Kernel) unpark(p *Proc) {
-	delete(k.parked, p)
 }

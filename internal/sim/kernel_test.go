@@ -350,10 +350,12 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	k.Spawn("stuck-on-event", func(p *Proc) { p.Wait(ev) })
 	k.Spawn("stuck-on-signal", func(p *Proc) { p.WaitSignal(NewSignal(k)) })
 	k.Spawn("sleeper", func(p *Proc) { p.Sleep(MaxTime / 2) })
+	// Starts past Run's limit, so it has no goroutine yet at Shutdown.
+	k.SpawnAt(200, "unstarted", func(p *Proc) { p.Sleep(1) })
 	k.Run(100)
 	k.Shutdown()
-	if k.nprocs != 0 {
-		t.Fatalf("%d processes alive after Shutdown", k.nprocs)
+	if n := len(k.procs); n != 0 {
+		t.Fatalf("%d processes alive after Shutdown", n)
 	}
 }
 
