@@ -185,11 +185,6 @@ func (cp ClientParams) withDefaults() ClientParams {
 	return cp
 }
 
-type pendingIO struct {
-	done   *sim.Event
-	status uint16
-}
-
 // Client is a distributed-driver client: one I/O queue pair on the shared
 // controller, exposed as a block device.
 type Client struct {
@@ -217,7 +212,9 @@ type Client struct {
 	dataBase uint64 // offset of data partitions
 	slotFree *sim.Semaphore
 	slots    []bool
-	pending  map[uint16]*pendingIO
+	// pending maps an in-flight command's CID to its completion event;
+	// the poller triggers it with the CQE status (a uint16) as payload.
+	pending map[uint16]*sim.Event
 	// quarantine maps an abandoned (timed-out / doorbell-lost) command's
 	// CID to the bounce slot it still owns: the device may yet DMA into
 	// that partition, so the slot is only released when the late
@@ -318,7 +315,7 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		node:       node,
 		mgr:        mgr,
 		params:     params,
-		pending:    make(map[uint16]*pendingIO),
+		pending:    make(map[uint16]*sim.Event),
 		quarantine: make(map[uint16]int),
 	}
 	meta, err := readMetadata(p, node, mgr.Node().ID)
@@ -584,10 +581,9 @@ func (c *Client) poller(p *sim.Proc) {
 			}
 			continue
 		}
-		if io, exists := c.pending[cqe.CID]; exists {
+		if done, exists := c.pending[cqe.CID]; exists {
 			delete(c.pending, cqe.CID)
-			io.status = cqe.Status()
-			io.done.Trigger(nil)
+			done.Trigger(cqe.Status())
 		} else if slot, held := c.quarantine[cqe.CID]; held {
 			// The late completion of an abandoned command: only now is its
 			// bounce partition safe to hand to another request.
@@ -925,8 +921,8 @@ func (c *Client) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
 // completion drains.
 func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error) {
 	cmd.CID = c.view.NextCID()
-	io := &pendingIO{done: sim.NewEvent(p.Kernel())}
-	c.pending[cmd.CID] = io
+	done := sim.NewEvent(p.Kernel())
+	c.pending[cmd.CID] = done
 	if err := c.view.Submit(p, c.node.Host(), cmd); err != nil {
 		delete(c.pending, cmd.CID)
 		c.params.Tracer.Drop(c.view.ID, cmd.CID)
@@ -947,7 +943,8 @@ func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error
 		}
 		return 0, false, err
 	}
-	if _, ok := p.WaitTimeout(io.done, c.params.IOTimeoutNs); !ok {
+	status, ok := p.WaitTimeout(done, c.params.IOTimeoutNs)
+	if !ok {
 		// Abandon the command. The CID is never reused within the 16-bit
 		// window a queue can have in flight, and its slot (if any) is
 		// quarantined BEFORE any further blocking so the poller can always
@@ -970,7 +967,7 @@ func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error
 			ErrIOTimeout, cmd.CID, c.params.IOTimeoutNs))
 	}
 	p.Sleep(c.params.CompleteOverheadNs)
-	return io.status, false, nil
+	return status.(uint16), false, nil
 }
 
 // Crash simulates a host failure: the client stops completion handling

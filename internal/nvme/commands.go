@@ -216,8 +216,9 @@ func (c *Controller) smartLog() SMARTLog {
 }
 
 // execIO executes an NVM command from SQ qid and returns the status.
-// qid keys device-side trace hops to the right span.
-func (c *Controller) execIO(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
+// qid keys device-side trace hops to the right span; Read and Write move
+// their data through s.
+func (c *Controller) execIO(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint16 {
 	if cmd.NSID != 1 {
 		return Status(SCTGeneric, SCInvalidNS)
 	}
@@ -229,9 +230,9 @@ func (c *Controller) execIO(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
 	}
 	switch cmd.Opcode {
 	case IORead:
-		return c.ioRead(p, qid, cmd)
+		return c.ioRead(p, qid, cmd, s)
 	case IOWrite:
-		return c.ioWrite(p, qid, cmd)
+		return c.ioWrite(p, qid, cmd, s)
 	case IOFlush:
 		if err := c.med.Flush(p); err != nil {
 			return Status(SCTMediaError, SCDataTransfer)
@@ -327,14 +328,14 @@ func (c *Controller) ioDSM(p *sim.Proc, cmd *SQE) uint16 {
 	return StatusOK
 }
 
-func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
+func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint16 {
 	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
 	nlb := int(cmd.CDW12&0xFFFF) + 1
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
 	n := nlb * c.med.BlockSize()
-	buf := make([]byte, n)
+	buf := s.dataBuf(n)
 	t0 := p.Now()
 	if err := c.med.Read(p, slba, nlb, buf); err != nil {
 		c.Stats.MediaErrs++
@@ -351,14 +352,14 @@ func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
 	return StatusOK
 }
 
-func (c *Controller) ioWrite(p *sim.Proc, qid uint16, cmd *SQE) uint16 {
+func (c *Controller) ioWrite(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint16 {
 	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
 	nlb := int(cmd.CDW12&0xFFFF) + 1
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
 	n := nlb * c.med.BlockSize()
-	buf := make([]byte, n)
+	buf := s.dataBuf(n)
 	t0 := p.Now()
 	if st := c.readPRP(p, cmd.PRP1, cmd.PRP2, buf); st != StatusOK {
 		return st
@@ -381,14 +382,17 @@ type prpSegment struct {
 	n    int
 }
 
-// prpSegments walks PRP1/PRP2 for a transfer of total bytes, issuing the
-// DMA reads needed to fetch PRP list pages (those reads cost fabric
-// latency, just like on hardware).
-func (c *Controller) prpSegments(p *sim.Proc, prp1, prp2 uint64, total int) ([]prpSegment, uint16) {
+// prpInline sizes the array on the caller's stack that prpSegments
+// appends into: enough for a 64 KiB transfer that starts mid-page.
+const prpInline = 64<<10/PageSize + 1
+
+// prpSegments walks PRP1/PRP2 for a transfer of total bytes, appending
+// its segments to segs, and issues the DMA reads needed to fetch PRP list
+// pages (those reads cost fabric latency, just like on hardware).
+func (c *Controller) prpSegments(p *sim.Proc, prp1, prp2 uint64, total int, segs []prpSegment) ([]prpSegment, uint16) {
 	if total <= 0 {
 		return nil, Status(SCTGeneric, SCInvalidField)
 	}
-	var segs []prpSegment
 	first := PageSize - int(prp1%PageSize)
 	if first > total {
 		first = total
@@ -478,7 +482,8 @@ func coalesce(segs []prpSegment) []prpSegment {
 
 // writePRP DMA-writes data out to the PRP-described buffers (posted).
 func (c *Controller) writePRP(p *sim.Proc, prp1, prp2 uint64, data []byte) uint16 {
-	segs, st := c.prpSegments(p, prp1, prp2, len(data))
+	var inline [prpInline]prpSegment
+	segs, st := c.prpSegments(p, prp1, prp2, len(data), inline[:0])
 	if st != StatusOK {
 		return st
 	}
@@ -496,7 +501,8 @@ func (c *Controller) writePRP(p *sim.Proc, prp1, prp2 uint64, data []byte) uint1
 // segment costs a round trip — this asymmetry is why remote writes cost
 // more than remote reads in the paper's Figure 10).
 func (c *Controller) readPRP(p *sim.Proc, prp1, prp2 uint64, buf []byte) uint16 {
-	segs, st := c.prpSegments(p, prp1, prp2, len(buf))
+	var inline [prpInline]prpSegment
+	segs, st := c.prpSegments(p, prp1, prp2, len(buf), inline[:0])
 	if st != StatusOK {
 		return st
 	}

@@ -262,7 +262,43 @@ type Controller struct {
 	// completion post) on the span keyed by (SQ ID, CID). Nil when
 	// tracing is off.
 	tracer *trace.Tracer
+
+	// cmdName names every command process (it shows only in panics).
+	cmdName string
+	// bufs is the free list of per-command buffers; the inflight
+	// semaphore bounds how many are out at once.
+	bufs []*cmdBufs
 }
+
+// cmdBufs is one executing command's working memory: the buffer its
+// SQE is fetched into and its Read or Write data buffer. Fabric reads
+// fill both through the Target interface, so they cannot live on the
+// stack; the controller recycles them instead of allocating per command.
+type cmdBufs struct {
+	sqe  [SQESize]byte
+	data []byte
+}
+
+// dataBuf returns the data buffer resized to n bytes.
+func (s *cmdBufs) dataBuf(n int) []byte {
+	if cap(s.data) < n {
+		s.data = make([]byte, n)
+	}
+	return s.data[:n]
+}
+
+func (c *Controller) getBufs() *cmdBufs {
+	n := len(c.bufs) - 1
+	if n < 0 {
+		return &cmdBufs{}
+	}
+	s := c.bufs[n]
+	c.bufs[n] = nil
+	c.bufs = c.bufs[:n]
+	return s
+}
+
+func (c *Controller) putBufs(s *cmdBufs) { c.bufs = append(c.bufs, s) }
 
 // New creates a controller attached at node in dom, claiming bar for its
 // register file, executing against med.
@@ -270,6 +306,7 @@ func New(name string, dom *pcie.Domain, node pcie.NodeID, bar pcie.Range, med Me
 	p := params.withDefaults()
 	c := &Controller{
 		name:    name,
+		cmdName: name + "/cmd",
 		kernel:  dom.Kernel(),
 		dom:     dom,
 		node:    node,
@@ -591,10 +628,11 @@ func (c *Controller) rrPass(p *sim.Proc, rr *int) bool {
 	return progressed
 }
 
-// dispatch claims the next slot of sq and spawns a worker to execute
-// it. Claiming up front lets the arbitration loop move on; the worker
-// fetches the entry itself (fetch latency depends on where the SQ
-// memory lives — the Fig. 8 effect).
+// dispatch claims the next slot of sq and starts a command process to
+// execute it, on a parked kernel runner when one is free. Claiming up
+// front lets the arbitration loop move on; the command process fetches
+// the entry itself (fetch latency depends on where the SQ memory lives —
+// the Fig. 8 effect).
 func (c *Controller) dispatch(p *sim.Proc, sq *subQueue) {
 	slot := sq.head
 	sq.head = (sq.head + 1) % sq.size
@@ -603,10 +641,9 @@ func (c *Controller) dispatch(p *sim.Proc, sq *subQueue) {
 		c.Stats.ArbFetched[sq.prio&3]++
 	}
 	p.Acquire(c.inflight)
-	q := sq
-	c.kernel.Spawn(fmt.Sprintf("%s/cmd-q%d-s%d", c.name, q.id, slot), func(wp *sim.Proc) {
+	c.kernel.Spawn(c.cmdName, func(wp *sim.Proc) {
 		defer c.inflight.Release()
-		c.execute(wp, q, slot)
+		c.execute(wp, sq, slot)
 	})
 }
 
@@ -703,16 +740,17 @@ func (c *Controller) execute(p *sim.Proc, sq *subQueue, slot int) {
 	}
 	tr := c.tracer
 	t0 := p.Now()
-	buf := make([]byte, SQESize)
+	s := c.getBufs()
+	defer c.putBufs(s)
 	if err := c.dmaRetry(p, func() error {
-		return c.dmaRead(p, sq.base+pcie.Addr(slot*SQESize), buf)
+		return c.dmaRead(p, sq.base+pcie.Addr(slot*SQESize), s.sqe[:])
 	}); err != nil {
 		c.csts |= CSTSCFS
 		return
 	}
 	c.Stats.Fetches++
 	c.qstats[sq.id].Fetched++
-	cmd := UnmarshalSQE(buf)
+	cmd := UnmarshalSQE(s.sqe[:])
 	if tr != nil {
 		var cross uint64
 		if res, err := c.dom.Resolve(c.node, sq.base, 1); err == nil {
@@ -734,7 +772,7 @@ func (c *Controller) execute(p *sim.Proc, sq *subQueue, slot int) {
 		status, dw0 = c.execAdmin(p, &cmd)
 		c.Stats.AdminCmds++
 	} else {
-		status = c.execIO(p, sq.id, &cmd)
+		status = c.execIO(p, sq.id, &cmd, s)
 	}
 	if status != StatusOK {
 		c.Stats.ErrorCmds++
@@ -775,9 +813,11 @@ func (c *Controller) complete(p *sim.Proc, sq *subQueue, cid uint16, dw0 uint32,
 	if ph {
 		cqe.StatusPhase |= 1
 	}
+	var b [CQESize]byte
+	cqe.encode(b[:])
 	p.Sleep(c.params.CplOverheadNs)
 	if err := c.dmaRetry(p, func() error {
-		return c.dmaWrite(p, cq.base+pcie.Addr(idx*CQESize), cqe.Marshal())
+		return c.dmaWrite(p, cq.base+pcie.Addr(idx*CQESize), b[:])
 	}); err != nil {
 		c.csts |= CSTSCFS
 		return

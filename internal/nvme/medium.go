@@ -218,10 +218,15 @@ func (f *FlashMedium) Write(p *sim.Proc, lba uint64, nblk int, data []byte) erro
 		f.failWrites--
 		return ErrMediaWrite
 	}
+	// A written block is overwritten in place: only Trim drops blocks and
+	// Read copies them out, so nothing else holds one.
 	for i := 0; i < nblk; i++ {
-		blk := make([]byte, f.blockSize)
-		copy(blk, data[i*f.blockSize:(i+1)*f.blockSize])
-		f.data[lba+uint64(i)] = blk
+		src := data[i*f.blockSize : (i+1)*f.blockSize]
+		if blk, ok := f.data[lba+uint64(i)]; ok {
+			copy(blk, src)
+		} else {
+			f.data[lba+uint64(i)] = append([]byte(nil), src...)
+		}
 	}
 	f.Writes++
 	f.BlocksWritten += uint64(nblk)

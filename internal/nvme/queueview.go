@@ -79,6 +79,8 @@ type QueueView struct {
 	// inflight counts submitted-but-not-completed commands.
 	inflight int
 	nextCID  uint16
+	// cqe receives the entry Poll reads (see Poll for who may share it).
+	cqe [CQESize]byte
 	// lock serializes the SQE-write + doorbell sequence across concurrent
 	// submitters on the same host, as a kernel driver's per-queue spinlock
 	// does. Nil means single-submitter use (no locking).
@@ -140,7 +142,12 @@ func (q *QueueView) Submit(p *sim.Proc, h *pcie.HostPort, cmd *SQE) error {
 	slot := q.sqTail
 	q.sqTail = (q.sqTail + 1) % q.Size
 	q.inflight++
-	if err := h.Write(p, q.SQAddr+pcie.Addr(slot*SQESize), cmd.Marshal()); err != nil {
+	// A stack array, not a view buffer: two processes may submit to one
+	// view at once (the shared admin queue), and h.Write keeps no
+	// reference to the bytes.
+	var sqe [SQESize]byte
+	cmd.encode(sqe[:])
+	if err := h.Write(p, q.SQAddr+pcie.Addr(slot*SQESize), sqe[:]); err != nil {
 		// The SQE never left this host (resolution failed synchronously),
 		// so roll the ring state back: nothing is committed.
 		q.sqTail = slot
@@ -210,13 +217,20 @@ func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
 // and returns the entry if its phase matches, advancing the head and
 // ringing the CQ head doorbell. Costs one local access (or a fabric read
 // for a remote CQ).
+//
+// The entry is read into a buffer the view owns. A fabric read fills it
+// and then sleeps for the completion's flight, so at most one process may
+// poll a view whose CQ is remote. The core client, the host driver and
+// PolledQueue each run one poller per view; the admin queue, which two
+// processes may poll at once, lives in the poller's local DRAM, where the
+// buffer is filled after the copy cost with no yield before it is
+// decoded.
 func (q *QueueView) Poll(p *sim.Proc, h *pcie.HostPort) (CQE, bool, error) {
 	t0 := p.Now()
-	buf := make([]byte, CQESize)
-	if err := h.Read(p, q.CQAddr+pcie.Addr(q.cqHead*CQESize), buf); err != nil {
+	if err := h.Read(p, q.CQAddr+pcie.Addr(q.cqHead*CQESize), q.cqe[:]); err != nil {
 		return CQE{}, false, err
 	}
-	cqe := UnmarshalCQE(buf)
+	cqe := UnmarshalCQE(q.cqe[:])
 	if cqe.Phase() != q.phase {
 		return CQE{}, false, nil
 	}

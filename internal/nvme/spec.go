@@ -326,10 +326,19 @@ type SQE struct {
 // Marshal encodes the entry in NVMe wire layout (little endian).
 func (e *SQE) Marshal() []byte {
 	b := make([]byte, SQESize)
+	e.encode(b)
+	return b
+}
+
+// encode writes the entry's wire layout into b[:SQESize], reserved bytes
+// included.
+func (e *SQE) encode(b []byte) {
+	_ = b[SQESize-1]
 	b[0] = e.Opcode
 	b[1] = e.Flags
 	binary.LittleEndian.PutUint16(b[2:], e.CID)
 	binary.LittleEndian.PutUint32(b[4:], e.NSID)
+	binary.LittleEndian.PutUint64(b[8:], 0)
 	binary.LittleEndian.PutUint64(b[16:], e.MPTR)
 	binary.LittleEndian.PutUint64(b[24:], e.PRP1)
 	binary.LittleEndian.PutUint64(b[32:], e.PRP2)
@@ -339,7 +348,6 @@ func (e *SQE) Marshal() []byte {
 	binary.LittleEndian.PutUint32(b[52:], e.CDW13)
 	binary.LittleEndian.PutUint32(b[56:], e.CDW14)
 	binary.LittleEndian.PutUint32(b[60:], e.CDW15)
-	return b
 }
 
 // UnmarshalSQE decodes a 64-byte submission queue entry.
@@ -374,12 +382,20 @@ type CQE struct {
 // Marshal encodes the entry in NVMe wire layout.
 func (c *CQE) Marshal() []byte {
 	b := make([]byte, CQESize)
+	c.encode(b)
+	return b
+}
+
+// encode writes the entry's wire layout into b[:CQESize], reserved bytes
+// included.
+func (c *CQE) encode(b []byte) {
+	_ = b[CQESize-1]
 	binary.LittleEndian.PutUint32(b[0:], c.DW0)
+	binary.LittleEndian.PutUint32(b[4:], 0)
 	binary.LittleEndian.PutUint16(b[8:], c.SQHead)
 	binary.LittleEndian.PutUint16(b[10:], c.SQID)
 	binary.LittleEndian.PutUint16(b[12:], c.CID)
 	binary.LittleEndian.PutUint16(b[14:], c.StatusPhase)
-	return b
 }
 
 // UnmarshalCQE decodes a 16-byte completion queue entry.

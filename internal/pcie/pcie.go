@@ -66,7 +66,9 @@ type Node struct {
 // Target services memory transactions for a claimed address range.
 // Implementations must not block; they run inline in the event kernel.
 type Target interface {
-	// TargetWrite delivers a posted write.
+	// TargetWrite delivers a posted write. data is the fabric's buffer,
+	// reused for a later write once TargetWrite returns: an
+	// implementation copies what it needs and keeps no reference.
 	TargetWrite(addr Addr, data []byte)
 	// TargetRead services a read, filling buf.
 	TargetRead(addr Addr, buf []byte)
@@ -170,6 +172,10 @@ type claim struct {
 	rng    Range
 	node   NodeID
 	target Target
+	// fw is target as a Forwarder, or nil. Asserting once at Claim keeps
+	// the runtime's type-assertion cache, which it rebuilds at random
+	// misses, off every routed transaction.
+	fw Forwarder
 }
 
 // Domain is one host's PCIe address space and fabric topology.
@@ -185,7 +191,9 @@ type Domain struct {
 	// earlier one, matching PCIe ordering rules.
 	lastArrival map[NodeID]sim.Time
 	hopCache    map[[2]NodeID]int
-	stats       DomainStats
+	// posted is the free list of posted-write records.
+	posted []*postedWrite
+	stats  DomainStats
 	// link accounts the flight intervals of transactions that cross an
 	// NTB boundary (Crossings > 0): offered busy time and mean bytes in
 	// flight on the cluster link, as seen from this domain's initiators.
@@ -268,7 +276,8 @@ func (d *Domain) Claim(rng Range, node NodeID, target Target) error {
 				ErrOverlap, rng.Base, rng.End(), c.rng.Base, c.rng.End())
 		}
 	}
-	d.claims = append(d.claims, claim{rng: rng, node: node, target: target})
+	fw, _ := target.(Forwarder)
+	d.claims = append(d.claims, claim{rng: rng, node: node, target: target, fw: fw})
 	return nil
 }
 
@@ -379,8 +388,8 @@ func (d *Domain) Resolve(from NodeID, addr Addr, n uint64) (Resolved, error) {
 			return res, err
 		}
 		cost += int64(hops)*cur.params.PerSwitchNs + cur.params.PropNs
-		if fw, ok := c.target.(Forwarder); ok {
-			next, entry, raddr, crossNs, err := fw.Forward(curAddr)
+		if c.fw != nil {
+			next, entry, raddr, crossNs, err := c.fw.Forward(curAddr)
 			if err != nil {
 				return res, err
 			}
@@ -408,10 +417,52 @@ func (d *Domain) postedArrival(from NodeID, lat int64) sim.Time {
 	return arr
 }
 
+// postedWrite is a posted write in flight: its resolved target, the
+// translated address and a copy of the payload. Records are recycled
+// through the issuing domain's free list, payload buffer and all, so a
+// write allocates nothing once the list is warm.
+type postedWrite struct {
+	d      *Domain
+	target Target
+	addr   Addr
+	buf    []byte
+	// deliver is w.run, bound once when the record is made.
+	deliver func()
+}
+
+// run delivers the write and returns the record to the free list.
+func (w *postedWrite) run() {
+	w.target.TargetWrite(w.addr, w.buf)
+	w.target = nil
+	w.d.posted = append(w.d.posted, w)
+}
+
+// post captures data in a record and schedules its delivery to the
+// resolved target one path traversal after the issue at t0, after
+// already-scheduled posted writes from the same initiator.
+func (d *Domain) post(from NodeID, res Resolved, t0 sim.Time, data []byte) {
+	var w *postedWrite
+	if n := len(d.posted) - 1; n >= 0 {
+		w = d.posted[n]
+		d.posted[n] = nil
+		d.posted = d.posted[:n]
+	} else {
+		w = &postedWrite{d: d}
+		w.deliver = w.run
+	}
+	w.target, w.addr = res.Target, res.Addr
+	w.buf = append(w.buf[:0], data...)
+	arrival := d.postedArrival(from, res.OneWayNs)
+	if res.Crossings > 0 {
+		d.link.Record(t0, int64(arrival), uint64(len(data)))
+	}
+	d.kernel.After(arrival-d.kernel.Now(), w.deliver)
+}
+
 // MemWrite issues a posted write of data to addr from node `from`. The
 // calling process is blocked only for the issue plus serialization cost;
 // delivery is scheduled for one path traversal later. The data is captured
-// at issue time.
+// at the end of the issue cost; MemWrite keeps no reference to it.
 func (d *Domain) MemWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) error {
 	res, err := d.Resolve(from, addr, uint64(len(data)))
 	if err != nil {
@@ -421,23 +472,15 @@ func (d *Domain) MemWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) erro
 	d.stats.BytesWritten += uint64(len(data))
 	d.stats.Crossings += uint64(res.Crossings)
 	t0 := d.kernel.Now()
-	ser := d.params.SerializeNs(len(data))
 	// The initiator occupies its port for the serialization time.
-	p.Sleep(ser)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	arrival := d.postedArrival(from, res.OneWayNs)
-	if res.Crossings > 0 {
-		d.link.Record(t0, int64(arrival), uint64(len(data)))
-	}
-	d.kernel.After(arrival-d.kernel.Now(), func() {
-		res.Target.TargetWrite(res.Addr, buf)
-	})
+	p.Sleep(d.params.SerializeNs(len(data)))
+	d.post(from, res, t0, data)
 	return nil
 }
 
 // MMIOWrite issues a small posted register write from a CPU: the process is
-// blocked for the store-issue cost only.
+// blocked for the store-issue cost only. Like MemWrite, it captures data
+// at the end of that cost and keeps no reference to it.
 func (d *Domain) MMIOWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) error {
 	res, err := d.Resolve(from, addr, uint64(len(data)))
 	if err != nil {
@@ -448,15 +491,7 @@ func (d *Domain) MMIOWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) err
 	d.stats.Crossings += uint64(res.Crossings)
 	t0 := d.kernel.Now()
 	p.Sleep(d.params.MMIOIssueNs)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	arrival := d.postedArrival(from, res.OneWayNs)
-	if res.Crossings > 0 {
-		d.link.Record(t0, int64(arrival), uint64(len(data)))
-	}
-	d.kernel.After(arrival-d.kernel.Now(), func() {
-		res.Target.TargetWrite(res.Addr, buf)
-	})
+	d.post(from, res, t0, data)
 	return nil
 }
 

@@ -255,6 +255,39 @@ func TestPostedWritesStayOrdered(t *testing.T) {
 	}
 }
 
+// TestPostedWriteCapturesAtIssue: a posted write delivers the bytes its
+// source held at issue, although the caller overwrites the source before
+// delivery, and a later write that reuses the delivered record leaves the
+// first write's bytes alone.
+func TestPostedWriteCapturesAtIssue(t *testing.T) {
+	k, d, _, ep, mem := testFabric(t)
+	k.Spawn("writer", func(p *sim.Proc) {
+		src := []byte{1, 2, 3, 4}
+		if err := d.MemWrite(p, ep, 0x10000, src); err != nil {
+			t.Error(err)
+		}
+		copy(src, []byte{9, 9, 9, 9}) // before delivery
+		p.Sleep(10 * sim.Microsecond)
+		if err := d.MemWrite(p, ep, 0x10100, []byte{5, 6}); err != nil {
+			t.Error(err)
+		}
+		copy(src, []byte{8, 8, 8, 8})
+	})
+	k.RunAll()
+	got := make([]byte, 4)
+	mem.Read(0x10000, got)
+	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Errorf("first write delivered %v, want [1 2 3 4]", got)
+	}
+	mem.Read(0x10100, got)
+	if !bytes.Equal(got, []byte{5, 6, 0, 0}) {
+		t.Errorf("second write delivered %v, want [5 6 0 0]", got)
+	}
+	if n := len(d.posted); n != 1 {
+		t.Errorf("%d posted-write records after two sequential writes, want 1 (reused)", n)
+	}
+}
+
 type spyTarget struct {
 	onWrite func(Addr, []byte)
 }

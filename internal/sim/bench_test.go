@@ -54,6 +54,26 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	reportEventsPerSec(b, k)
 }
 
+// BenchmarkKernelSpawn measures process churn, the controller's pattern
+// of one short process per command: b.N processes, each spawned by one
+// long-lived process, sleeping once and exiting. Each starts on the
+// runner the previous one parked, so only the first starts a goroutine.
+func BenchmarkKernelSpawn(b *testing.B) {
+	k := NewKernel()
+	short := func(p *Proc) { p.Sleep(10) }
+	k.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Spawn("short", short)
+			p.Sleep(20)
+		}
+	})
+	b.ResetTimer()
+	k.RunAll()
+	b.StopTimer()
+	k.Shutdown()
+	reportEventsPerSec(b, k)
+}
+
 // BenchmarkKernelTimerChurn measures schedule+cancel traffic: every wait
 // arms a timeout that the signal beats, exercising the pool's
 // cancel/reuse path.

@@ -8,6 +8,9 @@ type Event struct {
 	triggered bool
 	payload   any
 	waiters   []*Proc
+	// first backs waiters for the common single waiter, so waiting on a
+	// fresh event allocates nothing.
+	first [1]*Proc
 }
 
 // NewEvent creates an untriggered event on k.
@@ -30,7 +33,16 @@ func (e *Event) Trigger(v any) {
 	for _, p := range e.waiters {
 		e.k.scheduleProc(e.k.now, p)
 	}
+	clear(e.waiters)
 	e.waiters = nil
+}
+
+// addWaiter queues p on e, in the inline slot when it is the first.
+func (e *Event) addWaiter(p *Proc) {
+	if e.waiters == nil {
+		e.waiters = e.first[:0]
+	}
+	e.waiters = append(e.waiters, p)
 }
 
 // WaitAll blocks until every event has triggered.
@@ -45,7 +57,7 @@ func (p *Proc) Wait(e *Event) any {
 	if e.triggered {
 		return e.payload
 	}
-	e.waiters = append(e.waiters, p)
+	e.addWaiter(p)
 	p.yield()
 	if !e.triggered {
 		// A resume without a trigger means another goroutine called this
@@ -70,7 +82,7 @@ func (p *Proc) WaitTimeout(e *Event, d Duration) (any, bool) {
 		return nil, false
 	}
 	tm := p.wakeAt(p.k.now + d)
-	e.waiters = append(e.waiters, p)
+	e.addWaiter(p)
 	p.yield()
 	if e.triggered {
 		p.k.cancel(tm)

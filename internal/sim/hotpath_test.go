@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestShutdownDoesNotCountExecuted is the regression test for the drain
 // counter bug: items discarded by Shutdown must not inflate Executed,
@@ -320,4 +324,86 @@ func TestHandoffsPerSwitch(t *testing.T) {
 			t.Errorf("sleep took %d handoffs, want 0", during)
 		}
 	})
+}
+
+// TestSpawnChurnReusesRunner pins goroutine reuse: 100 short processes,
+// each spawned after the previous one exits, run on the one runner the
+// first of them started. In the chain case each process spawns its
+// successor as it exits, so the exiting runner hands the start to itself.
+// After Shutdown no runner goroutine is left.
+func TestSpawnChurnReusesRunner(t *testing.T) {
+	const procs = 100
+	t.Run("sequential", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		ran := 0
+		for i := 0; i < procs; i++ {
+			k.Spawn("short", func(p *Proc) {
+				p.Sleep(1)
+				ran++
+			})
+			k.RunAll()
+		}
+		if ran != procs || k.goStarts != 1 {
+			t.Errorf("%d processes ran on %d goroutine starts, want %d on 1", ran, k.goStarts, procs)
+		}
+		k.Shutdown()
+		waitGoroutines(t, base)
+	})
+	t.Run("chain", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		ran := 0
+		var body func(p *Proc)
+		body = func(p *Proc) {
+			p.Sleep(1)
+			if ran++; ran < procs {
+				k.Spawn("short", body)
+			}
+		}
+		k.Spawn("short", body)
+		k.RunAll()
+		if ran != procs || k.goStarts != 1 || k.Now() != procs {
+			t.Errorf("%d processes ran to t=%d on %d goroutine starts, want %d to t=%d on 1",
+				ran, k.Now(), k.goStarts, procs, procs)
+		}
+		k.Shutdown()
+		waitGoroutines(t, base)
+	})
+}
+
+// waitGoroutines polls until at most n goroutines are left: released
+// runners exit asynchronously after Shutdown returns.
+func waitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Shutdown, want %d", runtime.NumGoroutine(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGoexitEndsRunner: a process body that calls runtime.Goexit, as
+// t.FailNow does, ends its runner instead of parking it. The next process
+// then starts on a new goroutine rather than on the dead runner, where it
+// would never run and Run would never return.
+func TestGoexitEndsRunner(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("quits", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	k.RunAll()
+	ran := false
+	k.Spawn("next", func(p *Proc) {
+		p.Sleep(1)
+		ran = true
+	})
+	k.RunAll()
+	if !ran || k.goStarts != 2 {
+		t.Fatalf("next ran=%v on %d goroutine starts, want true on 2", ran, k.goStarts)
+	}
+	k.Shutdown()
 }

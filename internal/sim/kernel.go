@@ -19,6 +19,17 @@
 // callback panics on whichever goroutine holds the loop, just as a
 // panicking process panics on its own.
 //
+// A goroutine that runs processes is a runner, and it outlives them. When
+// a process's body returns, its runner parks itself on the kernel's idle
+// list, passes the dispatch loop on and waits on its own start channel. A
+// process's first wakeup runs it on a parked runner; only when none is
+// parked does the kernel start a goroutine. So a simulation that starts a
+// short process per operation (a controller command, an arrival, a
+// received message) starts goroutines only up to its peak concurrency.
+// Shutdown ends the runners of the processes it unwinds and then releases
+// the parked ones. A kernel dropped without Shutdown leaks its parked
+// runners, as it leaks its blocked processes.
+//
 // Hot-path design (see DESIGN.md "Performance"): scheduled items are
 // pooled with generation counters (zero allocations per schedule in the
 // steady state), same-timestamp items scheduled during dispatch bypass the
@@ -196,6 +207,8 @@ type Kernel struct {
 	// procs holds every process spawned and not yet exited, so Shutdown
 	// can unwind them; Proc.slot is each one's index.
 	procs []*Proc
+	// idle holds the runners parked between processes, most recent last.
+	idle []*runner
 	// tickers are weak repeating timers driven by the dispatch loop
 	// (telemetry samplers). nextTick caches the earliest pending tick so
 	// the hot path pays one comparison; MaxTime when no ticker is armed.
@@ -208,9 +221,11 @@ type Kernel struct {
 	poolMisses   uint64
 	inlineSleeps uint64
 	ticks        uint64
-	// handoffs counts goroutine handoffs of the dispatch loop. Tests pin
-	// it; it is kept off KernelStats so no report gains a series.
+	// handoffs counts goroutine handoffs of the dispatch loop, and
+	// goStarts the runner goroutines started. Tests pin them; they are
+	// kept off KernelStats so no report gains a series.
 	handoffs uint64
+	goStarts uint64
 }
 
 // KernelStats is a snapshot of the kernel's scheduler-work counters. All
@@ -425,18 +440,29 @@ func (Stopped) Error() string { return "sim: kernel stopped" }
 // Proc is a simulated process. A Proc may only call its blocking methods
 // (Sleep, Wait, ...) from the goroutine running its body.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	name string
+	// r is the runner executing the body, from the first wakeup on.
+	r *runner
 	// epoch counts completed yields; a wakeup item targets the epoch it
 	// was scheduled in, making stale wakeups self-discarding.
-	epoch  uint64
-	dead   bool
+	epoch uint64
+	dead  bool
+	// exitEv is created by the first call to Exited.
 	exitEv *Event
-	// body is the process function until its first wakeup starts the
-	// goroutine; nil afterwards.
+	// body is the process function until its runner starts it; nil
+	// afterwards.
 	body func(p *Proc)
 	slot int // index in Kernel.procs while alive
+}
+
+// runner is a goroutine that runs processes one after another. A process
+// blocked in yield waits on resume; a parked runner waits on start, which
+// holds one entry so handing a runner a process never blocks, even when
+// the runner hands it to itself.
+type runner struct {
+	start  chan *Proc
+	resume chan struct{}
 }
 
 // Name returns the process name given at Spawn.
@@ -455,9 +481,9 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt is like Spawn but delays process start by d. The start is the
-// process's first wakeup; its goroutine is created then.
+// process's first wakeup; a runner takes the process up then.
 func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), exitEv: NewEvent(k), body: fn, slot: len(k.procs)}
+	p := &Proc{k: k, name: name, body: fn, slot: len(k.procs)}
 	k.procs = append(k.procs, p)
 	if d < 0 {
 		d = 0
@@ -466,9 +492,22 @@ func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// run is the body of p's goroutine. On return it passes the dispatch loop
-// on, to the next process or back to Run's caller.
-func (p *Proc) run(fn func(p *Proc)) {
+// loop is the body of a runner goroutine: it runs p, then each process
+// handed to it while parked, until one is unwound by Shutdown or Shutdown
+// releases the parked runner with nil.
+func (r *runner) loop(p *Proc) {
+	for p != nil && r.run(p) {
+		p = <-r.start
+	}
+}
+
+// run executes p's body on r and then passes the dispatch loop on, to
+// the next process or back to Run's caller. When the body returned, r
+// parks on the idle list first and run reports true, so r waits for its
+// next process. It reports false when Shutdown unwound p, which ends r.
+// A body that calls runtime.Goexit (t.FailNow does) ends r too: run
+// never returns, and r must not park.
+func (r *runner) run(p *Proc) (returned bool) {
 	defer func() {
 		k := p.k
 		p.dead = true
@@ -476,28 +515,37 @@ func (p *Proc) run(fn func(p *Proc)) {
 		k.procs[p.slot], last.slot = last, p.slot
 		k.procs[len(k.procs)-1] = nil
 		k.procs = k.procs[:len(k.procs)-1]
-		if r := recover(); r != nil {
-			if _, ok := r.(Stopped); ok {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(Stopped); ok {
 				// Unwound by kernel shutdown: hand control back quietly.
 				k.handoff(nil)
 				return
 			}
-			panic(r)
+			panic(rec)
 		}
-		p.exitEv.Trigger(nil)
+		if p.exitEv != nil {
+			p.exitEv.Trigger(nil)
+		}
+		if returned {
+			k.idle = append(k.idle, r)
+		}
 		k.handoff(k.step())
 	}()
+	fn := p.body
+	p.body = nil
 	fn(p)
+	return true
 }
 
-// yield blocks p until its next wakeup. p's goroutine runs the dispatch
+// yield blocks p until its next wakeup. p's runner runs the dispatch
 // loop; unless that loop resumes p itself, p hands the loop on and waits
-// for it to come back.
+// on its runner's resume channel for it to come back.
 func (p *Proc) yield() {
 	k := p.k
 	if next := k.step(); next != p {
+		resume := p.r.resume
 		k.handoff(next)
-		<-p.resume
+		<-resume
 	}
 	p.epoch++
 	if k.stopping {
@@ -536,7 +584,13 @@ func (p *Proc) Sleep(d Duration) {
 }
 
 // Exited returns an event triggered when the process function returns.
-func (p *Proc) Exited() *Event { return p.exitEv }
+// The first call creates it, already triggered if the process is dead.
+func (p *Proc) Exited() *Event {
+	if p.exitEv == nil {
+		p.exitEv = &Event{k: p.k, triggered: p.dead}
+	}
+	return p.exitEv
+}
 
 // next removes and returns the earliest pending item, merging the heap
 // and the run queue by (time, seq). Run-queue items always carry the
@@ -607,21 +661,30 @@ func (k *Kernel) step() *Proc {
 	return nil
 }
 
-// handoff passes the dispatch loop to p, starting p's goroutine on its
-// first wakeup, or back to the goroutine waiting in Run or Shutdown when p
-// is nil. The caller must not touch kernel state afterwards: the receiver
-// owns it.
+// handoff passes the dispatch loop to p, or back to the goroutine waiting
+// in Run or Shutdown when p is nil. On p's first wakeup it hands p to the
+// most recently parked runner, and starts a runner goroutine only when
+// none is parked. The caller must not touch kernel state afterwards: the
+// receiver owns it.
 func (k *Kernel) handoff(p *Proc) {
 	k.handoffs++
 	switch {
 	case p == nil:
 		k.ack <- struct{}{}
-	case p.body != nil:
-		fn := p.body
-		p.body = nil
-		go p.run(fn)
+	case p.r != nil:
+		p.r.resume <- struct{}{}
 	default:
-		p.resume <- struct{}{}
+		n := len(k.idle) - 1
+		if n < 0 {
+			k.goStarts++
+			p.r = &runner{start: make(chan *Proc, 1), resume: make(chan struct{})}
+			go p.r.loop(p)
+			return
+		}
+		p.r = k.idle[n]
+		k.idle[n] = nil
+		k.idle = k.idle[:n]
+		p.r.start <- p
 	}
 }
 
@@ -643,11 +706,12 @@ func (k *Kernel) Run(limit Time) Time {
 // RunAll runs the simulation until no scheduled items remain.
 func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 
-// Shutdown unwinds all blocked processes so their goroutines exit. Pending
-// timers for dead processes are discarded. Call after Run when the kernel
-// will no longer be used (e.g. between benchmark iterations) to avoid
-// leaking goroutines. Shutdown's drain does not count toward Executed —
-// only items genuinely run by Run do.
+// Shutdown unwinds all blocked processes, which ends their runners, and
+// then releases the parked runners. Pending timers for dead processes are
+// discarded. Call after Run when the kernel will no longer be used (e.g.
+// between benchmark iterations) to avoid leaking goroutines. Shutdown's
+// drain does not count toward Executed — only items genuinely run by Run
+// do.
 func (k *Kernel) Shutdown() {
 	k.stopping = true
 	// Resuming a blocked process makes it panic with Stopped{} in yield,
@@ -674,7 +738,11 @@ func (k *Kernel) Shutdown() {
 			progress = true
 		}
 		if !progress {
-			return
+			break
 		}
 	}
+	for _, r := range k.idle {
+		r.start <- nil
+	}
+	k.idle = nil
 }

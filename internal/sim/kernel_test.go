@@ -321,17 +321,35 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 }
 
 func TestProcExitedEvent(t *testing.T) {
-	k := NewKernel()
-	p1 := k.Spawn("a", func(p *Proc) { p.Sleep(40) })
-	var joined Time
-	k.Spawn("b", func(p *Proc) {
-		p.Wait(p1.Exited())
-		joined = p.Now()
+	t.Run("waited before exit", func(t *testing.T) {
+		k := NewKernel()
+		p1 := k.Spawn("a", func(p *Proc) { p.Sleep(40) })
+		var joined Time
+		k.Spawn("b", func(p *Proc) {
+			p.Wait(p1.Exited())
+			joined = p.Now()
+		})
+		k.RunAll()
+		if joined != 40 {
+			t.Fatalf("joined at %d, want 40", joined)
+		}
 	})
-	k.RunAll()
-	if joined != 40 {
-		t.Fatalf("joined at %d, want 40", joined)
-	}
+	t.Run("first asked for after exit", func(t *testing.T) {
+		k := NewKernel()
+		p1 := k.Spawn("a", func(p *Proc) { p.Sleep(40) })
+		var joined Time = -1
+		k.SpawnAt(100, "b", func(p *Proc) {
+			p.Wait(p1.Exited())
+			joined = p.Now()
+		})
+		k.RunAll()
+		if joined != 100 {
+			t.Fatalf("joined at %d, want 100 (already exited)", joined)
+		}
+		if e := p1.Exited(); e != p1.Exited() || e.Payload() != nil {
+			t.Fatal("Exited returned a different or non-nil-payload event on a later call")
+		}
+	})
 }
 
 func TestSpawnAt(t *testing.T) {

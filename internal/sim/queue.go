@@ -4,8 +4,11 @@ package sim
 // blocks; Pop blocks the calling process until an element is available.
 // It is the simulation analogue of a Go channel.
 type Queue struct {
-	k     *Kernel
+	k *Kernel
+	// items[head:] are queued; popping advances head, so the backing
+	// array is reused instead of regrown.
 	items []any
+	head  int
 	sig   *Signal
 }
 
@@ -15,21 +18,31 @@ func NewQueue(k *Kernel) *Queue {
 }
 
 // Len returns the number of queued elements.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return len(q.items) - q.head }
 
 // Push appends v and wakes any blocked consumers.
 func (q *Queue) Push(v any) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Slide the queued elements down rather than grow the array.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.sig.Set()
 }
 
 // TryPop removes and returns the head element without blocking.
 func (q *Queue) TryPop() (any, bool) {
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return nil, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
