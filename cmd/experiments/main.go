@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -24,43 +26,75 @@ import (
 	"repro/internal/stats"
 )
 
-var ios = flag.Int("ios", 1000, "measured I/Os per scenario run")
-
 // flat de-jitters the medium so ablation medians differ only by the
 // mechanism under test.
 var flat = nvme.FlashParams{JitterNs: 1, TailProb: 1e-12}
 
-var mismatch bool
-
-// row prints one paper-vs-measured verdict line.
-func row(name, paper, measured string, ok bool) {
-	verdict := "OK"
-	if !ok {
-		verdict = "MISMATCH"
-		mismatch = true
-	}
-	fmt.Printf("%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
-}
-
-// detail prints one indented line of the data behind the row above it.
-func detail(format string, args ...any) {
-	fmt.Printf("    "+format+"\n", args...)
-}
+// errUsage marks a bad command line, on which main exits 2 as flag does.
+var errUsage = errors.New("usage")
 
 func main() {
-	quick := flag.Bool("quick", false, "reduce sample counts for a fast pass")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// failure carries a simulation error from a helper up to run, which
+// recovers it and returns it.
+type failure struct{ err error }
+
+// check aborts the suite with err, if any.
+func check(err error) {
+	if err != nil {
+		panic(failure{err})
+	}
+}
+
+// run parses args, prints the paper-vs-measured table to stdout and
+// returns an error if any row mismatches or a run fails.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	ios := fs.Int("ios", 1000, "measured I/Os per scenario run")
+	quick := fs.Bool("quick", false, "reduce sample counts for a fast pass")
+	fs.Parse(args)
 	if *ios < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -ios must be at least 1 (got %d)\n", *ios)
-		os.Exit(2)
+		return fmt.Errorf("%w: -ios must be at least 1 (got %d)", errUsage, *ios)
 	}
 	if *quick {
 		*ios = 200
 	}
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case failure:
+			err = r.err
+		default:
+			panic(r)
+		}
+	}()
 
-	fmt.Println("Reproduction suite: Multi-Host Sharing of a Single-Function NVMe Device (SC 2024)")
-	fmt.Println()
-	fmt.Printf("%-44s %-18s %-18s %s\n", "experiment", "paper", "measured", "verdict")
+	mismatches := 0
+	// row prints one paper-vs-measured verdict line.
+	row := func(name, paper, measured string, ok bool) {
+		verdict := "OK"
+		if !ok {
+			verdict = "MISMATCH"
+			mismatches++
+		}
+		fmt.Fprintf(stdout, "%-44s %-18s %-18s %s\n", name, paper, measured, verdict)
+	}
+	// detail prints one indented line of the data behind the row above it.
+	detail := func(format string, args ...any) {
+		fmt.Fprintf(stdout, "    "+format+"\n", args...)
+	}
+
+	fmt.Fprintln(stdout, "Reproduction suite: Multi-Host Sharing of a Single-Function NVMe Device (SC 2024)")
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "%-44s %-18s %-18s %s\n", "experiment", "paper", "measured", "verdict")
 
 	// E1-E3: Fig. 10 latency boxplots and the minimum-latency deltas.
 	ops := []fio.Op{fio.RandRead, fio.RandWrite}
@@ -68,7 +102,7 @@ func main() {
 	for i, op := range ops {
 		boxes[op] = map[cluster.Scenario]stats.Boxplot{}
 		for _, s := range cluster.Scenarios() {
-			boxes[op][s] = fig10(s, op)
+			boxes[op][s] = fig10(s, op, *ios)
 		}
 		b := boxes[op]
 		order := []cluster.Scenario{cluster.LinuxLocal, cluster.OursLocal, cluster.OursRemote, cluster.NVMeoFRemote}
@@ -169,7 +203,7 @@ func main() {
 	qdIOPS := map[int]float64{}
 	qdMed := map[int]float64{}
 	for _, qd := range qds {
-		qdIOPS[qd], qdMed[qd] = qdRun(qd)
+		qdIOPS[qd], qdMed[qd] = qdRun(qd, *ios)
 	}
 	row("E9 ours-remote QD1->8 IOPS", "beyond paper",
 		fmt.Sprintf("%.1fk->%.1fk", qdIOPS[1]/1000, qdIOPS[8]/1000),
@@ -195,9 +229,9 @@ func main() {
 	}
 
 	// E11: bandwidth parity at QD32.
-	localBW := qd32IOPS(cluster.LinuxLocal)
-	fabricBW := qd32IOPS(cluster.NVMeoFRemote)
-	oursBW := qd32IOPS(cluster.OursRemote)
+	localBW := qd32IOPS(cluster.LinuxLocal, *ios)
+	fabricBW := qd32IOPS(cluster.NVMeoFRemote, *ios)
+	oursBW := qd32IOPS(cluster.OursRemote, *ios)
 	parity := fabricBW > 0.9*localBW && oursBW > 0.9*localBW
 	row("E11 QD32 bandwidth parity (local/nvmeof/ours)", "comparable",
 		fmt.Sprintf("%.0fk/%.0fk/%.0fk IOPS", localBW/1000, fabricBW/1000, oursBW/1000), parity)
@@ -213,9 +247,10 @@ func main() {
 			fmt.Sprintf("%.2f vs %.2f us", b/1000, z/1000), ok)
 	}
 
-	if mismatch {
-		os.Exit(1)
+	if mismatches > 0 {
+		return fmt.Errorf("%d rows mismatch", mismatches)
 	}
+	return nil
 }
 
 // within reports whether v is within frac of ref.
@@ -223,23 +258,16 @@ func within(v, ref, frac float64) bool {
 	return v >= (1-frac)*ref && v <= (1+frac)*ref
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
-}
-
-// run executes one fio job on scenario s; any error is fatal.
-func run(s cluster.Scenario, cfg cluster.ScenarioConfig, spec fio.JobSpec) *fio.Result {
+// job executes one fio job on scenario s.
+func job(s cluster.Scenario, cfg cluster.ScenarioConfig, spec fio.JobSpec) *fio.Result {
 	res, err := cluster.RunJob(s, cfg, spec)
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	return res
 }
 
-func fig10(s cluster.Scenario, op fio.Op) stats.Boxplot {
-	res := run(s, cluster.ScenarioConfig{}, fio.JobSpec{
-		Name: string(s), Op: op, MaxIOs: *ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
+func fig10(s cluster.Scenario, op fio.Op, ios int) stats.Boxplot {
+	res := job(s, cluster.ScenarioConfig{}, fio.JobSpec{
+		Name: string(s), Op: op, MaxIOs: ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
 	})
 	if op == fio.RandWrite {
 		return res.WriteLat.Box()
@@ -248,7 +276,7 @@ func fig10(s cluster.Scenario, op fio.Op) stats.Boxplot {
 }
 
 func placementLatency(pl core.SQPlacement) float64 {
-	return run(cluster.OursRemote, cluster.ScenarioConfig{
+	return job(cluster.OursRemote, cluster.ScenarioConfig{
 		Client: core.ClientParams{Placement: pl},
 		NVMe:   cluster.NVMeConfig{Ctrl: nvme.Params{CMBBytes: 16 << 10}, Flash: flat},
 	}, fio.JobSpec{Name: "pl", Op: fio.RandRead, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
@@ -256,7 +284,7 @@ func placementLatency(pl core.SQPlacement) float64 {
 }
 
 func hopLatency(chips int) float64 {
-	return run(cluster.LinuxLocal, cluster.ScenarioConfig{
+	return job(cluster.LinuxLocal, cluster.ScenarioConfig{
 		NVMe: cluster.NVMeConfig{ExtraSwitches: chips, Flash: flat},
 	}, fio.JobSpec{Name: "hops", Op: fio.RandRead, MaxIOs: 200, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
 	).ReadLat.Median()
@@ -274,25 +302,23 @@ func phaseMeans(op fio.Op) [4]float64 {
 			phases = env.Client.Phases
 			return err
 		})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	submit, move, device, complete := phases.Mean()
 	return [4]float64{submit, move, device, complete}
 }
 
 func modeLatency(params core.ClientParams) float64 {
-	return run(cluster.OursRemote, cluster.ScenarioConfig{
+	return job(cluster.OursRemote, cluster.ScenarioConfig{
 		Client: params,
 		NVMe:   cluster.NVMeConfig{Flash: flat},
 	}, fio.JobSpec{Name: "mode", Op: fio.RandWrite, MaxIOs: 100, WarmupIOs: 10, RangeBlocks: 1 << 16, Seed: 7},
 	).WriteLat.Median()
 }
 
-func qdRun(qd int) (iops, median float64) {
-	res := run(cluster.OursRemote, cluster.ScenarioConfig{}, fio.JobSpec{
+func qdRun(qd, ios int) (iops, median float64) {
+	res := job(cluster.OursRemote, cluster.ScenarioConfig{}, fio.JobSpec{
 		Name: "qd", Op: fio.RandRead, QueueDepth: qd,
-		MaxIOs: *ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
+		MaxIOs: ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
 	})
 	return res.IOPS(), res.ReadLat.Median()
 }
@@ -302,23 +328,21 @@ func multiHostIOPS(hosts int) float64 {
 		Hosts: hosts, QueueDepth: 1, IOsPerHost: 100, Seed: 7, Op: fio.RandRead,
 		Client: core.ClientParams{QueueDepth: 8, PartitionBytes: 8192},
 	})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	return res.AggIOPS()
 }
 
-func qd32IOPS(s cluster.Scenario) float64 {
-	return run(s, cluster.ScenarioConfig{}, fio.JobSpec{
+func qd32IOPS(s cluster.Scenario, ios int) float64 {
+	return job(s, cluster.ScenarioConfig{}, fio.JobSpec{
 		Name: string(s), Op: fio.RandRead, QueueDepth: 32,
-		MaxIOs: 2 * *ios, WarmupIOs: 50, RangeBlocks: 1 << 18, Seed: 7,
+		MaxIOs: 2 * ios, WarmupIOs: 50, RangeBlocks: 1 << 18, Seed: 7,
 	}).IOPS()
 }
 
 // zeroCopyLatency is the median write latency of n-byte writes through
 // the bounce buffer or, with zc, through per-request IOMMU mappings.
 func zeroCopyLatency(n int, zc bool) float64 {
-	return run(cluster.OursRemote, cluster.ScenarioConfig{
+	return job(cluster.OursRemote, cluster.ScenarioConfig{
 		Client:  core.ClientParams{ZeroCopy: zc, PartitionBytes: 256 << 10},
 		Manager: core.ManagerParams{EnableIOMMU: zc},
 		NVMe:    cluster.NVMeConfig{Flash: flat},
@@ -332,9 +356,7 @@ func thirtyOneHosts() (int, bool) {
 		Cluster: cluster.Config{Hosts: 32, MemBytes: 8 << 20},
 		NVMe:    []cluster.NVMeConfig{{}},
 	})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	ok := 0
 	refused := false
 	err = r.Run("main", func(p *sim.Proc) error {
@@ -370,26 +392,18 @@ func thirtyOneHosts() (int, bool) {
 		}
 		return nil
 	})
-	if err != nil {
-		fatal(err)
-	}
+	check(err)
 	return ok, refused
 }
 
 func hopCost() float64 {
 	lat := func(extra int) int64 {
 		c, err := cluster.New(cluster.Config{Hosts: 1})
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		ctrl, err := c.AttachNVMe(0, cluster.NVMeConfig{ExtraSwitches: extra})
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		l, err := c.Hosts[0].Dom.ReadLatency(ctrl.Node(), cluster.DRAMBase, 64)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		return l
 	}
 	return float64(lat(4)-lat(0)) / 8 // 4 chips x 2 directions

@@ -189,6 +189,11 @@ func relPct(oldV, newV float64) float64 {
 	return (newV - oldV) / math.Abs(oldV) * 100
 }
 
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "sweep:", err)
+	os.Exit(1)
+}
+
 func readBench(path string) *benchReport {
 	data, err := os.ReadFile(path)
 	if err != nil {

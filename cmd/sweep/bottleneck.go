@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,7 +20,7 @@ import (
 // any GOMAXPROCS — CI compares the bytes across core counts. A nonzero
 // blame residual on any span aborts the report: attribution that does
 // not reconcile exactly with end-to-end latency must never be published.
-func runBottleneck(op fio.Op, opName string, qd, ios int, out string) {
+func runBottleneck(w io.Writer, op fio.Op, opName string, qd, ios int, out string) error {
 	var b strings.Builder
 
 	for _, s := range cluster.Scenarios() {
@@ -38,9 +39,12 @@ func runBottleneck(op fio.Op, opName string, qd, ios int, out string) {
 			return nil
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		rep := blameReport(string(s), tr.Spans(), utils)
+		rep, err := blameReport(string(s), tr.Spans(), utils)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(&b, "== %s (op=%s qd=%d ios=%d) ==\n%s\n", s, opName, qd, ios, rep.Table())
 	}
 
@@ -56,32 +60,36 @@ func runBottleneck(op fio.Op, opName string, qd, ios int, out string) {
 		Op: fio.RandRW, Tracer: tr,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rep := blameReport("multihost-4", tr.Spans(), res.Utils)
+	rep, err := blameReport("multihost-4", tr.Spans(), res.Utils)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(&b, "== multihost-4 (op=randrw qd=%d ios=%d per host) ==\n%s\n", qd, mhIOs, rep.Table())
 
-	fmt.Print(b.String())
+	fmt.Fprint(w, b.String())
 	if out != "" {
 		if err := os.WriteFile(out, []byte(b.String()), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote %s\n", out)
+		fmt.Fprintf(w, "\nwrote %s\n", out)
 	}
+	return nil
 }
 
 // blameReport folds spans into a reconciled attribution report,
-// aborting on any nonzero residual.
-func blameReport(scenario string, spans []*trace.Span, utils map[string]float64) attr.Report {
+// failing on any nonzero residual.
+func blameReport(scenario string, spans []*trace.Span, utils map[string]float64) (attr.Report, error) {
 	bs := attr.NewBlameSet()
 	for _, s := range spans {
 		if resid := bs.AddSpan(s); resid != 0 {
-			fatal(fmt.Errorf("%s: span qid=%d cid=%d seq=%d blame residual %d ns != 0",
-				scenario, s.QID, s.CID, s.Seq, resid))
+			return attr.Report{}, fmt.Errorf("%s: span qid=%d cid=%d seq=%d blame residual %d ns != 0",
+				scenario, s.QID, s.CID, s.Seq, resid)
 		}
 	}
 	if bs.Spans == 0 {
-		fatal(fmt.Errorf("%s: no spans traced", scenario))
+		return attr.Report{}, fmt.Errorf("%s: no spans traced", scenario)
 	}
-	return attr.BuildReport(scenario, bs, utils)
+	return attr.BuildReport(scenario, bs, utils), nil
 }

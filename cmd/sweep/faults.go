@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -34,7 +35,7 @@ type faultReport struct {
 // manager restart and seed-derived fabric noise — with the telemetry
 // pipeline attached, prints a recovery transcript and writes the
 // deterministic JSON report.
-func runFaults(seed int64, hosts, qd, ios int, intervalNs int64, out string) {
+func runFaults(w io.Writer, seed int64, hosts, qd, ios int, intervalNs int64, out string) error {
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: intervalNs})
 	cfg := cluster.FaultRunConfig{
@@ -49,30 +50,30 @@ func runFaults(seed int64, hosts, qd, ios int, intervalNs int64, out string) {
 	}
 	res, err := cluster.RunFaultScenario(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("fault scenario: %d client hosts, QD %d, %d IOs/host, seed %d\n",
+	fmt.Fprintf(w, "fault scenario: %d client hosts, QD %d, %d IOs/host, seed %d\n",
 		hosts, qd, ios, seed)
-	fmt.Printf("injected: %d crash, %d restart, %d stalls, %d doorbell drops, %d cqe drops (%d skipped)\n",
+	fmt.Fprintf(w, "injected: %d crash, %d restart, %d stalls, %d doorbell drops, %d cqe drops (%d skipped)\n",
 		res.Fault.HostCrashes, res.Fault.ManagerRestarts, res.Fault.LinkStalls,
 		res.Fault.DoorbellDrops, res.Fault.CQEDrops, res.Fault.Skipped)
 	for _, ev := range res.Reclaims {
-		fmt.Printf("host %d crashed: lease expired, manager reclaimed qid %d at t=%.0fµs in %.2fµs\n",
+		fmt.Fprintf(w, "host %d crashed: lease expired, manager reclaimed qid %d at t=%.0fµs in %.2fµs\n",
 			ev.Host, ev.QID, float64(ev.DetectedNs)/1e3, float64(ev.DurationNs)/1e3)
 	}
 	if res.ReuseOK {
-		fmt.Printf("reclaimed qid %d re-granted to probe client and verified with a live read\n", res.ReusedQID)
+		fmt.Fprintf(w, "reclaimed qid %d re-granted to probe client and verified with a live read\n", res.ReusedQID)
 	}
-	fmt.Printf("\n%-5s %6s %6s %6s %8s %7s %7s %6s %8s\n",
+	fmt.Fprintf(w, "\n%-5s %6s %6s %6s %8s %7s %7s %6s %8s\n",
 		"host", "qid", "ios", "errs", "timeouts", "retries", "aborts", "late", "crashed")
 	for _, h := range res.PerHost {
-		fmt.Printf("%-5d %6d %6d %6d %8d %7d %7d %6d %8v\n",
+		fmt.Fprintf(w, "%-5d %6d %6d %6d %8d %7d %7d %6d %8v\n",
 			h.Host, h.QID, h.IOs, h.Errors, h.Timeouts, h.Retries, h.Aborts,
 			h.LateCompletions, h.Crashed)
 	}
-	fmt.Printf("\nsurvivor fairness (Jain): %.4f before crash, %.4f after\n",
+	fmt.Fprintf(w, "\nsurvivor fairness (Jain): %.4f before crash, %.4f after\n",
 		res.JainBefore, res.JainAfter)
-	fmt.Printf("elapsed: %.2f virtual ms, %d heartbeats, %d manager restarts\n",
+	fmt.Fprintf(w, "elapsed: %.2f virtual ms, %d heartbeats, %d manager restarts\n",
 		float64(res.ElapsedNs)/1e6, res.Heartbeats, res.Restarts)
 
 	rep := faultReport{
@@ -81,11 +82,12 @@ func runFaults(seed int64, hosts, qd, ios int, intervalNs int64, out string) {
 	}
 	data, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(w, "wrote %s\n", out)
+	return nil
 }

@@ -64,8 +64,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -80,39 +82,54 @@ import (
 	"repro/internal/whatif"
 )
 
+// errUsage marks a bad command line, on which main exits 2 as flag does.
+var errUsage = errors.New("usage")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the chosen mode, printing its report to
+// stdout. Every check a mode makes fails it with an error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		op        = flag.String("op", "read", "operation: read or write")
-		ios       = flag.Int("ios", 400, "measured I/Os per run (per worker for -volume, default 150 there)")
-		baseline  = flag.Bool("baseline", false, "run every scenario and write the virtual-time baseline JSON that -benchcmp gates")
-		out       = flag.String("out", "BENCH_sim.json", "output path for -baseline; -faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json, and -bottleneck and -whatif write a file only when it is set")
-		traceOut  = flag.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
-		scenario  = flag.String("scenario", "ours-remote", "scenario for -trace")
-		qd        = flag.Int("qd", 4, "queue depth for -trace")
-		telOut    = flag.String("telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
-		faults    = flag.Bool("faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
-		volumeM   = flag.Bool("volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
-		qosM      = flag.Bool("qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
-		workers   = flag.Int("workers", 4, "writer processes for -volume")
-		seed      = flag.Int64("seed", 7, "scenario seed for -faults (drives workload and fault plan)")
-		hosts     = flag.Int("hosts", 4, "client hosts for -telemetry")
-		interval  = flag.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
-		serve     = flag.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
-		linger    = flag.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
-		digest    = flag.String("digest", "", "with -baseline, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
-		bottleck  = flag.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
-		whatifM   = flag.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
-		maxErr    = flag.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
-		benchcmp  = flag.Bool("benchcmp", false, "compare two BENCH_sim.json files (args: old.json new.json) on virtual-time facts; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
+		op        = fs.String("op", "read", "operation: read or write")
+		ios       = fs.Int("ios", 400, "measured I/Os per run (per worker for -volume, default 150 there)")
+		baseline  = fs.Bool("baseline", false, "run every scenario and write the virtual-time baseline JSON that -benchcmp gates")
+		out       = fs.String("out", "BENCH_sim.json", "output path for -baseline; -faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json, and -bottleneck and -whatif write a file only when it is set")
+		traceOut  = fs.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
+		scenario  = fs.String("scenario", "ours-remote", "scenario for -trace")
+		qd        = fs.Int("qd", 4, "queue depth for -trace")
+		telOut    = fs.String("telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
+		faults    = fs.Bool("faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
+		volumeM   = fs.Bool("volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
+		qosM      = fs.Bool("qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
+		workers   = fs.Int("workers", 4, "writer processes for -volume")
+		seed      = fs.Int64("seed", 7, "scenario seed for -faults (drives workload and fault plan)")
+		hosts     = fs.Int("hosts", 4, "client hosts for -telemetry")
+		interval  = fs.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
+		serve     = fs.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
+		linger    = fs.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
+		digest    = fs.String("digest", "", "with -baseline, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
+		bottleck  = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
+		whatifM   = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
+		maxErr    = fs.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
+		benchcmp  = fs.Bool("benchcmp", false, "compare two BENCH_sim.json files (args: old.json new.json) on virtual-time facts; exit 1 on regression")
+		tolerance = fs.Float64("tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *ios < 1 {
-		fmt.Fprintf(os.Stderr, "sweep: -ios must be at least 1 (got %d)\n", *ios)
-		os.Exit(2)
+		return fmt.Errorf("%w: -ios must be at least 1 (got %d)", errUsage, *ios)
 	}
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	// outOr is -out when given on the command line, else the mode's own
 	// default, so no mode overwrites another's file by accident.
 	outOr := func(def string) string {
@@ -127,35 +144,34 @@ func main() {
 	}
 	switch {
 	case *qosM:
-		runQoS(outOr("QOS_sim.json"), *traceOut)
+		return runQoS(stdout, outOr("QOS_sim.json"), *traceOut)
 	case *traceOut != "":
-		runTrace(*scenario, fop, *op, *qd, *ios, *traceOut)
+		return runTrace(stdout, *scenario, fop, *op, *qd, *ios, *traceOut)
 	case *bottleck:
-		runBottleneck(fop, *op, *qd, *ios, outOr(""))
+		return runBottleneck(stdout, fop, *op, *qd, *ios, outOr(""))
 	case *whatifM:
-		runWhatif(*qd, *ios, outOr(""), *maxErr)
+		return runWhatif(stdout, *qd, *ios, outOr(""), *maxErr)
 	case *benchcmp:
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-benchcmp needs exactly two arguments: old.json new.json"))
+		if fs.NArg() != 2 {
+			return fmt.Errorf("%w: -benchcmp needs exactly two arguments: old.json new.json", errUsage)
 		}
-		runBenchcmp(flag.Arg(0), flag.Arg(1), *tolerance)
+		runBenchcmp(fs.Arg(0), fs.Arg(1), *tolerance)
+		return nil
 	case *faults:
-		runFaults(*seed, *hosts, *qd, *ios, *interval, outOr("FAULTS_sim.json"))
+		return runFaults(stdout, *seed, *hosts, *qd, *ios, *interval, outOr("FAULTS_sim.json"))
 	case *volumeM:
 		vios := *ios
 		if !set["ios"] {
 			vios = 150 // the volume scenario's per-worker budget
 		}
-		runVolume(*seed, *workers, *qd, vios, *interval, outOr("VOLUME_sim.json"))
+		return runVolume(stdout, *seed, *workers, *qd, vios, *interval, outOr("VOLUME_sim.json"))
 	case *telOut != "" || *serve != "":
-		runTelemetry(*telOut, *hosts, *qd, *ios, *interval, *serve, *linger)
+		return runTelemetry(stdout, *telOut, *hosts, *qd, *ios, *interval, *serve, *linger)
 	case *baseline:
-		runBaseline(fop, *ios, *interval, *out, *digest)
-	default:
-		fmt.Fprintln(os.Stderr, "sweep: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck, -whatif or -benchcmp)")
-		flag.Usage()
-		os.Exit(2)
+		return runBaseline(stdout, fop, *ios, *interval, *out, *digest)
 	}
+	fs.Usage()
+	return fmt.Errorf("%w: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck, -whatif or -benchcmp)", errUsage)
 }
 
 // runTelemetry executes the multihost fairness scenario with the
@@ -163,13 +179,13 @@ func main() {
 // introspection endpoints during the run, and writes the pipeline's
 // deterministic JSON dump. The file contains only virtual-time state:
 // the same invocation produces byte-identical output, which CI checks.
-func runTelemetry(out string, hosts, qd, ios int, intervalNs int64, serveAddr string, linger bool) {
+func runTelemetry(w io.Writer, out string, hosts, qd, ios int, intervalNs int64, serveAddr string, linger bool) error {
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: intervalNs})
 	if serveAddr != "" {
 		srv, err := telemetry.Serve(serveAddr, pipe)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "serving /metrics /telemetry.json /healthz on http://%s\n", srv.Addr())
@@ -179,32 +195,33 @@ func runTelemetry(out string, hosts, qd, ios int, intervalNs int64, serveAddr st
 		Registry: reg, Pipeline: pipe, LocalBaseline: true,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%d hosts + local baseline: %d IOs in %.2f virtual ms (%.0f IOPS)\n\n",
+	fmt.Fprintf(w, "%d hosts + local baseline: %d IOs in %.2f virtual ms (%.0f IOPS)\n\n",
 		hosts, res.TotalIOs, float64(res.ElapsedNs)/1e6, res.AggIOPS())
-	fmt.Print(res.Fairness.Table())
+	fmt.Fprint(w, res.Fairness.Table())
 	if out != "" {
 		data, err := pipe.MarshalJSON()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		data = append(data, '\n')
 		if err := os.WriteFile(out, data, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrote %s (%d samples, %d series)\n", out, pipe.Samples(), len(pipe.Series()))
+		fmt.Fprintf(w, "\nwrote %s (%d samples, %d series)\n", out, pipe.Samples(), len(pipe.Series()))
 	}
 	if linger && serveAddr != "" {
 		fmt.Fprintln(os.Stderr, "lingering; ctrl-C to exit")
 		select {}
 	}
+	return nil
 }
 
 // runTrace executes one scenario with tracing enabled and writes the
 // Chrome trace-event file, validating it and printing the per-stage
 // latency breakdown. Deterministic: no wall-clock data enters the file.
-func runTrace(scenario string, op fio.Op, opName string, qd, ios int, out string) {
+func runTrace(w io.Writer, scenario string, op fio.Op, opName string, qd, ios int, out string) error {
 	s := cluster.Scenario(scenario)
 	known := false
 	for _, k := range cluster.Scenarios() {
@@ -213,7 +230,7 @@ func runTrace(scenario string, op fio.Op, opName string, qd, ios int, out string
 		}
 	}
 	if !known {
-		fatal(fmt.Errorf("-trace: unknown scenario %q", scenario))
+		return fmt.Errorf("-trace: unknown scenario %q", scenario)
 	}
 	tr := trace.New()
 	spec := fio.JobSpec{
@@ -222,7 +239,7 @@ func runTrace(scenario string, op fio.Op, opName string, qd, ios int, out string
 	}
 	res, st, err := cluster.RunJobStats(s, cluster.ScenarioConfig{Tracer: tr}, spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spans := tr.Spans()
 	meta := map[string]string{
@@ -235,33 +252,34 @@ func runTrace(scenario string, op fio.Op, opName string, qd, ios int, out string
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// Counter tracks (per-queue and controller inflight) render as
 	// Perfetto counter lanes alongside the span rows.
 	if err := trace.WriteChromeWith(f, spans, meta, attr.CounterTracks(spans)); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	events, err := trace.ValidateChrome(data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bd := trace.ComputeBreakdown(spans)
-	fmt.Printf("%s qd=%d: %d spans, %d trace events -> %s\n\n", s, qd, bd.Spans, events, out)
-	fmt.Print(bd.Table())
+	fmt.Fprintf(w, "%s qd=%d: %d spans, %d trace events -> %s\n\n", s, qd, bd.Spans, events, out)
+	fmt.Fprint(w, bd.Table())
 	sum, e2e := bd.ReconcileNs()
 	if sum != e2e {
-		fatal(fmt.Errorf("stage sum %d ns != end-to-end %d ns", sum, e2e))
+		return fmt.Errorf("stage sum %d ns != end-to-end %d ns", sum, e2e)
 	}
-	fmt.Printf("\nreconciled: stage sum == end-to-end == %d ns\n", e2e)
+	fmt.Fprintf(w, "\nreconciled: stage sum == end-to-end == %d ns\n", e2e)
+	return nil
 }
 
 // benchRun is one scenario run in BENCH_sim.json.
@@ -346,7 +364,7 @@ type sensitivityEntry = *whatif.Report
 // runBaseline runs every scenario at QD1 and QD8 and writes the JSON
 // report (plus, optionally, the deterministic digest file CI
 // byte-compares across core counts).
-func runBaseline(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) {
+func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) error {
 	opName := "read"
 	if op == fio.RandWrite {
 		opName = "write"
@@ -373,7 +391,7 @@ func runBaseline(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut s
 				MaxIOs: ios, WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
 			})
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			run := benchRun{
 				Scenario:   string(s),
@@ -384,7 +402,7 @@ func runBaseline(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut s
 				VirtualNs:  st.VirtualNs,
 			}
 			rep.Runs = append(rep.Runs, run)
-			fmt.Printf("%-14s qd=%d  %9d events  %12d virtual ns\n",
+			fmt.Fprintf(w, "%-14s qd=%d  %9d events  %12d virtual ns\n",
 				s, qd, run.Events, run.VirtualNs)
 		}
 	}
@@ -398,39 +416,46 @@ func runBaseline(op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut s
 	for _, s := range cluster.Scenarios() {
 		bd, err := tracedBreakdown(s, op, 8, bdIOs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rep.Breakdowns = append(rep.Breakdowns, bd)
 	}
 	// The executed sensitivity matrix (v6). Read-only workload at the
 	// whatif engine's standard sizes; every cell is a real run.
-	rep.Sensitivity = runWhatifMatrix(4, bdIOs)
+	sens, err := runWhatifMatrix(4, bdIOs)
+	if err != nil {
+		return err
+	}
+	rep.Sensitivity = sens
 	for _, se := range rep.Sensitivity {
-		fmt.Printf("whatif %-14s baseline %8.1f ns/IO  top lever %s\n",
+		fmt.Fprintf(w, "whatif %-14s baseline %8.1f ns/IO  top lever %s\n",
 			se.Scenario, se.BaselineNs, se.TopLever)
 	}
 	// The QoS rate search (v7): max sustainable open-loop arrival rate
 	// per scenario, with and without WRR+admission control.
-	rep.QoS = qosSearch(false)
+	if rep.QoS, err = qosSearch(io.Discard); err != nil {
+		return err
+	}
 	for _, e := range rep.QoS {
-		fmt.Printf("qos %-17s %-6s max sustainable %4d%% = %8.0f IOPS\n",
+		fmt.Fprintf(w, "qos %-17s %-6s max sustainable %4d%% = %8.0f IOPS\n",
 			e.Scenario, qosModeName(e.QoS), e.MaxSustainPct, e.MaxSustainIOPS)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(w, "wrote %s\n", out)
 	if digestOut != "" {
 		if err := os.WriteFile(digestOut, []byte(digestText(&rep)), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", digestOut)
+		fmt.Fprintf(w, "wrote %s\n", digestOut)
 	}
+	return nil
 }
 
 // digestText renders the virtual-time facts of a report — and nothing
@@ -511,9 +536,4 @@ func tracedBreakdown(s cluster.Scenario, op fio.Op, qd, ios int) (scenarioBreakd
 		TopBottleneck: rep.Top(),
 		Bottlenecks:   rep.Rows,
 	}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -69,11 +70,12 @@ func qosLadder(scenario string) []int {
 	return []int{25, 50, 75, 100, 125, 150}
 }
 
-// qosSearch walks each scenario's ladder with and without the QoS stack
-// and records the max sustainable rate. The walk stops at the first
-// failing level: offered load only grows along the ladder, so once the
-// latency class blows its budget, higher levels cannot recover it.
-func qosSearch(verbose bool) []qosEntry {
+// qosSearch walks each scenario's ladder with and without the QoS stack,
+// printing one line per evaluated level to w, and records the max
+// sustainable rate. The walk stops at the first failing level: offered
+// load only grows along the ladder, so once the latency class blows its
+// budget, higher levels cannot recover it.
+func qosSearch(w io.Writer) ([]qosEntry, error) {
 	var entries []qosEntry
 	for _, sc := range cluster.QoSScenarios() {
 		for _, mode := range []bool{false, true} {
@@ -83,7 +85,7 @@ func qosSearch(verbose bool) []qosEntry {
 					Scenario: sc, QoS: mode, RateScale: float64(pct) / 100,
 				})
 				if err != nil {
-					fatal(err)
+					return nil, err
 				}
 				lat := res.Classes[0]
 				e.Points = append(e.Points, qosPoint{
@@ -95,12 +97,10 @@ func qosSearch(verbose bool) []qosEntry {
 					P99Ns:        lat.P99Ns,
 					ClientSheds:  res.ClientSheds,
 				})
-				if verbose {
-					fmt.Printf("qos %-17s %-6s scale %4d%%  %7.0f IOPS offered  p99 %6.1fµs  viol %3d/%3d  shed %6d  %s\n",
-						sc, qosModeName(mode), pct, res.OfferedIOPS,
-						lat.P99Ns/1e3, lat.Violations, lat.Windows, res.ClientSheds,
-						map[bool]string{true: "SLO met", false: "SLO VIOLATED"}[res.SLOMet])
-				}
+				fmt.Fprintf(w, "qos %-17s %-6s scale %4d%%  %7.0f IOPS offered  p99 %6.1fµs  viol %3d/%3d  shed %6d  %s\n",
+					sc, qosModeName(mode), pct, res.OfferedIOPS,
+					lat.P99Ns/1e3, lat.Violations, lat.Windows, res.ClientSheds,
+					map[bool]string{true: "SLO met", false: "SLO VIOLATED"}[res.SLOMet])
 				if !res.SLOMet {
 					break
 				}
@@ -111,7 +111,7 @@ func qosSearch(verbose bool) []qosEntry {
 			entries = append(entries, e)
 		}
 	}
-	return entries
+	return entries, nil
 }
 
 func qosModeName(on bool) string {
@@ -125,11 +125,14 @@ func qosModeName(on bool) string {
 // table, writes the deterministic JSON report, and — with -trace — also
 // writes a Chrome trace of one QoS run with qos.*/arrival.*/nvme.arb.*
 // counter lanes next to the I/O spans.
-func runQoS(out, traceOut string) {
-	entries := qosSearch(true)
-	fmt.Printf("\n%-18s %-7s %8s %14s\n", "scenario", "mode", "max_pct", "max_iops")
+func runQoS(w io.Writer, out, traceOut string) error {
+	entries, err := qosSearch(w)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\n%-18s %-7s %8s %14s\n", "scenario", "mode", "max_pct", "max_iops")
 	for _, e := range entries {
-		fmt.Printf("%-18s %-7s %7d%% %14.0f\n",
+		fmt.Fprintf(w, "%-18s %-7s %7d%% %14.0f\n",
 			e.Scenario, qosModeName(e.QoS), e.MaxSustainPct, e.MaxSustainIOPS)
 	}
 	for _, sc := range cluster.QoSScenarios() {
@@ -145,7 +148,7 @@ func runQoS(out, traceOut string) {
 			}
 		}
 		if base != nil && qos != nil && qos.MaxSustainIOPS > base.MaxSustainIOPS {
-			fmt.Printf("%s: WRR+admission sustains %.0f IOPS vs %.0f without — %.1fx\n",
+			fmt.Fprintf(w, "%s: WRR+admission sustains %.0f IOPS vs %.0f without — %.1fx\n",
 				sc, qos.MaxSustainIOPS, base.MaxSustainIOPS,
 				qos.MaxSustainIOPS/base.MaxSustainIOPS)
 		}
@@ -159,23 +162,24 @@ func runQoS(out, traceOut string) {
 	}
 	data, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(w, "wrote %s\n", out)
 
 	if traceOut != "" {
-		writeQoSTrace(traceOut)
+		return writeQoSTrace(w, traceOut)
 	}
+	return nil
 }
 
 // writeQoSTrace runs one short traced noisy-neighbor QoS run and writes
 // the Chrome trace with span-derived occupancy tracks plus the sampled
 // control-plane counter lanes.
-func writeQoSTrace(path string) {
+func writeQoSTrace(w io.Writer, path string) error {
 	tr := trace.New()
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: 100_000})
@@ -185,7 +189,7 @@ func writeQoSTrace(path string) {
 		Tracer:     tr, Registry: reg, Pipeline: pipe,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spans := tr.Spans()
 	tracks := attr.CounterTracks(spans)
@@ -194,16 +198,20 @@ func writeQoSTrace(path string) {
 	tracks = append(tracks, pipe.CounterLanes(1000, "qos.", "arrival.", "nvme.arb.")...)
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
 	meta := map[string]string{
 		"scenario": res.Scenario,
 		"qos":      "wrr+admission",
 		"digest":   res.ArrivalDigest,
 	}
 	if err := trace.WriteChromeWith(f, spans, meta, tracks); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
-	fmt.Printf("wrote %s (%d spans, %d counter tracks)\n", path, len(spans), len(tracks))
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s (%d spans, %d counter tracks)\n", path, len(spans), len(tracks))
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -33,7 +34,7 @@ type volumeReport struct {
 // mid-traffic, a reservation-preempt fence, and an end-to-end data
 // integrity sweep — prints the failover transcript and writes the
 // deterministic JSON report.
-func runVolume(seed int64, workers, qd, ios int, intervalNs int64, out string) {
+func runVolume(w io.Writer, seed int64, workers, qd, ios int, intervalNs int64, out string) error {
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: intervalNs})
 	cfg := cluster.VolumeRunConfig{
@@ -42,26 +43,26 @@ func runVolume(seed int64, workers, qd, ios int, intervalNs int64, out string) {
 	}
 	res, err := cluster.RunVolumeScenario(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("volume scenario: 2 controllers, %d writers, QD %d, %d IOs/writer/phase, seed %d\n",
+	fmt.Fprintf(w, "volume scenario: 2 controllers, %d writers, QD %d, %d IOs/writer/phase, seed %d\n",
 		workers, qd, ios, seed)
-	fmt.Printf("phase 1 (mirrored): %d writes acked\n", res.Phase1Acked)
-	fmt.Printf("phase 2 (link down on device host A): %d writes acked, %d degraded\n",
+	fmt.Fprintf(w, "phase 1 (mirrored): %d writes acked\n", res.Phase1Acked)
+	fmt.Fprintf(w, "phase 2 (link down on device host A): %d writes acked, %d degraded\n",
 		res.Phase2Acked, res.DegradedWrites)
-	fmt.Printf("fence: path A preempt-and-abort (resv gen %d, %d registrant(s), %d preempt)\n",
+	fmt.Fprintf(w, "fence: path A preempt-and-abort (resv gen %d, %d registrant(s), %d preempt)\n",
 		res.ResvGen, res.ResvRegs, res.ResvPreempts)
-	fmt.Printf("paths: A %s, B %s\n", res.PathStates[0], res.PathStates[1])
-	fmt.Printf("stale writer: conflict=%v data-absent=%v (%d conflicts at controller A)\n",
+	fmt.Fprintf(w, "paths: A %s, B %s\n", res.PathStates[0], res.PathStates[1])
+	fmt.Fprintf(w, "stale writer: conflict=%v data-absent=%v (%d conflicts at controller A)\n",
 		res.StaleWriteConflict, res.StaleDataAbsent, res.ResvConflicts)
-	fmt.Printf("integrity: %d blocks verified, %d lost, digest %#x\n",
+	fmt.Fprintf(w, "integrity: %d blocks verified, %d lost, digest %#x\n",
 		res.VerifiedBlocks, res.LostWrites, res.Digest)
-	fmt.Printf("controller A: fatal=%v, %d link retries ridden out; path A: %d timeouts, %d late CQEs, %d abandoned\n",
+	fmt.Fprintf(w, "controller A: fatal=%v, %d link retries ridden out; path A: %d timeouts, %d late CQEs, %d abandoned\n",
 		res.CtrlAFatal, res.CtrlALinkRetries, res.PathATimeouts, res.PathALateCQEs, res.PathAAbandoned)
-	fmt.Printf("elapsed: %.2f virtual ms\n", float64(res.ElapsedNs)/1e6)
+	fmt.Fprintf(w, "elapsed: %.2f virtual ms\n", float64(res.ElapsedNs)/1e6)
 	if res.LostWrites > 0 || !res.StaleWriteConflict || !res.StaleDataAbsent {
-		fatal(fmt.Errorf("volume scenario failed acceptance: lost=%d conflict=%v absent=%v",
-			res.LostWrites, res.StaleWriteConflict, res.StaleDataAbsent))
+		return fmt.Errorf("volume scenario failed acceptance: lost=%d conflict=%v absent=%v",
+			res.LostWrites, res.StaleWriteConflict, res.StaleDataAbsent)
 	}
 
 	rep := volumeReport{
@@ -70,11 +71,12 @@ func runVolume(seed int64, workers, qd, ios int, intervalNs int64, out string) {
 	}
 	data, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	data = append(data, '\n')
 	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s\n", out)
+	fmt.Fprintf(w, "wrote %s\n", out)
+	return nil
 }

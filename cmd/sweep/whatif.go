@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -14,7 +15,7 @@ import (
 // sharing scenario scales its per-host budget down so one matrix (3
 // scenarios x 9 knobs x 4 factors, every cell an executed run) stays a
 // few seconds of wall clock.
-func runWhatifMatrix(qd, ios int) []*whatif.Report {
+func runWhatifMatrix(qd, ios int) ([]*whatif.Report, error) {
 	n := ios
 	if n > 120 {
 		n = 120
@@ -30,16 +31,15 @@ func runWhatifMatrix(qd, ios int) []*whatif.Report {
 	for _, s := range []cluster.Scenario{cluster.OursLocal, cluster.OursRemote} {
 		rep, err := whatif.RunScenario(s, qd, n)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		reports = append(reports, rep)
 	}
 	rep, err := whatif.RunMultiHost(4, qd, mh)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	reports = append(reports, rep)
-	return reports
+	return append(reports, rep), nil
 }
 
 // whatifText renders the full matrix as one deterministic text report:
@@ -69,24 +69,28 @@ func whatifText(reports []*whatif.Report) string {
 }
 
 // runWhatif is the -whatif mode: execute the matrix, print (and
-// optionally write) the ranked report, and exit nonzero if any
-// service-only cell's prediction error exceeds the bound — the same
-// check CI runs, so a calibration change that breaks the causal model
-// fails loudly instead of silently publishing wrong sensitivities.
-func runWhatif(qd, ios int, out string, maxErrPct float64) {
-	reports := runWhatifMatrix(qd, ios)
+// optionally write) the ranked report, and fail if any service-only
+// cell's prediction error exceeds the bound, so a calibration change
+// that breaks the causal model fails loudly instead of silently
+// publishing wrong sensitivities.
+func runWhatif(w io.Writer, qd, ios int, out string, maxErrPct float64) error {
+	reports, err := runWhatifMatrix(qd, ios)
+	if err != nil {
+		return err
+	}
 	text := whatifText(reports)
-	fmt.Print(text)
+	fmt.Fprint(w, text)
 	if out != "" {
 		if err := os.WriteFile(out, []byte(text), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", out)
+		fmt.Fprintf(w, "wrote %s\n", out)
 	}
 	for _, rep := range reports {
 		if e := rep.MaxServiceOnlyErrorPct(); e > maxErrPct {
-			fatal(fmt.Errorf("whatif %s: service-only prediction error %.2f%% exceeds bound %.2f%%",
-				rep.Scenario, e, maxErrPct))
+			return fmt.Errorf("whatif %s: service-only prediction error %.2f%% exceeds bound %.2f%%",
+				rep.Scenario, e, maxErrPct)
 		}
 	}
+	return nil
 }
