@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -15,8 +14,8 @@ import (
 
 // qosSchemaVersion tags the standalone -qos JSON report (the same
 // entries also ride inside BENCH_sim.json's "qos" section under the
-// bench schema version).
-const qosSchemaVersion = 1
+// bench schema version). v2: cpus_online is removed.
+const qosSchemaVersion = 2
 
 // qosPoint is one evaluated load level of the rate sweep.
 type qosPoint struct {
@@ -47,13 +46,10 @@ type qosEntry struct {
 }
 
 // qosReport is the deterministic -qos artifact. Virtual-time facts only
-// — no timestamps, no wall-clock — so CI can byte-compare it across
-// GOMAXPROCS settings.
+// — no timestamps, no wall-clock, nothing about the machine — so a
+// golden pins it byte for byte.
 type qosReport struct {
-	Schema int `json:"schema_version"`
-	// CPUsOnline keeps single-core CI runs machine-readably honest about
-	// the parallelism the (virtual-time-identical) numbers ran under.
-	CPUsOnline int        `json:"cpus_online"`
+	Schema     int        `json:"schema_version"`
 	DurationNs int64      `json:"duration_ns"`
 	QoS        []qosEntry `json:"qos"`
 }
@@ -156,7 +152,6 @@ func runQoS(w io.Writer, out, traceOut string) error {
 
 	rep := qosReport{
 		Schema:     qosSchemaVersion,
-		CPUsOnline: runtime.NumCPU(),
 		DurationNs: 20_000_000,
 		QoS:        entries,
 	}
