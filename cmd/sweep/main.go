@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	sweep -baseline [-ios N] [-out BENCH_sim.json] [-digest PATH]
+//	sweep -baseline [-ios N] [-out BENCH_sim.json]
 //	sweep -trace out.json [-scenario ours-remote] [-qd 4] [-op read|write] [-ios N]
 //	sweep -telemetry out.json [-hosts N] [-qd D] [-ios N] [-interval NS]
 //	sweep -faults [-seed N] [-hosts N] [-qd D] [-ios N] [-out FAULTS_sim.json]
@@ -22,9 +22,7 @@
 // duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
 // breakdowns with bottleneck attribution, the what-if sensitivity
 // matrix and the QoS rate search. Every field but generated_unix and
-// cpus_online is a virtual-time fact. With -digest PATH it also writes
-// those facts as a small text file that is byte-identical at any
-// GOMAXPROCS, which CI compares across core counts.
+// cpus_online is a virtual-time fact.
 //
 // The -bottleneck mode runs every scenario traced, folds each IO's
 // causal hops into per-resource blamed nanoseconds (service vs
@@ -70,7 +68,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/attr"
@@ -117,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		interval  = fs.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
 		serve     = fs.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
 		linger    = fs.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
-		digest    = fs.String("digest", "", "with -baseline, also write a deterministic virtual-time digest file to this path (byte-identical at any GOMAXPROCS)")
 		bottleck  = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
 		whatifM   = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
 		maxErr    = fs.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
@@ -168,7 +164,7 @@ func run(args []string, stdout io.Writer) error {
 	case *telOut != "" || *serve != "":
 		return runTelemetry(stdout, *telOut, *hosts, *qd, *ios, *interval, *serve, *linger)
 	case *baseline:
-		return runBaseline(stdout, fop, *ios, *interval, *out, *digest)
+		return runBaseline(stdout, fop, *ios, *interval, *out)
 	}
 	fs.Usage()
 	return fmt.Errorf("%w: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck, -whatif or -benchcmp)", errUsage)
@@ -362,9 +358,8 @@ type benchReport struct {
 type sensitivityEntry = *whatif.Report
 
 // runBaseline runs every scenario at QD1 and QD8 and writes the JSON
-// report (plus, optionally, the deterministic digest file CI
-// byte-compares across core counts).
-func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out, digestOut string) error {
+// report.
+func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out string) error {
 	opName := "read"
 	if op == fio.RandWrite {
 		opName = "write"
@@ -449,54 +444,7 @@ func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", out)
-	if digestOut != "" {
-		if err := os.WriteFile(digestOut, []byte(digestText(&rep)), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", digestOut)
-	}
 	return nil
-}
-
-// digestText renders the virtual-time facts of a report — and nothing
-// wall-clock dependent — as a stable text file. Two sweeps of the same
-// binary and flags produce byte-identical digests regardless of
-// GOMAXPROCS or machine speed; CI compares the files across core counts.
-func digestText(rep *benchReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "schema %d\n", rep.SchemaVersion)
-	for _, r := range rep.Runs {
-		fmt.Fprintf(&b, "run %s op=%s qd=%d ios=%d events=%d virtual_ns=%d\n",
-			r.Scenario, r.Op, r.QueueDepth, r.IOs, r.Events, r.VirtualNs)
-	}
-	for _, bd := range rep.Breakdowns {
-		sum, e2e := bd.Breakdown.ReconcileNs()
-		fmt.Fprintf(&b, "breakdown %s qd=%d stage_sum_ns=%d e2e_ns=%d\n",
-			bd.Scenario, bd.QueueDepth, sum, e2e)
-		fmt.Fprintf(&b, "bottleneck %s qd=%d top=%s", bd.Scenario, bd.QueueDepth, bd.TopBottleneck)
-		for _, row := range bd.Bottlenecks {
-			fmt.Fprintf(&b, " %s=%.1f", row.Resource, row.BlamedNsIO)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	for _, se := range rep.Sensitivity {
-		fmt.Fprintf(&b, "whatif %s baseline_ns=%.1f top_lever=%s\n",
-			se.Scenario, se.BaselineNs, se.TopLever)
-		for _, c := range se.Cells {
-			fmt.Fprintf(&b, "whatif-cell %s %s x%.2f predicted_ns=%.1f actual_ns=%.1f err_pct=%.2f\n",
-				se.Scenario, c.Knob, c.Factor, c.PredictedNs, c.ActualNs, c.ErrorPct)
-		}
-	}
-	for _, e := range rep.QoS {
-		fmt.Fprintf(&b, "qos %s mode=%s max_pct=%d max_iops=%.0f digest=%s\n",
-			e.Scenario, qosModeName(e.QoS), e.MaxSustainPct, e.MaxSustainIOPS, e.ArrivalDigest)
-		for _, pt := range e.Points {
-			fmt.Fprintf(&b, "qos-point %s mode=%s pct=%d offered=%.0f slo_met=%v viol=%d windows=%d sheds=%d\n",
-				e.Scenario, qosModeName(e.QoS), pt.RateScalePct, pt.OfferedIOPS,
-				pt.SLOMet, pt.Violations, pt.Windows, pt.ClientSheds)
-		}
-	}
-	return b.String()
 }
 
 // tracedBreakdown runs scenario s once with tracing and a wired metrics
