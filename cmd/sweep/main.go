@@ -1,7 +1,7 @@
 // Command sweep runs the simulator's report modes: per-IO traces,
 // telemetry dumps, fault, volume and QoS scenarios, bottleneck
 // attribution, the causal what-if matrix, and the virtual-time baseline
-// that -benchcmp gates. The paper's experiments (E1–E12) live in
+// BENCH_sim.json. The paper's experiments (E1–E12) live in
 // cmd/experiments; the simulator's wall-clock cost is measured by
 // bench/run.sh.
 //
@@ -16,7 +16,6 @@
 //	sweep -serve 127.0.0.1:9120 [-linger] [-telemetry out.json]
 //	sweep -bottleneck [-op read|write] [-qd D] [-ios N] [-out report.txt]
 //	sweep -whatif [-qd D] [-ios N] [-out report.txt] [-maxerr PCT]
-//	sweep -benchcmp [-tolerance F] old.json new.json
 //
 // The -baseline mode writes BENCH_sim.json: the event count and virtual
 // duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
@@ -40,11 +39,6 @@
 // measured leverage. The report is byte-identical at any GOMAXPROCS; the
 // exit code is nonzero if any service-time-only cell's prediction error
 // exceeds the documented bound (-maxerr overrides it).
-//
-// The -benchcmp mode compares two BENCH_sim.json files on virtual-time
-// facts (event counts, virtual durations, top bottlenecks, top levers,
-// sensitivity actuals, QoS capacity) within -tolerance, exiting nonzero
-// on regression.
 //
 // The -trace mode runs one scenario with per-IO tracing on and writes a
 // Chrome trace-event JSON file (loadable at ui.perfetto.dev), plus a
@@ -97,28 +91,26 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	var (
-		op        = fs.String("op", "read", "operation: read or write")
-		ios       = fs.Int("ios", 400, "measured I/Os per run (per worker for -volume, default 150 there)")
-		baseline  = fs.Bool("baseline", false, "run every scenario and write the virtual-time baseline JSON that -benchcmp gates")
-		out       = fs.String("out", "BENCH_sim.json", "output path for -baseline; -faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json, and -bottleneck and -whatif write a file only when it is set")
-		traceOut  = fs.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
-		scenario  = fs.String("scenario", "ours-remote", "scenario for -trace")
-		qd        = fs.Int("qd", 4, "queue depth for -trace")
-		telOut    = fs.String("telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
-		faults    = fs.Bool("faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
-		volumeM   = fs.Bool("volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
-		qosM      = fs.Bool("qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
-		workers   = fs.Int("workers", 4, "writer processes for -volume")
-		seed      = fs.Int64("seed", 7, "scenario seed for -faults (drives workload and fault plan)")
-		hosts     = fs.Int("hosts", 4, "client hosts for -telemetry")
-		interval  = fs.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
-		serve     = fs.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
-		linger    = fs.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
-		bottleck  = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
-		whatifM   = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
-		maxErr    = fs.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
-		benchcmp  = fs.Bool("benchcmp", false, "compare two BENCH_sim.json files (args: old.json new.json) on virtual-time facts; exit 1 on regression")
-		tolerance = fs.Float64("tolerance", 0.05, "with -benchcmp, relative tolerance for numeric comparisons (0.05 = 5%)")
+		op       = fs.String("op", "read", "operation: read or write")
+		ios      = fs.Int("ios", 400, "measured I/Os per run (per worker for -volume, default 150 there)")
+		baseline = fs.Bool("baseline", false, "run every scenario and write the virtual-time baseline JSON")
+		out      = fs.String("out", "BENCH_sim.json", "output path for -baseline; -faults, -volume and -qos default to FAULTS_sim.json, VOLUME_sim.json and QOS_sim.json, and -bottleneck and -whatif write a file only when it is set")
+		traceOut = fs.String("trace", "", "run one traced scenario and write Chrome trace-event JSON to this path")
+		scenario = fs.String("scenario", "ours-remote", "scenario for -trace")
+		qd       = fs.Int("qd", 4, "queue depth for -trace")
+		telOut   = fs.String("telemetry", "", "run the multihost fairness scenario with virtual-time sampling and write deterministic telemetry JSON to this path")
+		faults   = fs.Bool("faults", false, "run the fault/recovery scenario (host crash, manager restart, fabric noise) and write a deterministic JSON report")
+		volumeM  = fs.Bool("volume", false, "run the nexus-volume path-death scenario (mirrored writes over two controllers, link outage, reservation fence, integrity sweep) and write a deterministic JSON report")
+		qosM     = fs.Bool("qos", false, "search the max sustainable open-loop arrival rate per QoS scenario, with and without WRR+admission control, and write a deterministic JSON report (combine with -trace for a Chrome trace with qos counter lanes)")
+		workers  = fs.Int("workers", 4, "writer processes for -volume")
+		seed     = fs.Int64("seed", 7, "scenario seed for -faults (drives workload and fault plan)")
+		hosts    = fs.Int("hosts", 4, "client hosts for -telemetry")
+		interval = fs.Int64("interval", 100_000, "telemetry sampling interval in virtual ns")
+		serve    = fs.String("serve", "", "serve live /metrics, /telemetry.json and /healthz on this address during -telemetry (e.g. 127.0.0.1:9120)")
+		linger   = fs.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
+		bottleck = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
+		whatifM  = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
+		maxErr   = fs.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
 	)
 	fs.Parse(args)
 	if *ios < 1 {
@@ -147,12 +139,6 @@ func run(args []string, stdout io.Writer) error {
 		return runBottleneck(stdout, fop, *op, *qd, *ios, outOr(""))
 	case *whatifM:
 		return runWhatif(stdout, *qd, *ios, outOr(""), *maxErr)
-	case *benchcmp:
-		if fs.NArg() != 2 {
-			return fmt.Errorf("%w: -benchcmp needs exactly two arguments: old.json new.json", errUsage)
-		}
-		runBenchcmp(fs.Arg(0), fs.Arg(1), *tolerance)
-		return nil
 	case *faults:
 		return runFaults(stdout, *seed, *hosts, *qd, *ios, *interval, outOr("FAULTS_sim.json"))
 	case *volumeM:
@@ -167,7 +153,7 @@ func run(args []string, stdout io.Writer) error {
 		return runBaseline(stdout, fop, *ios, *interval, *out)
 	}
 	fs.Usage()
-	return fmt.Errorf("%w: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck, -whatif or -benchcmp)", errUsage)
+	return fmt.Errorf("%w: choose a mode (-baseline, -trace, -telemetry, -faults, -volume, -qos, -bottleneck or -whatif)", errUsage)
 }
 
 // runTelemetry executes the multihost fairness scenario with the
