@@ -37,6 +37,7 @@ var goldenRows = []struct {
 	{"qos", []string{"-qos", "-out", "F"}, "testdata/qos.json"},
 	{"bottleneck", []string{"-bottleneck", "-ios", "120", "-out", "F"}, "testdata/bottleneck.txt"},
 	{"whatif", []string{"-whatif", "-ios", "120", "-out", "F"}, "testdata/whatif.txt"},
+	{"baseline", []string{"-baseline", "-ios", "200", "-out", "F"}, "../../BENCH_sim.json"},
 }
 
 // TestGolden runs every report mode in-process and byte-compares the

@@ -19,9 +19,8 @@
 //
 // The -baseline mode writes BENCH_sim.json: the event count and virtual
 // duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
-// breakdowns with bottleneck attribution, the what-if sensitivity
-// matrix and the QoS rate search. Every field but generated_unix and
-// cpus_online is a virtual-time fact.
+// breakdowns with bottleneck attribution. Every field is a virtual-time
+// fact.
 //
 // The -bottleneck mode runs every scenario traced, folds each IO's
 // causal hops into per-resource blamed nanoseconds (service vs
@@ -61,8 +60,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -290,8 +287,11 @@ type benchRun struct {
 // v8: the "scaling" curve and the "sharded-scale" sensitivity entry are
 // removed along with the parallel kernel they measured. v9: the per-run
 // wall-clock fields "wall_ns", "events_per_sec", "ns_per_io" and
-// "cores" are removed; bench/ measures wall time.
-const benchSchemaVersion = 9
+// "cores" are removed; bench/ measures wall time. v10: the
+// "sensitivity" and "qos" sections, which the -whatif and -qos reports
+// hold, and the machine-dependent "generated_unix" and "cpus_online"
+// are removed.
+const benchSchemaVersion = 10
 
 // sweepConfig echoes the scenario configuration a report was produced
 // with, so a BENCH_sim.json is self-describing.
@@ -323,25 +323,11 @@ type scenarioBreakdown struct {
 }
 
 type benchReport struct {
-	SchemaVersion int   `json:"schema_version"`
-	GeneratedUnix int64 `json:"generated_unix"`
-	// CPUsOnline is runtime.NumCPU() — the physical parallelism actually
-	// available.
-	CPUsOnline int                 `json:"cpus_online"`
-	Config     sweepConfig         `json:"config"`
-	Runs       []benchRun          `json:"runs"`
-	Breakdowns []scenarioBreakdown `json:"breakdowns"`
-	// Sensitivity is the executed counterfactual matrix per scenario (v6):
-	// every knob x factor run for real, with the blame-predicted delta and
-	// its error alongside, and the measured top lever.
-	Sensitivity []sensitivityEntry `json:"sensitivity"`
-	// QoS is the max-sustainable-rate search per scenario and mode (v7) —
-	// the same entries `sweep -qos` writes standalone.
-	QoS []qosEntry `json:"qos"`
+	SchemaVersion int                 `json:"schema_version"`
+	Config        sweepConfig         `json:"config"`
+	Runs          []benchRun          `json:"runs"`
+	Breakdowns    []scenarioBreakdown `json:"breakdowns"`
 }
-
-// sensitivityEntry is one scenario's sensitivity matrix in the report.
-type sensitivityEntry = *whatif.Report
 
 // runBaseline runs every scenario at QD1 and QD8 and writes the JSON
 // report.
@@ -356,8 +342,6 @@ func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out
 	}
 	rep := benchReport{
 		SchemaVersion: benchSchemaVersion,
-		GeneratedUnix: time.Now().Unix(),
-		CPUsOnline:    runtime.NumCPU(),
 		Config: sweepConfig{
 			Op: opName, IOs: ios, QueueDepths: []int{1, 8},
 			WarmupIOs: 20, RangeBlocks: 1 << 16, Seed: 7,
@@ -400,26 +384,6 @@ func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out
 			return err
 		}
 		rep.Breakdowns = append(rep.Breakdowns, bd)
-	}
-	// The executed sensitivity matrix (v6). Read-only workload at the
-	// whatif engine's standard sizes; every cell is a real run.
-	sens, err := runWhatifMatrix(4, bdIOs)
-	if err != nil {
-		return err
-	}
-	rep.Sensitivity = sens
-	for _, se := range rep.Sensitivity {
-		fmt.Fprintf(w, "whatif %-14s baseline %8.1f ns/IO  top lever %s\n",
-			se.Scenario, se.BaselineNs, se.TopLever)
-	}
-	// The QoS rate search (v7): max sustainable open-loop arrival rate
-	// per scenario, with and without WRR+admission control.
-	if rep.QoS, err = qosSearch(io.Discard); err != nil {
-		return err
-	}
-	for _, e := range rep.QoS {
-		fmt.Fprintf(w, "qos %-17s %-6s max sustainable %4d%% = %8.0f IOPS\n",
-			e.Scenario, qosModeName(e.QoS), e.MaxSustainPct, e.MaxSustainIOPS)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

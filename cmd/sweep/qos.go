@@ -12,9 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// qosSchemaVersion tags the standalone -qos JSON report (the same
-// entries also ride inside BENCH_sim.json's "qos" section under the
-// bench schema version). v2: cpus_online is removed.
+// qosSchemaVersion tags the -qos JSON report. v2: cpus_online is
+// removed.
 const qosSchemaVersion = 2
 
 // qosPoint is one evaluated load level of the rate sweep.
