@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-ios N] [-quick]
+//	experiments [-ios N]
 package main
 
 import (
@@ -59,13 +59,9 @@ func check(err error) {
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	ios := fs.Int("ios", 1000, "measured I/Os per scenario run")
-	quick := fs.Bool("quick", false, "reduce sample counts for a fast pass")
 	fs.Parse(args)
 	if *ios < 1 {
 		return fmt.Errorf("%w: -ios must be at least 1 (got %d)", errUsage, *ios)
-	}
-	if *quick {
-		*ios = 200
 	}
 	defer func() {
 		switch r := recover().(type) {

@@ -15,7 +15,7 @@
 //	sweep -qos [-out QOS_sim.json] [-trace out.json]
 //	sweep -serve 127.0.0.1:9120 [-linger] [-telemetry out.json]
 //	sweep -bottleneck [-op read|write] [-qd D] [-ios N] [-out report.txt]
-//	sweep -whatif [-qd D] [-ios N] [-out report.txt] [-maxerr PCT]
+//	sweep -whatif [-qd D] [-ios N] [-out report.txt]
 //
 // The -baseline mode writes BENCH_sim.json: the event count and virtual
 // duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
@@ -37,7 +37,7 @@
 // predicted vs actual side by side with the prediction error, ranked by
 // measured leverage. The report is byte-identical at any GOMAXPROCS; the
 // exit code is nonzero if any service-time-only cell's prediction error
-// exceeds the documented bound (-maxerr overrides it).
+// exceeds the documented bound.
 //
 // The -trace mode runs one scenario with per-IO tracing on and writes a
 // Chrome trace-event JSON file (loadable at ui.perfetto.dev), plus a
@@ -67,7 +67,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/whatif"
 )
 
 // errUsage marks a bad command line, on which main exits 2 as flag does.
@@ -107,7 +106,6 @@ func run(args []string, stdout io.Writer) error {
 		linger   = fs.Bool("linger", false, "with -serve, keep serving after the run completes until interrupted")
 		bottleck = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
 		whatifM  = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
-		maxErr   = fs.Float64("maxerr", whatif.ServiceOnlyErrorBoundPct, "with -whatif, fail (exit 1) if a service-only cell's |prediction error| exceeds this percentage")
 	)
 	fs.Parse(args)
 	if *ios < 1 {
@@ -135,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 	case *bottleck:
 		return runBottleneck(stdout, fop, *op, *qd, *ios, outOr(""))
 	case *whatifM:
-		return runWhatif(stdout, *qd, *ios, outOr(""), *maxErr)
+		return runWhatif(stdout, *qd, *ios, outOr(""))
 	case *faults:
 		return runFaults(stdout, *seed, *hosts, *qd, *ios, *interval, outOr("FAULTS_sim.json"))
 	case *volumeM:

@@ -73,7 +73,7 @@ func whatifText(reports []*whatif.Report) string {
 // cell's prediction error exceeds the bound, so a calibration change
 // that breaks the causal model fails loudly instead of silently
 // publishing wrong sensitivities.
-func runWhatif(w io.Writer, qd, ios int, out string, maxErrPct float64) error {
+func runWhatif(w io.Writer, qd, ios int, out string) error {
 	reports, err := runWhatifMatrix(qd, ios)
 	if err != nil {
 		return err
@@ -87,9 +87,9 @@ func runWhatif(w io.Writer, qd, ios int, out string, maxErrPct float64) error {
 		fmt.Fprintf(w, "wrote %s\n", out)
 	}
 	for _, rep := range reports {
-		if e := rep.MaxServiceOnlyErrorPct(); e > maxErrPct {
+		if e := rep.MaxServiceOnlyErrorPct(); e > whatif.ServiceOnlyErrorBoundPct {
 			return fmt.Errorf("whatif %s: service-only prediction error %.2f%% exceeds bound %.2f%%",
-				rep.Scenario, e, maxErrPct)
+				rep.Scenario, e, whatif.ServiceOnlyErrorBoundPct)
 		}
 	}
 	return nil
