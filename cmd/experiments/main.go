@@ -1,4 +1,4 @@
-// Command experiments runs the evaluation-reproduction suite (E1–E12,
+// Command experiments runs the evaluation-reproduction suite (E1–E14,
 // see EXPERIMENTS.md) and prints a paper-vs-measured table: one verdict
 // row per number EXPERIMENTS.md cites, with the latency summaries,
 // component costs and curves behind a row indented below it. This is the
@@ -16,11 +16,13 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/block"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fio"
 	"repro/internal/nvme"
 	"repro/internal/nvmeof"
+	"repro/internal/pcie"
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -243,6 +245,23 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Sprintf("%.2f vs %.2f us", b/1000, z/1000), ok)
 	}
 
+	// E13: target offload moves the target's work off the host CPU
+	// without changing latency.
+	plainLat, plainBusy := offloadRun(false)
+	offLat, offBusy := offloadRun(true)
+	row("E13 target offload: mean read latency", "unchanged (§VI)",
+		fmt.Sprintf("%.2f vs %.2f us", plainLat/1000, offLat/1000), plainLat == offLat)
+	row("E13 target offload: target CPU per IO", "reduced (§VI)",
+		fmt.Sprintf("%.0f -> %.0f ns", plainBusy, offBusy), plainBusy > 0 && offBusy == 0)
+
+	// E14: four tenants share the device on each technology.
+	oursMed, oursIOPS := oursTenants(4, 120)
+	fabMed, fabIOPS := fabricsTenants(4, 120)
+	row("E14 4 tenants: per-host median, ours/NVMe-oF", "beyond paper",
+		fmt.Sprintf("%.2f vs %.2f us", oursMed/1000, fabMed/1000), fabMed-oursMed >= 3000)
+	row("E14 4 tenants: aggregate IOPS, ours/NVMe-oF", "beyond paper",
+		fmt.Sprintf("%.1fk vs %.1fk IOPS", oursIOPS/1000, fabIOPS/1000), oursIOPS >= 0.8*fabIOPS)
+
 	if mismatches > 0 {
 		return fmt.Errorf("%d rows mismatch", mismatches)
 	}
@@ -403,4 +422,123 @@ func hopCost() float64 {
 		return l
 	}
 	return float64(lat(4)-lat(0)) / 8 // 4 chips x 2 directions
+}
+
+// offloadRun runs QD1 nvmeof-remote reads on the flat medium with the
+// target's offload off or on. It returns the mean read latency and the
+// target software's host-CPU time per IO.
+func offloadRun(offload bool) (meanNs, busyNsPerIO float64) {
+	var res *fio.Result
+	var busy int64
+	check(cluster.RunWorkload(cluster.NVMeoFRemote, cluster.ScenarioConfig{
+		NVMe:   cluster.NVMeConfig{Flash: flat},
+		Target: nvmeof.TargetParams{Offload: offload},
+	}, func(p *sim.Proc, env *cluster.Env) error {
+		var err error
+		res, err = fio.Run(p, env.Queue, fio.JobSpec{
+			Name: "offload", Op: fio.RandRead, MaxIOs: 200, RangeBlocks: 1 << 16, Seed: 7,
+		})
+		busy = env.Target.CPUBusyNs
+		return err
+	}))
+	return res.ReadLat.Mean(), float64(busy) / float64(res.IOs)
+}
+
+// oursTenants shares the controller among k distributed-driver clients,
+// one per host, each running QD2 random reads on the flat medium. It
+// returns the mean of the per-host median latencies and the aggregate
+// IOPS.
+func oursTenants(k, ios int) (medianNs, iops float64) {
+	mh, err := cluster.RunMultiHost(cluster.MultiHostConfig{
+		Hosts: k, QueueDepth: 2, IOsPerHost: ios, Op: fio.RandRead,
+		NVMe:   cluster.NVMeConfig{Flash: flat},
+		Client: core.ClientParams{QueueDepth: 8, PartitionBytes: 8192},
+	})
+	check(err)
+	var res []*fio.Result
+	for _, h := range mh.PerHost {
+		check(h.Err)
+		res = append(res, h.Res)
+	}
+	return tenantSummary(res, mh.ElapsedNs)
+}
+
+// fabricsTenants is oursTenants over NVMe-oF: one target on the device
+// host serves k initiators, one per client host, each on its own RDMA
+// queue pair.
+func fabricsTenants(k, ios int) (medianNs, iops float64) {
+	r, err := cluster.NewRig(cluster.RigConfig{
+		Cluster: cluster.Config{Hosts: k + 1, MemBytes: 32 << 20},
+		NVMe:    []cluster.NVMeConfig{{Flash: flat}},
+	})
+	check(err)
+	attach := func(h *cluster.Host, name string) *rdma.NIC {
+		ep := h.Dom.AddNode(pcie.Endpoint, name)
+		check(h.Dom.Connect(h.RC, ep))
+		return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
+	}
+	nicT := attach(r.Hosts[0], "cx5-t")
+	var tq, iq []*rdma.QP
+	for i := 1; i <= k; i++ {
+		nicI := attach(r.Hosts[i], fmt.Sprintf("cx5-%d", i))
+		a, b := nicT.NewQP(), nicI.NewQP()
+		rdma.Connect(a, b)
+		tq = append(tq, a)
+		iq = append(iq, b)
+	}
+	var res []*fio.Result
+	var elapsed sim.Duration
+	check(r.Run("main", func(p *sim.Proc) error {
+		tgt, err := nvmeof.NewTarget(p, r.Hosts[0].Port, cluster.NVMeBARBase,
+			nvmeof.TargetParams{QueueDepth: 16, StagingBytes: 16 << 10})
+		if err != nil {
+			return err
+		}
+		for _, qp := range tq {
+			if err := tgt.Serve(p, qp); err != nil {
+				return err
+			}
+		}
+		start := p.Now()
+		done := make([]*sim.Event, 0, k)
+		var tenantErr error
+		for i := 1; i <= k; i++ {
+			host, qp := i, iq[i-1]
+			fin := sim.NewEvent(r.K)
+			done = append(done, fin)
+			r.Go(fmt.Sprintf("t%d", host), func(cp *sim.Proc) {
+				defer fin.Trigger(nil)
+				ini, err := nvmeof.NewInitiator(cp, "n", r.Hosts[host].Port, qp,
+					nvmeof.InitiatorParams{QueueDepth: 8, SlotBytes: 8192})
+				if err != nil {
+					tenantErr = err
+					return
+				}
+				out, err := fio.Run(cp, block.NewQueue(r.K, ini, block.QueueParams{}), fio.JobSpec{
+					Name: fmt.Sprintf("t%d", host), Op: fio.RandRead, QueueDepth: 2,
+					MaxIOs: ios, RangeBlocks: 1 << 14, Seed: int64(host),
+				})
+				if err != nil {
+					tenantErr = err
+					return
+				}
+				res = append(res, out)
+			})
+		}
+		p.WaitAll(done...)
+		elapsed = p.Now() - start
+		return tenantErr
+	}))
+	return tenantSummary(res, elapsed)
+}
+
+// tenantSummary returns the mean of the tenants' median read latencies
+// and their aggregate IOPS over elapsed.
+func tenantSummary(res []*fio.Result, elapsed sim.Duration) (medianNs, iops float64) {
+	total := 0
+	for _, r := range res {
+		medianNs += r.ReadLat.Median()
+		total += r.IOs
+	}
+	return medianNs / float64(len(res)), float64(total) / (float64(elapsed) / float64(sim.Second))
 }
