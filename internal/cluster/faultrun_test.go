@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -97,35 +96,5 @@ func TestFaultScenarioCrashRecovery(t *testing.T) {
 	}
 	if !found {
 		t.Error("registry snapshot missing fault.host_crashes=1")
-	}
-}
-
-// TestFaultScenarioDeterminism runs the same seeded scenario twice in
-// fresh simulations and requires byte-identical JSON results — the
-// reproducibility contract of the fault plane.
-func TestFaultScenarioDeterminism(t *testing.T) {
-	run := func() []byte {
-		res, err := RunFaultScenario(FaultRunConfig{
-			Seed:               42,
-			ManagerRestart:     50_000,
-			ManagerRestartAtNs: 150_000,
-			Noise: fault.PlanSpec{
-				StartNs: 50_000, EndNs: 900_000,
-				LinkStalls: 2, StallExtraNs: 2_000, StallNs: 20_000,
-				DoorbellDrops: 2, CQEDrops: 2,
-			},
-		})
-		if err != nil {
-			t.Fatalf("RunFaultScenario: %v", err)
-		}
-		b, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return b
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("fault scenario not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 }

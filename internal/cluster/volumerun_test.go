@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/nvme"
@@ -88,29 +86,5 @@ func TestVolumeScenarioPathDeath(t *testing.T) {
 	}
 	if !found {
 		t.Error("volume.nexus.fences not in registry snapshot")
-	}
-}
-
-// volumeTranscript runs the path-death scenario and returns its JSON.
-func volumeTranscript(t *testing.T) []byte {
-	t.Helper()
-	res, err := RunVolumeScenario(VolumeRunConfig{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
-}
-
-// TestCrossCoreVolumeTranscript pins the volume scenario's determinism
-// contract: byte-identical results at GOMAXPROCS 1 and 8.
-func TestCrossCoreVolumeTranscript(t *testing.T) {
-	one := atProcs(1, func() []byte { return volumeTranscript(t) })
-	eight := atProcs(8, func() []byte { return volumeTranscript(t) })
-	if !bytes.Equal(one, eight) {
-		t.Fatalf("volume transcript differs between GOMAXPROCS 1 and 8:\n1: %s\n8: %s", one, eight)
 	}
 }

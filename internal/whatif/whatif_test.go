@@ -60,23 +60,6 @@ func TestScenarioMatrixExecutesEveryCell(t *testing.T) {
 	}
 }
 
-// TestScenarioMatrixDeterministic asserts the rendered report is
-// byte-identical across repeated runs (the cross-GOMAXPROCS CI
-// comparison rests on this).
-func TestScenarioMatrixDeterministic(t *testing.T) {
-	a, err := RunScenario(cluster.OursLocal, 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScenario(cluster.OursLocal, 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Table() != b.Table() {
-		t.Fatalf("report not deterministic:\n--- first\n%s--- second\n%s", a.Table(), b.Table())
-	}
-}
-
 // TestCounterfactualsActuallyChangeOutcomes guards against an overlay
 // that silently fails to reach the executed model: a halved medium must
 // measurably beat the baseline of the concurrent sharing scenario.
