@@ -17,9 +17,9 @@ import (
 // Figure 9 scenario traced end to end and blamed per resource, and the
 // 4-host sharing scenario. Every number is a virtual-time fact and
 // every float uses a fixed format, so the report is byte-identical at
-// any GOMAXPROCS — CI compares the bytes across core counts. A nonzero
-// blame residual on any span aborts the report: attribution that does
-// not reconcile exactly with end-to-end latency must never be published.
+// any GOMAXPROCS. A nonzero blame residual on any span fails the
+// report: attribution that does not reconcile exactly with end-to-end
+// latency must never be published.
 func runBottleneck(w io.Writer, op fio.Op, opName string, qd, ios int, out string) error {
 	var b strings.Builder
 

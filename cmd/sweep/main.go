@@ -1,7 +1,7 @@
 // Command sweep runs the simulator's report modes: per-IO traces,
 // telemetry dumps, fault, volume and QoS scenarios, bottleneck
 // attribution, the causal what-if matrix, and the virtual-time baseline
-// BENCH_sim.json. The paper's experiments (E1–E12) live in
+// BENCH_sim.json. The paper's experiments (E1–E14) live in
 // cmd/experiments; the simulator's wall-clock cost is measured by
 // bench/run.sh.
 //
@@ -17,33 +17,38 @@
 //	sweep -bottleneck [-op read|write] [-qd D] [-ios N] [-out report.txt]
 //	sweep -whatif [-qd D] [-ios N] [-out report.txt]
 //
+// Every file a mode writes holds virtual-time facts only, so the same
+// invocation writes the same bytes on any machine and at any
+// GOMAXPROCS. TestGolden pins each mode's file at the flags CI uses
+// (BENCH_sim.json in the repository root, the rest under testdata/), and
+// fails on any byte that moves. After a change that means to move the
+// model, regenerate them with
+//
+//	GOMAXPROCS=1 go test ./cmd/sweep ./cmd/experiments -run Golden -update
+//
 // The -baseline mode writes BENCH_sim.json: the event count and virtual
-// duration of each Figure 9 scenario at QD1 and QD8, per-scenario stage
-// breakdowns with bottleneck attribution. Every field is a virtual-time
-// fact.
+// duration of each Figure 9 scenario at QD1 and QD8, and per-scenario
+// stage breakdowns with bottleneck attribution.
 //
 // The -bottleneck mode runs every scenario traced, folds each IO's
 // causal hops into per-resource blamed nanoseconds (service vs
 // queueing, reconciling exactly with end-to-end latency), merges the
 // measured occupancy utilizations, and prints one ranked bottleneck
-// table per scenario. The report contains only virtual-time facts: the
-// same invocation is byte-identical at any GOMAXPROCS, which CI
-// verifies.
+// table per scenario. It fails on any nonzero blame residual.
 //
 // The -whatif mode is the causal profiler: for every calibrated latency
 // knob x scale factor x scenario it predicts the end-to-end delta from
 // the baseline run's blame attribution, then EXECUTES the counterfactual
 // (the same deterministic run with only that knob scaled) and reports
 // predicted vs actual side by side with the prediction error, ranked by
-// measured leverage. The report is byte-identical at any GOMAXPROCS; the
-// exit code is nonzero if any service-time-only cell's prediction error
-// exceeds the documented bound.
+// measured leverage. It fails if any service-time-only cell's
+// prediction error exceeds whatif.ServiceOnlyErrorBoundPct.
 //
 // The -trace mode runs one scenario with per-IO tracing on and writes a
 // Chrome trace-event JSON file (loadable at ui.perfetto.dev), plus a
-// per-stage latency-breakdown table on stdout. The file is a pure
-// function of the scenario and seed: the same invocation produces
-// byte-identical output.
+// per-stage latency-breakdown table on stdout. It fails if the file
+// breaks the trace-event schema or the stages do not sum to end-to-end
+// latency.
 //
 // The -telemetry mode runs the multihost fairness scenario (N clients
 // sharing the single-function controller, plus one local-baseline host
@@ -51,6 +56,10 @@
 // and writes the pipeline's deterministic JSON dump. Add -serve to
 // expose live /metrics (Prometheus text), /telemetry.json and /healthz
 // while the run executes; -linger keeps serving afterwards.
+//
+// The -faults, -volume and -qos modes run the fault/recovery, nexus
+// path-death and open-loop QoS scenarios and write JSON reports; -volume
+// fails on a lost write or an unfenced stale writer.
 package main
 
 import (
@@ -154,8 +163,7 @@ func run(args []string, stdout io.Writer) error {
 // runTelemetry executes the multihost fairness scenario with the
 // virtual-time sampling pipeline attached, optionally serving the live
 // introspection endpoints during the run, and writes the pipeline's
-// deterministic JSON dump. The file contains only virtual-time state:
-// the same invocation produces byte-identical output, which CI checks.
+// deterministic JSON dump. The file holds only virtual-time state.
 func runTelemetry(w io.Writer, out string, hosts, qd, ios int, intervalNs int64, serveAddr string, linger bool) error {
 	reg := trace.NewRegistry()
 	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: intervalNs})

@@ -29,8 +29,8 @@
 package attr
 
 // Resource names blamed by the critical-path walk and measured by the
-// occupancy layer. Stable identifiers: reports, BENCH_sim.json and the
-// metric namespace (attr.*) key on them.
+// occupancy layer. Stable identifiers: reports, the bottleneck rows of
+// BENCH_sim.json and the metric namespace (attr.*) key on them.
 const (
 	// ResHostCPU is host-side software: submission glue, completion
 	// reap, poll sweeps, and the synthetic remainder of a span not

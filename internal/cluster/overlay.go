@@ -16,8 +16,8 @@ import (
 // maps knob name -> multiplicative factor; the appliers below
 // materialize the calibration defaults first and then scale, so a knob
 // behaves identically whether the caller left the field zero ("use
-// default") or set it explicitly. Stable identifiers: reports,
-// BENCH_sim.json and the sensitivity matrix key on them.
+// default") or set it explicitly. Stable identifiers: the what-if
+// sensitivity matrix and its report (sweep -whatif) key on them.
 const (
 	// KnobNTBCross scales the cluster-switch+LUT crossing cost
 	// (Config.CrossNs) — the NTB hop the CXL-pool roadmap item would
