@@ -53,6 +53,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, row := range goldenRows {
 		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
 			out := filepath.Join(t.TempDir(), "out")
 			args := make([]string, len(row.args))
 			for i, a := range row.args {
