@@ -61,7 +61,7 @@ func check(err error) {
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	ios := fs.Int("ios", 1000, "measured I/Os per scenario run")
-	fs.Parse(args)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 before Parse returns
 	if *ios < 1 {
 		return fmt.Errorf("%w: -ios must be at least 1 (got %d)", errUsage, *ios)
 	}

@@ -21,8 +21,8 @@ import (
 // `go test ./... -update` fails in packages that do not define the flag.
 var update = flag.Bool("update", false, "rewrite the golden files from this run")
 
-// goldenRows are the report modes at the flags CI runs them with. "F" in
-// args stands for the file the mode writes, which is what a row pins.
+// goldenRows are the report modes, each at fixed flags. "F" in args
+// stands for the file the mode writes, which is what a row pins.
 var goldenRows = []struct {
 	name   string
 	args   []string

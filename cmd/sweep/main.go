@@ -19,10 +19,10 @@
 //
 // Every file a mode writes holds virtual-time facts only, so the same
 // invocation writes the same bytes on any machine and at any
-// GOMAXPROCS. TestGolden pins each mode's file at the flags CI uses
-// (BENCH_sim.json in the repository root, the rest under testdata/), and
-// fails on any byte that moves. After a change that means to move the
-// model, regenerate them with
+// GOMAXPROCS. TestGolden runs each mode at fixed flags and pins the file
+// it writes (BENCH_sim.json in the repository root, the rest under
+// testdata/), failing on any byte that moves. After a change that means
+// to move the model, regenerate them with
 //
 //	GOMAXPROCS=1 go test ./cmd/sweep ./cmd/experiments -run Golden -update
 //
@@ -116,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		bottleck = fs.Bool("bottleneck", false, "run every scenario traced and print ranked per-resource bottleneck attribution (deterministic; -out writes the report text)")
 		whatifM  = fs.Bool("whatif", false, "execute the counterfactual sensitivity matrix (every knob x factor x scenario) and print predicted-vs-actual deltas ranked by leverage (deterministic; -out writes the report text)")
 	)
-	fs.Parse(args)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 before Parse returns
 	if *ios < 1 {
 		return fmt.Errorf("%w: -ios must be at least 1 (got %d)", errUsage, *ios)
 	}
