@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -68,6 +69,56 @@ func TestQoSNoisyNeighborDominance(t *testing.T) {
 	// a substantial share of its issued requests.
 	if n := withQoS.Classes[1]; n.Completed*4 < n.Issued {
 		t.Errorf("noisy class starved: %d completed of %d issued", n.Completed, n.Issued)
+	}
+}
+
+// TestQoSLatencySensitiveCapacity: in the homogeneous scenario there is
+// no aggressor to shed, so QoS neither helps nor hurts — both modes
+// meet SLO below the device's capacity knee and both fail above it.
+func TestQoSLatencySensitiveCapacity(t *testing.T) {
+	for _, qosOn := range []bool{false, true} {
+		below, err := RunQoSScenario(QoSRunConfig{
+			Scenario: QoSLatencySensitive, QoS: qosOn, RateScale: 4, DurationNs: 10e6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !below.SLOMet {
+			t.Errorf("qos=%v: SLO missed well below capacity (%.0f IOPS offered)",
+				qosOn, below.OfferedIOPS)
+		}
+		above, err := RunQoSScenario(QoSRunConfig{
+			Scenario: QoSLatencySensitive, QoS: qosOn, RateScale: 12, DurationNs: 10e6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if above.SLOMet {
+			t.Errorf("qos=%v: SLO met beyond device capacity (%.0f IOPS offered) — no queueing model?",
+				qosOn, above.OfferedIOPS)
+		}
+	}
+}
+
+// TestQoSScenarioDeterminism: identical config twice gives a
+// byte-identical result — same arrival digest, same JSON encoding.
+func TestQoSScenarioDeterminism(t *testing.T) {
+	cfg := QoSRunConfig{Scenario: QoSNoisyNeighbor, QoS: true, RateScale: 1.0, DurationNs: 10e6}
+	a, err := RunQoSScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunQoSScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if string(ja) != string(jb) {
+		t.Fatalf("same config, different results:\n%s\n%s", ja, jb)
+	}
+	if a.ArrivalDigest == "" || a.ArrivalDigest == "0000000000000000" {
+		t.Fatalf("arrival digest missing: %q", a.ArrivalDigest)
 	}
 }
 
