@@ -22,7 +22,6 @@ import (
 	"repro/internal/fio"
 	"repro/internal/nvme"
 	"repro/internal/nvmeof"
-	"repro/internal/pcie"
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -386,7 +385,7 @@ func thirtyOneHosts() (int, bool) {
 			done = append(done, fin)
 			r.Go("client", func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, "cl", r.Svc, r.Hosts[host].Node, mgr,
+				cl, err := r.Client(cp, host, mgr, "cl",
 					core.ClientParams{QueueDepth: 8, PartitionBytes: 8192})
 				if err != nil {
 					return
@@ -401,7 +400,7 @@ func thirtyOneHosts() (int, bool) {
 		for _, fin := range done {
 			p.Wait(fin)
 		}
-		if _, err := core.NewClient(p, "extra", r.Svc, r.Hosts[1].Node, mgr,
+		if _, err := r.Client(p, 1, mgr, "extra",
 			core.ClientParams{QueueDepth: 8, PartitionBytes: 8192}); err != nil {
 			refused = true
 		}
@@ -472,15 +471,12 @@ func fabricsTenants(k, ios int) (medianNs, iops float64) {
 		NVMe:    []cluster.NVMeConfig{{Flash: flat}},
 	})
 	check(err)
-	attach := func(h *cluster.Host, name string) *rdma.NIC {
-		ep := h.Dom.AddNode(pcie.Endpoint, name)
-		check(h.Dom.Connect(h.RC, ep))
-		return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
-	}
-	nicT := attach(r.Hosts[0], "cx5-t")
+	nicT, err := r.Hosts[0].AttachNIC("cx5-t")
+	check(err)
 	var tq, iq []*rdma.QP
 	for i := 1; i <= k; i++ {
-		nicI := attach(r.Hosts[i], fmt.Sprintf("cx5-%d", i))
+		nicI, err := r.Hosts[i].AttachNIC(fmt.Sprintf("cx5-%d", i))
+		check(err)
 		a, b := nicT.NewQP(), nicI.NewQP()
 		rdma.Connect(a, b)
 		tq = append(tq, a)

@@ -48,7 +48,7 @@ func main() {
 			}, 2},
 		}
 		for _, v := range variants {
-			cl, err := core.NewClient(p, v.name, r.Svc, r.Hosts[v.host].Node, mgr, v.params)
+			cl, err := r.Client(p, v.host, mgr, v.name, v.params)
 			check(err)
 			want := bytes.Repeat([]byte{0xF7}, 4096)
 			check(cl.WriteBlocks(p, 123, 8, want))

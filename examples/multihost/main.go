@@ -37,8 +37,8 @@ func main() {
 			done = append(done, fin)
 			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
-					r.Hosts[host].Node, mgr, core.ClientParams{QueueDepth: 16, PartitionBytes: 16 << 10})
+				cl, err := r.Client(cp, host, mgr, fmt.Sprintf("dnvme%d", host),
+					core.ClientParams{QueueDepth: 16, PartitionBytes: 16 << 10})
 				check(err)
 				// Each host owns LBAs [host*16384, ...): write a unique
 				// pattern across 32 stripes, then verify every stripe.
@@ -69,7 +69,7 @@ func main() {
 		}
 
 		// Late join: a new host attaches while the cluster is live.
-		late, err := core.NewClient(p, "dnvme-late", r.Svc, r.Hosts[clients+1].Node, mgr, core.ClientParams{})
+		late, err := r.Client(p, clients+1, mgr, "dnvme-late", core.ClientParams{})
 		check(err)
 		probe := make([]byte, 4096)
 		check(late.ReadBlocks(p, 1*16384, 8, probe)) // reads host 1's first stripe

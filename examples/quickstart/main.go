@@ -38,7 +38,7 @@ func main() {
 		//    receives its own queue pair. Its submission queue lands in
 		//    device-host memory (Fig. 8 placement), its completion queue
 		//    stays local for polling.
-		cl, err := core.NewClient(p, "dnvme1", r.Svc, r.Hosts[1].Node, mgr, core.ClientParams{})
+		cl, err := r.Client(p, 1, mgr, "dnvme1", core.ClientParams{})
 		check(err)
 		fmt.Printf("client on host 1: queue pair %d, SQ placement %s\n", cl.QID(), cl.Placement())
 

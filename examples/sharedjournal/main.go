@@ -35,8 +35,7 @@ func main() {
 		check(err)
 
 		newQueue := func(host int) *block.Queue {
-			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.Svc,
-				r.Hosts[host].Node, mgr, core.ClientParams{})
+			cl, err := r.Client(p, host, mgr, fmt.Sprintf("dnvme%d", host), core.ClientParams{})
 			check(err)
 			return block.NewQueue(r.K, cl, block.QueueParams{})
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ntb"
 	"repro/internal/nvme"
 	"repro/internal/pcie"
+	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/sisci"
 )
@@ -188,6 +189,15 @@ func (c *Cluster) AttachNVMe(hostIdx int, cfg NVMeConfig) (*nvme.Controller, err
 		return nil, err
 	}
 	return ctrl, nil
+}
+
+// AttachNIC plugs an RDMA NIC named name into the host's root complex.
+func (h *Host) AttachNIC(name string) (*rdma.NIC, error) {
+	ep := h.Dom.AddNode(pcie.Endpoint, name)
+	if err := h.Dom.Connect(h.RC, ep); err != nil {
+		return nil, err
+	}
+	return rdma.NewNIC(name, h.Port, ep, rdma.Params{}), nil
 }
 
 // Run drains the simulation and unwinds remaining processes.

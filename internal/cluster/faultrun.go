@@ -239,15 +239,14 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 				defer fin.Trigger(nil)
 				run := &runs[host-1]
 				run.Host = host
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
-					r.Hosts[host].Node, mgr, core.ClientParams{
-						QueueDepth:     cfg.QueueDepth + 1,
-						PartitionBytes: 16 << 10,
-						IOTimeoutNs:    cfg.IOTimeoutNs,
-						MaxRetries:     cfg.MaxRetries,
-						AbortOnTimeout: true,
-						HeartbeatNs:    cfg.HeartbeatNs,
-					})
+				cl, err := r.Client(cp, host, mgr, fmt.Sprintf("dnvme%d", host), core.ClientParams{
+					QueueDepth:     cfg.QueueDepth + 1,
+					PartitionBytes: 16 << 10,
+					IOTimeoutNs:    cfg.IOTimeoutNs,
+					MaxRetries:     cfg.MaxRetries,
+					AbortOnTimeout: true,
+					HeartbeatNs:    cfg.HeartbeatNs,
+				})
 				if err != nil {
 					run.Err = err.Error()
 					return
@@ -278,7 +277,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		for mgr.Reclaims == 0 {
 			p.Sleep(cfg.LeaseNs / 2)
 		}
-		probe, err := core.NewClient(p, "dnvme-probe", r.Svc, r.Hosts[1].Node, mgr,
+		probe, err := r.Client(p, 1, mgr, "dnvme-probe",
 			core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
 		if err == nil {
 			res.ReusedQID = probe.QID()

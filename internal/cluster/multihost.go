@@ -45,7 +45,7 @@ type MultiHostConfig struct {
 	// It shares nothing (own device, own PCIe domain) — it exists so a
 	// live telemetry endpoint shows every driver layer side by side and
 	// the fairness table can contrast local-baseline latency with the
-	// shared-device hosts'.
+	// shared-device hosts'. The baseline is neither traced nor overlaid.
 	LocalBaseline bool
 	// Registry, when non-nil, receives the full labeled metric wiring:
 	// kernel, per-host fabric, controller aggregates, per-queue
@@ -56,7 +56,8 @@ type MultiHostConfig struct {
 	// final sample after the run drains.
 	Pipeline *telemetry.Pipeline
 	// Overlay scales calibrated latency knobs for counterfactual
-	// experiments (see LatencyOverlay); nil is the identity.
+	// experiments (see LatencyOverlay); nil is the identity. The rig
+	// applies it to the fields above.
 	Overlay LatencyOverlay
 	// Tracer, when non-nil, is threaded through the controller and every
 	// client so each I/O leaves a per-hop span (clients own distinct
@@ -105,7 +106,7 @@ type MultiHostResult struct {
 	// Fairness is the full-window report (nil without a Pipeline).
 	Fairness *telemetry.FairnessReport
 	// Utils maps attribution resource names to measured busy-fraction
-	// utilization over the run (see resourceUtils).
+	// utilization over the run (see UtilWindow).
 	Utils map[string]float64
 }
 
@@ -126,7 +127,6 @@ func (r *MultiHostResult) AggIOPS() float64 {
 // and tail-latency series available live and after the run.
 func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	cfg = cfg.withDefaults()
-	cfg = cfg.Overlay.ApplyMultiHost(cfg)
 	if cfg.Hosts < 1 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: multihost needs 1..31 client hosts, got %d", cfg.Hosts)
 	}
@@ -141,15 +141,12 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 		}
 	}
 	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
-		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline,
+		tracer: cfg.Tracer, overlay: cfg.Overlay})
 	if err != nil {
 		return nil, err
 	}
 	ctrl := r.Ctrls[0]
-	if cfg.Tracer != nil {
-		ctrl.SetTracer(cfg.Tracer)
-		cfg.Client.Tracer = cfg.Tracer
-	}
 
 	res := &MultiHostResult{}
 	r.Start("manager", func(p *sim.Proc) error {
@@ -165,8 +162,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 			done = append(done, fin)
 			r.Go(fmt.Sprintf("host%d", host), func(cp *sim.Proc) {
 				defer fin.Trigger(nil)
-				cl, err := core.NewClient(cp, fmt.Sprintf("dnvme%d", host), r.Svc,
-					r.Hosts[host].Node, mgr, cfg.Client)
+				cl, err := r.Client(cp, host, mgr, fmt.Sprintf("dnvme%d", host), cfg.Client)
 				if err != nil {
 					res.PerHost = append(res.PerHost, HostRun{Host: host, Err: err})
 					return
@@ -238,6 +234,6 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 			res.TotalIOs += hr.Res.IOs + hr.Res.Errors
 		}
 	}
-	res.Utils = resourceUtils(ctrl, r.Hosts, int64(r.K.Now()))
+	res.Utils = UtilWindow{}.utils(ctrl, r.Hosts, int64(r.K.Now()))
 	return res, nil
 }

@@ -226,28 +226,3 @@ func (o LatencyOverlay) applyHostDriver(hp hostdriver.Params) hostdriver.Params 
 	}
 	return hp
 }
-
-// ApplyScenario returns cfg with every overlay knob applied to the
-// scenario's calibration surfaces. Identity overlays return cfg
-// unchanged, so non-overlaid runs stay byte-for-byte what they were.
-func (o LatencyOverlay) ApplyScenario(cfg ScenarioConfig) ScenarioConfig {
-	if len(o) == 0 {
-		return cfg
-	}
-	cfg.Cluster = o.applyCluster(cfg.Cluster)
-	cfg.NVMe = o.applyNVMe(cfg.NVMe)
-	cfg.Client = o.applyClient(cfg.Client)
-	cfg.HostDriver = o.applyHostDriver(cfg.HostDriver)
-	return cfg
-}
-
-// ApplyMultiHost is ApplyScenario for the fairness scenario.
-func (o LatencyOverlay) ApplyMultiHost(cfg MultiHostConfig) MultiHostConfig {
-	if len(o) == 0 {
-		return cfg
-	}
-	cfg.Cluster = o.applyCluster(cfg.Cluster)
-	cfg.NVMe = o.applyNVMe(cfg.NVMe)
-	cfg.Client = o.applyClient(cfg.Client)
-	return cfg
-}

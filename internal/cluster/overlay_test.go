@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hostdriver"
 	"repro/internal/nvme"
 	"repro/internal/pcie"
 )
@@ -71,46 +72,56 @@ func TestOverlayMaterializesDefaults(t *testing.T) {
 		KnobCtrlDecode: 0.5, KnobCtrlCpl: 0.5, KnobMedium: 0.5,
 		KnobHostSubmit: 0.5, KnobHostComplete: 0.5, KnobAdmin: 0.5,
 	}
-	cfg := o.ApplyScenario(ScenarioConfig{})
+	cc := o.applyCluster(Config{})
+	nc := o.applyNVMe(NVMeConfig{})
+	cp := o.applyClient(core.ClientParams{})
+	hp := o.applyHostDriver(hostdriver.Params{})
 
 	dl := pcie.DefaultLinkParams()
 	dc := nvme.DefaultParams()
 	df := nvme.DefaultFlashParams()
 	dcl := core.DefaultClientParams()
+	dhd := hostdriver.DefaultParams()
 
-	if got, want := cfg.Cluster.CrossNs, ScaleNs(DefaultCrossNs, 0.5); got != want {
+	if got, want := cc.CrossNs, ScaleNs(DefaultCrossNs, 0.5); got != want {
 		t.Errorf("CrossNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.Cluster.Link.PerSwitchNs, ScaleNs(dl.PerSwitchNs, 0.5); got != want {
+	if got, want := cc.Link.PerSwitchNs, ScaleNs(dl.PerSwitchNs, 0.5); got != want {
 		t.Errorf("PerSwitchNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.Cluster.Link.MMIOIssueNs, ScaleNs(dl.MMIOIssueNs, 0.5); got != want {
+	if got, want := cc.Link.MMIOIssueNs, ScaleNs(dl.MMIOIssueNs, 0.5); got != want {
 		t.Errorf("MMIOIssueNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.NVMe.Ctrl.CmdOverheadNs, ScaleNs(dc.CmdOverheadNs, 0.5); got != want {
+	if got, want := nc.Ctrl.CmdOverheadNs, ScaleNs(dc.CmdOverheadNs, 0.5); got != want {
 		t.Errorf("CmdOverheadNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.NVMe.Ctrl.CplOverheadNs, ScaleNs(dc.CplOverheadNs, 0.5); got != want {
+	if got, want := nc.Ctrl.CplOverheadNs, ScaleNs(dc.CplOverheadNs, 0.5); got != want {
 		t.Errorf("CplOverheadNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.NVMe.Ctrl.AdminOverheadNs, ScaleNs(dc.CmdOverheadNs, 0.5); got != want {
+	if got, want := nc.Ctrl.AdminOverheadNs, ScaleNs(dc.CmdOverheadNs, 0.5); got != want {
 		t.Errorf("AdminOverheadNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.NVMe.Ctrl.EnableDelayNs, ScaleNs(dc.EnableDelayNs, 0.5); got != want {
+	if got, want := nc.Ctrl.EnableDelayNs, ScaleNs(dc.EnableDelayNs, 0.5); got != want {
 		t.Errorf("EnableDelayNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.NVMe.Flash.ReadBaseNs, ScaleNs(df.ReadBaseNs, 0.5); got != want {
+	if got, want := nc.Flash.ReadBaseNs, ScaleNs(df.ReadBaseNs, 0.5); got != want {
 		t.Errorf("ReadBaseNs = %d, want %d", got, want)
 	}
 	// Jitter and tail keep the baseline draws on purpose.
-	if cfg.NVMe.Flash.JitterNs != 0 || cfg.NVMe.Flash.TailNs != 0 {
-		t.Errorf("jitter/tail scaled: %+v", cfg.NVMe.Flash)
+	if nc.Flash.JitterNs != 0 || nc.Flash.TailNs != 0 {
+		t.Errorf("jitter/tail scaled: %+v", nc.Flash)
 	}
-	if got, want := cfg.Client.SubmitOverheadNs, ScaleNs(dcl.SubmitOverheadNs, 0.5); got != want {
+	if got, want := cp.SubmitOverheadNs, ScaleNs(dcl.SubmitOverheadNs, 0.5); got != want {
 		t.Errorf("SubmitOverheadNs = %d, want %d", got, want)
 	}
-	if got, want := cfg.Client.CompleteOverheadNs, ScaleNs(dcl.CompleteOverheadNs, 0.5); got != want {
+	if got, want := cp.CompleteOverheadNs, ScaleNs(dcl.CompleteOverheadNs, 0.5); got != want {
 		t.Errorf("CompleteOverheadNs = %d, want %d", got, want)
+	}
+	if got, want := hp.SubmitNs, ScaleNs(dhd.SubmitNs, 0.5); got != want {
+		t.Errorf("SubmitNs = %d, want %d", got, want)
+	}
+	if got, want := hp.ISRNs, ScaleNs(dhd.ISRNs, 0.5); got != want {
+		t.Errorf("ISRNs = %d, want %d", got, want)
 	}
 }
 
@@ -118,8 +129,8 @@ func TestOverlayMaterializesDefaults(t *testing.T) {
 // scales from its set value, not the default.
 func TestOverlayExplicitFieldsScaleInPlace(t *testing.T) {
 	o := LatencyOverlay{KnobCtrlDecode: 2}
-	cfg := o.ApplyScenario(ScenarioConfig{NVMe: NVMeConfig{Ctrl: nvme.Params{CmdOverheadNs: 1000}}})
-	if got := cfg.NVMe.Ctrl.CmdOverheadNs; got != 2000 {
+	nc := o.applyNVMe(NVMeConfig{Ctrl: nvme.Params{CmdOverheadNs: 1000}})
+	if got := nc.Ctrl.CmdOverheadNs; got != 2000 {
 		t.Errorf("CmdOverheadNs = %d, want 2000", got)
 	}
 }
@@ -127,12 +138,18 @@ func TestOverlayExplicitFieldsScaleInPlace(t *testing.T) {
 // TestOverlayIdentity checks nil and factor-1 overlays leave configs
 // bitwise untouched (baseline runs must stay byte-for-byte identical).
 func TestOverlayIdentity(t *testing.T) {
-	base := ScenarioConfig{}
-	if got := (LatencyOverlay)(nil).ApplyScenario(base); got.Cluster.CrossNs != 0 || got.NVMe.Ctrl.CmdOverheadNs != 0 {
-		t.Errorf("nil overlay materialized defaults: %+v", got)
-	}
-	one := LatencyOverlay{KnobMedium: 1}
-	if got := one.ApplyScenario(base); got.NVMe.Flash.ReadBaseNs != 0 {
-		t.Errorf("factor-1 overlay materialized defaults: %+v", got)
+	for _, o := range []LatencyOverlay{nil, {KnobMedium: 1, KnobCtrlDecode: 1}} {
+		if got := o.applyCluster(Config{}); got != (Config{}) {
+			t.Errorf("%v materialized cluster defaults: %+v", o, got)
+		}
+		if got := o.applyNVMe(NVMeConfig{}); got != (NVMeConfig{}) {
+			t.Errorf("%v materialized controller defaults: %+v", o, got)
+		}
+		if got := o.applyClient(core.ClientParams{}); got != (core.ClientParams{}) {
+			t.Errorf("%v materialized client defaults: %+v", o, got)
+		}
+		if got := o.applyHostDriver(hostdriver.Params{}); got != (hostdriver.Params{}) {
+			t.Errorf("%v materialized driver defaults: %+v", o, got)
+		}
 	}
 }

@@ -295,12 +295,11 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 	cc := cfg.Cluster
 	cc.Hosts = len(classes) + 1
 	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
-		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
+		Registry: cfg.Registry, Pipeline: cfg.Pipeline, tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
 	}
 	ctrl := r.Ctrls[0]
-	ctrl.SetTracer(cfg.Tracer)
 
 	res := &QoSRunResult{Scenario: cfg.Scenario, QoS: cfg.QoS, RateScale: cfg.RateScale}
 	for _, qc := range classes {
@@ -333,11 +332,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			if cfg.QoS {
 				params.Priority = qc.prio
 			}
-			if cfg.Tracer != nil {
-				params.Tracer = cfg.Tracer
-			}
-			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.Svc,
-				r.Hosts[host].Node, mgr, params)
+			cl, err := r.Client(p, host, mgr, fmt.Sprintf("dnvme%d", host), params)
 			if err != nil {
 				return err
 			}

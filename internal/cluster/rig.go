@@ -28,6 +28,21 @@ type RigConfig struct {
 	// Pipeline, when non-nil, samples on the rig's kernel and takes a
 	// final sample once the run drains.
 	Pipeline *telemetry.Pipeline
+
+	// tracer and overlay are how a scenario's Tracer and Overlay fields
+	// reach the run. NewRig applies the overlay to Cluster and every NVMe
+	// entry and the tracer to every controller; Client applies both to
+	// every client, and a scenario reads them for the drivers it builds
+	// itself. Two limits:
+	//   - One tracer cannot serve two controllers. Spans key on (qid,
+	//     cid), and two controllers each grant their first client QID 1,
+	//     so one host's clients on two devices (the volume scenario's
+	//     path clients) would record colliding spans.
+	//   - A controller attached after NewRig and a driver built without
+	//     Client are neither traced nor overlaid: the LocalBaseline host
+	//     of RunMultiHost is outside both.
+	tracer  *trace.Tracer
+	overlay LatencyOverlay
 }
 
 // Rig is the bring-up every shared-device run starts with (§IV–V): each
@@ -42,6 +57,8 @@ type Rig struct {
 	Svc   *smartio.Service
 
 	pipe     *telemetry.Pipeline
+	tracer   *trace.Tracer
+	overlay  LatencyOverlay
 	name     string
 	err      error
 	finished bool
@@ -53,7 +70,7 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	if len(cfg.NVMe) == 0 {
 		return nil, errors.New("cluster: a rig needs at least one controller")
 	}
-	cc := cfg.Cluster
+	cc := cfg.overlay.applyCluster(cfg.Cluster)
 	if cc.MemBytes == 0 {
 		cc.MemBytes = 16 << 20
 	}
@@ -64,12 +81,14 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Rig{Cluster: c, Svc: smartio.NewService(c.Dir), pipe: cfg.Pipeline}
+	r := &Rig{Cluster: c, Svc: smartio.NewService(c.Dir), pipe: cfg.Pipeline,
+		tracer: cfg.tracer, overlay: cfg.overlay}
 	for i, nc := range cfg.NVMe {
-		ctrl, err := c.AttachNVMe(i, nc)
+		ctrl, err := c.AttachNVMe(i, cfg.overlay.applyNVMe(nc))
 		if err != nil {
 			return nil, err
 		}
+		ctrl.SetTracer(cfg.tracer)
 		dev, err := r.Svc.Register(sisci.NodeID(i), fmt.Sprintf("nvme%d", i),
 			pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize})
 		if err != nil {
@@ -95,6 +114,16 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 func (r *Rig) Manager(p *sim.Proc, dev int, params core.ManagerParams) (*core.Manager, error) {
 	d := r.Devs[dev]
 	return core.NewManager(p, r.Svc, d.ID, r.Hosts[d.Host].Node, params)
+}
+
+// Client attaches a distributed-driver client named name on host
+// through mgr, with the rig's overlay and tracer applied to params.
+func (r *Rig) Client(p *sim.Proc, host int, mgr *core.Manager, name string, params core.ClientParams) (*core.Client, error) {
+	params = r.overlay.applyClient(params)
+	if r.tracer != nil {
+		params.Tracer = r.tracer
+	}
+	return core.NewClient(p, name, r.Svc, r.Hosts[host].Node, mgr, params)
 }
 
 // Run spawns body as process name and drains the simulation: Start,

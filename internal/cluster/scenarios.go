@@ -9,7 +9,6 @@ import (
 	"repro/internal/hostdriver"
 	"repro/internal/nvme"
 	"repro/internal/nvmeof"
-	"repro/internal/pcie"
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -58,8 +57,8 @@ type ScenarioConfig struct {
 	// BlockQueue tunes the block layer shared by every scenario.
 	BlockQueue block.QueueParams
 	// Overlay scales calibrated latency knobs for counterfactual
-	// experiments (see LatencyOverlay); nil is the identity. It is
-	// applied over the fields above with defaults materialized, so an
+	// experiments (see LatencyOverlay); nil is the identity. The rig
+	// applies it over the fields above with defaults materialized, so an
 	// overlaid scenario differs from the baseline only in the scaled
 	// knobs.
 	Overlay LatencyOverlay
@@ -98,7 +97,6 @@ func Build(s Scenario, cfg ScenarioConfig) (*Cluster, *nvme.Controller, error) {
 // buildRig is Build keeping the rig, whose registered device the ours-*
 // scenarios bring up.
 func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
-	cfg = cfg.Overlay.ApplyScenario(cfg)
 	cc := cfg.Cluster
 	switch s {
 	case LinuxLocal, OursLocal:
@@ -116,28 +114,24 @@ func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
 	if cc.AdapterWindows == 0 {
 		cc.AdapterWindows = 256
 	}
-	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe}})
-	if err != nil {
-		return nil, err
-	}
-	r.Ctrls[0].SetTracer(cfg.Tracer)
-	return r, nil
+	return NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+		tracer: cfg.Tracer, overlay: cfg.Overlay})
 }
 
 // bringUp constructs the scenario's driver stack inside process p and
-// returns the block queue.
+// returns the block queue. The rig's overlay and tracer reach the stock
+// driver and the NVMe-oF initiator here, and the client through
+// Rig.Client.
 func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) {
-	cfg = cfg.Overlay.ApplyScenario(cfg)
-	if cfg.Tracer != nil {
-		cfg.HostDriver.Tracer = cfg.Tracer
-		cfg.Client.Tracer = cfg.Tracer
-		cfg.Initiator.Tracer = cfg.Tracer
-	}
 	c, ctrl := r.Cluster, r.Ctrls[0]
 	env := &Env{Scenario: s, Cluster: c, Ctrl: ctrl}
 	switch s {
 	case LinuxLocal:
-		drv, err := hostdriver.New(p, "nvme0n1", c.Hosts[0].Port, NVMeBARBase, ctrl, cfg.HostDriver)
+		hp := r.overlay.applyHostDriver(cfg.HostDriver)
+		if r.tracer != nil {
+			hp.Tracer = r.tracer
+		}
+		drv, err := hostdriver.New(p, "nvme0n1", c.Hosts[0].Port, NVMeBARBase, ctrl, hp)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +148,7 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 		if s == OursRemote {
 			clientHost = 1
 		}
-		cl, err := core.NewClient(p, "dnvme0", r.Svc, c.Hosts[clientHost].Node, mgr, cfg.Client)
+		cl, err := r.Client(p, clientHost, mgr, "dnvme0", cfg.Client)
 		if err != nil {
 			return nil, err
 		}
@@ -163,15 +157,14 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 		return env, nil
 
 	case NVMeoFRemote:
-		attach := func(h *Host, name string) *rdma.NIC {
-			ep := h.Dom.AddNode(pcie.Endpoint, name)
-			if err := h.Dom.Connect(h.RC, ep); err != nil {
-				panic(err)
-			}
-			return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
+		nicT, err := c.Hosts[0].AttachNIC("cx5-target")
+		if err != nil {
+			return nil, err
 		}
-		nicT := attach(c.Hosts[0], "cx5-target")
-		nicI := attach(c.Hosts[1], "cx5-init")
+		nicI, err := c.Hosts[1].AttachNIC("cx5-init")
+		if err != nil {
+			return nil, err
+		}
 		qpT, qpI := nicT.NewQP(), nicI.NewQP()
 		rdma.Connect(qpT, qpI)
 		tgt, err := nvmeof.NewTarget(p, c.Hosts[0].Port, NVMeBARBase, cfg.Target)
@@ -181,7 +174,11 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 		if err := tgt.Serve(p, qpT); err != nil {
 			return nil, err
 		}
-		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI, cfg.Initiator)
+		ip := cfg.Initiator
+		if r.tracer != nil {
+			ip.Tracer = r.tracer
+		}
+		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI, ip)
 		if err != nil {
 			return nil, err
 		}

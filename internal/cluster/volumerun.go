@@ -207,11 +207,11 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			IOTimeoutNs:    cfg.IOTimeoutNs,
 			MaxRetries:     cfg.MaxRetries,
 		}
-		clA, err := core.NewClient(p, "pathA", r.Svc, r.Hosts[2].Node, mgrA, cp)
+		clA, err := r.Client(p, 2, mgrA, "pathA", cp)
 		if err != nil {
 			return fmt.Errorf("path A client: %w", err)
 		}
-		clB, err := core.NewClient(p, "pathB", r.Svc, r.Hosts[2].Node, mgrB, cp)
+		clB, err := r.Client(p, 2, mgrB, "pathB", cp)
 		if err != nil {
 			return fmt.Errorf("path B client: %w", err)
 		}
@@ -239,7 +239,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 			if path != 0 {
 				return fmt.Errorf("cluster: unexpected fence of path %d", path)
 			}
-			fc, err := core.NewClient(fp, "fenceA", r.Svc, r.Hosts[0].Node, mgrA,
+			fc, err := r.Client(fp, 0, mgrA, "fenceA",
 				core.ClientParams{QueueDepth: 4, PartitionBytes: 16 << 10})
 			if err != nil {
 				return err
