@@ -136,46 +136,3 @@ func TestOccLittleLawOnLiveQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMultiHostTracingDoesNotPerturb extends the overhead discipline to
-// the multihost path: threading a tracer (and the attribution it feeds)
-// through controller and clients must leave every virtual-time result
-// bit-identical.
-func TestMultiHostTracingDoesNotPerturb(t *testing.T) {
-	run := func(tr *trace.Tracer) *MultiHostResult {
-		res, err := RunMultiHost(MultiHostConfig{
-			Hosts: 4, QueueDepth: 4, IOsPerHost: 120,
-			Seed: 31, Op: fio.RandRW, Tracer: tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	off := run(nil)
-	on := run(trace.New())
-	if off.ElapsedNs != on.ElapsedNs {
-		t.Errorf("elapsed differs: off=%d on=%d", off.ElapsedNs, on.ElapsedNs)
-	}
-	if off.TotalIOs != on.TotalIOs {
-		t.Errorf("total IOs differ: off=%d on=%d", off.TotalIOs, on.TotalIOs)
-	}
-	if len(off.PerHost) != len(on.PerHost) {
-		t.Fatalf("per-host counts differ: off=%d on=%d", len(off.PerHost), len(on.PerHost))
-	}
-	for i := range off.PerHost {
-		a, b := off.PerHost[i], on.PerHost[i]
-		if (a.Res == nil) != (b.Res == nil) {
-			t.Fatalf("host %d: result presence differs", a.Host)
-		}
-		if a.Res == nil {
-			continue
-		}
-		if x, y := a.Res.ReadLat.Sum(), b.Res.ReadLat.Sum(); x != y {
-			t.Errorf("host %d read latency sums differ: off=%v on=%v", a.Host, x, y)
-		}
-		if x, y := a.Res.WriteLat.Sum(), b.Res.WriteLat.Sum(); x != y {
-			t.Errorf("host %d write latency sums differ: off=%v on=%v", a.Host, x, y)
-		}
-	}
-}

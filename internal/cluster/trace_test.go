@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/fio"
@@ -17,29 +18,50 @@ var updateGolden = flag.Bool("update", false, "regenerate golden trace files")
 // TestTracingDoesNotPerturbTiming is the overhead-discipline contract:
 // a traced run must produce identical virtual-time results to an
 // untraced one, because instrumentation only reads the clock and never
-// sleeps, yields or schedules.
+// sleeps, yields or schedules. Each row runs one entry point untraced
+// and traced, and the two results must be deeply equal.
 func TestTracingDoesNotPerturbTiming(t *testing.T) {
-	spec := fio.JobSpec{
-		Name: "perturb", Op: fio.RandRW, QueueDepth: 4,
-		MaxIOs: 300, WarmupIOs: 10, RangeBlocks: 1 << 14, Seed: 99,
+	rows := []struct {
+		name string
+		run  func(tr *trace.Tracer) (any, error)
+	}{
+		{"ours-remote", func(tr *trace.Tracer) (any, error) {
+			return RunJob(OursRemote, ScenarioConfig{Tracer: tr}, fio.JobSpec{
+				Name: "perturb", Op: fio.RandRW, QueueDepth: 4,
+				MaxIOs: 300, WarmupIOs: 10, RangeBlocks: 1 << 14, Seed: 99,
+			})
+		}},
+		{"multihost-4", func(tr *trace.Tracer) (any, error) {
+			return RunMultiHost(MultiHostConfig{
+				Hosts: 4, QueueDepth: 4, IOsPerHost: 120,
+				Seed: 31, Op: fio.RandRW, Tracer: tr,
+			})
+		}},
+		{"qos-noisy-neighbor", func(tr *trace.Tracer) (any, error) {
+			return RunQoSScenario(QoSRunConfig{
+				Scenario: QoSNoisyNeighbor, QoS: true,
+				DurationNs: 3 * sim.Millisecond, Tracer: tr,
+			})
+		}},
 	}
-	run := func(tr *trace.Tracer) *fio.Result {
-		res, err := RunJob(OursRemote, ScenarioConfig{Tracer: tr}, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	off := run(nil)
-	on := run(trace.New())
-	if off.IOs != on.IOs {
-		t.Errorf("IOs differ: off=%d on=%d", off.IOs, on.IOs)
-	}
-	if a, b := off.ReadLat.Sum(), on.ReadLat.Sum(); a != b {
-		t.Errorf("read latency sums differ: off=%v on=%v", a, b)
-	}
-	if a, b := off.WriteLat.Sum(), on.WriteLat.Sum(); a != b {
-		t.Errorf("write latency sums differ: off=%v on=%v", a, b)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			off, err := row.run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := trace.New()
+			on, err := row.run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tr.Spans()) == 0 {
+				t.Fatal("the traced run recorded no spans")
+			}
+			if !reflect.DeepEqual(off, on) {
+				t.Errorf("traced result differs from untraced:\n off: %+v\n  on: %+v", off, on)
+			}
+		})
 	}
 }
 
