@@ -24,24 +24,10 @@ func runBottleneck(w io.Writer, op fio.Op, opName string, qd, ios int, out strin
 	var b strings.Builder
 
 	for _, s := range cluster.Scenarios() {
-		tr := trace.New()
-		var utils map[string]float64
-		spec := fio.JobSpec{
+		_, rep, err := tracedReport(s, fio.JobSpec{
 			Name: "bottleneck", Op: op, QueueDepth: qd,
 			MaxIOs: ios, WarmupIOs: 0, RangeBlocks: 1 << 16, Seed: 7,
-		}
-		err := cluster.RunWorkload(s, cluster.ScenarioConfig{Tracer: tr}, func(p *sim.Proc, env *cluster.Env) error {
-			uw := env.StartUtilWindow()
-			if _, err := fio.Run(p, env.Queue, spec); err != nil {
-				return err
-			}
-			utils = env.ResourceUtils(uw)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		rep, err := blameReport(string(s), tr.Spans(), utils)
+		}, nil)
 		if err != nil {
 			return err
 		}
@@ -78,18 +64,38 @@ func runBottleneck(w io.Writer, op fio.Op, opName string, qd, ios int, out strin
 	return nil
 }
 
+// tracedReport runs one fio job on scenario s with every IO traced and
+// returns the spans with their ranked blame report, whose utilizations
+// cover the job alone. A non-nil reg also receives the scenario's
+// metrics.
+func tracedReport(s cluster.Scenario, spec fio.JobSpec, reg *trace.Registry) ([]*trace.Span, attr.Report, error) {
+	tr := trace.New()
+	var utils map[string]float64
+	err := cluster.RunWorkload(s, cluster.ScenarioConfig{Tracer: tr}, func(p *sim.Proc, env *cluster.Env) error {
+		if reg != nil {
+			env.WireMetrics(reg)
+		}
+		uw := env.StartUtilWindow()
+		if _, err := fio.Run(p, env.Queue, spec); err != nil {
+			return err
+		}
+		utils = env.ResourceUtils(uw)
+		return nil
+	})
+	if err != nil {
+		return nil, attr.Report{}, err
+	}
+	spans := tr.Spans()
+	rep, err := blameReport(string(s), spans, utils)
+	return spans, rep, err
+}
+
 // blameReport folds spans into a reconciled attribution report,
 // failing on any nonzero residual.
 func blameReport(scenario string, spans []*trace.Span, utils map[string]float64) (attr.Report, error) {
-	bs := attr.NewBlameSet()
-	for _, s := range spans {
-		if resid := bs.AddSpan(s); resid != 0 {
-			return attr.Report{}, fmt.Errorf("%s: span qid=%d cid=%d seq=%d blame residual %d ns != 0",
-				scenario, s.QID, s.CID, s.Seq, resid)
-		}
-	}
-	if bs.Spans == 0 {
-		return attr.Report{}, fmt.Errorf("%s: no spans traced", scenario)
+	bs, err := attr.Fold(spans)
+	if err != nil {
+		return attr.Report{}, fmt.Errorf("%s: %w", scenario, err)
 	}
 	return attr.BuildReport(scenario, bs, utils), nil
 }

@@ -73,7 +73,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/fio"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -235,24 +234,9 @@ func runTrace(w io.Writer, scenario string, op fio.Op, opName string, qd, ios in
 		"events":      fmt.Sprint(st.Events),
 		"virtual_ns":  fmt.Sprint(int64(st.VirtualNs)),
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
 	// Counter tracks (per-queue and controller inflight) render as
 	// Perfetto counter lanes alongside the span rows.
-	if err := trace.WriteChromeWith(f, spans, meta, attr.CounterTracks(spans)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		return err
-	}
-	events, err := trace.ValidateChrome(data)
+	events, err := writeChrome(out, spans, meta, attr.CounterTracks(spans))
 	if err != nil {
 		return err
 	}
@@ -265,6 +249,28 @@ func runTrace(w io.Writer, scenario string, op fio.Op, opName string, qd, ios in
 	}
 	fmt.Fprintf(w, "\nreconciled: stage sum == end-to-end == %d ns\n", e2e)
 	return nil
+}
+
+// writeChrome writes spans and counter tracks to path as a Chrome
+// trace-event file, then validates the file against the trace-event
+// schema and returns its event count.
+func writeChrome(path string, spans []*trace.Span, meta map[string]string, tracks []trace.CounterTrack) (int, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := trace.WriteChromeWith(f, spans, meta, tracks); err != nil {
+		f.Close()
+		return 0, err
+	}
+	if err := f.Close(); err != nil {
+		return 0, err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	return trace.ValidateChrome(data)
 }
 
 // benchRun is one scenario run in BENCH_sim.json.
@@ -407,35 +413,18 @@ func runBaseline(w io.Writer, op fio.Op, ios int, telemetryIntervalNs int64, out
 // registry, returning its stage decomposition, metrics snapshot and
 // ranked bottleneck attribution.
 func tracedBreakdown(s cluster.Scenario, op fio.Op, qd, ios int) (scenarioBreakdown, error) {
-	tr := trace.New()
 	reg := trace.NewRegistry()
-	spec := fio.JobSpec{
+	spans, rep, err := tracedReport(s, fio.JobSpec{
 		Name: "breakdown", Op: op, QueueDepth: qd,
 		MaxIOs: ios, WarmupIOs: 0, RangeBlocks: 1 << 16, Seed: 7,
-	}
-	var utils map[string]float64
-	err := cluster.RunWorkload(s, cluster.ScenarioConfig{Tracer: tr}, func(p *sim.Proc, env *cluster.Env) error {
-		env.WireMetrics(reg)
-		uw := env.StartUtilWindow()
-		if _, err := fio.Run(p, env.Queue, spec); err != nil {
-			return err
-		}
-		utils = env.ResourceUtils(uw)
-		return nil
-	})
+	}, reg)
 	if err != nil {
 		return scenarioBreakdown{}, err
 	}
-	bs := attr.NewBlameSet()
-	bs.AddSpans(tr.Spans())
-	if bs.ResidualNs != 0 {
-		return scenarioBreakdown{}, fmt.Errorf("%s: blame residual %d ns != 0", s, bs.ResidualNs)
-	}
-	rep := attr.BuildReport(string(s), bs, utils)
 	return scenarioBreakdown{
 		Scenario:      string(s),
 		QueueDepth:    qd,
-		Breakdown:     trace.ComputeBreakdown(tr.Spans()),
+		Breakdown:     trace.ComputeBreakdown(spans),
 		Metrics:       reg.Snapshot(),
 		TopBottleneck: rep.Top(),
 		Bottlenecks:   rep.Rows,

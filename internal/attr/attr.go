@@ -6,7 +6,7 @@
 //
 //   - Occupancy accounting (Occ, Window): every contended resource —
 //     per-queue SQ/CQ entries, controller command slots, admin service,
-//     NTB DMA windows, link bytes-in-flight, client bounce slots —
+//     NTB DMA windows, link transactions, client bounce slots —
 //     keeps busy/idle interval accounting on the sim clock. Occ
 //     maintains the exact time integral of its level, so Little's law
 //     (L = λW) holds as an identity, not an estimate: once arrivals

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -64,9 +65,6 @@ func TestOccIdleGaps(t *testing.T) {
 	if got := o.IntegralAsOf(400); got != 110 {
 		t.Fatalf("integral = %d, want 110", got)
 	}
-	if u := o.Utilization(400); u != 110.0/400.0 {
-		t.Fatalf("utilization = %v", u)
-	}
 	integ, resid, balanced := o.LittleCheck()
 	if !balanced || integ != resid {
 		t.Fatalf("identity: integ=%d resid=%d balanced=%v", integ, resid, balanced)
@@ -82,12 +80,6 @@ func TestWindowAccounting(t *testing.T) {
 	}
 	if w.TotalNs != 200 {
 		t.Fatalf("total=%d", w.TotalNs)
-	}
-	if u := w.OfferedUtilization(150); u != 200.0/150.0 {
-		t.Fatalf("offered util = %v", u)
-	}
-	if m := w.MeanBytesInFlight(150); m != (64*100+64*100)/150.0 {
-		t.Fatalf("mean bytes in flight = %v", m)
 	}
 }
 
@@ -213,6 +205,34 @@ func TestBlameUncoveredSpan(t *testing.T) {
 	}
 	if total != 300 {
 		t.Fatalf("sum = %d", total)
+	}
+}
+
+// TestFold: Fold aggregates reconciled spans exactly as AddSpans does,
+// and refuses a set that leaves nothing to attribute.
+func TestFold(t *testing.T) {
+	spans := []*trace.Span{
+		{QID: 3, CID: 2, Start: 0, End: 300, Hops: []trace.Hop{
+			hop(trace.StageSubmit, 20, 60),
+			hop(trace.StageDevice, 100, 200),
+		}},
+		{QID: 3, CID: 3, Start: 100, End: 250, Hops: []trace.Hop{
+			hop(trace.StageSubmit, 100, 250),
+		}},
+	}
+	bs, err := Fold(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewBlameSet()
+	want.AddSpans(spans)
+	if !reflect.DeepEqual(bs, want) {
+		t.Fatalf("Fold = %+v, want %+v", bs, want)
+	}
+	for _, empty := range [][]*trace.Span{nil, {{QID: 1, CID: 1, Start: 50, End: 50}}} {
+		if _, err := Fold(empty); err == nil {
+			t.Errorf("Fold(%d spans, none attributable) succeeded", len(empty))
+		}
 	}
 }
 

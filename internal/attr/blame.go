@@ -1,6 +1,8 @@
 package attr
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/trace"
@@ -180,6 +182,24 @@ func (bs *BlameSet) AddSpans(spans []*trace.Span) {
 	for _, s := range spans {
 		bs.AddSpan(s)
 	}
+}
+
+// Fold folds spans into a new BlameSet. It fails on the first span
+// whose blame does not reconcile exactly with its duration, naming the
+// span, and on a set with no span to attribute: attribution that does
+// not reconcile with end-to-end latency must never be published.
+func Fold(spans []*trace.Span) (*BlameSet, error) {
+	bs := NewBlameSet()
+	for _, s := range spans {
+		if resid := bs.AddSpan(s); resid != 0 {
+			return nil, fmt.Errorf("attr: span qid=%d cid=%d seq=%d: blame residual %d ns != 0",
+				s.QID, s.CID, s.Seq, resid)
+		}
+	}
+	if bs.Spans == 0 {
+		return nil, errors.New("attr: no spans to attribute")
+	}
+	return bs, nil
 }
 
 // blameSpan sweeps the span's client stages over [Start, End]: covered

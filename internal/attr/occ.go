@@ -109,14 +109,6 @@ func (o Occ) BusyAsOf(nowNs int64) int64 {
 	return o.BusyNs
 }
 
-// Utilization is the busy fraction of [0, nowNs].
-func (o Occ) Utilization(nowNs int64) float64 {
-	if nowNs <= 0 {
-		return 0
-	}
-	return float64(o.BusyAsOf(nowNs)) / float64(nowNs)
-}
-
 // LittleCheck reports both sides of the L = λW identity. balanced is
 // true when every arrival has departed, the precondition under which
 // integralNs == residenceNs holds exactly.
@@ -136,9 +128,6 @@ type Window struct {
 	Bytes uint64
 	// TotalNs is the summed interval length — offered busy time.
 	TotalNs int64
-	// ByteNs is Σ bytes·duration; divided by elapsed time it is the
-	// mean bytes-in-flight on the link.
-	ByteNs int64
 }
 
 // Record accounts one interval carrying bytes of payload.
@@ -150,22 +139,4 @@ func (w *Window) Record(startNs, endNs int64, bytes uint64) {
 	w.Count++
 	w.Bytes += bytes
 	w.TotalNs += d
-	w.ByteNs += int64(bytes) * d
-}
-
-// OfferedUtilization is offered busy time over elapsed time; values
-// above 1 mean overlapping in-flight transactions (offered load).
-func (w Window) OfferedUtilization(nowNs int64) float64 {
-	if nowNs <= 0 {
-		return 0
-	}
-	return float64(w.TotalNs) / float64(nowNs)
-}
-
-// MeanBytesInFlight is the time-averaged payload in flight.
-func (w Window) MeanBytesInFlight(nowNs int64) float64 {
-	if nowNs <= 0 {
-		return 0
-	}
-	return float64(w.ByteNs) / float64(nowNs)
 }

@@ -238,23 +238,38 @@ func predictFromBlame(bs *attr.BlameSet, c calib, knob string, f float64) float6
 	return baseline + (f-1)*(service+queue)/n
 }
 
-// evalOutcome is one executed run's measured facts.
-type evalOutcome struct {
-	meanNs    float64
-	spans     int
-	bringupNs int64
+// runner executes one scenario traced by tr under overlay ov and
+// returns its bring-up time: virtual time from scenario start to
+// workload start, or 0 where the scenario does not expose it.
+type runner func(tr *trace.Tracer, ov cluster.LatencyOverlay) (bringupNs int64, err error)
+
+// measure executes run once and folds its spans into a reconciled
+// BlameSet.
+func measure(run runner, ov cluster.LatencyOverlay) (*attr.BlameSet, int64, error) {
+	tr := trace.New()
+	bringupNs, err := run(tr, ov)
+	if err != nil {
+		return nil, 0, err
+	}
+	bs, err := attr.Fold(tr.Spans())
+	return bs, bringupNs, err
 }
 
-// buildReport drives the matrix: every knob x factor executed through
-// eval, predicted through predict, ranked by the measured 0.5x lever.
-func buildReport(scenario, op string, qd, ios int,
-	base evalOutcome,
-	eval func(ov cluster.LatencyOverlay) (evalOutcome, error),
-	predict func(knob string, f float64) float64) (*Report, error) {
+// meanNs is the mean end-to-end latency per folded span.
+func meanNs(bs *attr.BlameSet) float64 { return float64(bs.EndToEndNs) / float64(bs.Spans) }
 
+// runMatrix executes the matrix over one scenario: the baseline run,
+// then every knob x factor counterfactual, each predicted from the
+// baseline's blame and ranked by the measured 0.5x lever.
+func runMatrix(scenario string, qd, ios int, run runner) (*Report, error) {
+	base, baseBringupNs, err := measure(run, nil)
+	if err != nil {
+		return nil, fmt.Errorf("whatif %s: %w", scenario, err)
+	}
+	c := baseCalib(4096) // fio.JobSpec default block size
 	rep := &Report{
-		Scenario: scenario, Op: op, QueueDepth: qd, IOs: ios,
-		Spans: base.spans, BaselineNs: base.meanNs, BaselineBringupNs: base.bringupNs,
+		Scenario: scenario, Op: "read", QueueDepth: qd, IOs: ios,
+		Spans: base.Spans, BaselineNs: meanNs(base), BaselineBringupNs: baseBringupNs,
 	}
 	type knobCells struct {
 		knob  string
@@ -269,22 +284,23 @@ func buildReport(scenario, op string, qd, ios int,
 			if err := ov.Validate(); err != nil {
 				return nil, err
 			}
-			out, err := eval(ov)
+			bs, bringupNs, err := measure(run, ov)
 			if err != nil {
 				return nil, fmt.Errorf("whatif %s %s x%.2f: %w", scenario, knob, f, err)
 			}
-			pred := predict(knob, f)
+			actual := meanNs(bs)
+			pred := predictFromBlame(base, c, knob, f)
 			cell := Cell{
 				Knob: knob, Factor: f,
-				PredictedNs: pred, ActualNs: out.meanNs,
+				PredictedNs: pred, ActualNs: actual,
 				ServiceOnly: ServiceOnly(knob),
-				BringupNs:   out.bringupNs,
+				BringupNs:   bringupNs,
 			}
-			if out.meanNs > 0 {
-				cell.ErrorPct = (pred - out.meanNs) / out.meanNs * 100
+			if actual > 0 {
+				cell.ErrorPct = (pred - actual) / actual * 100
 			}
 			if f == 0.5 {
-				g.gain = base.meanNs - out.meanNs
+				g.gain = rep.BaselineNs - actual
 			}
 			g.cells = append(g.cells, cell)
 		}
@@ -305,112 +321,34 @@ func buildReport(scenario, op string, qd, ios int,
 	return rep, nil
 }
 
-// runFull executes one full-data-path scenario traced under an overlay
-// and folds its spans into a reconciled BlameSet.
-func runFull(s cluster.Scenario, qd, ios int, ov cluster.LatencyOverlay) (*attr.BlameSet, int64, error) {
-	tr := trace.New()
-	spec := fio.JobSpec{
-		Name: "whatif", Op: fio.RandRead, QueueDepth: qd,
-		MaxIOs: ios, WarmupIOs: 0, RangeBlocks: 1 << 16, Seed: 7,
-	}
-	var bringupNs int64
-	err := cluster.RunWorkload(s, cluster.ScenarioConfig{Tracer: tr, Overlay: ov},
-		func(p *sim.Proc, env *cluster.Env) error {
-			bringupNs = int64(p.Now())
-			_, err := fio.Run(p, env.Queue, spec)
-			return err
-		})
-	if err != nil {
-		return nil, 0, err
-	}
-	bs := attr.NewBlameSet()
-	bs.AddSpans(tr.Spans())
-	if bs.ResidualNs != 0 {
-		return nil, 0, fmt.Errorf("whatif %s: blame residual %d ns != 0", s, bs.ResidualNs)
-	}
-	if bs.Spans == 0 {
-		return nil, 0, fmt.Errorf("whatif %s: no spans traced", s)
-	}
-	return bs, bringupNs, nil
-}
-
 // RunScenario executes the sensitivity matrix over one Figure 9
 // scenario (ours-local / ours-remote are the interesting ones: they own
 // the distributed data path).
 func RunScenario(s cluster.Scenario, qd, ios int) (*Report, error) {
-	baseBS, baseBringup, err := runFull(s, qd, ios, nil)
-	if err != nil {
-		return nil, err
+	spec := fio.JobSpec{
+		Name: "whatif", Op: fio.RandRead, QueueDepth: qd,
+		MaxIOs: ios, WarmupIOs: 0, RangeBlocks: 1 << 16, Seed: 7,
 	}
-	c := baseCalib(4096) // fio.JobSpec default block size
-	base := evalOutcome{
-		meanNs:    float64(baseBS.EndToEndNs) / float64(baseBS.Spans),
-		spans:     baseBS.Spans,
-		bringupNs: baseBringup,
-	}
-	return buildReport(string(s), "read", qd, ios, base,
-		func(ov cluster.LatencyOverlay) (evalOutcome, error) {
-			bs, bringup, err := runFull(s, qd, ios, ov)
-			if err != nil {
-				return evalOutcome{}, err
-			}
-			return evalOutcome{
-				meanNs:    float64(bs.EndToEndNs) / float64(bs.Spans),
-				spans:     bs.Spans,
-				bringupNs: bringup,
-			}, nil
-		},
-		func(knob string, f float64) float64 {
-			return predictFromBlame(baseBS, c, knob, f)
-		})
-}
-
-// runMulti executes the multihost sharing scenario traced under an
-// overlay.
-func runMulti(hosts, qd, iosPerHost int, ov cluster.LatencyOverlay) (*attr.BlameSet, error) {
-	tr := trace.New()
-	_, err := cluster.RunMultiHost(cluster.MultiHostConfig{
-		Hosts: hosts, QueueDepth: qd, IOsPerHost: iosPerHost, Seed: 7,
-		Op: fio.RandRead, Tracer: tr, Overlay: ov,
+	return runMatrix(string(s), qd, ios, func(tr *trace.Tracer, ov cluster.LatencyOverlay) (int64, error) {
+		var bringupNs int64
+		err := cluster.RunWorkload(s, cluster.ScenarioConfig{Tracer: tr, Overlay: ov},
+			func(p *sim.Proc, env *cluster.Env) error {
+				bringupNs = int64(p.Now())
+				_, err := fio.Run(p, env.Queue, spec)
+				return err
+			})
+		return bringupNs, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	bs := attr.NewBlameSet()
-	bs.AddSpans(tr.Spans())
-	if bs.ResidualNs != 0 {
-		return nil, fmt.Errorf("whatif multihost: blame residual %d ns != 0", bs.ResidualNs)
-	}
-	if bs.Spans == 0 {
-		return nil, fmt.Errorf("whatif multihost: no spans traced")
-	}
-	return bs, nil
 }
 
 // RunMultiHost executes the matrix over the N-client sharing scenario.
 func RunMultiHost(hosts, qd, iosPerHost int) (*Report, error) {
-	baseBS, err := runMulti(hosts, qd, iosPerHost, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := baseCalib(4096)
-	base := evalOutcome{
-		meanNs: float64(baseBS.EndToEndNs) / float64(baseBS.Spans),
-		spans:  baseBS.Spans,
-	}
-	rep, err := buildReport(fmt.Sprintf("multihost-%d", hosts), "read", qd, iosPerHost, base,
-		func(ov cluster.LatencyOverlay) (evalOutcome, error) {
-			bs, err := runMulti(hosts, qd, iosPerHost, ov)
-			if err != nil {
-				return evalOutcome{}, err
-			}
-			return evalOutcome{
-				meanNs: float64(bs.EndToEndNs) / float64(bs.Spans),
-				spans:  bs.Spans,
-			}, nil
-		},
-		func(knob string, f float64) float64 {
-			return predictFromBlame(baseBS, c, knob, f)
+	return runMatrix(fmt.Sprintf("multihost-%d", hosts), qd, iosPerHost,
+		func(tr *trace.Tracer, ov cluster.LatencyOverlay) (int64, error) {
+			_, err := cluster.RunMultiHost(cluster.MultiHostConfig{
+				Hosts: hosts, QueueDepth: qd, IOsPerHost: iosPerHost, Seed: 7,
+				Op: fio.RandRead, Tracer: tr, Overlay: ov,
+			})
+			return 0, err
 		})
-	return rep, err
 }
