@@ -172,7 +172,7 @@ func runQoS(w io.Writer, out, traceOut string) error {
 
 // writeQoSTrace runs one short traced noisy-neighbor QoS run and writes
 // the Chrome trace with span-derived occupancy tracks plus the sampled
-// control-plane counter lanes.
+// control-plane counter lanes, validated like -trace's file.
 func writeQoSTrace(w io.Writer, path string) error {
 	tr := trace.New()
 	reg := trace.NewRegistry()
@@ -190,20 +190,12 @@ func writeQoSTrace(w io.Writer, path string) error {
 	// The control-plane lanes land on their own synthetic pid, clear of
 	// the per-queue span processes.
 	tracks = append(tracks, pipe.CounterLanes(1000, "qos.", "arrival.", "nvme.arb.")...)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	meta := map[string]string{
 		"scenario": res.Scenario,
 		"qos":      "wrr+admission",
 		"digest":   res.ArrivalDigest,
 	}
-	if err := trace.WriteChromeWith(f, spans, meta, tracks); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if _, err := writeChrome(path, spans, meta, tracks); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote %s (%d spans, %d counter tracks)\n", path, len(spans), len(tracks))
