@@ -59,7 +59,8 @@
 //
 // The -faults, -volume and -qos modes run the fault/recovery, nexus
 // path-death and open-loop QoS scenarios and write JSON reports; -volume
-// fails on a lost write or an unfenced stale writer.
+// fails on a lost write or an unfenced stale writer, and -qos -trace
+// checks its Chrome file against the trace-event schema as -trace does.
 package main
 
 import (

@@ -26,15 +26,9 @@ func TestMultiHostBlameReconcilesExactly(t *testing.T) {
 	if len(spans) < 4*150 {
 		t.Fatalf("only %d spans traced, want >= %d", len(spans), 4*150)
 	}
-	bs := attr.NewBlameSet()
-	for _, s := range spans {
-		if resid := bs.AddSpan(s); resid != 0 {
-			t.Fatalf("span qid=%d cid=%d seq=%d [%d,%d]: residual %d ns != 0",
-				s.QID, s.CID, s.Seq, s.Start, s.End, resid)
-		}
-	}
-	if bs.ResidualNs != 0 {
-		t.Errorf("aggregate residual %d ns != 0", bs.ResidualNs)
+	bs, err := attr.Fold(spans)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if bs.Spans != len(spans) {
 		t.Errorf("blame set counted %d spans, want %d", bs.Spans, len(spans))
