@@ -7,9 +7,11 @@ import (
 	"testing/quick"
 )
 
-// buildRandomWorkload spawns a random graph of sleeping, signalling and
-// queue-passing processes driven by a seeded RNG, recording a trace of
-// (time, proc, step) tuples.
+// buildRandomWorkload spawns a random graph of sleeping, signalling,
+// queue-passing and permit-holding processes driven by a seeded RNG,
+// recording a trace of (time, proc, step) tuples. Pops and acquires block,
+// so they exercise checked wakeups; Shutdown unwinds any process still
+// blocked when the run ends.
 func buildRandomWorkload(seed int64) []string {
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(seed))
@@ -23,13 +25,14 @@ func buildRandomWorkload(seed int64) []string {
 		sigs[i] = NewSignal(k)
 	}
 	q := NewQueue(k)
+	sem := NewSemaphore(k, 1)
 	for i := 0; i < nProcs; i++ {
 		name := fmt.Sprintf("p%d", i)
 		steps := 2 + rng.Intn(6)
 		actions := make([]int, steps)
 		delays := make([]Duration, steps)
 		for s := range actions {
-			actions[s] = rng.Intn(4)
+			actions[s] = rng.Intn(5)
 			delays[s] = Duration(rng.Intn(500))
 		}
 		k.Spawn(name, func(p *Proc) {
@@ -42,9 +45,11 @@ func buildRandomWorkload(seed int64) []string {
 				case 2:
 					q.Push(s)
 				case 3:
-					if _, ok := p.PopTimeout(q, delays[s]+1); !ok {
-						p.Sleep(1)
-					}
+					p.Pop(q)
+				case 4:
+					p.Acquire(sem)
+					p.Sleep(delays[s])
+					sem.Release()
 				}
 				record(p, s)
 			}

@@ -105,6 +105,9 @@ type Signal struct {
 	k       *Kernel
 	waiters []*Proc
 	sets    uint64
+	// ready is the condition a checked wait on the signal waits for; nil
+	// on a plain signal.
+	ready func() bool
 }
 
 // NewSignal creates a signal on k.
@@ -131,6 +134,17 @@ func (s *Signal) Set() {
 func (p *Proc) WaitSignal(s *Signal) {
 	s.waiters = append(s.waiters, p)
 	p.yield()
+}
+
+// waitReady is WaitSignal checked against s.ready: the kernel resumes p
+// only for a Set whose wakeup finds s.ready true, and leaves p waiting on
+// s for the others. p must have no other wakeup pending, such as a
+// timeout, because a wakeup skipped this way does not end p's yield
+// epoch.
+func (p *Proc) waitReady(s *Signal) {
+	p.until = s
+	p.WaitSignal(s)
+	p.until = nil
 }
 
 // WaitSignalTimeout blocks until the next Set or until d elapses, returning

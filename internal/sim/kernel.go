@@ -33,9 +33,11 @@
 // Hot-path design (see DESIGN.md "Performance"): scheduled items are
 // pooled with generation counters (zero allocations per schedule in the
 // steady state), same-timestamp items scheduled during dispatch bypass the
-// heap through a FIFO run queue, and a process that sleeps to a wakeup
+// heap through a FIFO run queue, a process that sleeps to a wakeup
 // that would be the next item anyway advances the clock inline without
-// running the dispatch loop at all.
+// running the dispatch loop at all, and a wakeup of a process in Pop or
+// Acquire that would find nothing to take puts it back on its waiter list
+// without a goroutine switch (checked wakeups).
 package sim
 
 import (
@@ -221,9 +223,10 @@ type Kernel struct {
 	poolMisses   uint64
 	inlineSleeps uint64
 	ticks        uint64
-	// handoffs counts goroutine handoffs of the dispatch loop, and
-	// goStarts the runner goroutines started. Tests pin them; they are
-	// kept off KernelStats so no report gains a series.
+	// handoffs counts goroutine handoffs of the dispatch loop
+	// (KernelStats.Handoffs), and goStarts the runner goroutines started.
+	// Tests pin both; no registry reads either, so no report gains a
+	// series.
 	handoffs uint64
 	goStarts uint64
 }
@@ -237,6 +240,7 @@ type KernelStats struct {
 	PoolMisses   uint64 // item allocations because the pool was empty
 	InlineSleeps uint64 // Sleep fast-path clock advances (no item at all)
 	Ticks        uint64 // ticker firings (not counted in Executed)
+	Handoffs     uint64 // dispatch-loop passes from one goroutine to another
 }
 
 // Stats returns the kernel's scheduler-work counters.
@@ -248,6 +252,7 @@ func (k *Kernel) Stats() KernelStats {
 		PoolMisses:   k.poolMisses,
 		InlineSleeps: k.inlineSleeps,
 		Ticks:        k.ticks,
+		Handoffs:     k.handoffs,
 	}
 }
 
@@ -448,6 +453,9 @@ type Proc struct {
 	// was scheduled in, making stale wakeups self-discarding.
 	epoch uint64
 	dead  bool
+	// until is the signal p blocks on in a checked wait (Pop, Acquire),
+	// nil otherwise.
+	until *Signal
 	// exitEv is created by the first call to Exited.
 	exitEv *Event
 	// body is the process function until its runner starts it; nil
@@ -616,6 +624,10 @@ func (k *Kernel) next() *item {
 // take pops the earliest item and releases it to the pool before acting
 // on it: a callback runs inline; a wakeup returns its process, unless the
 // process has exited or was already resumed in the item's epoch (nil).
+// A wakeup of a process in a checked wait whose condition is false
+// returns nil too: take queues the process on its signal again, where it
+// would have queued itself after finding nothing, with no goroutine
+// switch. During Shutdown every wakeup resumes its process, to unwind it.
 func (k *Kernel) take() *Proc {
 	it := k.next()
 	p, fn := it.proc, it.fn
@@ -625,6 +637,10 @@ func (k *Kernel) take() *Proc {
 	k.put(it)
 	if fn != nil {
 		fn()
+	}
+	if p != nil && p.until != nil && !k.stopping && !p.until.ready() {
+		p.until.waiters = append(p.until.waiters, p)
+		return nil
 	}
 	return p
 }

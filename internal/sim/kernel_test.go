@@ -261,40 +261,6 @@ func TestQueueFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	var ok bool
-	k.Spawn("c", func(p *Proc) {
-		_, ok = p.PopTimeout(q, 50)
-	})
-	k.RunAll()
-	if ok {
-		t.Fatal("PopTimeout returned ok on empty queue")
-	}
-	if k.Now() != 50 {
-		t.Fatalf("clock %d, want 50", k.Now())
-	}
-}
-
-func TestQueuePopTimeoutGetsLateElement(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue(k)
-	var got any
-	var ok bool
-	k.Spawn("c", func(p *Proc) {
-		got, ok = p.PopTimeout(q, 100)
-	})
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(30)
-		q.Push("v")
-	})
-	k.RunAll()
-	if !ok || got != "v" {
-		t.Fatalf("got %v ok=%v, want v true", got, ok)
-	}
-}
-
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(k, 2)

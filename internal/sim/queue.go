@@ -3,6 +3,15 @@ package sim
 // Queue is an unbounded FIFO connecting simulated processes. Push never
 // blocks; Pop blocks the calling process until an element is available.
 // It is the simulation analogue of a Go channel.
+//
+// Push wakes every blocked consumer, in the order they blocked, and the
+// first to run takes the element. The wakeups are checked: a consumer
+// resumes only if the queue is non-empty when its wakeup is dispatched;
+// otherwise the kernel queues it to wait again, where it would have queued
+// itself, with no goroutine switch. Consumers are thus served in
+// wake-all's order. Waking only the longest waiter would change it: a
+// consumer woken for an element the pusher took back would queue again
+// behind the others.
 type Queue struct {
 	k *Kernel
 	// items[head:] are queued; popping advances head, so the backing
@@ -14,7 +23,9 @@ type Queue struct {
 
 // NewQueue creates an empty queue on k.
 func NewQueue(k *Kernel) *Queue {
-	return &Queue{k: k, sig: NewSignal(k)}
+	q := &Queue{k: k, sig: NewSignal(k)}
+	q.sig.ready = func() bool { return q.head < len(q.items) }
+	return q
 }
 
 // Len returns the number of queued elements.
@@ -53,32 +64,17 @@ func (p *Proc) Pop(q *Queue) any {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		p.WaitSignal(q.sig)
-	}
-}
-
-// PopTimeout is Pop with a deadline; ok is false if d elapsed first.
-func (p *Proc) PopTimeout(q *Queue, d Duration) (any, bool) {
-	deadline := p.k.now + d
-	for {
-		if v, ok := q.TryPop(); ok {
-			return v, true
-		}
-		remain := deadline - p.k.now
-		if remain <= 0 {
-			return nil, false
-		}
-		if !p.WaitSignalTimeout(q.sig, remain) {
-			if v, ok := q.TryPop(); ok {
-				return v, true
-			}
-			return nil, false
-		}
+		p.waitReady(q.sig)
 	}
 }
 
 // Semaphore is a counting semaphore for modeling limited resources such as
 // flash channels or DMA engines.
+//
+// Release wakes every blocked acquirer with the same checked wakeups as
+// Queue.Push: the kernel resumes an acquirer only if a permit is free
+// when its wakeup is dispatched, so a contended permit goes to the
+// process plain wake-all would give it to.
 type Semaphore struct {
 	k       *Kernel
 	avail   int
@@ -88,7 +84,9 @@ type Semaphore struct {
 
 // NewSemaphore creates a semaphore with n initial permits.
 func NewSemaphore(k *Kernel, n int) *Semaphore {
-	return &Semaphore{k: k, avail: n, sig: NewSignal(k)}
+	s := &Semaphore{k: k, avail: n, sig: NewSignal(k)}
+	s.sig.ready = func() bool { return s.avail > 0 }
+	return s
 }
 
 // Waiters returns the number of processes currently blocked in Acquire.
@@ -101,7 +99,7 @@ func (s *Semaphore) Waiters() int { return s.waiting }
 func (p *Proc) Acquire(s *Semaphore) {
 	for s.avail <= 0 {
 		s.waiting++
-		p.WaitSignal(s.sig)
+		p.waitReady(s.sig)
 		s.waiting--
 	}
 	s.avail--
