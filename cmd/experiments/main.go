@@ -367,7 +367,7 @@ func zeroCopyLatency(n int, zc bool) float64 {
 
 func thirtyOneHosts() (int, bool) {
 	r, err := cluster.NewRig(cluster.RigConfig{
-		Cluster: cluster.Config{Hosts: 32, MemBytes: 8 << 20},
+		Cluster: cluster.Config{Hosts: 32},
 		NVMe:    []cluster.NVMeConfig{{}},
 	})
 	check(err)
@@ -467,7 +467,7 @@ func oursTenants(k, ios int) (medianNs, iops float64) {
 // queue pair.
 func fabricsTenants(k, ios int) (medianNs, iops float64) {
 	r, err := cluster.NewRig(cluster.RigConfig{
-		Cluster: cluster.Config{Hosts: k + 1, MemBytes: 32 << 20},
+		Cluster: cluster.Config{Hosts: k + 1},
 		NVMe:    []cluster.NVMeConfig{{Flash: flat}},
 	})
 	check(err)

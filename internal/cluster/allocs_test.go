@@ -67,18 +67,17 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 	)
 	for _, op := range []block.Op{block.OpRead, block.OpWrite} {
 		t.Run(op.String(), func(t *testing.T) {
+			// Only the IO path's allocations may be counted, not the
+			// runtime's. A collection clears the runtime's central caches
+			// and wakes its cleanup goroutines, so none runs while
+			// counting, nor during the warm-up, which would leave the
+			// measured IOs to refill those caches.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var m0, m1 runtime.MemStats
-			gcPercent := 0
 			warmQD1IOs(t, op, ios, func(*sim.Proc) {
-				// Only the IO path's allocations may be counted, not the
-				// runtime's. A collection clears the runtime's central
-				// caches and wakes its cleanup goroutines, so none runs
-				// while counting.
-				gcPercent = debug.SetGCPercent(-1)
 				runtime.ReadMemStats(&m0)
 			}, func(*sim.Proc) {
 				runtime.ReadMemStats(&m1)
-				debug.SetGCPercent(gcPercent)
 			})
 			perIO := float64(m1.Mallocs-m0.Mallocs) / ios
 			t.Logf("%.2f allocations per IO", perIO)
@@ -116,4 +115,36 @@ func TestOursRemoteQD1HandoffsPerIO(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBringUpAllocatesOnlyWrittenDRAM pins the cost of simulated DRAM.
+// Each host has 64 MiB, backed per 4 KiB page on first write, so a
+// bring-up allocates only what it writes: under 4 MiB for a Fig. 10
+// scenario with an empty workload and for eight client hosts with one IO
+// each. Dense DRAM would allocate 64 MiB per host.
+func TestBringUpAllocatesOnlyWrittenDRAM(t *testing.T) {
+	const maxBytes = 4 << 20
+	check := func(name string, run func() error) {
+		t.Helper()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.ReadMemStats(&m1)
+		n := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("%s: %.2f MiB allocated", name, float64(n)/(1<<20))
+		if n >= maxBytes {
+			t.Errorf("%s: %.2f MiB allocated, want under %d MiB", name, float64(n)/(1<<20), maxBytes>>20)
+		}
+	}
+	for _, s := range Scenarios() {
+		check(string(s), func() error {
+			return RunWorkload(s, ScenarioConfig{}, func(*sim.Proc, *Env) error { return nil })
+		})
+	}
+	check("multihost-8", func() error {
+		_, err := RunMultiHost(MultiHostConfig{Hosts: 8, IOsPerHost: 1})
+		return err
+	})
 }

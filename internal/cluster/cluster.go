@@ -41,7 +41,8 @@ const DefaultCrossNs int64 = 125
 type Config struct {
 	// Hosts is the number of hosts (≥ 1).
 	Hosts int
-	// MemBytes is per-host DRAM (default 64 MiB).
+	// MemBytes is per-host DRAM (default 64 MiB). Only the pages a run
+	// writes are backed, so an unused size costs nothing.
 	MemBytes uint64
 	// Link is the fabric cost model (defaults applied per pcie).
 	Link pcie.LinkParams

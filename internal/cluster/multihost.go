@@ -134,11 +134,6 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	cc.Hosts = cfg.Hosts + 1
 	if cfg.LocalBaseline {
 		cc.Hosts++
-		if cc.MemBytes == 0 {
-			// The stock driver's default calibration (QD 256, 32-page
-			// PRP pools) needs more DRAM than the lean clients do.
-			cc.MemBytes = 64 << 20
-		}
 	}
 	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
 		Registry: cfg.Registry, Pipeline: cfg.Pipeline,

@@ -16,8 +16,8 @@ import (
 
 // RigConfig parameterizes NewRig.
 type RigConfig struct {
-	// Cluster is the topology. Zero MemBytes and AdapterWindows get the
-	// multi-host defaults: 16 MiB of DRAM and 1024 adapter windows.
+	// Cluster is the topology. A zero AdapterWindows gets the multi-host
+	// default of 1024 adapter windows.
 	Cluster Config
 	// NVMe attaches one controller per entry, entry i on host i.
 	NVMe []NVMeConfig
@@ -71,9 +71,6 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 		return nil, errors.New("cluster: a rig needs at least one controller")
 	}
 	cc := cfg.overlay.applyCluster(cfg.Cluster)
-	if cc.MemBytes == 0 {
-		cc.MemBytes = 16 << 20
-	}
 	if cc.AdapterWindows == 0 {
 		cc.AdapterWindows = 1024
 	}

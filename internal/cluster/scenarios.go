@@ -106,11 +106,6 @@ func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown scenario %q", s)
 	}
-	if cc.MemBytes == 0 {
-		// The stock driver's default calibration (QD 256, 32-page PRP
-		// pools) needs more DRAM than the rig's multi-host default.
-		cc.MemBytes = 64 << 20
-	}
 	if cc.AdapterWindows == 0 {
 		cc.AdapterWindows = 256
 	}

@@ -119,7 +119,7 @@ func TestScenarioDataIntegrity(t *testing.T) {
 // simultaneously."
 func TestE4ThirtyOneHostSharing(t *testing.T) {
 	const hosts = 32 // host 0 runs the manager; hosts 1..31 are clients
-	r, err := NewRig(RigConfig{Cluster: Config{Hosts: hosts, MemBytes: 8 << 20}, NVMe: []NVMeConfig{{}}})
+	r, err := NewRig(RigConfig{Cluster: Config{Hosts: hosts}, NVMe: []NVMeConfig{{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

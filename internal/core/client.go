@@ -765,11 +765,9 @@ func (c *Client) ioAttempt(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf 
 		if opcode == nvme.IOWrite {
 			// Model boundary only: on hardware the request pages already
 			// hold the data (they ARE the pinned pages).
-			s, err := c.node.Host().Slice(partCPU, uint64(n))
-			if err != nil {
+			if err := c.node.Host().Mem().Write(partCPU, buf); err != nil {
 				return err
 			}
-			copy(s, buf)
 		}
 	} else if opcode == nvme.IOWrite {
 		// The extra memcpy in the submission path (§V).
@@ -806,11 +804,10 @@ func (c *Client) ioAttempt(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf 
 	}
 	if opcode == nvme.IORead {
 		if c.params.ZeroCopy {
-			s, err := c.node.Host().Slice(partCPU, uint64(n))
-			if err != nil {
+			// Model boundary; zero copy on hardware.
+			if err := c.node.Host().Mem().Read(partCPU, buf); err != nil {
 				return err
 			}
-			copy(buf, s) // model boundary; zero copy on hardware
 		} else {
 			// The extra memcpy in the completion path (§V).
 			if err := c.node.Host().Read(p, partCPU, buf); err != nil {

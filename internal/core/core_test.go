@@ -27,8 +27,7 @@ type rig struct {
 func newRig(t *testing.T, hosts int, nvmeCfg cluster.NVMeConfig) *rig {
 	t.Helper()
 	cr, err := cluster.NewRig(cluster.RigConfig{
-		// Room for several default clients' multi-MiB bounce partitions.
-		Cluster: cluster.Config{Hosts: hosts, MemBytes: 64 << 20, AdapterWindows: 256},
+		Cluster: cluster.Config{Hosts: hosts, AdapterWindows: 256},
 		NVMe:    []cluster.NVMeConfig{nvmeCfg},
 	})
 	if err != nil {

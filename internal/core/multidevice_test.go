@@ -17,7 +17,7 @@ func TestTwoDevicesTwoManagers(t *testing.T) {
 	// Device A on host 0; device B on host 1 (same BAR address: separate
 	// domains).
 	r, err := cluster.NewRig(cluster.RigConfig{
-		Cluster: cluster.Config{Hosts: 3, MemBytes: 64 << 20, AdapterWindows: 256},
+		Cluster: cluster.Config{Hosts: 3, AdapterWindows: 256},
 		NVMe:    []cluster.NVMeConfig{{Seed: 1}, {Seed: 2}},
 	})
 	if err != nil {

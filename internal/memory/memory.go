@@ -1,9 +1,12 @@
 // Package memory models a host's physical system memory: a contiguous
-// DRAM range with real backing bytes and a first-fit segment allocator.
+// DRAM range backed per 4 KiB page on first write, and a first-fit
+// segment allocator.
 //
 // All queue entries, PRP lists, bounce buffers and data pages in the
-// simulation live in these byte arrays, so data integrity can be verified
+// simulation live in this memory, so data integrity can be verified
 // through every layer (NTB translation, controller DMA, bounce copies).
+// A page no write has reached reads as zeros and holds no bytes, so a
+// host costs only the pages it writes, whatever its size.
 package memory
 
 import (
@@ -18,34 +21,39 @@ type Addr = uint64
 // Errors returned by Memory operations.
 var (
 	ErrOutOfRange = errors.New("memory: access out of range")
+	ErrPageCross  = errors.New("memory: slice crosses a page boundary")
 	ErrNoSpace    = errors.New("memory: allocation failed, no space")
 	ErrBadFree    = errors.New("memory: free of unallocated address")
 	ErrBadAlign   = errors.New("memory: alignment must be a power of two")
 )
 
+// pageSize is the backing granularity and the most one Slice can return.
+const pageSize = 4096
+
+type page = [pageSize]byte
+
 // Memory is one host's DRAM. It is not safe for concurrent use; in the
 // simulation all access is serialized by the event kernel.
 type Memory struct {
-	base Addr
-	data []byte
+	base, size Addr
+	// pages[i] backs the physical page base/pageSize+i. A nil page has
+	// never been written and reads as zeros. The table grows only to the
+	// highest page written.
+	pages []*page
 	// allocated maps segment start -> length.
 	allocated map[Addr]uint64
 	// free list of [start, end) holes, sorted by start.
 	holes []hole
-	// touched is the high-water offset (exclusive, relative to base) of
-	// bytes that may have been written. Everything at or beyond it is
-	// still runtime-zeroed from make, so AllocZeroed can skip it.
-	touched uint64
 }
 
 type hole struct{ start, end Addr }
 
 // New creates a memory of the given size whose first byte is at physical
-// address base.
+// address base. No page is backed until it is written.
 func New(base Addr, size uint64) *Memory {
 	return &Memory{
 		base:      base,
-		data:      make([]byte, size),
+		size:      size,
 		allocated: make(map[Addr]uint64),
 		holes:     []hole{{start: base, end: base + size}},
 	}
@@ -55,11 +63,27 @@ func New(base Addr, size uint64) *Memory {
 func (m *Memory) Base() Addr { return m.base }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
+func (m *Memory) Size() uint64 { return m.size }
 
 // Contains reports whether [addr, addr+n) lies inside the memory.
 func (m *Memory) Contains(addr Addr, n uint64) bool {
-	return addr >= m.base && addr+n >= addr && addr+n <= m.base+uint64(len(m.data))
+	return addr >= m.base && addr+n >= addr && addr+n <= m.base+m.size
+}
+
+// locate returns the table index of addr's page and addr's offset in it.
+func (m *Memory) locate(addr Addr) (int, int) {
+	return int(addr/pageSize - m.base/pageSize), int(addr % pageSize)
+}
+
+// back returns page i, backing it first if no write has reached it.
+func (m *Memory) back(i int) *page {
+	if i >= len(m.pages) {
+		m.pages = append(m.pages, make([]*page, i+1-len(m.pages))...)
+	}
+	if m.pages[i] == nil {
+		m.pages[i] = new(page)
+	}
+	return m.pages[i]
 }
 
 // Read copies len(buf) bytes starting at addr into buf.
@@ -67,36 +91,52 @@ func (m *Memory) Read(addr Addr, buf []byte) error {
 	if !m.Contains(addr, uint64(len(buf))) {
 		return fmt.Errorf("%w: read [%#x,+%d)", ErrOutOfRange, addr, len(buf))
 	}
-	copy(buf, m.data[addr-m.base:])
+	for len(buf) > 0 {
+		i, off := m.locate(addr)
+		n := min(len(buf), pageSize-off)
+		if i < len(m.pages) && m.pages[i] != nil {
+			copy(buf, m.pages[i][off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		addr += uint64(n)
+	}
 	return nil
 }
 
-// Write copies data into memory starting at addr.
+// Write copies data into memory starting at addr, backing every page it
+// reaches.
 func (m *Memory) Write(addr Addr, data []byte) error {
 	if !m.Contains(addr, uint64(len(data))) {
 		return fmt.Errorf("%w: write [%#x,+%d)", ErrOutOfRange, addr, len(data))
 	}
-	copy(m.data[addr-m.base:], data)
-	if end := addr - m.base + uint64(len(data)); end > m.touched {
-		m.touched = end
+	for len(data) > 0 {
+		i, off := m.locate(addr)
+		n := copy(m.back(i)[off:], data)
+		data = data[n:]
+		addr += uint64(n)
 	}
 	return nil
 }
 
-// Slice returns the backing bytes for [addr, addr+n) without copying.
-// Mutating the returned slice mutates memory; this is how "CPU" code in the
-// simulation gets zero-copy access to local structures like CQ entries.
+// Slice returns a view of [addr, addr+n) without copying, like a kernel's
+// kmap of one page: the range must lie within one 4 KiB page, or Slice
+// returns ErrPageCross. Mutating the returned slice mutates memory; this
+// is how "CPU" code in the simulation gets zero-copy access to local
+// structures like CQ entries. A range that spans pages is copied with
+// Read and Write instead.
 func (m *Memory) Slice(addr Addr, n uint64) ([]byte, error) {
 	if !m.Contains(addr, n) {
 		return nil, fmt.Errorf("%w: slice [%#x,+%d)", ErrOutOfRange, addr, n)
 	}
-	off := addr - m.base
-	// The caller may write through the slice; conservatively raise the
-	// high-water mark.
-	if off+n > m.touched {
-		m.touched = off + n
+	i, off := m.locate(addr)
+	if uint64(off)+n > pageSize {
+		return nil, fmt.Errorf("%w: slice [%#x,+%d)", ErrPageCross, addr, n)
 	}
-	return m.data[off : off+n : off+n], nil
+	// The caller may write through the view, so its page is backed.
+	end := off + int(n)
+	return m.back(i)[off:end:end], nil
 }
 
 func alignUp(a Addr, align uint64) Addr {
@@ -136,17 +176,23 @@ func (m *Memory) Alloc(size, align uint64) (Addr, error) {
 }
 
 // AllocZeroed is Alloc followed by zero-filling the segment; allocations
-// may land on previously freed, dirty bytes. Only the part of the segment
-// below the touched high-water mark needs clearing — the rest has never
-// been written and is still zero from make.
+// may land on previously freed, dirty bytes. Only backed pages need
+// clearing: the rest read as zeros already.
 func (m *Memory) AllocZeroed(size, align uint64) (Addr, error) {
 	a, err := m.Alloc(size, align)
 	if err != nil {
 		return 0, err
 	}
-	off := a - m.base
-	if zend := min(off+size, m.touched); zend > off {
-		clear(m.data[off:zend])
+	for addr, end := a, a+size; addr < end; {
+		i, off := m.locate(addr)
+		if i >= len(m.pages) {
+			break
+		}
+		n := min(end-addr, uint64(pageSize-off))
+		if pg := m.pages[i]; pg != nil {
+			clear(pg[off : off+int(n)])
+		}
+		addr += n
 	}
 	return a, nil
 }

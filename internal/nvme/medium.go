@@ -3,6 +3,7 @@ package nvme
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -70,16 +71,21 @@ func DefaultFlashParams() FlashParams {
 	}
 }
 
-// FlashMedium is a deterministic (seeded) flash model with per-block
-// backing storage, bounded channel parallelism and an Optane-like latency
+// FlashMedium is a deterministic (seeded) flash model with sparse backing
+// storage, bounded channel parallelism and an Optane-like latency
 // distribution.
 type FlashMedium struct {
 	params    FlashParams
 	blockSize int
 	blocks    uint64
-	data      map[uint64][]byte // sparse: lba -> block contents
-	chans     *sim.Semaphore
-	rng       *rand.Rand
+	// pages is the sparse store, keyed by page number. A page holds
+	// perPage consecutive blocks: 4 KiB of them, or one block when
+	// blocks are larger. Only written blocks hold nonzero bytes.
+	pages   map[uint64]flashPage
+	perPage int
+	written int // blocks marked written across all pages
+	chans   *sim.Semaphore
+	rng     *rand.Rand
 
 	// Reads / Writes / Flushes / Trims count operations for tests and
 	// tools; BlocksRead / BlocksWritten count logical blocks moved.
@@ -126,11 +132,30 @@ func NewFlashMedium(k *sim.Kernel, blockSize int, blocks uint64, params FlashPar
 		params:    params,
 		blockSize: blockSize,
 		blocks:    blocks,
-		data:      make(map[uint64][]byte),
+		pages:     make(map[uint64]flashPage),
+		perPage:   max(1, min(PageSize/blockSize, 64)),
 		chans:     sim.NewSemaphore(k, params.Channels),
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
+
+// flashPage is one page of the sparse store. Bit i of written marks
+// block i of the page as written.
+type flashPage struct {
+	data    []byte
+	written uint64
+}
+
+// span returns the page holding block lba, the block's slot in it, and
+// how many of the nblk blocks from lba lie in that page.
+func (f *FlashMedium) span(lba uint64, nblk int) (pg uint64, slot, n int) {
+	pg, slot = lba/uint64(f.perPage), int(lba%uint64(f.perPage))
+	return pg, slot, min(nblk, f.perPage-slot)
+}
+
+// blockMask returns the written bits of n blocks from slot. A shift by 64
+// yields 0, so a full 64-block page gets every bit.
+func blockMask(slot, n int) uint64 { return (uint64(1)<<n - 1) << slot }
 
 // BlockSize implements Medium.
 func (f *FlashMedium) BlockSize() int { return f.blockSize }
@@ -191,15 +216,16 @@ func (f *FlashMedium) Read(p *sim.Proc, lba uint64, nblk int, buf []byte) error 
 		f.failReads--
 		return ErrMediaRead
 	}
-	for i := 0; i < nblk; i++ {
-		dst := buf[i*f.blockSize : (i+1)*f.blockSize]
-		if blk, ok := f.data[lba+uint64(i)]; ok {
-			copy(dst, blk)
+	bs := f.blockSize
+	for i := 0; i < nblk; {
+		pg, slot, n := f.span(lba+uint64(i), nblk-i)
+		dst := buf[i*bs : (i+n)*bs]
+		if page, ok := f.pages[pg]; ok {
+			copy(dst, page.data[slot*bs:])
 		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
+			clear(dst)
 		}
+		i += n
 	}
 	f.Reads++
 	f.BlocksRead += uint64(nblk)
@@ -218,15 +244,22 @@ func (f *FlashMedium) Write(p *sim.Proc, lba uint64, nblk int, data []byte) erro
 		f.failWrites--
 		return ErrMediaWrite
 	}
-	// A written block is overwritten in place: only Trim drops blocks and
+	// A written page is overwritten in place: only Trim drops pages and
 	// Read copies them out, so nothing else holds one.
-	for i := 0; i < nblk; i++ {
-		src := data[i*f.blockSize : (i+1)*f.blockSize]
-		if blk, ok := f.data[lba+uint64(i)]; ok {
-			copy(blk, src)
-		} else {
-			f.data[lba+uint64(i)] = append([]byte(nil), src...)
+	bs := f.blockSize
+	for i := 0; i < nblk; {
+		pg, slot, n := f.span(lba+uint64(i), nblk-i)
+		page, ok := f.pages[pg]
+		if !ok {
+			page.data = make([]byte, f.perPage*bs)
 		}
+		copy(page.data[slot*bs:], data[i*bs:(i+n)*bs])
+		if m := blockMask(slot, n); page.written&m != m {
+			f.written += bits.OnesCount64(m &^ page.written)
+			page.written |= m
+			f.pages[pg] = page
+		}
+		i += n
 	}
 	f.Writes++
 	f.BlocksWritten += uint64(nblk)
@@ -240,15 +273,29 @@ func (f *FlashMedium) Flush(p *sim.Proc) error {
 	return nil
 }
 
-// Trim implements Medium: deallocated blocks are dropped from the sparse
-// store and read back as zeros.
+// Trim implements Medium: deallocated blocks are cleared and unmarked,
+// a page with no written block left is dropped from the sparse store, and
+// all of them read back as zeros.
 func (f *FlashMedium) Trim(p *sim.Proc, lba uint64, nblk int) error {
 	if nblk <= 0 || lba+uint64(nblk) < lba || lba+uint64(nblk) > f.blocks {
 		return fmt.Errorf("nvme: trim out of range: %d+%d of %d", lba, nblk, f.blocks)
 	}
 	p.Sleep(f.params.TrimNs)
-	for i := 0; i < nblk; i++ {
-		delete(f.data, lba+uint64(i))
+	bs := f.blockSize
+	for i := 0; i < nblk; {
+		pg, slot, n := f.span(lba+uint64(i), nblk-i)
+		page := f.pages[pg]
+		if m := blockMask(slot, n) & page.written; m != 0 {
+			f.written -= bits.OnesCount64(m)
+			page.written &^= m
+			if page.written == 0 {
+				delete(f.pages, pg)
+			} else {
+				clear(page.data[slot*bs : (slot+n)*bs])
+				f.pages[pg] = page
+			}
+		}
+		i += n
 	}
 	f.Trims++
 	return nil
@@ -256,4 +303,4 @@ func (f *FlashMedium) Trim(p *sim.Proc, lba uint64, nblk int) error {
 
 // WrittenBlocks returns how many distinct blocks hold data; tests use it to
 // check write coverage without scanning the capacity.
-func (f *FlashMedium) WrittenBlocks() int { return len(f.data) }
+func (f *FlashMedium) WrittenBlocks() int { return f.written }

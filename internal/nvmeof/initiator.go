@@ -307,11 +307,10 @@ func (ini *Initiator) ReadBlocks(p *sim.Proc, lba uint64, nblk int, buf []byte) 
 	if resp.Status != nvme.StatusOK {
 		return fmt.Errorf("%w: status %#x", ErrIOFailed, resp.Status)
 	}
-	data, err := ini.host.Slice(slotAddr, uint64(n))
-	if err != nil {
+	// Model boundary: these are the same pages on hardware.
+	if err := ini.host.Mem().Read(slotAddr, buf); err != nil {
 		return err
 	}
-	copy(buf, data) // model boundary: these are the same pages on hardware
 	ini.Reads++
 	return nil
 }
@@ -340,11 +339,10 @@ func (ini *Initiator) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte
 		inline = data
 	} else {
 		slotAddr := ini.slotBuf + pcie.Addr(uint64(slot)*ini.params.SlotBytes)
-		stage, err := ini.host.Slice(slotAddr, uint64(n))
-		if err != nil {
+		// Model boundary: same pages on hardware.
+		if err := ini.host.Mem().Write(slotAddr, data); err != nil {
 			return err
 		}
-		copy(stage, data) // model boundary: same pages on hardware
 		cap.RAddr = uint64(slotAddr)
 	}
 	resp, err := ini.exec(p, cap, inline)

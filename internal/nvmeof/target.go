@@ -216,11 +216,11 @@ func (c *conn) handle(p *sim.Proc) {
 // exclusively owned until it is reposted, so workers never share staging.
 func (c *conn) serveOne(p *sim.Proc, slot uint64) {
 	bufAddr := c.recvBuf + pcie.Addr(slot*c.bufSize)
-	raw, err := c.t.host.Slice(bufAddr, c.bufSize)
-	if err != nil {
+	var hdr [CmdHeaderSize]byte
+	if err := c.t.host.Mem().Read(bufAddr, hdr[:]); err != nil {
 		return
 	}
-	cap, err := UnmarshalCmdCapsule(raw)
+	cap, err := UnmarshalCmdCapsule(hdr[:])
 	if err != nil {
 		c.qp.PostRecv(slot, bufAddr, int(c.bufSize))
 		return

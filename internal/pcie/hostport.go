@@ -166,8 +166,9 @@ func (h *HostPort) PathInfo(addr Addr, n int) (crossings int, oneWayNs int64) {
 	return res.Crossings, res.OneWayNs
 }
 
-// Slice returns a zero-copy view of local DRAM; it fails for non-local
-// addresses.
+// Slice returns a zero-copy view of local DRAM within one 4 KiB page
+// (memory.Memory.Slice); it fails for non-local addresses and for a range
+// that crosses a page. Copy a longer range with Mem().Read or Write.
 func (h *HostPort) Slice(addr Addr, n uint64) ([]byte, error) {
 	return h.mem.Slice(addr, n)
 }
