@@ -9,19 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// warmQD1IOs runs ios ours-remote 4 KiB QD1 IOs of op after a warm-up,
+// warmQD1IOs runs ios 4 KiB QD1 IOs of op on scenario s after a warm-up,
 // calling begin just before them and end just after, all inside one
 // RunWorkload body on one P. The warm-up writes every IO slot and then
 // runs 1000 IOs of op, so runners, posted-write records and per-command
 // buffers are all made, and every measured IO lands on a block already
 // written, which the medium overwrites in place.
-func warmQD1IOs(t *testing.T, op block.Op, ios int, begin, end func(p *sim.Proc)) {
+func warmQD1IOs(t *testing.T, s Scenario, op block.Op, ios int, begin, end func(p *sim.Proc)) {
 	t.Helper()
 	const (
 		warmIOs = 1000
 		slots   = 1 << 10 // 4 KiB IO slots the warm-up writes in full
 	)
-	err := RunWorkload(OursRemote, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
+	err := RunWorkload(s, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
 		// Run on one P, as testing.AllocsPerRun does: a wakeup that finds
 		// another P idle can make the runtime start a thread, whose
 		// structures it allocates. The warm-up then also fills the
@@ -74,7 +74,7 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 			// measured IOs to refill those caches.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var m0, m1 runtime.MemStats
-			warmQD1IOs(t, op, ios, func(*sim.Proc) {
+			warmQD1IOs(t, OursRemote, op, ios, func(*sim.Proc) {
 				runtime.ReadMemStats(&m0)
 			}, func(*sim.Proc) {
 				runtime.ReadMemStats(&m1)
@@ -89,29 +89,48 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 }
 
 // TestOursRemoteQD1HandoffsPerIO pins the goroutine switches of the IO
-// path. After the warm-up, an ours-remote 4 KiB QD1 IO passes the
-// kernel's dispatch loop between goroutines at most 8 times: the block
-// worker 3, the client poller 2, the controller, its command process and
-// the fio job 1 each. The block queue's 15 other idle workers are woken by
-// every request too, but their checked wakeups find the queue empty and
-// resume none of them; resuming each would take 24.
+// path in each Fig. 10 scenario, so every completion path has a row: the
+// client's polled CQ (ours-remote, ours-local), the stock driver's ISR
+// (linux-local) and the NVMe-oF target's poller (nvmeof-remote). After
+// the warm-up, an ours-remote 4 KiB QD1 IO passes the kernel's dispatch
+// loop between goroutines at most 8 times: the block worker 3, the
+// client's reaper 2, the controller, its command process and the fio job
+// 1 each. The block queue's 15 other idle workers are woken by every
+// request too, but their checked wakeups find the queue empty and resume
+// none of them; resuming each would take 24. An NVMe-oF IO takes more,
+// because rdma and the target spawn a process per message and per
+// command.
 func TestOursRemoteQD1HandoffsPerIO(t *testing.T) {
-	const (
-		ios      = 2000
-		maxPerIO = 8
-	)
+	const ios = 2000
+	scenarios := []struct {
+		s           Scenario
+		read, write float64 // most handoffs per IO
+	}{
+		{OursRemote, 8, 8},
+		{OursLocal, 8, 8},
+		{LinuxLocal, 8, 8},
+		{NVMeoFRemote, 27, 18},
+	}
 	for _, op := range []block.Op{block.OpRead, block.OpWrite} {
 		t.Run(op.String(), func(t *testing.T) {
-			var h0, h1 uint64
-			warmQD1IOs(t, op, ios, func(p *sim.Proc) {
-				h0 = p.Kernel().Stats().Handoffs
-			}, func(p *sim.Proc) {
-				h1 = p.Kernel().Stats().Handoffs
-			})
-			perIO := float64(h1-h0) / ios
-			t.Logf("%.2f handoffs per IO", perIO)
-			if perIO > maxPerIO {
-				t.Errorf("%.2f handoffs per IO, want at most %d", perIO, maxPerIO)
+			for _, tc := range scenarios {
+				maxPerIO := tc.read
+				if op == block.OpWrite {
+					maxPerIO = tc.write
+				}
+				t.Run(string(tc.s), func(t *testing.T) {
+					var h0, h1 uint64
+					warmQD1IOs(t, tc.s, op, ios, func(p *sim.Proc) {
+						h0 = p.Kernel().Stats().Handoffs
+					}, func(p *sim.Proc) {
+						h1 = p.Kernel().Stats().Handoffs
+					})
+					perIO := float64(h1-h0) / ios
+					t.Logf("%.2f handoffs per IO", perIO)
+					if perIO > maxPerIO {
+						t.Errorf("%.2f handoffs per IO, want at most %g", perIO, maxPerIO)
+					}
+				})
 			}
 		})
 	}

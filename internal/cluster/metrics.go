@@ -114,7 +114,7 @@ func WireClientMetrics(reg *trace.Registry, cl *core.Client, host int) {
 	hl := trace.L("host", host)
 	reg.GaugeFunc("core.client.reads", func() float64 { return float64(cl.Reads) }, hl)
 	reg.GaugeFunc("core.client.writes", func() float64 { return float64(cl.Writes) }, hl)
-	reg.GaugeFunc("core.client.polls", func() float64 { return float64(cl.Polls) }, hl)
+	reg.GaugeFunc("core.client.polls", func() float64 { return float64(cl.Polls()) }, hl)
 	reg.GaugeFunc("core.client.bounce_bytes", func() float64 { return float64(cl.BounceBytes) }, hl)
 	qv := cl.QueueView()
 	reg.GaugeFunc("core.client.sq_doorbells", func() float64 { return float64(qv.SQDoorbells) }, hl)

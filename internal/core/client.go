@@ -122,7 +122,7 @@ type ClientParams struct {
 	// HeartbeatNs, when nonzero, starts a heartbeat process that
 	// refreshes this client's session lease at the manager. Required for
 	// a manager running with LeaseNs if the client is to survive the
-	// reaper; see ManagerParams.LeaseNs.
+	// lease reaper; see ManagerParams.LeaseNs.
 	HeartbeatNs int64
 	// ZeroCopy enables the §V future-work IOMMU path: request buffers
 	// live in a pinned pool with a static NTB window (as the bounce
@@ -212,36 +212,31 @@ type Client struct {
 	dataBase uint64 // offset of data partitions
 	slotFree *sim.Semaphore
 	slots    []bool
-	// pending maps an in-flight command's CID to its completion event;
-	// the poller triggers it with the CQE status (a uint16) as payload.
-	pending map[uint16]*sim.Event
+	// reaper is the completion loop. It outlives Close until the
+	// quarantine is drained: it is the only path that can release a
+	// quarantined slot, so Crash, or Close after the drain, stops it.
+	reaper *nvme.Reaper
 	// quarantine maps an abandoned (timed-out / doorbell-lost) command's
 	// CID to the bounce slot it still owns: the device may yet DMA into
 	// that partition, so the slot is only released when the late
-	// completion drains through the poller. quarCount mirrors len() so
+	// completion drains through the reaper. quarCount mirrors len() so
 	// QuarantinedSlots is safe from scrape goroutines outside the sim loop.
 	quarantine map[uint16]int
 	quarCount  atomic.Int32
 	// quarDrained fires whenever the quarantine empties; Close waits on it
 	// before tearing down DMA windows (see Close).
 	quarDrained *sim.Signal
-	cqSignal    *sim.Signal
 	hbStop      *sim.Signal
 	hbQuit      bool
-	unwatch     func()
 	closed      bool
-	// pollerStop asks the poller to exit at its next wakeup: set by Close
-	// once the quarantine is drained, just before queue teardown.
-	pollerStop bool
 	// crashed is atomic: Crashed() is wired into telemetry gauges and may
 	// be read from the HTTP scrape goroutine while the sim mutates it.
 	crashed atomic.Bool
 
 	// Reads/Writes/Flushes count completed operations.
 	Reads, Writes, Flushes uint64
-	// Polls counts completion-poll sweep wakeups; BounceBytes counts bytes
-	// staged through (or out of) the bounce partitions.
-	Polls       uint64
+	// BounceBytes counts bytes staged through (or out of) the bounce
+	// partitions.
 	BounceBytes uint64
 	// Recovery counters. TimedOut counts commands abandoned at the I/O
 	// timeout; Retries counts resubmissions of transient failures;
@@ -307,7 +302,7 @@ func (s PhaseStats) Mean() (submit, dataMove, device, complete float64) {
 // NewClient bootstraps a client on node: it reads the manager's metadata
 // segment, acquires a shared device reference, allocates queue memory per
 // the placement policy with SmartIO hints, requests a queue pair from the
-// manager and registers the completion poller.
+// manager and starts the completion reaper.
 func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node, mgr *Manager, params ClientParams) (*Client, error) {
 	params = params.withDefaults()
 	c := &Client{
@@ -315,7 +310,6 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		node:       node,
 		mgr:        mgr,
 		params:     params,
-		pending:    make(map[uint16]*sim.Event),
 		quarantine: make(map[uint16]int),
 	}
 	meta, err := readMetadata(p, node, mgr.Node().ID)
@@ -364,7 +358,6 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		ref.Release()
 		return nil, err
 	}
-	c.prebuildPRPLists(slots)
 
 	var msiDevAddr uint64
 	if params.UseInterrupts {
@@ -402,11 +395,15 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		return nil, err
 	}
 	c.iv = grant.IV
+	// The lists point where the controller reaches the partitions: the
+	// static bounce window, or in zero-copy mode the slots' fixed IOVAs.
+	prpBase := c.bounce.DevAddr + c.dataBase
 	if params.ZeroCopy {
 		c.iovaBase = grant.IOVABase
 		c.mmu = mgr.IOMMU()
-		c.rebuildPRPListsForIOVA(slots)
+		prpBase = c.iovaBase
 	}
+	c.writePRPLists(slots, prpBase)
 	if grant.Depth != depth {
 		depth = grant.Depth
 	}
@@ -422,31 +419,36 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		sqCPUAddr, c.cqSeg.CPUAddr,
 		c.bar+nvme.SQTailDoorbell(grant.QID, grant.DSTRD),
 		c.bar+nvme.CQHeadDoorbell(grant.QID, grant.DSTRD))
-	c.view.EnableLocking(node.Host().Domain().Kernel())
 	// At QD>1, the locked view coalesces burst submitters' SQ tail
-	// doorbells (one NTB MMIO write per burst) and the poller rings the
+	// doorbells (one NTB MMIO write per burst) and the reaper rings the
 	// CQ head once per sweep instead of per entry — both doorbells cross
 	// the fabric here, so coalescing removes remote posted writes from
 	// the hot path.
-	c.view.LazyCQ = true
+	c.view.EnableLocking(node.Host().Domain().Kernel())
 	c.view.Tracer = params.Tracer
 
 	c.slotFree = sim.NewSemaphore(node.Host().Domain().Kernel(), slots)
 	c.slots = make([]bool, slots)
-	c.cqSignal = sim.NewSignal(node.Host().Domain().Kernel())
-	if params.UseInterrupts {
-		// Wake the completion handler from the MSI mailbox write.
-		c.unwatch = node.Host().Watch(
-			pcie.Range{Base: c.msiSeg.Seg.Addr, Size: 64},
-			func(pcie.Addr, int) { c.cqSignal.Set() })
-	} else {
-		c.unwatch = node.Host().Watch(
-			pcie.Range{Base: c.cqSeg.Seg.Addr, Size: uint64(depth * nvme.CQESize)},
-			func(pcie.Addr, int) { c.cqSignal.Set() })
-	}
 	c.hbStop = sim.NewSignal(node.Host().Domain().Kernel())
 	c.quarDrained = sim.NewSignal(node.Host().Domain().Kernel())
-	node.Host().Domain().Kernel().Spawn(name+"/poller", c.poller)
+	// Polling wakes on the CQE landing in the CQ ring and pays the poll
+	// check; interrupts wake on the MSI mailbox write and pay IRQ entry.
+	// A link outage backs off and keeps serving: exiting would strand
+	// every in-flight command.
+	rp := nvme.ReaperParams{
+		WakeNs:  params.PollCheckNs,
+		Orphan:  c.reapQuarantined,
+		Retry:   func(err error) bool { return errors.Is(err, ntb.ErrLinkDown) },
+		RetryNs: 4 * params.PollCheckNs,
+	}
+	if params.UseInterrupts {
+		rp.Edge = pcie.Range{Base: c.msiSeg.Seg.Addr, Size: 64}
+		rp.WakeNs = params.IRQEntryNs
+	}
+	if c.reaper, err = nvme.NewReaper(name+"/poller", node.Host(), c.view, rp); err != nil {
+		ref.Release()
+		return nil, err
+	}
 	if params.HeartbeatNs > 0 {
 		node.Host().Domain().Kernel().Spawn(name+"/heartbeat", c.heartbeat)
 	}
@@ -476,10 +478,11 @@ func (c *Client) heartbeat(p *sim.Proc) {
 	}
 }
 
-// prebuildPRPLists writes, once, the PRP list page for every slot: entry
-// j points at page j+1 of that slot's partition. This is the "DMA
-// descriptors programmed once" optimization of §V.
-func (c *Client) prebuildPRPLists(slots int) {
+// writePRPLists writes, once, the PRP list page for every slot: entry j
+// points at page j+1 of that slot's partition, the partitions starting
+// at base in the controller's view. This is the "DMA descriptors
+// programmed once" optimization of §V.
+func (c *Client) writePRPLists(slots int, base uint64) {
 	pagesPerPart := int(c.params.PartitionBytes / nvme.PageSize)
 	for s := 0; s < slots; s++ {
 		list, err := c.node.Host().Slice(c.bounce.Seg.Addr+c.listBase+uint64(s)*nvme.PageSize, nvme.PageSize)
@@ -487,26 +490,7 @@ func (c *Client) prebuildPRPLists(slots int) {
 			panic(fmt.Sprintf("core: bounce list slice: %v", err))
 		}
 		for j := 1; j < pagesPerPart && j*8+8 <= len(list); j++ {
-			addr := c.bounce.DevAddr + c.dataBase + uint64(s)*c.params.PartitionBytes + uint64(j)*nvme.PageSize
-			for i := 0; i < 8; i++ {
-				list[(j-1)*8+i] = byte(addr >> (8 * i))
-			}
-		}
-	}
-}
-
-// rebuildPRPListsForIOVA rewrites the per-slot PRP lists to point at the
-// slot's fixed IOVA pages instead of the static window addresses: in
-// zero-copy mode the controller reaches data through the IOMMU.
-func (c *Client) rebuildPRPListsForIOVA(slots int) {
-	pagesPerPart := int(c.params.PartitionBytes / nvme.PageSize)
-	for s := 0; s < slots; s++ {
-		list, err := c.node.Host().Slice(c.bounce.Seg.Addr+c.listBase+uint64(s)*nvme.PageSize, nvme.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("core: list slice: %v", err))
-		}
-		for j := 1; j < pagesPerPart && j*8+8 <= len(list); j++ {
-			addr := c.iovaBase + uint64(s)*c.params.PartitionBytes + uint64(j)*nvme.PageSize
+			addr := base + uint64(s)*c.params.PartitionBytes + uint64(j)*nvme.PageSize
 			for i := 0; i < 8; i++ {
 				list[(j-1)*8+i] = byte(addr >> (8 * i))
 			}
@@ -527,75 +511,25 @@ func (c *Client) QueueView() *nvme.QueueView { return c.view }
 // Placement returns the SQ placement in effect.
 func (c *Client) Placement() SQPlacement { return c.params.Placement }
 
-// poller is the completion process. In polling mode it wakes when DMA
-// lands in the CQ ring (the polling loop noticing new entries); in
-// interrupt mode it wakes from the MSI mailbox write and pays the IRQ
-// entry latency before draining the CQ.
-func (c *Client) poller(p *sim.Proc) {
-	for {
-		// The poller outlives Close until the quarantine is drained: it is
-		// the only path that can legally release a quarantined slot, so it
-		// exits on Crash or on Close's explicit stop (set after the drain),
-		// never on the closed flag alone.
-		if c.crashed.Load() || c.pollerStop {
-			return
-		}
-		// The CQ signal is edge-triggered: a Set with no waiter is lost.
-		// Capture the set counter before reading the ring so a CQE whose
-		// DMA lands between the (empty) poll and the WaitSignal below is
-		// detected and re-polled instead of sleeping until the I/O
-		// timeout — the QD4 flow-control stall: the unreaped CQE keeps
-		// the CQ occupied and the controller blocked on CQ space.
-		seq := c.cqSignal.Sets()
-		cqe, ok, err := c.view.Poll(p, c.node.Host())
-		if err != nil {
-			if c.crashed.Load() || c.pollerStop || !errors.Is(err, ntb.ErrLinkDown) {
-				return
-			}
-			// Transient link outage: back off and keep serving — dying here
-			// would strand every in-flight command.
-			p.Sleep(4 * c.params.PollCheckNs)
-			continue
-		}
-		if !ok {
-			// Sweep done: commit the CQ head doorbell for everything
-			// consumed before blocking (the controller stalls on a
-			// full-looking CQ otherwise).
-			if err := c.view.FlushCQ(p, c.node.Host()); err != nil {
-				if c.crashed.Load() || c.pollerStop || !errors.Is(err, ntb.ErrLinkDown) {
-					return
-				}
-				// The head update is retried on the next sweep; the queue
-				// view kept its unrung count.
-				p.Sleep(4 * c.params.PollCheckNs)
-				continue
-			}
-			if c.cqSignal.Sets() == seq {
-				p.WaitSignal(c.cqSignal)
-			}
-			c.Polls++
-			if c.params.UseInterrupts {
-				p.Sleep(c.params.IRQEntryNs)
-			} else {
-				p.Sleep(c.params.PollCheckNs)
-			}
-			continue
-		}
-		if done, exists := c.pending[cqe.CID]; exists {
-			delete(c.pending, cqe.CID)
-			done.Trigger(cqe.Status())
-		} else if slot, held := c.quarantine[cqe.CID]; held {
-			// The late completion of an abandoned command: only now is its
-			// bounce partition safe to hand to another request.
-			delete(c.quarantine, cqe.CID)
-			c.quarCount.Store(int32(len(c.quarantine)))
-			c.releaseSlot(slot)
-			c.LateCompletions++
-			if len(c.quarantine) == 0 {
-				// Close may be blocked on the drain; let it finish teardown.
-				c.quarDrained.Set()
-			}
-		}
+// Polls counts the reaper's wakeups: each resume of the completion loop
+// after an empty CQ sweep.
+func (c *Client) Polls() uint64 { return c.reaper.Wakeups }
+
+// reapQuarantined is the reaper's orphan handler: a CQE with no waiter is
+// the late completion of an abandoned command, and only now is its bounce
+// partition safe to hand to another request.
+func (c *Client) reapQuarantined(cqe nvme.CQE) {
+	slot, held := c.quarantine[cqe.CID]
+	if !held {
+		return
+	}
+	delete(c.quarantine, cqe.CID)
+	c.quarCount.Store(int32(len(c.quarantine)))
+	c.releaseSlot(slot)
+	c.LateCompletions++
+	if len(c.quarantine) == 0 {
+		// Close may be blocked on the drain; let it finish teardown.
+		c.quarDrained.Set()
 	}
 }
 
@@ -614,7 +548,7 @@ func (c *Client) acquireSlot(p *sim.Proc) int {
 
 // releaseSlot frees a bounce partition. Idempotent: a slot abandoned by
 // Close (counted in AbandonedSlots, map cleared) must not be released a
-// second time by a poller that races the teardown — the semaphore would
+// second time by a reaper that races the teardown — the semaphore would
 // overcount and two requests could share a partition.
 func (c *Client) releaseSlot(slot int) {
 	if !c.slots[slot] {
@@ -914,14 +848,12 @@ func (c *Client) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
 // for slotless commands (Flush, Write Zeroes). The returned parked flag
 // reports that slot ownership moved to the quarantine: the command was
 // abandoned but may still execute and DMA into the partition, so the
-// caller must NOT release the slot — the poller does, when the late
+// caller must NOT release the slot — the reaper does, when the late
 // completion drains.
 func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error) {
 	cmd.CID = c.view.NextCID()
-	done := sim.NewEvent(p.Kernel())
-	c.pending[cmd.CID] = done
-	if err := c.view.Submit(p, c.node.Host(), cmd); err != nil {
-		delete(c.pending, cmd.CID)
+	done, err := c.reaper.Submit(p, cmd)
+	if err != nil {
 		c.params.Tracer.Drop(c.view.ID, cmd.CID)
 		if errors.Is(err, nvme.ErrDoorbellLost) {
 			// The SQE is committed in the ring; a later ring's cumulative
@@ -944,9 +876,9 @@ func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error
 	if !ok {
 		// Abandon the command. The CID is never reused within the 16-bit
 		// window a queue can have in flight, and its slot (if any) is
-		// quarantined BEFORE any further blocking so the poller can always
+		// quarantined BEFORE any further blocking so the reaper can always
 		// find it when the late completion lands.
-		delete(c.pending, cmd.CID)
+		c.reaper.Forget(cmd.CID)
 		c.params.Tracer.Drop(c.view.ID, cmd.CID)
 		c.TimedOut++
 		parked := false
@@ -970,18 +902,18 @@ func (c *Client) exec(p *sim.Proc, cmd *nvme.SQE, slot int) (uint16, bool, error
 // Crash simulates a host failure: the client stops completion handling
 // and heartbeats immediately and releases nothing — reclaiming its queue
 // pair and DMA windows is the manager's job (the session lease expires
-// and the reaper tears the queue pair down). Callable from timer
-// callbacks; it never blocks.
+// and the manager's lease reaper tears the queue pair down). Callable
+// from timer callbacks; it never blocks. It stops the heartbeat before
+// the completion reaper because the order of Set calls is the order the
+// two resume in.
 func (c *Client) Crash() {
 	if c.closed || c.crashed.Load() {
 		return
 	}
 	c.crashed.Store(true)
 	c.closed = true
-	c.unwatch()
 	c.hbStop.Set()
-	// Wake the poller so it observes the crash and exits.
-	c.cqSignal.Set()
+	c.reaper.Stop()
 }
 
 // Crashed reports whether Crash was called. Safe from any goroutine: the
@@ -1000,9 +932,9 @@ func (c *Client) QuarantinedSlots() int { return int(c.quarCount.Load()) }
 // is already gone.
 //
 // If slots are quarantined (a timed-out command's late completion still
-// owed), Close first waits — bounded by CloseDrainNs — for the poller to
+// owed), Close first waits — bounded by CloseDrainNs — for the reaper to
 // drain them. Freeing the bounce segment with a command still
-// in flight would let the device DMA into recycled memory, and a poller
+// in flight would let the device DMA into recycled memory, and a reaper
 // racing the teardown could release a slot Close already accounted for
 // (the late-CQE-after-Close double release). Slots still parked when the
 // window expires are leaked on purpose and counted in AbandonedSlots.
@@ -1012,14 +944,14 @@ func (c *Client) Close(p *sim.Proc) error {
 	}
 	c.closed = true
 	for len(c.quarantine) > 0 {
-		// The poller and heartbeat both keep running during the drain: the
-		// poller is the only legal path to release a quarantined slot, and
+		// The reaper and heartbeat both keep running during the drain: the
+		// reaper is the only legal path to release a quarantined slot, and
 		// the heartbeat keeps the lease alive so the manager's reaper does
 		// not tear down the queue pair underneath the wait.
 		if !p.WaitSignalTimeout(c.quarDrained, c.params.CloseDrainNs) {
 			// Drain window expired: abandon the stragglers. The map is
-			// cleared so a late CQE arriving between here and pollerStop
-			// below finds nothing to release (releaseSlot is idempotent
+			// cleared so a late CQE arriving before the reaper stops
+			// finds nothing to release (releaseSlot is idempotent
 			// regardless).
 			c.AbandonedSlots += uint64(len(c.quarantine))
 			c.quarantine = make(map[uint16]int)
@@ -1027,9 +959,7 @@ func (c *Client) Close(p *sim.Proc) error {
 			break
 		}
 	}
-	c.pollerStop = true
-	c.cqSignal.Set() // wake the poller so it observes the stop and exits
-	c.unwatch()
+	c.reaper.Stop()
 	c.hbQuit = true
 	c.hbStop.Set()
 	if err := c.mgr.ReleaseQueuePair(p, c.view.ID); err != nil {

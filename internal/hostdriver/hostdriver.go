@@ -97,18 +97,15 @@ func (e *StatusError) Code() (sct, sc uint8) {
 type cmdCtx struct {
 	pages   []pcie.Addr
 	prpList pcie.Addr
-	done    *sim.Event
-	status  uint16
-	inUse   bool
 }
 
 type ioQueue struct {
-	view *nvme.QueueView
-	intr *sim.Signal
-	ctxs []*cmdCtx
-	free *sim.Semaphore
-	drv  *Driver
-	id   uint16
+	view   *nvme.QueueView
+	reaper *nvme.Reaper
+	ctxs   []*cmdCtx
+	free   *sim.Semaphore
+	drv    *Driver
+	id     uint16
 	// submitted and completed count commands through this queue, for
 	// per-queue telemetry attribution.
 	submitted uint64
@@ -201,8 +198,6 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 	if err != nil {
 		return nil, err
 	}
-	intr := sim.NewSignal(d.kernel)
-	d.host.Watch(pcie.Range{Base: msiAddr, Size: 4}, func(pcie.Addr, int) { intr.Set() })
 	if err := ctrl.SetMSIVector(qid, msiAddr, uint32(qid)); err != nil {
 		return nil, err
 	}
@@ -214,17 +209,15 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 			sq, cq,
 			d.admin.Bar+nvme.SQTailDoorbell(qid, d.admin.DSTRD),
 			d.admin.Bar+nvme.CQHeadDoorbell(qid, d.admin.DSTRD)),
-		intr: intr,
 		free: sim.NewSemaphore(d.kernel, depth-1),
 		drv:  d,
 		id:   qid,
 	}
-	q.view.EnableLocking(d.kernel)
-	q.view.Tracer = d.params.Tracer
 	// blk-mq-style batching: the locked view lets the last submitter of
 	// a contended burst commit the SQ tail once, and the ISR's CQ sweep
 	// acknowledges all reaped entries with a single head doorbell.
-	q.view.LazyCQ = true
+	q.view.EnableLocking(d.kernel)
+	q.view.Tracer = d.params.Tracer
 	q.ctxs = make([]*cmdCtx, depth)
 	for i := range q.ctxs {
 		ctx := &cmdCtx{}
@@ -246,45 +239,18 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 		}
 		q.ctxs[i] = ctx
 	}
-	d.kernel.Spawn(fmt.Sprintf("%s/isr-q%d", d.name, qid), q.isr)
-	return q, nil
-}
-
-// isr is the interrupt service routine process for one queue.
-func (q *ioQueue) isr(p *sim.Proc) {
-	// The interrupt signal is edge-triggered: a Set with no waiter is
-	// lost. An MSI landing between the sweep's final (empty) ring read
-	// and the WaitSignal below would strand its CQE in the ring until
-	// the next command's interrupt — or forever at QD1. The set counter
-	// is captured immediately before each ring read, so any edge that
-	// fired after the read is detected and triggers a re-sweep instead
-	// of a blocking wait. (The CQE DMA always lands before its MSI, so
-	// an edge observed before the capture means the read saw the CQE.)
-	seq := q.intr.Sets()
-	for {
-		if q.intr.Sets() == seq {
-			p.WaitSignal(q.intr)
-		}
-		p.Sleep(q.drv.params.IRQEntryNs)
-		for {
-			seq = q.intr.Sets()
-			cqe, ok, err := q.view.Poll(p, q.drv.host)
-			if err != nil || !ok {
-				break
-			}
-			p.Sleep(q.drv.params.ISRNs)
-			ctx := q.ctxs[int(cqe.CID)%len(q.ctxs)]
-			if ctx.inUse {
-				ctx.status = cqe.Status()
-				ctx.done.Trigger(nil)
-			}
-		}
-		// One head doorbell for the whole sweep, before waiting for the
-		// next interrupt.
-		if err := q.view.FlushCQ(p, q.drv.host); err != nil {
-			return
-		}
+	// The interrupt service routine: it runs once the MSI lands, pays
+	// IRQ entry, then the handler cost for each CQE it reaps.
+	q.reaper, err = nvme.NewReaper(fmt.Sprintf("%s/isr-q%d", d.name, qid), d.host, q.view, nvme.ReaperParams{
+		Edge:       pcie.Range{Base: msiAddr, Size: 4},
+		WakeNs:     d.params.IRQEntryNs,
+		PerCQENs:   d.params.ISRNs,
+		BlockFirst: true,
+	})
+	if err != nil {
+		return nil, err
 	}
+	return q, nil
 }
 
 // Name implements block.Device.
@@ -312,13 +278,7 @@ func (d *Driver) Queues() int { return len(d.queues) }
 func (d *Driver) QueueStats() []QueueStats {
 	out := make([]QueueStats, 0, len(d.queues))
 	for _, q := range d.queues {
-		v := q.view
-		out = append(out, QueueStats{
-			QID: q.id, Submitted: q.submitted, Completed: q.completed,
-			SQDoorbells: v.SQDoorbells, SQDoorbellsSaved: v.SQDoorbellsSaved,
-			CQDoorbells: v.CQDoorbells, CQRingsSaved: v.CQRingsSaved,
-			Inflight: v.Inflight(),
-		})
+		out = append(out, q.stats())
 	}
 	return out
 }
@@ -328,16 +288,20 @@ func (d *Driver) QueueStats() []QueueStats {
 func (d *Driver) QueueStat(qid uint16) QueueStats {
 	for _, q := range d.queues {
 		if q.id == qid {
-			v := q.view
-			return QueueStats{
-				QID: q.id, Submitted: q.submitted, Completed: q.completed,
-				SQDoorbells: v.SQDoorbells, SQDoorbellsSaved: v.SQDoorbellsSaved,
-				CQDoorbells: v.CQDoorbells, CQRingsSaved: v.CQRingsSaved,
-				Inflight: v.Inflight(),
-			}
+			return q.stats()
 		}
 	}
 	return QueueStats{}
+}
+
+func (q *ioQueue) stats() QueueStats {
+	v := q.view
+	return QueueStats{
+		QID: q.id, Submitted: q.submitted, Completed: q.completed,
+		SQDoorbells: v.SQDoorbells, SQDoorbellsSaved: v.SQDoorbellsSaved,
+		CQDoorbells: v.CQDoorbells, CQRingsSaved: v.CQRingsSaved,
+		Inflight: v.Inflight(),
+	}
 }
 
 // pick selects a queue round-robin (stand-in for per-CPU queues).
@@ -394,10 +358,6 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 	defer q.free.Release()
 	cid := q.view.NextCID()
 	ctx := q.ctxs[int(cid)%len(q.ctxs)]
-	ctx.done = sim.NewEvent(q.drv.kernel)
-	ctx.status = 0
-	ctx.inUse = true
-	defer func() { ctx.inUse = false }()
 
 	n := len(data)
 	if n > 0 {
@@ -416,13 +376,14 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 	tr := q.drv.params.Tracer
 	t0 := p.Now()
 	p.Sleep(q.drv.params.SubmitNs)
-	if err := q.view.Submit(p, q.drv.host, cmd); err != nil {
+	done, err := q.reaper.Submit(p, cmd)
+	if err != nil {
 		tr.Drop(q.id, cid)
 		return err
 	}
 	q.submitted++
 	tSubmit := p.Now()
-	p.Wait(ctx.done)
+	status := p.Wait(done).(uint16)
 	end := p.Now()
 	q.completed++
 	// The span partition for this driver is submit + device: completion
@@ -432,8 +393,8 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 	tr.Hop(q.id, cid, trace.StageSubmit, t0, tSubmit)
 	tr.Hop(q.id, cid, trace.StageDevice, tSubmit, end)
 	tr.End(q.id, cid, end)
-	if ctx.status != nvme.StatusOK {
-		return &StatusError{Status: ctx.status}
+	if status != nvme.StatusOK {
+		return &StatusError{Status: status}
 	}
 	if n > 0 && cmd.Opcode == nvme.IORead {
 		q.movePages(ctx, data, false)

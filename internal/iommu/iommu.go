@@ -184,15 +184,24 @@ func (u *Unit) Unmap(p *sim.Proc, iova pcie.Addr, n uint64) error {
 	return nil
 }
 
-// Forward implements pcie.Forwarder: translate the page and re-enter the
-// same domain at the unit's attachment point.
-func (u *Unit) Forward(addr pcie.Addr) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
-	off := addr - u.aperture.Base
-	phys, ok := u.pages[uint64(off)/PageSize]
+// Forward implements pcie.Forwarder: translate the range and re-enter the
+// same domain at the unit's attachment point. A range that runs past its
+// first page must find every later page mapped to the physical page right
+// after the one before; otherwise it fails, as the range would reach
+// memory its IOVAs do not map.
+func (u *Unit) Forward(addr pcie.Addr, n uint64) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
+	off := uint64(addr - u.aperture.Base)
+	first := off / PageSize
+	phys, ok := u.pages[first]
 	if !ok {
 		return nil, 0, 0, 0, fmt.Errorf("%w: %#x", ErrUnmapped, addr)
 	}
-	return u.dom, u.entry, phys + pcie.Addr(uint64(off)%PageSize), u.params.TranslateNs, nil
+	for pg := first + 1; n > 0 && pg <= (off+n-1)/PageSize; pg++ {
+		if next, ok := u.pages[pg]; !ok || next != phys+pcie.Addr((pg-first)*PageSize) {
+			return nil, 0, 0, 0, fmt.Errorf("%w: [%#x,+%d) runs into page %#x", ErrUnmapped, addr, n, u.aperture.Base+pg*PageSize)
+		}
+	}
+	return u.dom, u.entry, phys + pcie.Addr(off%PageSize), u.params.TranslateNs, nil
 }
 
 // TargetWrite implements pcie.Target; never reached when routing is

@@ -198,6 +198,53 @@ func TestMapUnmapCostsTime(t *testing.T) {
 	}
 }
 
+// TestStraddlingDMAFails pins that the unit translates a transaction's
+// whole range. A DMA across two IOVA pages succeeds only when both are
+// mapped to one contiguous physical run. One that runs into an unmapped
+// page, or into a page mapped elsewhere, fails with ErrUnmapped and moves
+// no byte.
+func TestStraddlingDMAFails(t *testing.T) {
+	r := newRig(t)
+	h := r.c.Hosts[0]
+	phys, _ := h.Port.Alloc(4*iommu.PageSize, iommu.PageSize)
+	data := bytes.Repeat([]byte{0x5A}, 2*iommu.PageSize)
+	r.c.Go("p", func(p *sim.Proc) {
+		// Two contiguous pages: one DMA covers both.
+		if err := r.u.Map(p, aperBase, phys, 2*iommu.PageSize); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := h.Dom.MemWrite(p, h.RC, aperBase, data); err != nil {
+			t.Errorf("contiguous pages: %v", err)
+		}
+		// One page mapped, the next not.
+		if err := r.u.Map(p, aperBase+0x10000, phys+2*iommu.PageSize, iommu.PageSize); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := h.Dom.MemWrite(p, h.RC, aperBase+0x10000, data); !errors.Is(err, iommu.ErrUnmapped) {
+			t.Errorf("into an unmapped page: %v, want ErrUnmapped", err)
+		}
+		// The next page is mapped, but not right after the first.
+		if err := r.u.Map(p, aperBase+0x11000, phys, iommu.PageSize); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := h.Dom.MemWrite(p, h.RC, aperBase+0x10000, data); !errors.Is(err, iommu.ErrUnmapped) {
+			t.Errorf("into a non-contiguous page: %v, want ErrUnmapped", err)
+		}
+	})
+	r.c.Run()
+	got := make([]byte, 4*iommu.PageSize)
+	if err := h.Port.Mem().Read(phys, got); err != nil {
+		t.Fatal(err)
+	}
+	want := append(data, make([]byte, 2*iommu.PageSize)...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a refused DMA changed DRAM")
+	}
+}
+
 // Property: translation is the identity on offsets within a mapped page.
 func TestPropAffineWithinPage(t *testing.T) {
 	f := func(off uint16) bool {

@@ -194,7 +194,7 @@ func (a *ClusterAdapter) InjectStall(extraNs, d int64) {
 }
 
 // Forward implements pcie.Forwarder.
-func (a *ClusterAdapter) Forward(addr pcie.Addr) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
+func (a *ClusterAdapter) Forward(addr pcie.Addr, size uint64) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
 	if a.downUntil != 0 && a.local.Kernel().Now() < a.downUntil {
 		a.LinkFaults++
 		return nil, 0, 0, 0, fmt.Errorf("%w: %s until t=%dns", ErrLinkDown, a.Name, a.downUntil)
@@ -202,6 +202,9 @@ func (a *ClusterAdapter) Forward(addr pcie.Addr) (*pcie.Domain, pcie.NodeID, pci
 	off := addr - a.bar.Base
 	for _, w := range a.wins {
 		if off >= w.off && off < w.off+w.size {
+			if size > w.off+w.size-off {
+				return nil, 0, 0, 0, fmt.Errorf("%w: %s [%#x,+%d) leaves its window", ErrNoTranslation, a.Name, off, size)
+			}
 			a.Translations++
 			cross := a.CrossNs
 			if a.slowUntil != 0 && a.local.Kernel().Now() < a.slowUntil {

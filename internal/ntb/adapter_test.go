@@ -163,3 +163,24 @@ func TestAdapterSymmetricCommunication(t *testing.T) {
 		t.Fatalf("A got %#x", b[0])
 	}
 }
+
+// TestAdapterWindowStraddlingWriteFails is TestWindowStraddlingTransferFails
+// for the cluster adapter: a write that runs past the end of its window
+// fails and leaves the remote DRAM untouched.
+func TestAdapterWindowStraddlingWriteFails(t *testing.T) {
+	c := newTriCluster(t)
+	toB, err := c.adpt[0].MapAuto(4096, 4096, c.dom[1], c.nep[1], c.mem[1].Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.k.Spawn("cpuA", func(p *sim.Proc) {
+		err = c.dom[0].MemWrite(p, c.rc[0], toB+4000, make([]byte, 200))
+	})
+	c.k.RunAll()
+	if !errors.Is(err, ErrNoTranslation) {
+		t.Fatalf("straddling write: %v, want ErrNoTranslation", err)
+	}
+	if c.adpt[0].Translations != 0 {
+		t.Fatalf("%d translations, want 0", c.adpt[0].Translations)
+	}
+}

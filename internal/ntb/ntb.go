@@ -210,12 +210,16 @@ func (n *NTB) FreeOffset(size, align uint64) (uint64, error) {
 	}
 }
 
-// Translate maps a local BAR-relative address to the remote physical
-// address, without cost accounting.
-func (n *NTB) Translate(addr pcie.Addr) (pcie.Addr, error) {
+// Translate maps the size-byte range at a local BAR address to the
+// remote physical address of its start, without cost accounting. One
+// window must cover the whole range.
+func (n *NTB) Translate(addr pcie.Addr, size uint64) (pcie.Addr, error) {
 	off := addr - n.bar.Base
 	for _, w := range n.windows {
 		if off >= w.off && off < w.off+w.size {
+			if size > w.off+w.size-off {
+				return 0, fmt.Errorf("%w: %s [%#x,+%d) leaves its window", ErrNoTranslation, n.Name, off, size)
+			}
 			return w.rbase + (off - w.off), nil
 		}
 	}
@@ -242,12 +246,12 @@ func (n *NTB) InjectStall(extraNs, d int64) {
 }
 
 // Forward implements pcie.Forwarder.
-func (n *NTB) Forward(addr pcie.Addr) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
+func (n *NTB) Forward(addr pcie.Addr, size uint64) (*pcie.Domain, pcie.NodeID, pcie.Addr, int64, error) {
 	if n.downUntil != 0 && n.local.Kernel().Now() < n.downUntil {
 		n.LinkFaults++
 		return nil, 0, 0, 0, fmt.Errorf("%w: %s until t=%dns", ErrLinkDown, n.Name, n.downUntil)
 	}
-	raddr, err := n.Translate(addr)
+	raddr, err := n.Translate(addr, size)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}

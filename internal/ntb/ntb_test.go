@@ -109,15 +109,18 @@ func TestTranslate(t *testing.T) {
 	if err := h.ab.MapWindow(0x1000, 0x1000, 0x20_0000); err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.ab.Translate(barBase + 0x1800)
+	got, err := h.ab.Translate(barBase+0x1800, 0x800)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0x20_0800 {
 		t.Fatalf("translated to %#x, want 0x200800", got)
 	}
-	if _, err := h.ab.Translate(barBase); !errors.Is(err, ErrNoTranslation) {
+	if _, err := h.ab.Translate(barBase, 1); !errors.Is(err, ErrNoTranslation) {
 		t.Fatalf("unmapped offset: %v", err)
+	}
+	if _, err := h.ab.Translate(barBase+0x1800, 0x801); !errors.Is(err, ErrNoTranslation) {
+		t.Fatalf("range leaving its window: %v", err)
 	}
 }
 
@@ -320,7 +323,7 @@ func TestPropTranslationAffine(t *testing.T) {
 		}
 		o := uint64(off)
 		addr := uint64(barBase) + 0x2000 + o%0x10000
-		got, err := h.ab.Translate(addr)
+		got, err := h.ab.Translate(addr, 1)
 		return err == nil && got == 0x5000+o%0x10000
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -357,5 +360,34 @@ func TestPropCrossDomainIntegrity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowStraddlingTransferFails pins that the bridge translates a
+// transaction's whole range, not only its first address. An 8 KiB write
+// that starts at the base of a 4 KiB window must fail without a byte
+// landing in the remote DRAM, inside the window's target or past it, and
+// so must an 8 KiB read.
+func TestWindowStraddlingTransferFails(t *testing.T) {
+	h := newTwoHosts(t)
+	if err := h.ab.MapWindow(0, 4096, h.memB.Base()); err != nil {
+		t.Fatal(err)
+	}
+	var werr, rerr error
+	h.k.Spawn("cpuA", func(p *sim.Proc) {
+		werr = h.a.MemWrite(p, h.aRC, barBase, bytes.Repeat([]byte{0xA5}, 8192))
+		rerr = h.a.MemRead(p, h.aRC, barBase, make([]byte, 8192))
+	})
+	h.k.RunAll()
+	if !errors.Is(werr, ErrNoTranslation) {
+		t.Errorf("straddling write: %v, want ErrNoTranslation", werr)
+	}
+	if !errors.Is(rerr, ErrNoTranslation) {
+		t.Errorf("straddling read: %v, want ErrNoTranslation", rerr)
+	}
+	got := make([]byte, 8192)
+	h.memB.Read(h.memB.Base(), got)
+	if !bytes.Equal(got, make([]byte, 8192)) {
+		t.Error("a refused write changed remote DRAM")
 	}
 }

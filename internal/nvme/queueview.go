@@ -35,13 +35,6 @@ type QueueView struct {
 	SQDoorbell pcie.Addr
 	CQDoorbell pcie.Addr
 
-	// LazyCQ defers the CQ head doorbell from Poll to FlushCQ, so one
-	// poll sweep rings once for all entries it consumed (the SPDK
-	// adminq/io-qpair strategy). Pollers must FlushCQ before blocking:
-	// the controller stalls completion DMA while its view of the CQ is
-	// full, and only a head doorbell unsticks it.
-	LazyCQ bool
-
 	// SQDoorbells and CQDoorbells count actual doorbell MMIO writes, for
 	// observing coalescing ratios in tests and benchmarks.
 	SQDoorbells uint64
@@ -81,6 +74,12 @@ type QueueView struct {
 	nextCID  uint16
 	// cqe receives the entry Poll reads (see Poll for who may share it).
 	cqe [CQESize]byte
+	// lazyCQ defers the CQ head doorbell from Poll to FlushCQ, so one
+	// sweep rings once for all entries it consumed (the SPDK
+	// adminq/io-qpair strategy). A Reaper sets it and flushes before it
+	// blocks: the controller stalls completion DMA while its view of the
+	// CQ is full, and only a head doorbell unsticks it.
+	lazyCQ bool
 	// lock serializes the SQE-write + doorbell sequence across concurrent
 	// submitters on the same host, as a kernel driver's per-queue spinlock
 	// does. Nil means single-submitter use (no locking).
@@ -215,16 +214,15 @@ func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
 
 // Poll checks the current CQ head slot for a new completion. It consumes
 // and returns the entry if its phase matches, advancing the head and
-// ringing the CQ head doorbell. Costs one local access (or a fabric read
-// for a remote CQ).
+// ringing the CQ head doorbell (deferred to FlushCQ on a view a Reaper
+// drives). Costs one local access (or a fabric read for a remote CQ).
 //
 // The entry is read into a buffer the view owns. A fabric read fills it
 // and then sleeps for the completion's flight, so at most one process may
-// poll a view whose CQ is remote. The core client, the host driver and
-// PolledQueue each run one poller per view; the admin queue, which two
-// processes may poll at once, lives in the poller's local DRAM, where the
-// buffer is filled after the copy cost with no yield before it is
-// decoded.
+// poll a view whose CQ is remote. Every I/O queue is polled by its one
+// Reaper; the admin queue, which two processes may poll at once, lives in
+// the poller's local DRAM, where the buffer is filled after the copy cost
+// with no yield before it is decoded.
 func (q *QueueView) Poll(p *sim.Proc, h *pcie.HostPort) (CQE, bool, error) {
 	t0 := p.Now()
 	if err := h.Read(p, q.CQAddr+pcie.Addr(q.cqHead*CQESize), q.cqe[:]); err != nil {
@@ -241,7 +239,7 @@ func (q *QueueView) Poll(p *sim.Proc, h *pcie.HostPort) (CQE, bool, error) {
 	}
 	q.inflight--
 	q.Tracer.Hop(q.ID, cqe.CID, trace.StageCQPoll, t0, p.Now())
-	if q.LazyCQ {
+	if q.lazyCQ {
 		q.cqUnrung++
 		return cqe, true, nil
 	}
@@ -255,8 +253,8 @@ func (q *QueueView) Poll(p *sim.Proc, h *pcie.HostPort) (CQE, bool, error) {
 }
 
 // FlushCQ rings the CQ head doorbell once for all entries consumed since
-// the last flush. No-op when nothing is pending. LazyCQ pollers must call
-// it at the end of each sweep, before blocking.
+// the last flush. No-op when nothing is pending. A lazy-CQ poller (the
+// Reaper) calls it at the end of each sweep, before blocking.
 func (q *QueueView) FlushCQ(p *sim.Proc, h *pcie.HostPort) error {
 	if q.cqUnrung == 0 {
 		return nil
@@ -269,7 +267,7 @@ func (q *QueueView) FlushCQ(p *sim.Proc, h *pcie.HostPort) error {
 		return err
 	}
 	// One ring covers q.cqUnrung consumed entries; all but the first
-	// would have been individual doorbells without LazyCQ.
+	// would have been individual doorbells without lazyCQ.
 	q.CQRingsSaved += uint64(q.cqUnrung - 1)
 	q.cqUnrung = 0
 	q.CQDoorbells++

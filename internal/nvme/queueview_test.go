@@ -59,28 +59,10 @@ func TestQueueViewLockingSerializesSubmitters(t *testing.T) {
 		q.EnableLocking(r.k)
 		buf, _ := r.host.Alloc(PageSize, PageSize)
 		done := make([]*sim.Event, 0, workers)
-		// One poller distributing completions, woken by CQE DMA arrivals
-		// so the simulation can drain when idle.
-		pending := map[uint16]*sim.Event{}
-		cqSig := sim.NewSignal(r.k)
-		rng := q.CQRange()
-		r.host.Watch(rng, func(pcieAddr uint64, n int) { cqSig.Set() })
-		r.k.Spawn("poller", func(pp *sim.Proc) {
-			for {
-				cqe, ok, err := q.Poll(pp, r.host)
-				if err != nil {
-					return
-				}
-				if !ok {
-					pp.WaitSignal(cqSig)
-					continue
-				}
-				if ev := pending[cqe.CID]; ev != nil {
-					delete(pending, cqe.CID)
-					ev.Trigger(cqe.Status())
-				}
-			}
-		})
+		rp, err := NewReaper("poller", r.host, q, ReaperParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for w := 0; w < workers; w++ {
 			fin := sim.NewEvent(r.k)
 			done = append(done, fin)
@@ -89,18 +71,14 @@ func TestQueueViewLockingSerializesSubmitters(t *testing.T) {
 				for i := 0; i < perWorker; i++ {
 					cmd := SQE{Opcode: IORead, NSID: 1, PRP1: buf, CDW10: uint32(i * 8), CDW12: 7}
 					cmd.CID = q.NextCID()
-					ev := sim.NewEvent(r.k)
-					pending[cmd.CID] = ev
 					// Retry while full: the semantics a driver implements
 					// above the raw view.
-					for {
-						if err := q.Submit(sp, r.host, &cmd); err == nil {
-							break
-						}
+					ev, err := rp.Submit(sp, &cmd)
+					for err != nil {
 						sp.Sleep(2000)
+						ev, err = rp.Submit(sp, &cmd)
 					}
-					sp.Wait(ev)
-					if st := ev.Payload().(uint16); st != StatusOK {
+					if st := sp.Wait(ev).(uint16); st != StatusOK {
 						t.Errorf("status %#x", st)
 						return
 					}

@@ -135,7 +135,7 @@ func NewTarget(p *sim.Proc, host *pcie.HostPort, barBase pcie.Addr, params Targe
 type conn struct {
 	t       *Target
 	qp      *rdma.QP
-	ioq     *nvme.PolledQueue
+	ioq     *nvme.Reaper
 	staging pcie.Addr
 	recvBuf pcie.Addr
 	bufSize uint64
@@ -164,7 +164,9 @@ func (t *Target) Serve(p *sim.Proc, qp *rdma.QP) error {
 		t.admin.Bar+nvme.SQTailDoorbell(qid, t.admin.DSTRD),
 		t.admin.Bar+nvme.CQHeadDoorbell(qid, t.admin.DSTRD))
 	view.EnableLocking(t.host.Domain().Kernel())
-	ioq, err := nvme.NewPolledQueue(fmt.Sprintf("nvmf-tgt-q%d", qid), t.host, view, params.PollNs)
+	// SPDK-style completion polling: the poller wakes when completion
+	// DMA lands in the local CQ ring and pays one poll-loop pickup.
+	ioq, err := nvme.NewReaper(fmt.Sprintf("nvmf-tgt-q%d/poll", qid), t.host, view, nvme.ReaperParams{WakeNs: params.PollNs})
 	if err != nil {
 		return err
 	}
@@ -308,12 +310,12 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 		}
 	}
 	c.t.cpuSleep(p, c.t.params.SubmitNs)
-	cqe, err := c.ioq.Exec(p, &cmd)
+	status, err := c.ioq.Exec(p, &cmd)
 	if err != nil {
 		resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCDataTransfer)
 		return resp, false
 	}
-	resp.Status = cqe.Status()
+	resp.Status = status
 	if resp.Status == nvme.StatusOK && cap.Opcode == nvme.IORead {
 		// Return data with a one-sided RDMA WRITE; the response capsule
 		// posted right after it stays ordered behind the data.

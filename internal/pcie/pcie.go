@@ -77,10 +77,13 @@ type Target interface {
 // Forwarder is a Target that translates transactions into another domain
 // (the NTB primitive). Resolve follows forwarders recursively.
 type Forwarder interface {
-	// Forward translates addr, returning the destination domain, the node
-	// through which traffic enters it, the translated address, and the
-	// one-way nanosecond cost of the crossing itself.
-	Forward(addr Addr) (dom *Domain, entry NodeID, raddr Addr, crossNs int64, err error)
+	// Forward translates the n-byte range at addr, returning the
+	// destination domain, the node through which traffic enters it, the
+	// translated address, and the one-way nanosecond cost of the crossing
+	// itself. A range that one translation does not cover whole fails:
+	// delivering it from the translated start would move bytes past the
+	// mapping.
+	Forward(addr Addr, n uint64) (dom *Domain, entry NodeID, raddr Addr, crossNs int64, err error)
 }
 
 // Range is a claimed address window.
@@ -389,7 +392,7 @@ func (d *Domain) Resolve(from NodeID, addr Addr, n uint64) (Resolved, error) {
 		}
 		cost += int64(hops)*cur.params.PerSwitchNs + cur.params.PropNs
 		if c.fw != nil {
-			next, entry, raddr, crossNs, err := c.fw.Forward(curAddr)
+			next, entry, raddr, crossNs, err := c.fw.Forward(curAddr, n)
 			if err != nil {
 				return res, err
 			}
