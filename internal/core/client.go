@@ -511,7 +511,7 @@ func (c *Client) QueueView() *nvme.QueueView { return c.view }
 // Placement returns the SQ placement in effect.
 func (c *Client) Placement() SQPlacement { return c.params.Placement }
 
-// Polls counts the reaper's wakeups: each resume of the completion loop
+// Polls counts the completion reaper's wakeups: each resume of its loop
 // after an empty CQ sweep.
 func (c *Client) Polls() uint64 { return c.reaper.Wakeups }
 

@@ -46,7 +46,7 @@ type Reaper struct {
 	// pending maps an in-flight command's CID to its completion event.
 	pending map[uint16]*sim.Event
 	stopped bool
-	// Wakeups counts the loop's resumes after an empty sweep.
+	// Wakeups counts the loop's resumes from a wait for its edge.
 	Wakeups uint64
 }
 
