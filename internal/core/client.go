@@ -446,6 +446,9 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		rp.WakeNs = params.IRQEntryNs
 	}
 	if c.reaper, err = nvme.NewReaper(name+"/poller", node.Host(), c.view, rp); err != nil {
+		// The reaper's error is the one to report, so a failed release
+		// is dropped.
+		_ = mgr.ReleaseQueuePair(p, grant.QID)
 		ref.Release()
 		return nil, err
 	}
