@@ -67,7 +67,10 @@ type ClientParams struct {
 	QueueDepth int
 	// Placement selects SQ memory placement.
 	Placement SQPlacement
-	// PartitionBytes is the bounce-buffer share of each request slot.
+	// PartitionBytes is the bounce-buffer share of each request slot,
+	// and so the largest transfer. Each slot also gets the PRP list
+	// pages a transfer of this size needs (nvme.PRPListPages); the list
+	// is written per transfer.
 	PartitionBytes uint64
 	// SubmitOverheadNs is the client's software submission cost per
 	// request (block-layer glue, partition bookkeeping; "our driver is
@@ -207,11 +210,12 @@ type Client struct {
 	iovaBase uint64
 	mmu      *iommu.Unit
 
-	// Bounce layout: a PRP-list page per slot, then the data partitions.
-	listBase uint64 // offset of list pages within the bounce segment
-	dataBase uint64 // offset of data partitions
-	slotFree *sim.Semaphore
-	slots    []bool
+	// Bounce layout: a PRP list region of listBytes per slot, then the
+	// data partitions from dataBase.
+	listBytes uint64
+	dataBase  uint64
+	slotFree  *sim.Semaphore
+	slots     []bool
 	// reaper is the completion loop. It outlives Close until the
 	// quarantine is drained: it is the only path that can release a
 	// quarantined slot, so Crash, or Close after the drain, stops it.
@@ -346,12 +350,12 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 			return nil, err
 		}
 	}
-	// Bounce buffer: one PRP-list page + one partition per slot,
+	// Bounce buffer: a PRP list region + one partition per slot,
 	// client-local, mapped once for the device ("programmed once since
 	// the DMA buffer segment is constant", §V).
 	slots := depth - 1
-	c.listBase = 0
-	c.dataBase = uint64(slots) * nvme.PageSize
+	c.listBytes = uint64(nvme.PRPListPages(0, int(params.PartitionBytes))) * nvme.PageSize
+	c.dataBase = uint64(slots) * c.listBytes
 	bounceSize := c.dataBase + uint64(slots)*params.PartitionBytes
 	c.bounce, err = ref.AllocMapped(bounceSize, smartio.DeviceRead|smartio.DeviceWrite|smartio.CPURead|smartio.CPUWrite)
 	if err != nil {
@@ -395,15 +399,10 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 		return nil, err
 	}
 	c.iv = grant.IV
-	// The lists point where the controller reaches the partitions: the
-	// static bounce window, or in zero-copy mode the slots' fixed IOVAs.
-	prpBase := c.bounce.DevAddr + c.dataBase
 	if params.ZeroCopy {
 		c.iovaBase = grant.IOVABase
 		c.mmu = mgr.IOMMU()
-		prpBase = c.iovaBase
 	}
-	c.writePRPLists(slots, prpBase)
 	if grant.Depth != depth {
 		depth = grant.Depth
 	}
@@ -481,26 +480,6 @@ func (c *Client) heartbeat(p *sim.Proc) {
 	}
 }
 
-// writePRPLists writes, once, the PRP list page for every slot: entry j
-// points at page j+1 of that slot's partition, the partitions starting
-// at base in the controller's view. This is the "DMA descriptors
-// programmed once" optimization of §V.
-func (c *Client) writePRPLists(slots int, base uint64) {
-	pagesPerPart := int(c.params.PartitionBytes / nvme.PageSize)
-	for s := 0; s < slots; s++ {
-		list, err := c.node.Host().Slice(c.bounce.Seg.Addr+c.listBase+uint64(s)*nvme.PageSize, nvme.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("core: bounce list slice: %v", err))
-		}
-		for j := 1; j < pagesPerPart && j*8+8 <= len(list); j++ {
-			addr := base + uint64(s)*c.params.PartitionBytes + uint64(j)*nvme.PageSize
-			for i := 0; i < 8; i++ {
-				list[(j-1)*8+i] = byte(addr >> (8 * i))
-			}
-		}
-	}
-}
-
 // Metadata returns the bootstrap metadata the client read.
 func (c *Client) Metadata() Metadata { return c.meta }
 
@@ -534,6 +513,13 @@ func (c *Client) reapQuarantined(cqe nvme.CQE) {
 		// Close may be blocked on the drain; let it finish teardown.
 		c.quarDrained.Set()
 	}
+}
+
+// partition returns slot's bounce partition: the CPU's address and the
+// controller's, through the static bounce window.
+func (c *Client) partition(slot int) (cpu, dev uint64) {
+	off := c.dataBase + uint64(slot)*c.params.PartitionBytes
+	return c.bounce.Seg.Addr + off, c.bounce.DevAddr + off
 }
 
 // acquireSlot claims a bounce partition index.
@@ -682,8 +668,7 @@ func (c *Client) ioAttempt(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf 
 		defer p.Sleep(ntb.DefaultProgramCostNs)
 	}
 
-	partCPU := c.bounce.Seg.Addr + c.dataBase + uint64(slot)*c.params.PartitionBytes
-	partDev := c.bounce.DevAddr + c.dataBase + uint64(slot)*c.params.PartitionBytes
+	partCPU, partDev := c.partition(slot)
 	pages := (n + nvme.PageSize - 1) / nvme.PageSize
 	mapBytes := uint64(pages) * nvme.PageSize
 
@@ -714,16 +699,10 @@ func (c *Client) ioAttempt(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf 
 		c.BounceBytes += uint64(n)
 	}
 	inCopyDone := p.Now()
-	cmd := nvme.SQE{
-		Opcode: opcode, NSID: 1,
-		PRP1:  dataBase,
-		CDW10: uint32(lba), CDW11: uint32(lba >> 32),
-		CDW12: uint32(nblk - 1),
-	}
-	if pages == 2 {
-		cmd.PRP2 = dataBase + nvme.PageSize
-	} else if pages > 2 {
-		cmd.PRP2 = c.bounce.DevAddr + c.listBase + uint64(slot)*nvme.PageSize
+	cmd := nvme.IOCmd(opcode, lba, nblk)
+	list := uint64(slot) * c.listBytes
+	if err := nvme.PRPs(c.node.Host(), &cmd, dataBase, n, c.bounce.Seg.Addr+list, c.bounce.DevAddr+list); err != nil {
+		return err
 	}
 	st, slotParked, err := c.exec(p, &cmd, slot)
 	parked = slotParked
@@ -803,16 +782,8 @@ func (c *Client) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 			c.releaseSlot(slot)
 		}
 	}()
-	partCPU := c.bounce.Seg.Addr + c.dataBase + uint64(slot)*c.params.PartitionBytes
-	partDev := c.bounce.DevAddr + c.dataBase + uint64(slot)*c.params.PartitionBytes
-	rng := make([]byte, nvme.DSMRangeSize)
-	for i := 0; i < 4; i++ {
-		rng[4+i] = byte(uint32(nblk) >> (8 * i))
-	}
-	for i := 0; i < 8; i++ {
-		rng[8+i] = byte(lba >> (8 * i))
-	}
-	if err := c.node.Host().Write(p, partCPU, rng); err != nil {
+	partCPU, partDev := c.partition(slot)
+	if err := c.node.Host().Write(p, partCPU, nvme.DSMRange(lba, nblk)); err != nil {
 		return err
 	}
 	cmd := nvme.SQE{Opcode: nvme.IODSM, NSID: 1, PRP1: partDev,
@@ -834,8 +805,7 @@ func (c *Client) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
 		return ErrClosed
 	}
 	p.Sleep(c.params.SubmitOverheadNs)
-	cmd := nvme.SQE{Opcode: nvme.IOWriteZeroes, NSID: 1,
-		CDW10: uint32(lba), CDW11: uint32(lba >> 32), CDW12: uint32(nblk - 1)}
+	cmd := nvme.IOCmd(nvme.IOWriteZeroes, lba, nblk)
 	st, _, err := c.exec(p, &cmd, -1)
 	if err != nil {
 		return err

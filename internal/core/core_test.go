@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/block"
@@ -302,36 +303,55 @@ func TestTransferTooLarge(t *testing.T) {
 }
 
 func TestLargeTransferUsesPRPList(t *testing.T) {
-	r := newRig(t, 2, cluster.NVMeConfig{})
-	r.start(t, func(p *sim.Proc) {
-		done := sim.NewEvent(r.c.K)
-		r.c.Go("client", func(cp *sim.Proc) {
-			defer done.Trigger(nil)
-			cl, err := core.NewClient(cp, "c", r.svc, r.c.Hosts[1].Node, r.mgr, core.ClientParams{})
-			if err != nil {
-				t.Errorf("client: %v", err)
-				return
-			}
-			n := 6 * 4096 // 6 pages -> PRP list path
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = byte(i*13 + 5)
-			}
-			if err := cl.WriteBlocks(cp, 300, n/512, want); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			got := make([]byte, n)
-			if err := cl.ReadBlocks(cp, 300, n/512, got); err != nil {
-				t.Errorf("read: %v", err)
-				return
-			}
-			if !bytes.Equal(got, want) {
-				t.Error("PRP-list transfer corrupted data across NTB")
-			}
+	type row struct {
+		name   string
+		params core.ClientParams
+		pages  int
+	}
+	// 6 pages take one list page; in a 4 MiB partition, 513 pages still
+	// fit one list page and 514 or more chain to a second or third.
+	rows := []row{{"6 pages", core.ClientParams{}, 6}}
+	for _, zc := range []bool{false, true} {
+		mode := map[bool]string{false: "bounce", true: "zero-copy"}[zc]
+		for _, pages := range []int{513, 514, 1023, 1024} {
+			rows = append(rows, row{fmt.Sprintf("%d pages %s", pages, mode),
+				core.ClientParams{QueueDepth: 2, PartitionBytes: 4 << 20, ZeroCopy: zc}, pages})
+		}
+	}
+	for _, c := range rows {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 2, cluster.NVMeConfig{})
+			r.startWith(t, core.ManagerParams{EnableIOMMU: c.params.ZeroCopy}, func(p *sim.Proc) {
+				done := sim.NewEvent(r.c.K)
+				r.c.Go("client", func(cp *sim.Proc) {
+					defer done.Trigger(nil)
+					cl, err := core.NewClient(cp, "c", r.svc, r.c.Hosts[1].Node, r.mgr, c.params)
+					if err != nil {
+						t.Errorf("client: %v", err)
+						return
+					}
+					n := c.pages * 4096
+					want := make([]byte, n)
+					for i := range want {
+						want[i] = byte(i*13 + 5)
+					}
+					if err := cl.WriteBlocks(cp, 300, n/512, want); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					got := make([]byte, n)
+					if err := cl.ReadBlocks(cp, 300, n/512, got); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Error("PRP-list transfer corrupted data across NTB")
+					}
+				})
+				p.Wait(done)
+			})
 		})
-		p.Wait(done)
-	})
+	}
 }
 
 func TestClientViaBlockLayer(t *testing.T) {

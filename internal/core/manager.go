@@ -106,26 +106,7 @@ type QueueGrant struct {
 }
 
 type qpRequest struct {
-	depth     int
-	sqDevAddr uint64
-	cqDevAddr uint64
-	// msiDevAddr, when nonzero, asks the manager to program an MSI-X
-	// vector posting to this device-domain address (a window into the
-	// client's interrupt mailbox) — the extension §V leaves as future
-	// work, enabled here behind ClientParams.UseInterrupts.
-	msiDevAddr uint64
-	// iovaBytes, when nonzero, requests a slice of the IOMMU aperture.
-	iovaBytes uint64
-	// cmbBytes, when nonzero, asks the manager to place the SQ inside
-	// the controller memory buffer instead of host memory.
-	cmbBytes uint64
-	// prio is the SQ's wire priority class (nvme.QPrio*), honored when
-	// the controller arbitrates with WRR.
-	prio uint8
-	// ref and host identify the requesting client for session tracking
-	// (LeaseNs managers); ref is released when the session is reclaimed.
-	ref   *smartio.Ref
-	host  uint32
+	QueueRequest
 	reply *sim.Event // payload: QueueGrant or error
 }
 
@@ -361,9 +342,9 @@ func (m *Manager) serve(p *sim.Proc) {
 			if err != nil {
 				req.reply.Trigger(err)
 			} else {
-				if m.params.LeaseNs > 0 && req.ref != nil {
+				if m.params.LeaseNs > 0 && req.Ref != nil {
 					m.sessions[grant.QID] = &session{
-						qid: grant.QID, host: req.host, ref: req.ref, lastBeat: p.Now(),
+						qid: grant.QID, host: req.Host, ref: req.Ref, lastBeat: p.Now(),
 					}
 				}
 				delete(m.tombstones, grant.QID)
@@ -480,19 +461,19 @@ func (m *Manager) createQP(p *sim.Proc, req *qpRequest) (QueueGrant, error) {
 	if qid == 0 {
 		return QueueGrant{}, ErrNoFreeQueues
 	}
-	depth := req.depth
+	depth := req.Depth
 	if depth < 2 {
 		depth = 2
 	}
 	if depth > int(m.admin.MQES)+1 {
 		depth = int(m.admin.MQES) + 1
 	}
-	sqDevAddr := req.sqDevAddr
+	sqDevAddr := req.SQDevAddr
 	var cmbOff uint64
 	cmbGranted := false
 	var cmbSize uint64
-	if req.cmbBytes > 0 {
-		cmbSize = (req.cmbBytes + 63) &^ 63
+	if req.CMBBytes > 0 {
+		cmbSize = (req.CMBBytes + 63) &^ 63
 		off, err := m.cmbAlloc(cmbSize)
 		if err != nil {
 			return QueueGrant{}, err
@@ -501,21 +482,21 @@ func (m *Manager) createQP(p *sim.Proc, req *qpRequest) (QueueGrant, error) {
 		sqDevAddr = uint64(m.barBase) + nvme.CMBBase + cmbOff
 		cmbGranted = true
 	}
-	ien := req.msiDevAddr != 0
+	ien := req.MSIAddr != 0
 	iv := uint16(0)
 	if ien {
 		// Program the vector's MSI-X table entry through the BAR before
 		// creating the CQ that references it.
 		iv = qid
 		entry := nvme.MSIXTableBase + uint64(iv)*nvme.MSIXEntrySize
-		if err := m.admin.WriteReg64(p, entry, req.msiDevAddr); err != nil {
+		if err := m.admin.WriteReg64(p, entry, req.MSIAddr); err != nil {
 			return QueueGrant{}, err
 		}
 		if err := m.admin.WriteReg32(p, entry+8, uint32(iv)); err != nil {
 			return QueueGrant{}, err
 		}
 	}
-	if err := m.admin.CreateQueuePairPrio(p, qid, depth, sqDevAddr, req.cqDevAddr, ien, iv, req.prio); err != nil {
+	if err := m.admin.CreateQueuePairPrio(p, qid, depth, sqDevAddr, req.CQDevAddr, ien, iv, req.Prio.wire()); err != nil {
 		return QueueGrant{}, err
 	}
 	grant := QueueGrant{QID: qid, Depth: depth, DSTRD: m.admin.DSTRD, IV: iv,
@@ -523,12 +504,12 @@ func (m *Manager) createQP(p *sim.Proc, req *qpRequest) (QueueGrant, error) {
 	if cmbGranted {
 		m.cmbByQID[qid] = [2]uint64{cmbOff, cmbSize}
 	}
-	if req.iovaBytes > 0 {
+	if req.IOVABytes > 0 {
 		if m.mmu == nil {
 			_ = m.admin.DeleteQueuePair(p, qid)
 			return QueueGrant{}, fmt.Errorf("%w: IOMMU not enabled on manager", ErrBadGrant)
 		}
-		size := (req.iovaBytes + iommu.PageSize - 1) &^ (iommu.PageSize - 1)
+		size := (req.IOVABytes + iommu.PageSize - 1) &^ (iommu.PageSize - 1)
 		if m.iovaNext+size > m.params.IOMMUAperture {
 			_ = m.admin.DeleteQueuePair(p, qid)
 			return QueueGrant{}, fmt.Errorf("%w: IOVA aperture exhausted", ErrBadGrant)
@@ -601,8 +582,10 @@ type QueueRequest struct {
 	// SQDevAddr/CQDevAddr locate queue memory in the device domain.
 	SQDevAddr uint64
 	CQDevAddr uint64
-	// MSIAddr, when nonzero, requests MSI-X delivery to that
-	// device-domain address.
+	// MSIAddr, when nonzero, asks the manager to program an MSI-X
+	// vector posting to this device-domain address (a window into the
+	// client's interrupt mailbox): the extension §V leaves as future
+	// work, enabled behind ClientParams.UseInterrupts.
 	MSIAddr uint64
 	// IOVABytes, when nonzero, requests a slice of the IOMMU aperture.
 	IOVABytes uint64
@@ -649,10 +632,7 @@ func (q QueuePrio) wire() uint8 {
 // RequestQueue asks the manager to create an I/O queue pair. Called from
 // a client process; the round trip models the shared-memory RPC of §V.
 func (m *Manager) RequestQueue(p *sim.Proc, r QueueRequest) (QueueGrant, error) {
-	req := &qpRequest{depth: r.Depth, sqDevAddr: r.SQDevAddr, cqDevAddr: r.CQDevAddr,
-		msiDevAddr: r.MSIAddr, iovaBytes: r.IOVABytes, cmbBytes: r.CMBBytes,
-		prio: r.Prio.wire(), ref: r.Ref, host: r.Host,
-		reply: sim.NewEvent(p.Kernel())}
+	req := &qpRequest{QueueRequest: r, reply: sim.NewEvent(p.Kernel())}
 	p.Sleep(m.params.RPCTransportNs)
 	m.mail.Push(req)
 	v := p.Wait(req.reply)

@@ -41,12 +41,12 @@ func (c *Client) resvExec(p *sim.Proc, opcode uint8, cdw10, cdw15 uint32, data [
 	slot := -1
 	if len(data) > 0 {
 		slot = c.acquireSlot(p)
-		partCPU := c.bounce.Seg.Addr + c.dataBase + uint64(slot)*c.params.PartitionBytes
+		partCPU, partDev := c.partition(slot)
 		if err := c.node.Host().Write(p, partCPU, data); err != nil {
 			c.releaseSlot(slot)
 			return 0, err
 		}
-		cmd.PRP1 = c.bounce.DevAddr + c.dataBase + uint64(slot)*c.params.PartitionBytes
+		cmd.PRP1 = partDev
 	}
 	st, parked, err := c.exec(p, &cmd, slot)
 	if slot >= 0 && !parked {

@@ -28,7 +28,9 @@ type Params struct {
 	Queues int
 	// QueueDepth is entries per queue.
 	QueueDepth int
-	// MaxPages bounds the transfer size per command (PRP pool pages).
+	// MaxPages bounds the transfer size per command: each command
+	// context holds MaxPages contiguous DMA pages, followed by the PRP
+	// list pages a transfer of that size needs (nvme.PRPListPages).
 	MaxPages int
 	// Tracer, when non-nil, records per-IO spans (submit and device
 	// stages) plus the queue-level fabric hops. Nil by default.
@@ -91,21 +93,24 @@ func (e *StatusError) Code() (sct, sc uint8) {
 	return uint8(e.Status >> 8 & 0x7), uint8(e.Status & 0xFF)
 }
 
-// cmdCtx is a per-slot command context with preallocated DMA pages, like
-// the kernel driver's iod/PRP mappings — this is what makes the stock
-// driver zero-copy.
+// cmdCtx is a command context with preallocated DMA pages, like the
+// kernel driver's iod/PRP mappings — this is what makes the stock driver
+// zero-copy. A context belongs to one command from submission until its
+// data has been copied out after completion.
 type cmdCtx struct {
-	pages   []pcie.Addr
-	prpList pcie.Addr
+	buf  pcie.Addr // MaxPages contiguous pages
+	list pcie.Addr // the PRP list region right behind them
+	busy bool
 }
 
 type ioQueue struct {
 	view   *nvme.QueueView
 	reaper *nvme.Reaper
-	ctxs   []*cmdCtx
-	free   *sim.Semaphore
-	drv    *Driver
-	id     uint16
+	// ctxs has one context per permit of free.
+	ctxs []cmdCtx
+	free *sim.Semaphore
+	drv  *Driver
+	id   uint16
 	// submitted and completed count commands through this queue, for
 	// per-queue telemetry attribution.
 	submitted uint64
@@ -218,26 +223,15 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 	// acknowledges all reaped entries with a single head doorbell.
 	q.view.EnableLocking(d.kernel)
 	q.view.Tracer = d.params.Tracer
-	q.ctxs = make([]*cmdCtx, depth)
+	maxBytes := d.params.MaxPages * nvme.PageSize
+	listPages := nvme.PRPListPages(0, maxBytes)
+	q.ctxs = make([]cmdCtx, depth-1)
 	for i := range q.ctxs {
-		ctx := &cmdCtx{}
-		for j := 0; j < d.params.MaxPages; j++ {
-			pg, err := d.host.Alloc(nvme.PageSize, nvme.PageSize)
-			if err != nil {
-				return nil, err
-			}
-			ctx.pages = append(ctx.pages, pg)
-		}
-		ctx.prpList, err = d.host.Alloc(nvme.PageSize, nvme.PageSize)
+		buf, err := d.host.Alloc(uint64(d.params.MaxPages+listPages)*nvme.PageSize, nvme.PageSize)
 		if err != nil {
 			return nil, err
 		}
-		// Program the PRP list once; it never changes (pages are fixed).
-		list, _ := d.host.Slice(ctx.prpList, nvme.PageSize)
-		for j := 1; j < d.params.MaxPages; j++ {
-			le64(list[(j-1)*8:], uint64(ctx.pages[j]))
-		}
-		q.ctxs[i] = ctx
+		q.ctxs[i] = cmdCtx{buf: buf, list: buf + pcie.Addr(maxBytes)}
 	}
 	// The interrupt service routine: it runs once the MSI lands, pays
 	// IRQ entry, then the handler cost for each CQE it reaps.
@@ -337,39 +331,33 @@ func (d *Driver) io(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf []byte)
 	if pages > d.params.MaxPages {
 		return ErrTooLarge
 	}
-	q := d.pick()
-	cmd := nvme.SQE{
-		Opcode: opcode, NSID: 1,
-		CDW10: uint32(lba), CDW11: uint32(lba >> 32),
-		CDW12: uint32(nblk - 1),
-	}
-	return q.exec(p, &cmd, buf)
+	cmd := nvme.IOCmd(opcode, lba, nblk)
+	return d.pick().exec(p, &cmd, buf)
 }
 
-// exec runs one command through the queue: claims a context, wires PRPs to
-// its preallocated pages, submits, and waits for the ISR to complete it.
-// For writes, data lands in the DMA pages before submission; for reads it
-// is copied out afterwards. Crossing the model boundary between Go slices
-// and simulated physical pages costs no virtual time — on hardware these
-// are the same pages (zero-copy), which is exactly the stock driver's
-// advantage over the paper's bounce-buffer driver.
+// exec runs one command through the queue: claims a context, points the
+// command at its preallocated pages, submits, and waits for the ISR to
+// complete it. For writes, data lands in the DMA pages before submission;
+// for reads it is copied out afterwards. Crossing the model boundary
+// between Go slices and simulated physical pages costs no virtual time —
+// on hardware these are the same pages (zero-copy), which is exactly the
+// stock driver's advantage over the paper's bounce-buffer driver.
 func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 	p.Acquire(q.free)
 	defer q.free.Release()
+	ctx := q.claim()
+	defer func() { ctx.busy = false }()
 	cid := q.view.NextCID()
-	ctx := q.ctxs[int(cid)%len(q.ctxs)]
 
 	n := len(data)
 	if n > 0 {
-		cmd.PRP1 = ctx.pages[0]
-		pages := (n + nvme.PageSize - 1) / nvme.PageSize
-		if pages == 2 {
-			cmd.PRP2 = ctx.pages[1]
-		} else if pages > 2 {
-			cmd.PRP2 = ctx.prpList
+		if err := nvme.PRPs(q.drv.host, cmd, ctx.buf, n, ctx.list, ctx.list); err != nil {
+			return err
 		}
 		if opcodeSendsData(cmd.Opcode) {
-			q.movePages(ctx, data, true)
+			if err := q.drv.host.Mem().Write(ctx.buf, data); err != nil {
+				return err
+			}
 		}
 	}
 	cmd.CID = cid
@@ -397,27 +385,21 @@ func (q *ioQueue) exec(p *sim.Proc, cmd *nvme.SQE, data []byte) error {
 		return &StatusError{Status: status}
 	}
 	if n > 0 && cmd.Opcode == nvme.IORead {
-		q.movePages(ctx, data, false)
+		return q.drv.host.Mem().Read(ctx.buf, data)
 	}
 	return nil
 }
 
-// movePages copies between a Go buffer and the context's DMA pages
-// (model boundary, no virtual time). in=true moves data into the pages.
-func (q *ioQueue) movePages(ctx *cmdCtx, data []byte, in bool) {
-	n := len(data)
-	for off := 0; off < n; off += nvme.PageSize {
-		end := off + nvme.PageSize
-		if end > n {
-			end = n
-		}
-		pg, _ := q.drv.host.Slice(ctx.pages[off/nvme.PageSize], uint64(end-off))
-		if in {
-			copy(pg, data[off:end])
-		} else {
-			copy(data[off:end], pg)
+// claim hands out the first idle context. The caller holds a permit of
+// free, so one is idle.
+func (q *ioQueue) claim() *cmdCtx {
+	for i := range q.ctxs {
+		if ctx := &q.ctxs[i]; !ctx.busy {
+			ctx.busy = true
+			return ctx
 		}
 	}
+	panic("hostdriver: context accounting broken")
 }
 
 func opcodeSendsData(op uint8) bool {
@@ -427,42 +409,18 @@ func opcodeSendsData(op uint8) bool {
 // DiscardBlocks implements block.Discarder via Dataset Management with
 // the deallocate attribute.
 func (d *Driver) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
-	q := d.pick()
-	rng := make([]byte, nvme.DSMRangeSize)
-	le32(rng[4:], uint32(nblk))
-	le64(rng[8:], lba)
 	cmd := nvme.SQE{Opcode: nvme.IODSM, NSID: 1, CDW10: 0, CDW11: nvme.DSMAttrDeallocate}
-	return q.exec(p, &cmd, rng)
+	return d.pick().exec(p, &cmd, nvme.DSMRange(lba, nblk))
 }
 
 // WriteZeroesBlocks implements block.ZeroWriter.
 func (d *Driver) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
-	q := d.pick()
-	cmd := nvme.SQE{Opcode: nvme.IOWriteZeroes, NSID: 1,
-		CDW10: uint32(lba), CDW11: uint32(lba >> 32), CDW12: uint32(nblk - 1)}
-	return q.exec(p, &cmd, nil)
+	cmd := nvme.IOCmd(nvme.IOWriteZeroes, lba, nblk)
+	return d.pick().exec(p, &cmd, nil)
 }
 
 // CompareBlocks issues an NVMe Compare: it succeeds only when the device
 // holds exactly the given data at [lba, lba+nblk).
 func (d *Driver) CompareBlocks(p *sim.Proc, lba uint64, nblk int, data []byte) error {
-	if len(data) != nblk*d.BlockSize() {
-		return fmt.Errorf("%w: %d bytes for %d blocks", ErrBadBuffer, len(data), nblk)
-	}
-	q := d.pick()
-	cmd := nvme.SQE{Opcode: nvme.IOCompare, NSID: 1,
-		CDW10: uint32(lba), CDW11: uint32(lba >> 32), CDW12: uint32(nblk - 1)}
-	return q.exec(p, &cmd, data)
-}
-
-func le32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func le64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	return d.io(p, nvme.IOCompare, lba, nblk, data)
 }

@@ -104,24 +104,85 @@ func TestDriverReadWrite(t *testing.T) {
 }
 
 func TestDriverLargeTransferPRPList(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		params hostdriver.Params
+		pages  int
+	}{
+		{"16 pages", hostdriver.Params{}, 16},
+		// 600 pages take a PRP list chained over two list pages.
+		{"600 pages", hostdriver.Params{MaxPages: 600, QueueDepth: 8}, 600},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			r.withDriver(t, c.params, func(p *sim.Proc, d *hostdriver.Driver) {
+				n := c.pages * 4096
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = byte(i * 7)
+				}
+				if err := d.WriteBlocks(p, 0, n/512, want); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				got := make([]byte, n)
+				if err := d.ReadBlocks(p, 0, n/512, got); err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Error("large transfer mismatch")
+				}
+			})
+		})
+	}
+}
+
+// TestDriverContextOwnedUntilCompletion stalls one read in the medium,
+// for stalls swept over 0-60 µs, while two readers loop on another LBA.
+// However the completions interleave, a command's DMA pages must stay its
+// own until it has copied its data out.
+func TestDriverContextOwnedUntilCompletion(t *testing.T) {
 	r := newRig(t)
-	r.withDriver(t, hostdriver.Params{}, func(p *sim.Proc, d *hostdriver.Driver) {
-		n := 16 * 4096 // 16 pages -> PRP list
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = byte(i * 7)
+	med := r.ctrl.Medium().(*nvme.FlashMedium)
+	wrong := 0
+	r.withDriver(t, hostdriver.Params{QueueDepth: 4}, func(p *sim.Proc, d *hostdriver.Driver) {
+		stalled := bytes.Repeat([]byte{0x5A}, 4096)
+		other := bytes.Repeat([]byte{0xA5}, 4096)
+		if err := d.WriteBlocks(p, 0, 8, stalled); err != nil {
+			t.Fatal(err)
 		}
-		if err := d.WriteBlocks(p, 0, n/512, want); err != nil {
-			t.Fatalf("write: %v", err)
+		if err := d.WriteBlocks(p, 64, 8, other); err != nil {
+			t.Fatal(err)
 		}
-		got := make([]byte, n)
-		if err := d.ReadBlocks(p, 0, n/512, got); err != nil {
-			t.Fatalf("read: %v", err)
+		stop := false
+		for i := 0; i < 2; i++ {
+			r.c.K.Spawn("reader", func(rp *sim.Proc) {
+				buf := make([]byte, 4096)
+				for !stop {
+					if err := d.ReadBlocks(rp, 64, 8, buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(buf, other) {
+						wrong++
+					}
+				}
+			})
 		}
-		if !bytes.Equal(got, want) {
-			t.Error("large transfer mismatch")
+		buf := make([]byte, 4096)
+		for stall := int64(0); stall <= 60_000; stall += 250 {
+			med.InjectStall(stall)
+			if err := d.ReadBlocks(p, 0, 8, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, stalled) {
+				wrong++
+			}
 		}
+		stop = true
 	})
+	if wrong > 0 {
+		t.Errorf("%d reads returned another command's data", wrong)
+	}
 }
 
 func TestDriverTooLarge(t *testing.T) {

@@ -261,8 +261,7 @@ func (c *Controller) execIO(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint1
 // ioCompare reads the addressed blocks and compares them with the
 // host-supplied data; mismatch completes with Compare Failure.
 func (c *Controller) ioCompare(p *sim.Proc, cmd *SQE) uint16 {
-	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
-	nlb := int(cmd.CDW12&0xFFFF) + 1
+	slba, nlb := cmd.LBARange()
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
@@ -286,8 +285,7 @@ func (c *Controller) ioCompare(p *sim.Proc, cmd *SQE) uint16 {
 // ioWriteZeroes deallocates the addressed blocks (they read back as
 // zeros) without any data transfer.
 func (c *Controller) ioWriteZeroes(p *sim.Proc, cmd *SQE) uint16 {
-	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
-	nlb := int(cmd.CDW12&0xFFFF) + 1
+	slba, nlb := cmd.LBARange()
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
@@ -329,8 +327,7 @@ func (c *Controller) ioDSM(p *sim.Proc, cmd *SQE) uint16 {
 }
 
 func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint16 {
-	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
-	nlb := int(cmd.CDW12&0xFFFF) + 1
+	slba, nlb := cmd.LBARange()
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}
@@ -353,8 +350,7 @@ func (c *Controller) ioRead(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint1
 }
 
 func (c *Controller) ioWrite(p *sim.Proc, qid uint16, cmd *SQE, s *cmdBufs) uint16 {
-	slba := uint64(cmd.CDW10) | uint64(cmd.CDW11)<<32
-	nlb := int(cmd.CDW12&0xFFFF) + 1
+	slba, nlb := cmd.LBARange()
 	if slba+uint64(nlb) > c.med.Blocks() {
 		return Status(SCTGeneric, SCLBAOutOfRange)
 	}

@@ -247,16 +247,9 @@ func (ini *Initiator) releaseSlot(slot int) {
 // deallocate with the range definition in-capsule.
 func (ini *Initiator) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 	p.Sleep(ini.params.SubmitNs)
-	rng := make([]byte, nvme.DSMRangeSize)
-	for i := 0; i < 4; i++ {
-		rng[4+i] = byte(uint32(nblk) >> (8 * i))
-	}
-	for i := 0; i < 8; i++ {
-		rng[8+i] = byte(lba >> (8 * i))
-	}
 	cap := &CmdCapsule{Opcode: nvme.IODSM, NSID: 1, Nblk: 1,
 		DataLen: nvme.DSMRangeSize, Flags: FlagInline}
-	resp, err := ini.exec(p, cap, rng)
+	resp, err := ini.exec(p, cap, nvme.DSMRange(lba, nblk))
 	if err != nil {
 		return err
 	}

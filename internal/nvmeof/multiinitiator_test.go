@@ -106,35 +106,40 @@ func TestMultipleInitiators(t *testing.T) {
 	}
 }
 
-// TestChainedPRPListLargeTransfer drives a transfer large enough that the
-// PRP list itself spans multiple chained pages (>511 data pages), through
-// the fabrics path which builds lists in staging memory.
+// TestChainedPRPList drives transfers large enough that the PRP list
+// itself spans chained pages (more than 512 entries), through the fabrics
+// path, which builds lists in staging memory: 513 pages fill exactly one
+// list page, 520 chain to a second, and 1024 fill the second exactly.
 func TestChainedPRPList(t *testing.T) {
-	r := newRig(t, cluster.NVMeConfig{})
-	r.start(t,
-		nvmeof.TargetParams{StagingBytes: 4 << 20, QueueDepth: 8},
-		nvmeof.InitiatorParams{SlotBytes: 4 << 20, QueueDepth: 4},
-		func(p *sim.Proc, ini *nvmeof.Initiator) {
-			n := 520 * 4096 // 520 pages: PRP list chains to a second page
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = byte(i*7 + 1)
-			}
-			if err := ini.WriteBlocks(p, 0, n/512, want); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			got := make([]byte, n)
-			if err := ini.ReadBlocks(p, 0, n/512, got); err != nil {
-				t.Errorf("read: %v", err)
-				return
-			}
-			if !bytes.Equal(got, want) {
-				t.Error("chained PRP list corrupted data")
+	for _, pages := range []int{513, 520, 1024} {
+		t.Run(fmt.Sprintf("%d pages", pages), func(t *testing.T) {
+			r := newRig(t, cluster.NVMeConfig{})
+			r.start(t,
+				// 4 MiB of data plus the two list pages it needs.
+				nvmeof.TargetParams{StagingBytes: 4<<20 + 2*nvme.PageSize, QueueDepth: 8},
+				nvmeof.InitiatorParams{SlotBytes: 4 << 20, QueueDepth: 4},
+				func(p *sim.Proc, ini *nvmeof.Initiator) {
+					n := pages * nvme.PageSize
+					want := make([]byte, n)
+					for i := range want {
+						want[i] = byte(i*7 + 1)
+					}
+					if err := ini.WriteBlocks(p, 0, n/512, want); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					got := make([]byte, n)
+					if err := ini.ReadBlocks(p, 0, n/512, got); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Error("chained PRP list corrupted data")
+					}
+				})
+			if r.ctrl.Stats.ErrorCmds != 0 {
+				t.Fatalf("controller errors: %+v", r.ctrl.Stats)
 			}
 		})
-	if r.ctrl.Stats.ErrorCmds != 0 {
-		t.Fatalf("controller errors: %+v", r.ctrl.Stats)
 	}
-	_ = nvme.PageSize
 }

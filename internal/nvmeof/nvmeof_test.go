@@ -3,6 +3,7 @@ package nvmeof_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/block"
@@ -85,24 +86,32 @@ func TestConnectHandshake(t *testing.T) {
 }
 
 func TestReadWriteInCapsule(t *testing.T) {
-	r := newRig(t, cluster.NVMeConfig{})
-	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
-		want := bytes.Repeat([]byte{0xFA, 0xB1}, 2048) // 4 kB: in-capsule write
-		if err := ini.WriteBlocks(p, 555, 8, want); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		got := make([]byte, 4096)
-		if err := ini.ReadBlocks(p, 555, 8, got); err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		if !bytes.Equal(got, want) {
-			t.Error("data mismatch over fabrics")
-		}
-	})
-	if r.ctrl.Stats.ReadCmds != 1 || r.ctrl.Stats.WriteCmds != 1 {
-		t.Fatalf("controller stats %+v", r.ctrl.Stats)
+	// The payload starts right after the 64-byte capsule header, so 4 kB
+	// straddles two pages and 16 kB needs a PRP list from an unaligned
+	// start.
+	for _, n := range []int{4096, 16384} {
+		t.Run(fmt.Sprintf("%d bytes", n), func(t *testing.T) {
+			r := newRig(t, cluster.NVMeConfig{})
+			r.start(t, nvmeof.TargetParams{InCapsule: n}, nvmeof.InitiatorParams{InCapsule: n},
+				func(p *sim.Proc, ini *nvmeof.Initiator) {
+					want := bytes.Repeat([]byte{0xFA, 0xB1}, n/2)
+					if err := ini.WriteBlocks(p, 555, n/512, want); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					got := make([]byte, n)
+					if err := ini.ReadBlocks(p, 555, n/512, got); err != nil {
+						t.Errorf("read: %v", err)
+						return
+					}
+					if !bytes.Equal(got, want) {
+						t.Error("data mismatch over fabrics")
+					}
+				})
+			if r.ctrl.Stats.ReadCmds != 1 || r.ctrl.Stats.WriteCmds != 1 {
+				t.Fatalf("controller stats %+v", r.ctrl.Stats)
+			}
+		})
 	}
 }
 

@@ -277,38 +277,34 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 			}
 		}
 	}
-	cmd := nvme.SQE{
-		Opcode: cap.Opcode, NSID: cap.NSID,
-		CDW10: uint32(cap.LBA), CDW11: uint32(cap.LBA >> 32),
-	}
+	var cmd nvme.SQE
 	switch cap.Opcode {
 	case nvme.IOFlush:
-		// No addressing or data.
+		cmd = nvme.SQE{Opcode: nvme.IOFlush}
 	case nvme.IOWriteZeroes:
-		cmd.CDW12 = cap.Nblk - 1
+		cmd = nvme.IOCmd(nvme.IOWriteZeroes, cap.LBA, int(cap.Nblk))
 	case nvme.IODSM:
-		cmd.PRP1 = uint64(prp)
-		cmd.CDW10 = cap.Nblk - 1 // NR rides in the capsule's Nblk field
-		cmd.CDW11 = nvme.DSMAttrDeallocate
+		// NR rides in the capsule's Nblk field.
+		cmd = nvme.SQE{Opcode: nvme.IODSM, PRP1: uint64(prp),
+			CDW10: cap.Nblk - 1, CDW11: nvme.DSMAttrDeallocate}
 	default:
-		cmd.PRP1 = uint64(prp)
-		cmd.CDW12 = cap.Nblk - 1
-		// Page count must account for PRP1's offset into its page:
-		// in-capsule payloads start right after the 64-byte header and
-		// straddle a page boundary even at 4 kB.
-		off := int(prp % nvme.PageSize)
-		pages := (off + n + nvme.PageSize - 1) / nvme.PageSize
-		if pages == 2 {
-			cmd.PRP2 = prp + pcie.Addr(nvme.PageSize-off)
-		} else if pages > 2 {
-			// Staging partitions are physically contiguous; a same-slot
-			// PRP list page is built on demand at the partition tail.
-			resp.Status = c.buildPRPList(prp, stage, n, &cmd)
-			if resp.Status != nvme.StatusOK {
-				return resp, false
-			}
+		// Staging partitions are physically contiguous, and a transfer
+		// past two pages takes its PRP list from the partition's tail.
+		// In-capsule payloads start right after the 64-byte header, so
+		// they straddle a page boundary even at 4 kB.
+		cmd = nvme.IOCmd(cap.Opcode, cap.LBA, int(cap.Nblk))
+		listBytes := uint64(nvme.PRPListPages(prp, n)) * nvme.PageSize
+		if uint64(n)+listBytes > c.t.params.StagingBytes {
+			resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
+			return resp, false
+		}
+		list := stage + pcie.Addr(c.t.params.StagingBytes-listBytes)
+		if err := nvme.PRPs(c.t.host, &cmd, prp, n, list, list); err != nil {
+			resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCDataTransfer)
+			return resp, false
 		}
 	}
+	cmd.NSID = cap.NSID
 	c.t.cpuSleep(p, c.t.params.SubmitNs)
 	status, err := c.ioq.Exec(p, &cmd)
 	if err != nil {
@@ -324,52 +320,6 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 		return resp, true
 	}
 	return resp, false
-}
-
-// buildPRPList writes a (possibly chained) PRP list into the tail pages of
-// the slot's staging partition for transfers above two pages. Each list
-// page holds 511 data entries plus a chain pointer; the final page holds
-// up to 512.
-func (c *conn) buildPRPList(prp, stage pcie.Addr, n int, cmd *nvme.SQE) uint16 {
-	const perPage = nvme.PageSize / 8 // 512 entries
-	pages := (n + nvme.PageSize - 1) / nvme.PageSize
-	entries := pages - 1 // first page rides in PRP1
-	listPages := 1
-	for capacity := perPage; capacity < entries; capacity += perPage - 1 {
-		listPages++
-	}
-	if uint64(n)+uint64(listPages)*nvme.PageSize > c.t.params.StagingBytes {
-		return nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
-	}
-	listBase := stage + pcie.Addr(c.t.params.StagingBytes) - pcie.Addr(listPages*nvme.PageSize)
-	entry := 0
-	for lp := 0; lp < listPages; lp++ {
-		pageAddr := listBase + pcie.Addr(lp*nvme.PageSize)
-		list, err := c.t.host.Slice(pageAddr, nvme.PageSize)
-		if err != nil {
-			return nvme.Status(nvme.SCTGeneric, nvme.SCDataTransfer)
-		}
-		slots := perPage
-		last := lp == listPages-1
-		if !last {
-			slots = perPage - 1
-		}
-		for s := 0; s < slots && entry < entries; s++ {
-			addr := uint64(prp) + uint64(entry+1)*nvme.PageSize
-			for i := 0; i < 8; i++ {
-				list[s*8+i] = byte(addr >> (8 * i))
-			}
-			entry++
-		}
-		if !last {
-			chain := uint64(pageAddr) + nvme.PageSize
-			for i := 0; i < 8; i++ {
-				list[(perPage-1)*8+i] = byte(chain >> (8 * i))
-			}
-		}
-	}
-	cmd.PRP2 = uint64(listBase)
-	return nvme.StatusOK
 }
 
 func drainCQ(cq *rdma.CQ) {
