@@ -164,22 +164,20 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	// E7: NVMe-oF critical-path components and our measured phases.
-	tp := nvmeof.DefaultTargetParams()
-	ip := nvmeof.DefaultInitiatorParams()
-	rp := rdma.DefaultParams()
-	msg := rp.TxNs + rp.WireNs + rp.RxNs
-	ser := 4096 / rp.BytesPerNs
-	sum := float64(ip.SubmitNs+2*msg+tp.PollNs+tp.CapsuleProcNs+tp.SubmitNs+tp.CplProcNs+ip.IRQEntryNs+ip.CompleteNs) + ser
+	msg := rdma.TxNs + rdma.WireNs + rdma.RxNs
+	ser := 4096 / rdma.BytesPerNs
+	sum := float64(nvmeof.InitiatorSubmitNs+2*msg+nvmeof.TargetPollNs+nvmeof.TargetCapsuleProcNs+
+		nvmeof.TargetSubmitNs+nvmeof.TargetCplProcNs+nvmeof.InitiatorIRQEntryNs+nvmeof.InitiatorCompleteNs) + ser
 	row("E7 NVMe-oF sw + NIC costs per 4 KiB read", "Fig.3: sw in path",
 		fmt.Sprintf("%.2f of %.2f us", sum/1000, rd), sum/1000 <= rd && sum/1000 >= 0.75*rd)
-	detail("initiator submit sw        %5d ns", ip.SubmitNs)
+	detail("initiator submit sw        %5d ns", nvmeof.InitiatorSubmitNs)
 	detail("NIC tx + wire + NIC rx     %5d ns per message (one way, x2)", msg)
-	detail("target poll pickup         %5d ns", tp.PollNs)
-	detail("target capsule processing  %5d ns (+%d ns for in-capsule data)", tp.CapsuleProcNs, tp.DataCapsuleNs)
-	detail("target NVMe submit (SPDK)  %5d ns", tp.SubmitNs)
-	detail("target completion path     %5d ns", tp.CplProcNs)
-	detail("initiator IRQ + complete   %5d ns", ip.IRQEntryNs+ip.CompleteNs)
-	detail("4 KiB serialization        %5.0f ns at %.1f B/ns", ser, rp.BytesPerNs)
+	detail("target poll pickup         %5d ns", nvmeof.TargetPollNs)
+	detail("target capsule processing  %5d ns (+%d ns for in-capsule data)", nvmeof.TargetCapsuleProcNs, nvmeof.TargetDataCapsuleNs)
+	detail("target NVMe submit (SPDK)  %5d ns", nvmeof.TargetSubmitNs)
+	detail("target completion path     %5d ns", nvmeof.TargetCplProcNs)
+	detail("initiator IRQ + complete   %5d ns", nvmeof.InitiatorIRQEntryNs+nvmeof.InitiatorCompleteNs)
+	detail("4 KiB serialization        %5.0f ns at %.1f B/ns", ser, rdma.BytesPerNs)
 	rdPh, wrPh := phaseMeans(fio.RandRead), phaseMeans(fio.RandWrite)
 	swSame := rdPh[0] == wrPh[0] && rdPh[1] == wrPh[1] && rdPh[3] == wrPh[3]
 	row("E7 ours-remote write vs read phases", "non-posted fetch",

@@ -278,41 +278,3 @@ func (q *Queue) dispatch(p *sim.Proc, req *Request) error {
 		return fmt.Errorf("%w: op %d", ErrBadRequest, req.Op)
 	}
 }
-
-// Registry names block devices, as the kernel's gendisk table does.
-type Registry struct {
-	disks map[string]*Queue
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{disks: make(map[string]*Queue)}
-}
-
-// Register adds a device under its own name and returns its queue.
-func (r *Registry) Register(k *sim.Kernel, dev Device, params QueueParams) (*Queue, error) {
-	if _, ok := r.disks[dev.Name()]; ok {
-		return nil, fmt.Errorf("block: device %q exists", dev.Name())
-	}
-	q := NewQueue(k, dev, params)
-	r.disks[dev.Name()] = q
-	return q, nil
-}
-
-// Get returns a registered device's queue.
-func (r *Registry) Get(name string) (*Queue, error) {
-	q, ok := r.disks[name]
-	if !ok {
-		return nil, fmt.Errorf("block: no device %q", name)
-	}
-	return q, nil
-}
-
-// Names lists registered device names.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.disks))
-	for n := range r.disks {
-		out = append(out, n)
-	}
-	return out
-}

@@ -182,28 +182,6 @@ func TestRequestErrPropagation(t *testing.T) {
 	})
 }
 
-func TestRegistry(t *testing.T) {
-	k := sim.NewKernel()
-	r := NewRegistry()
-	dev := newMemDevice(512, 100, 10)
-	if _, err := r.Register(k, dev, QueueParams{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Register(k, dev, QueueParams{}); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if _, err := r.Get("memdev"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("nope"); err == nil {
-		t.Fatal("missing device found")
-	}
-	if len(r.Names()) != 1 {
-		t.Fatal("names wrong")
-	}
-	k.Shutdown()
-}
-
 func TestOpString(t *testing.T) {
 	if OpRead.String() != "read" || OpWrite.String() != "write" ||
 		OpFlush.String() != "flush" || Op(9).String() != "unknown" {

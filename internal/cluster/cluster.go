@@ -46,8 +46,6 @@ type Config struct {
 	MemBytes uint64
 	// Link is the fabric cost model (defaults applied per pcie).
 	Link pcie.LinkParams
-	// CPU is the CPU access cost model.
-	CPU pcie.CPUParams
 	// CrossNs is the cluster-switch+LUT crossing cost per direction.
 	// Combined with the adapter switch chips on both sides this yields
 	// the paper's "each switch chip adds 100–150 ns" remote penalty.
@@ -117,7 +115,7 @@ func (c *Cluster) addHost(i int) (*Host, error) {
 		return nil, err
 	}
 	mem := memory.New(DRAMBase, c.cfg.MemBytes)
-	port, err := pcie.NewHostPort(d, rc, mem, c.cfg.CPU)
+	port, err := pcie.NewHostPort(d, rc, mem)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +196,7 @@ func (h *Host) AttachNIC(name string) (*rdma.NIC, error) {
 	if err := h.Dom.Connect(h.RC, ep); err != nil {
 		return nil, err
 	}
-	return rdma.NewNIC(name, h.Port, ep, rdma.Params{}), nil
+	return rdma.NewNIC(name, h.Port, ep), nil
 }
 
 // Run drains the simulation and unwinds remaining processes.

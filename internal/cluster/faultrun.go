@@ -13,10 +13,29 @@ import (
 	"repro/internal/trace"
 )
 
+// The fault scenario's fixed crash and the lease/retry knobs that govern
+// recovery from it.
+const (
+	// faultCrashHost is the host killed mid-run. Every fault run crashes
+	// one host.
+	faultCrashHost = 2
+	// faultCrashAtNs is the crash time relative to client start.
+	faultCrashAtNs = 500 * sim.Microsecond
+	// faultHeartbeatNs is the client lease-refresh period.
+	faultHeartbeatNs = 50 * sim.Microsecond
+	// faultLeaseNs is the manager's liveness lease.
+	faultLeaseNs = 300 * sim.Microsecond
+	// faultIOTimeoutNs is the client command timeout.
+	faultIOTimeoutNs = 250 * sim.Microsecond
+	// faultMaxRetries bounds transient-failure retries.
+	faultMaxRetries = 4
+	// faultRangeBlocks bounds the LBA range touched.
+	faultRangeBlocks = 1 << 14
+)
+
 // FaultRunConfig parameterizes the fault/recovery scenario: the
 // multihost sharing topology plus a deterministic fault plan (one host
-// crash, optional fabric noise and a manager restart) and the
-// lease/retry knobs that govern recovery.
+// crash, optional fabric noise and a manager restart).
 type FaultRunConfig struct {
 	// Hosts is the number of client hosts (default 4).
 	Hosts int
@@ -24,16 +43,8 @@ type FaultRunConfig struct {
 	QueueDepth int
 	// IOsPerHost is each survivor's full I/O budget (default 400).
 	IOsPerHost int
-	// RangeBlocks bounds the LBA range touched (default 1<<14).
-	RangeBlocks uint64
 	// Seed drives the workload RNGs and the fault plane's random plan.
 	Seed int64
-
-	// CrashHost is the host killed mid-run (1..Hosts, default 2). Every
-	// fault run crashes one host.
-	CrashHost int
-	// CrashAtNs is the crash time relative to client start (default 500µs).
-	CrashAtNs int64
 
 	// ManagerRestart, when > 0, takes the manager down for that many ns
 	// at ManagerRestartAtNs (relative to client start).
@@ -43,15 +54,6 @@ type FaultRunConfig struct {
 	// Noise adds seed-derived fabric faults (link stalls, dropped
 	// doorbells, dropped CQEs) on top of the explicit crash/restart.
 	Noise fault.PlanSpec
-
-	// HeartbeatNs is the client lease-refresh period (default 50µs).
-	HeartbeatNs int64
-	// LeaseNs is the manager's liveness lease (default 300µs).
-	LeaseNs int64
-	// IOTimeoutNs is the client command timeout (default 250µs).
-	IOTimeoutNs int64
-	// MaxRetries bounds transient-failure retries (default 4).
-	MaxRetries int
 
 	NVMe     NVMeConfig
 	Cluster  Config
@@ -68,27 +70,6 @@ func (cfg FaultRunConfig) withDefaults() FaultRunConfig {
 	}
 	if cfg.IOsPerHost == 0 {
 		cfg.IOsPerHost = 400
-	}
-	if cfg.RangeBlocks == 0 {
-		cfg.RangeBlocks = 1 << 14
-	}
-	if cfg.CrashHost == 0 {
-		cfg.CrashHost = 2
-	}
-	if cfg.CrashAtNs == 0 {
-		cfg.CrashAtNs = 500 * sim.Microsecond
-	}
-	if cfg.HeartbeatNs == 0 {
-		cfg.HeartbeatNs = 50 * sim.Microsecond
-	}
-	if cfg.LeaseNs == 0 {
-		cfg.LeaseNs = 300 * sim.Microsecond
-	}
-	if cfg.IOTimeoutNs == 0 {
-		cfg.IOTimeoutNs = 250 * sim.Microsecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 4
 	}
 	return cfg
 }
@@ -172,9 +153,6 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	if cfg.Hosts < 2 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: fault scenario needs 2..31 client hosts, got %d", cfg.Hosts)
 	}
-	if cfg.CrashHost < 1 || cfg.CrashHost > cfg.Hosts {
-		return nil, fmt.Errorf("cluster: crash host %d out of range 1..%d", cfg.CrashHost, cfg.Hosts)
-	}
 	cc := cfg.Cluster
 	cc.Hosts = cfg.Hosts + 1
 	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
@@ -199,7 +177,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	res := &FaultRunResult{}
 	var crashT, endT sim.Time
 	err = r.Run("manager", func(p *sim.Proc) error {
-		mgr, err := r.Manager(p, 0, core.ManagerParams{LeaseNs: cfg.LeaseNs})
+		mgr, err := r.Manager(p, 0, core.ManagerParams{LeaseNs: faultLeaseNs})
 		if err != nil {
 			return err
 		}
@@ -211,8 +189,8 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 
 		// Arm the plan relative to client start: the explicit crash and
 		// restart, then the seed-derived noise.
-		plane.Schedule(fault.Action{AtNs: int64(start) + cfg.CrashAtNs,
-			Kind: fault.CrashHost, Host: cfg.CrashHost})
+		plane.Schedule(fault.Action{AtNs: int64(start) + faultCrashAtNs,
+			Kind: fault.CrashHost, Host: faultCrashHost})
 		if cfg.ManagerRestart > 0 {
 			plane.Schedule(fault.Action{AtNs: int64(start) + cfg.ManagerRestartAtNs,
 				Kind: fault.RestartManager, DurationNs: cfg.ManagerRestart})
@@ -226,7 +204,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 			plane.RandomPlan(noise)
 		}
 		plane.Arm()
-		crashT = start + sim.Time(cfg.CrashAtNs)
+		crashT = start + faultCrashAtNs
 
 		runs := make([]FaultHostRun, cfg.Hosts)
 		clients := make([]*core.Client, cfg.Hosts+1)
@@ -242,10 +220,10 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 				cl, err := r.Client(cp, host, mgr, fmt.Sprintf("dnvme%d", host), core.ClientParams{
 					QueueDepth:     cfg.QueueDepth + 1,
 					PartitionBytes: 16 << 10,
-					IOTimeoutNs:    cfg.IOTimeoutNs,
-					MaxRetries:     cfg.MaxRetries,
+					IOTimeoutNs:    faultIOTimeoutNs,
+					MaxRetries:     faultMaxRetries,
 					AbortOnTimeout: true,
-					HeartbeatNs:    cfg.HeartbeatNs,
+					HeartbeatNs:    faultHeartbeatNs,
 				})
 				if err != nil {
 					run.Err = err.Error()
@@ -275,7 +253,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 		// the probe is the reclaimed one — and push one real I/O through
 		// it.
 		for mgr.Reclaims == 0 {
-			p.Sleep(cfg.LeaseNs / 2)
+			p.Sleep(faultLeaseNs / 2)
 		}
 		probe, err := r.Client(p, 1, mgr, "dnvme-probe",
 			core.ClientParams{QueueDepth: cfg.QueueDepth + 1, PartitionBytes: 16 << 10})
@@ -283,7 +261,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 			res.ReusedQID = probe.QID()
 			buf := make([]byte, probe.BlockSize())
 			res.ReuseOK = probe.ReadBlocks(p, 0, 1, buf) == nil &&
-				res.ReusedQID == runs[cfg.CrashHost-1].QID
+				res.ReusedQID == runs[faultCrashHost-1].QID
 			probe.Close(p)
 		}
 		for i := 1; i <= cfg.Hosts; i++ {
@@ -310,7 +288,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	res.Plan = plane.Plan()
 	if cfg.Pipeline != nil {
 		res.JainBefore = jainWindow(cfg.Pipeline, 0, int64(crashT), -1)
-		res.JainAfter = jainWindow(cfg.Pipeline, int64(crashT), int64(endT), cfg.CrashHost)
+		res.JainAfter = jainWindow(cfg.Pipeline, int64(crashT), int64(endT), faultCrashHost)
 	}
 	return res, nil
 }
@@ -336,7 +314,7 @@ func runFaultWorkload(p *sim.Proc, cl *core.Client, cfg FaultRunConfig, host int
 			defer fin.Trigger(nil)
 			buf := make([]byte, bs)
 			for i := 0; i < n; i++ {
-				lba := rng.Uint64() % cfg.RangeBlocks
+				lba := rng.Uint64() % faultRangeBlocks
 				var err error
 				if rng.Intn(2) == 0 {
 					err = cl.ReadBlocks(wp, lba, 1, buf)

@@ -33,8 +33,8 @@ func TestFaultScenarioCrashRecovery(t *testing.T) {
 		t.Fatalf("reclaim events = %d, want 1: %+v", len(res.Reclaims), res.Reclaims)
 	}
 	ev := res.Reclaims[0]
-	if int(ev.Host) != cfg.CrashHost {
-		t.Errorf("reclaimed host = %d, want %d", ev.Host, cfg.CrashHost)
+	if int(ev.Host) != faultCrashHost {
+		t.Errorf("reclaimed host = %d, want %d", ev.Host, faultCrashHost)
 	}
 	if ev.Err != "" {
 		t.Errorf("reclaim error: %s", ev.Err)
@@ -43,7 +43,7 @@ func TestFaultScenarioCrashRecovery(t *testing.T) {
 		t.Errorf("reclaimed QID %d not reusable", res.ReusedQID)
 	}
 	for _, h := range res.PerHost {
-		if h.Host == cfg.CrashHost {
+		if h.Host == faultCrashHost {
 			if !h.Crashed {
 				t.Errorf("host %d should have crashed", h.Host)
 			}

@@ -13,6 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
+// multiHostRangeBlocks is each client's LBA working-set size.
+const multiHostRangeBlocks = 1 << 14
+
 // MultiHostConfig parameterizes a fairness-oriented sharing run: one
 // single-function controller on host 0 (with the manager), N client
 // hosts each attaching a distributed-driver client and running the same
@@ -25,8 +28,6 @@ type MultiHostConfig struct {
 	QueueDepth int
 	// IOsPerHost is the measured I/O count per client (default 200).
 	IOsPerHost int
-	// RangeBlocks is each client's LBA working-set size (default 2^14).
-	RangeBlocks uint64
 	// Seed offsets each host's workload stream (host i uses Seed+i).
 	Seed int64
 	// Op is the workload mix (zero value fio.RandRead; fairness runs
@@ -75,9 +76,6 @@ func (cfg MultiHostConfig) withDefaults() MultiHostConfig {
 	}
 	if cfg.IOsPerHost == 0 {
 		cfg.IOsPerHost = 200
-	}
-	if cfg.RangeBlocks == 0 {
-		cfg.RangeBlocks = 1 << 14
 	}
 	if cfg.Client.QueueDepth == 0 {
 		cfg.Client.QueueDepth = cfg.QueueDepth + 1
@@ -171,7 +169,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 				fr, err := fio.Run(cp, q, fio.JobSpec{
 					Name: fmt.Sprintf("host%d", host), Op: op,
 					QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
-					RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(host),
+					RangeBlocks: multiHostRangeBlocks, Seed: cfg.Seed + int64(host),
 				})
 				res.PerHost = append(res.PerHost, HostRun{Host: host, Res: fr, Err: err})
 			})
@@ -211,7 +209,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 			fr, err := fio.Run(p, q, fio.JobSpec{
 				Name: "baseline", Op: cfg.Op,
 				QueueDepth: cfg.QueueDepth, MaxIOs: cfg.IOsPerHost,
-				RangeBlocks: cfg.RangeBlocks, Seed: cfg.Seed + int64(base),
+				RangeBlocks: multiHostRangeBlocks, Seed: cfg.Seed + int64(base),
 			})
 			res.PerHost = append(res.PerHost, HostRun{Host: base, Res: fr, Err: err})
 		})

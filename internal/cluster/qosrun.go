@@ -27,6 +27,41 @@ const (
 // QoSScenarios lists the supported scenario names.
 func QoSScenarios() []string { return []string{QoSNoisyNeighbor, QoSLatencySensitive} }
 
+// The QoS scenario's tenant populations, client queue depths and SLOs,
+// which the qos package judges over its default 1 ms window.
+const (
+	// qosLatencyTenants and qosNoisyTenants size the populations: the
+	// "hundreds of tenants onto one queue pair" regime.
+	qosLatencyTenants = 100
+	qosNoisyTenants   = 100
+	// qosLatencyRateHz and qosNoisyRateHz are per-tenant base rates
+	// before RateScale. The noisy rate is the MMPP on-state rate,
+	// duty-cycled to a fifth of that on average; the noisy fleet's
+	// on-state bursts alone oversubscribe the Optane-class device's ~800k
+	// IOPS of channel capacity.
+	qosLatencyRateHz = 400
+	qosNoisyRateHz   = 25000
+	// qosQueueDepth is the latency client's queue depth.
+	qosQueueDepth = 16
+	// qosNoisyQueueDepth is the noisy client's queue depth: deep enough
+	// to fill the controller's shared inflight window, which is exactly
+	// how a bulk workload interferes with everyone else.
+	qosNoisyQueueDepth = 64
+	// qosP99SLONs is the latency class's p99 budget: ample against the
+	// ~25µs uncontended p99, blown when the noisy class keeps the
+	// device's inflight window full.
+	qosP99SLONs = 80 * sim.Microsecond
+	// qosP999SLONs is the latency class's p99.9 budget.
+	qosP999SLONs = 200 * sim.Microsecond
+	// qosNoisyP99SLONs is the noisy class's own (loose) budget, the lever
+	// admission control uses to make an overdriving tenant back off.
+	qosNoisyP99SLONs = 300 * sim.Microsecond
+	// qosViolationBudget is the tolerated fraction of SLO-violating
+	// windows before a class counts as failing: one bad window in ten is
+	// noise, more is interference.
+	qosViolationBudget = 0.10
+)
+
 // QoSRunConfig parameterizes RunQoSScenario.
 type QoSRunConfig struct {
 	// Scenario selects the tenant mix (default QoSNoisyNeighbor).
@@ -43,41 +78,6 @@ type QoSRunConfig struct {
 	DurationNs int64
 	// Seed drives arrival streams (default 42).
 	Seed uint64
-
-	// LatencyTenants / NoisyTenants size the populations (defaults 100 /
-	// 100 — the "hundreds of tenants onto one queue pair" regime).
-	LatencyTenants int
-	NoisyTenants   int
-	// LatencyRateHz / NoisyRateHz are per-tenant base rates before
-	// RateScale (defaults 400 / 25000; the noisy rate is the MMPP
-	// on-state rate, duty-cycled to a fifth of that on average — at the
-	// defaults the noisy fleet's on-state bursts alone oversubscribe the
-	// Optane-class device's ~800k IOPS of channel capacity).
-	LatencyRateHz float64
-	NoisyRateHz   float64
-
-	// QueueDepth is the latency client's queue depth (default 16).
-	QueueDepth int
-	// NoisyQueueDepth is the noisy client's queue depth (default 64 —
-	// deep enough to fill the controller's shared inflight window, which
-	// is exactly how a bulk workload interferes with everyone else).
-	NoisyQueueDepth int
-	// WindowNs is the SLO evaluation window (default 1ms).
-	WindowNs int64
-	// P99SLONs is the latency class's p99 budget (default 80µs: ample
-	// against the ~25µs uncontended p99, blown when the noisy class
-	// keeps the device's inflight window full).
-	P99SLONs int64
-	// P999SLONs is the latency class's p99.9 budget (default 200µs).
-	P999SLONs int64
-	// NoisyP99SLONs is the noisy class's own (loose) budget — the lever
-	// admission control uses to make an overdriving tenant back off
-	// (default 300µs).
-	NoisyP99SLONs int64
-	// ViolationBudget is the tolerated fraction of SLO-violating windows
-	// before a class counts as failing (default 0.10: one bad window in
-	// ten is noise, more is interference).
-	ViolationBudget float64
 
 	NVMe     NVMeConfig
 	Cluster  Config
@@ -98,39 +98,6 @@ func (cfg QoSRunConfig) withDefaults() QoSRunConfig {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
-	}
-	if cfg.LatencyTenants == 0 {
-		cfg.LatencyTenants = 100
-	}
-	if cfg.NoisyTenants == 0 {
-		cfg.NoisyTenants = 100
-	}
-	if cfg.LatencyRateHz == 0 {
-		cfg.LatencyRateHz = 400
-	}
-	if cfg.NoisyRateHz == 0 {
-		cfg.NoisyRateHz = 25000
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.NoisyQueueDepth == 0 {
-		cfg.NoisyQueueDepth = 64
-	}
-	if cfg.WindowNs == 0 {
-		cfg.WindowNs = int64(sim.Millisecond)
-	}
-	if cfg.P99SLONs == 0 {
-		cfg.P99SLONs = 80 * sim.Microsecond
-	}
-	if cfg.P999SLONs == 0 {
-		cfg.P999SLONs = 200 * sim.Microsecond
-	}
-	if cfg.NoisyP99SLONs == 0 {
-		cfg.NoisyP99SLONs = 300 * sim.Microsecond
-	}
-	if cfg.ViolationBudget == 0 {
-		cfg.ViolationBudget = 0.10
 	}
 	return cfg
 }
@@ -205,17 +172,17 @@ func classesFor(cfg QoSRunConfig) ([]qosClass, error) {
 	latency := qosClass{
 		name: "latency",
 		prio: core.PrioHigh,
-		qd:   cfg.QueueDepth,
-		specs: arrival.Fleet(cfg.LatencyTenants, arrival.TenantSpec{
+		qd:   qosQueueDepth,
+		specs: arrival.Fleet(qosLatencyTenants, arrival.TenantSpec{
 			Name:           "lat",
 			Kind:           arrival.Poisson,
-			RateHz:         cfg.LatencyRateHz * cfg.RateScale,
+			RateHz:         qosLatencyRateHz * cfg.RateScale,
 			ReadFrac:       1.0,
 			MaxOutstanding: 4,
 		}),
-		slo:    qos.SLO{P99Ns: cfg.P99SLONs, P999Ns: cfg.P999SLONs},
+		slo:    qos.SLO{P99Ns: qosP99SLONs, P999Ns: qosP999SLONs},
 		exempt: true,
-		rateHz: float64(cfg.LatencyTenants) * cfg.LatencyRateHz * cfg.RateScale,
+		rateHz: float64(qosLatencyTenants) * qosLatencyRateHz * cfg.RateScale,
 	}
 	switch cfg.Scenario {
 	case QoSNoisyNeighbor:
@@ -224,26 +191,26 @@ func classesFor(cfg QoSRunConfig) ([]qosClass, error) {
 		noisy := qosClass{
 			name: "noisy",
 			prio: core.PrioLow,
-			qd:   cfg.NoisyQueueDepth,
-			specs: arrival.Fleet(cfg.NoisyTenants, arrival.TenantSpec{
+			qd:   qosNoisyQueueDepth,
+			specs: arrival.Fleet(qosNoisyTenants, arrival.TenantSpec{
 				Name:           "noisy",
 				Kind:           arrival.MMPP,
-				RateHz:         cfg.NoisyRateHz * cfg.RateScale,
+				RateHz:         qosNoisyRateHz * cfg.RateScale,
 				OnMeanNs:       2 * sim.Millisecond,
 				OffMeanNs:      8 * sim.Millisecond,
 				ReadFrac:       0.3,
 				MaxOutstanding: 8,
 			}),
-			slo:    qos.SLO{P99Ns: cfg.NoisyP99SLONs},
-			rateHz: float64(cfg.NoisyTenants) * cfg.NoisyRateHz * cfg.RateScale * 0.2,
+			slo:    qos.SLO{P99Ns: qosNoisyP99SLONs},
+			rateHz: float64(qosNoisyTenants) * qosNoisyRateHz * cfg.RateScale * 0.2,
 		}
 		return []qosClass{latency, noisy}, nil
 	case QoSLatencySensitive:
 		second := latency
-		second.specs = arrival.Fleet(cfg.LatencyTenants, arrival.TenantSpec{
+		second.specs = arrival.Fleet(qosLatencyTenants, arrival.TenantSpec{
 			Name:           "lat2",
 			Kind:           arrival.Poisson,
-			RateHz:         cfg.LatencyRateHz * cfg.RateScale,
+			RateHz:         qosLatencyRateHz * cfg.RateScale,
 			ReadFrac:       1.0,
 			MaxOutstanding: 4,
 		})
@@ -343,7 +310,6 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 				tenants[i] = qos.TenantConfig{Name: s.Name, SLO: qc.slo, Exempt: qc.exempt}
 			}
 			qctrl := qos.NewController(r.K, qos.Params{
-				WindowNs: cfg.WindowNs,
 				// Trip on the first bad window, back off hard, recover
 				// slowly: a bursty aggressor must not shake the throttle
 				// loose during every off-dwell.
@@ -444,7 +410,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			if meanN > 0 {
 				cr.MeanNs = sumMean / meanN
 			}
-			cr.SLOMet = float64(cr.Violations) <= cfg.ViolationBudget*float64(cr.Windows)
+			cr.SLOMet = float64(cr.Violations) <= qosViolationBudget*float64(cr.Windows)
 			res.Classes = append(res.Classes, cr)
 
 			digest = digest*0x100000001b3 ^ eng.Digest()

@@ -49,13 +49,8 @@ type ScenarioConfig struct {
 	Client core.ClientParams
 	// Manager tunes the distributed driver's manager (ours-* scenarios).
 	Manager core.ManagerParams
-	// HostDriver tunes the stock driver (linux-local).
-	HostDriver hostdriver.Params
-	// Target and Initiator tune the NVMe-oF pair (nvmeof-remote).
-	Target    nvmeof.TargetParams
-	Initiator nvmeof.InitiatorParams
-	// BlockQueue tunes the block layer shared by every scenario.
-	BlockQueue block.QueueParams
+	// Target tunes the NVMe-oF target (nvmeof-remote).
+	Target nvmeof.TargetParams
 	// Overlay scales calibrated latency knobs for counterfactual
 	// experiments (see LatencyOverlay); nil is the identity. The rig
 	// applies it over the fields above with defaults materialized, so an
@@ -122,16 +117,13 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 	env := &Env{Scenario: s, Cluster: c, Ctrl: ctrl}
 	switch s {
 	case LinuxLocal:
-		hp := r.overlay.applyHostDriver(cfg.HostDriver)
-		if r.tracer != nil {
-			hp.Tracer = r.tracer
-		}
+		hp := r.overlay.applyHostDriver(hostdriver.Params{Tracer: r.tracer})
 		drv, err := hostdriver.New(p, "nvme0n1", c.Hosts[0].Port, NVMeBARBase, ctrl, hp)
 		if err != nil {
 			return nil, err
 		}
 		env.Driver = drv
-		env.Queue = block.NewQueue(c.K, drv, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, drv, block.QueueParams{})
 		return env, nil
 
 	case OursLocal, OursRemote:
@@ -148,7 +140,7 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 			return nil, err
 		}
 		env.Client = cl
-		env.Queue = block.NewQueue(c.K, cl, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, cl, block.QueueParams{})
 		return env, nil
 
 	case NVMeoFRemote:
@@ -169,16 +161,12 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 		if err := tgt.Serve(p, qpT); err != nil {
 			return nil, err
 		}
-		ip := cfg.Initiator
-		if r.tracer != nil {
-			ip.Tracer = r.tracer
-		}
-		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI, ip)
+		ini, err := nvmeof.NewInitiator(p, "nvme1n1", c.Hosts[1].Port, qpI, nvmeof.InitiatorParams{Tracer: r.tracer})
 		if err != nil {
 			return nil, err
 		}
 		env.Target, env.Initiator = tgt, ini
-		env.Queue = block.NewQueue(c.K, ini, cfg.BlockQueue)
+		env.Queue = block.NewQueue(c.K, ini, block.QueueParams{})
 		return env, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown scenario %q", s)

@@ -14,6 +14,24 @@ import (
 	"repro/internal/volume"
 )
 
+// The volume scenario's fixed outage and the path clients' recovery
+// knobs.
+const (
+	// volumeRangePerWorker is each worker's private LBA range.
+	volumeRangePerWorker = 64
+	// volumeLinkDownNs is the outage duration on the device-A host's
+	// adapter. The outage starts when phase 2 begins.
+	volumeLinkDownNs = 400 * sim.Microsecond
+	// volumeDetectNs is the delay from outage start until the nexus
+	// declares path A dead and fences it.
+	volumeDetectNs = 100 * sim.Microsecond
+	// volumeIOTimeoutNs is the path clients' command timeout.
+	volumeIOTimeoutNs = 100 * sim.Microsecond
+	// volumeMaxRetries bounds each path client's internal retries: the
+	// nexus is the retry layer during an outage.
+	volumeMaxRetries = 1
+)
+
 // VolumeRunConfig parameterizes the nexus-volume fault scenario: a
 // mirrored volume over two single-function NVMe devices on different
 // hosts, one path killed mid-traffic by an NTB link outage, the dead
@@ -24,25 +42,10 @@ type VolumeRunConfig struct {
 	Workers int
 	// IOsPerWorker is each worker's write budget per phase (default 150).
 	IOsPerWorker int
-	// RangePerWorker is each worker's private LBA range (default 64).
-	RangePerWorker uint64
 	// QueueDepth is each path client's queue depth (default 8).
 	QueueDepth int
 	// Seed drives the two devices' medium calibration.
 	Seed int64
-
-	// LinkDownNs is the outage duration on the device-A host's adapter
-	// (default 400µs). The outage starts when phase 2 begins.
-	LinkDownNs int64
-	// DetectNs is the delay from outage start until the nexus declares
-	// path A dead and fences it (default 100µs).
-	DetectNs int64
-
-	// IOTimeoutNs is the path clients' command timeout (default 100µs).
-	IOTimeoutNs int64
-	// MaxRetries bounds each path client's internal retries (default 1:
-	// the nexus is the retry layer during an outage).
-	MaxRetries int
 
 	NVMe     NVMeConfig
 	Cluster  Config
@@ -57,23 +60,8 @@ func (cfg VolumeRunConfig) withDefaults() VolumeRunConfig {
 	if cfg.IOsPerWorker == 0 {
 		cfg.IOsPerWorker = 150
 	}
-	if cfg.RangePerWorker == 0 {
-		cfg.RangePerWorker = 64
-	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.LinkDownNs == 0 {
-		cfg.LinkDownNs = 400 * sim.Microsecond
-	}
-	if cfg.DetectNs == 0 {
-		cfg.DetectNs = 100 * sim.Microsecond
-	}
-	if cfg.IOTimeoutNs == 0 {
-		cfg.IOTimeoutNs = 100 * sim.Microsecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 1
 	}
 	return cfg
 }
@@ -110,7 +98,7 @@ type VolumeRunResult struct {
 	ResvConflicts uint64 `json:"resv_conflicts"`
 	ResvPreempts  uint64 `json:"resv_preempts"`
 	// CtrlAFatal/CtrlBFatal: neither controller may die — the link
-	// outage must be ridden out (Params.LinkRetryNs), not fatal.
+	// outage must be ridden out (nvme.LinkRetryNs), not fatal.
 	CtrlAFatal bool `json:"ctrl_a_fatal"`
 	CtrlBFatal bool `json:"ctrl_b_fatal"`
 	// CtrlALinkRetries counts controller A's ridden-out DMA failures.
@@ -204,8 +192,8 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		cp := core.ClientParams{
 			QueueDepth:     cfg.QueueDepth,
 			PartitionBytes: 16 << 10,
-			IOTimeoutNs:    cfg.IOTimeoutNs,
-			MaxRetries:     cfg.MaxRetries,
+			IOTimeoutNs:    volumeIOTimeoutNs,
+			MaxRetries:     volumeMaxRetries,
 		}
 		clA, err := r.Client(p, 2, mgrA, "pathA", cp)
 		if err != nil {
@@ -259,7 +247,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		}
 
 		bs := uint64(nx.BlockSize())
-		totalBlocks := uint64(cfg.Workers) * cfg.RangePerWorker
+		totalBlocks := uint64(cfg.Workers) * volumeRangePerWorker
 		ref := make([]byte, totalBlocks*bs)
 		written := make([]bool, totalBlocks)
 
@@ -275,10 +263,10 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 				fins[w] = sim.NewEvent(r.K)
 				r.Go(fmt.Sprintf("phase%d/w%d", gen, w), func(wp *sim.Proc) {
 					defer fins[w].Trigger(nil)
-					base := uint64(w) * cfg.RangePerWorker
+					base := uint64(w) * volumeRangePerWorker
 					buf := make([]byte, bs)
 					for i := 0; i < cfg.IOsPerWorker; i++ {
-						lba := base + uint64(i)%cfg.RangePerWorker
+						lba := base + uint64(i)%volumeRangePerWorker
 						volumePattern(buf, lba, gen)
 						if err := nx.WriteBlocks(wp, lba, 1, buf); err != nil {
 							errsW[w]++
@@ -306,7 +294,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 
 		// Phase 2: device A's host drops off the fabric mid-traffic.
 		downAt := p.Now()
-		r.Hosts[0].Adapter.InjectLinkDown(cfg.LinkDownNs)
+		r.Hosts[0].Adapter.InjectLinkDown(volumeLinkDownNs)
 		fins := make([]*sim.Event, 1)
 		fins[0] = sim.NewEvent(r.K)
 		r.Go("phase2", func(wp *sim.Proc) {
@@ -315,7 +303,7 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 		})
 		// Detection: after DetectNs of failures the nexus fences the
 		// dead path (reservation preempt through the local fence client).
-		p.Sleep(cfg.DetectNs)
+		p.Sleep(volumeDetectNs)
 		if err := nx.FencePath(p, 0); err != nil {
 			return fmt.Errorf("fence: %w", err)
 		}
@@ -324,10 +312,10 @@ func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 
 		// Wait out the rest of the outage so the stale client's probe
 		// actually reaches controller A (plus margin for late CQEs).
-		if rem := int64(downAt) + cfg.LinkDownNs - int64(p.Now()); rem > 0 {
+		if rem := int64(downAt) + volumeLinkDownNs - int64(p.Now()); rem > 0 {
 			p.Sleep(rem)
 		}
-		p.Sleep(2 * cfg.IOTimeoutNs)
+		p.Sleep(2 * volumeIOTimeoutNs)
 
 		// The stale writer: path A's original client still holds its
 		// queue pair and tries to write. The fence must answer with

@@ -78,8 +78,6 @@ type ClientParams struct {
 	SubmitOverheadNs int64
 	// CompleteOverheadNs is the software completion cost per request.
 	CompleteOverheadNs int64
-	// PollCheckNs is the cost of one completion-poll check.
-	PollCheckNs int64
 	// RemapPerIO is an ablation of §V's design decision: instead of the
 	// statically mapped bounce buffer, reprogram an NTB window for each
 	// request's buffer (map + unmap at the LUT programming cost). The
@@ -92,14 +90,12 @@ type ClientParams struct {
 	// vector posting across the NTB into a client-local mailbox, and the
 	// client completes I/O from the interrupt instead of polling.
 	UseInterrupts bool
-	// IRQEntryNs is the interrupt delivery-to-handler latency when
-	// UseInterrupts is set.
-	IRQEntryNs int64
 	// IOTimeoutNs bounds how long a command may stay outstanding before
 	// the driver gives up on it (default 10 virtual seconds, like the
 	// kernel driver's io_timeout). A timed-out command's slot stays
 	// reserved until completion or close, so a late completion cannot
-	// corrupt a reused buffer.
+	// corrupt a reused buffer; Close waits up to ten times IOTimeoutNs
+	// for such completions.
 	IOTimeoutNs int64
 	// MaxRetries bounds how many times a failed I/O is retried when the
 	// failure is transient (timeout, lost doorbell, link flap). Each
@@ -116,12 +112,6 @@ type ClientParams struct {
 	// so the abort is best-effort ("not aborted"), but it costs real
 	// admin-queue time and is counted.
 	AbortOnTimeout bool
-	// CloseDrainNs bounds how long Close waits for quarantined slots'
-	// late completions before abandoning them (default 10× IOTimeoutNs:
-	// a late CQE behind a fabric stall can easily exceed the command
-	// timeout itself). Slots still parked at expiry are leaked and
-	// counted in AbandonedSlots.
-	CloseDrainNs int64
 	// HeartbeatNs, when nonzero, starts a heartbeat process that
 	// refreshes this client's session lease at the manager. Required for
 	// a manager running with LeaseNs if the client is to survive the
@@ -144,6 +134,15 @@ type ClientParams struct {
 	Priority QueuePrio
 }
 
+// The client's calibrated completion-path costs.
+const (
+	// PollCheckNs is the cost of one completion-poll check.
+	PollCheckNs = 150
+	// IRQEntryNs is the interrupt delivery-to-handler latency when
+	// UseInterrupts is set.
+	IRQEntryNs = 1100
+)
+
 // DefaultClientParams returns the §V proof-of-concept calibration.
 func DefaultClientParams() ClientParams {
 	return ClientParams{
@@ -152,7 +151,6 @@ func DefaultClientParams() ClientParams {
 		PartitionBytes:     128 << 10,
 		SubmitOverheadNs:   1300,
 		CompleteOverheadNs: 600,
-		PollCheckNs:        150,
 	}
 }
 
@@ -170,20 +168,11 @@ func (cp ClientParams) withDefaults() ClientParams {
 	if cp.CompleteOverheadNs == 0 {
 		cp.CompleteOverheadNs = d.CompleteOverheadNs
 	}
-	if cp.PollCheckNs == 0 {
-		cp.PollCheckNs = d.PollCheckNs
-	}
-	if cp.IRQEntryNs == 0 {
-		cp.IRQEntryNs = 1100
-	}
 	if cp.IOTimeoutNs == 0 {
 		cp.IOTimeoutNs = 10 * sim.Second
 	}
 	if cp.RetryBackoffNs == 0 {
 		cp.RetryBackoffNs = 100 * sim.Microsecond
-	}
-	if cp.CloseDrainNs == 0 {
-		cp.CloseDrainNs = 10 * cp.IOTimeoutNs
 	}
 	return cp
 }
@@ -435,14 +424,14 @@ func NewClient(p *sim.Proc, name string, svc *smartio.Service, node *sisci.Node,
 	// A link outage backs off and keeps serving: exiting would strand
 	// every in-flight command.
 	rp := nvme.ReaperParams{
-		WakeNs:  params.PollCheckNs,
+		WakeNs:  PollCheckNs,
 		Orphan:  c.reapQuarantined,
 		Retry:   func(err error) bool { return errors.Is(err, ntb.ErrLinkDown) },
-		RetryNs: 4 * params.PollCheckNs,
+		RetryNs: 4 * PollCheckNs,
 	}
 	if params.UseInterrupts {
 		rp.Edge = pcie.Range{Base: c.msiSeg.Seg.Addr, Size: 64}
-		rp.WakeNs = params.IRQEntryNs
+		rp.WakeNs = IRQEntryNs
 	}
 	if c.reaper, err = nvme.NewReaper(name+"/poller", node.Host(), c.view, rp); err != nil {
 		// The reaper's error is the one to report, so a failed release
@@ -664,8 +653,8 @@ func (c *Client) ioAttempt(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf 
 	if c.params.RemapPerIO {
 		// Ablation: program a fresh device-side window for this request
 		// and tear it down afterwards, as a bounce-less design would.
-		p.Sleep(ntb.DefaultProgramCostNs)
-		defer p.Sleep(ntb.DefaultProgramCostNs)
+		p.Sleep(ntb.ProgramCostNs)
+		defer p.Sleep(ntb.ProgramCostNs)
 	}
 
 	partCPU, partDev := c.partition(slot)
@@ -905,12 +894,14 @@ func (c *Client) QuarantinedSlots() int { return int(c.quarCount.Load()) }
 // is already gone.
 //
 // If slots are quarantined (a timed-out command's late completion still
-// owed), Close first waits — bounded by CloseDrainNs — for the reaper to
-// drain them. Freeing the bounce segment with a command still
-// in flight would let the device DMA into recycled memory, and a reaper
-// racing the teardown could release a slot Close already accounted for
-// (the late-CQE-after-Close double release). Slots still parked when the
-// window expires are leaked on purpose and counted in AbandonedSlots.
+// owed), Close first waits — bounded by 10× IOTimeoutNs, since a late CQE
+// behind a fabric stall can easily outlast the command timeout itself —
+// for the reaper to drain them. Freeing the bounce segment with a
+// command still in flight would let the device DMA into recycled memory,
+// and a reaper racing the teardown could release a slot Close already
+// accounted for (the late-CQE-after-Close double release). Slots still
+// parked when the window expires are leaked on purpose and counted in
+// AbandonedSlots.
 func (c *Client) Close(p *sim.Proc) error {
 	if c.closed {
 		return ErrClosed
@@ -921,7 +912,7 @@ func (c *Client) Close(p *sim.Proc) error {
 		// reaper is the only legal path to release a quarantined slot, and
 		// the heartbeat keeps the lease alive so the manager's reaper does
 		// not tear down the queue pair underneath the wait.
-		if !p.WaitSignalTimeout(c.quarDrained, c.params.CloseDrainNs) {
+		if !p.WaitSignalTimeout(c.quarDrained, 10*c.params.IOTimeoutNs) {
 			// Drain window expired: abandon the stragglers. The map is
 			// cleared so a late CQE arriving before the reaper stops
 			// finds nothing to release (releaseSlot is idempotent

@@ -365,12 +365,7 @@ func TestClientViaBlockLayer(t *testing.T) {
 				t.Errorf("client: %v", err)
 				return
 			}
-			reg := block.NewRegistry()
-			q, err := reg.Register(r.c.K, cl, block.QueueParams{})
-			if err != nil {
-				t.Errorf("register: %v", err)
-				return
-			}
+			q := block.NewQueue(r.c.K, cl, block.QueueParams{})
 			want := bytes.Repeat([]byte{0x42}, 4096)
 			if err := q.SubmitAndWait(cp, block.OpWrite, 0, 8, want); err != nil {
 				t.Errorf("blk write: %v", err)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,58 @@ func TestHeartbeatReclaim(t *testing.T) {
 		}
 		if err := b.Close(p); err != nil {
 			t.Errorf("B close: %v", err)
+		}
+	})
+}
+
+// TestConcurrentReclaims lets two clients' leases expire in one reaper
+// scan, so two reclaim processes delete queue pairs through the admin
+// queue at once: both teardowns must succeed and both QIDs must be
+// granted again.
+func TestConcurrentReclaims(t *testing.T) {
+	r := newRig(t, 3, cluster.NVMeConfig{})
+	r.startWith(t, core.ManagerParams{LeaseNs: 200 * sim.Microsecond}, func(p *sim.Proc) {
+		dead := map[uint16]bool{}
+		for host := 1; host <= 2; host++ {
+			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d", host), r.svc, r.c.Hosts[host].Node, r.mgr, core.ClientParams{})
+			if err != nil {
+				t.Fatalf("client on host %d: %v", host, err)
+			}
+			dead[cl.QID()] = true
+		}
+		p.Sleep(600 * sim.Microsecond)
+		log := r.mgr.ReclaimLog
+		if len(log) != 2 {
+			t.Fatalf("reclaims %+v, want 2", log)
+		}
+		if log[0].DetectedNs != log[1].DetectedNs {
+			t.Fatalf("leases expired in different scans (%d, %d ns); the test needs one", log[0].DetectedNs, log[1].DetectedNs)
+		}
+		for _, ev := range log {
+			if ev.Err != "" {
+				t.Errorf("reclaim of QID %d: %s", ev.QID, ev.Err)
+			}
+		}
+		if r.mgr.GrantedQueues != 0 {
+			t.Errorf("GrantedQueues = %d after both reclaims, want 0", r.mgr.GrantedQueues)
+		}
+		var again []*core.Client
+		for host := 1; host <= 2; host++ {
+			cl, err := core.NewClient(p, fmt.Sprintf("dnvme%d-again", host), r.svc, r.c.Hosts[host].Node, r.mgr,
+				core.ClientParams{HeartbeatNs: 50 * sim.Microsecond})
+			if err != nil {
+				t.Fatalf("client on host %d after reclaim: %v", host, err)
+			}
+			if !dead[cl.QID()] {
+				t.Errorf("host %d granted QID %d, want one of the reclaimed %v", host, cl.QID(), dead)
+			}
+			delete(dead, cl.QID())
+			again = append(again, cl)
+		}
+		for _, cl := range again {
+			if err := cl.Close(p); err != nil {
+				t.Errorf("close: %v", err)
+			}
 		}
 	})
 }

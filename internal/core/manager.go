@@ -21,30 +21,18 @@ var (
 
 // ManagerParams tunes the manager module.
 type ManagerParams struct {
-	// AdminDepth is the admin queue depth.
-	AdminDepth int
 	// EnableIOMMU creates an IOMMU domain on the device host so clients
 	// can run zero-copy (the §V future-work extension): request buffers
 	// are mapped per I/O through IOVA page tables instead of bounced.
 	EnableIOMMU bool
-	// IOMMUAperture sizes the IOVA space (default 256 MiB).
-	IOMMUAperture uint64
-	// RPCServiceNs is the manager-side cost of servicing one client
-	// request (message parsing, bookkeeping). Control-plane only.
-	RPCServiceNs int64
-	// RPCTransportNs is the one-way client<->manager message latency over
-	// the shared-memory mailbox.
-	RPCTransportNs int64
 	// LeaseNs enables the session/heartbeat layer: every granted queue
 	// pair carries a lease that the owning client must refresh (see
 	// ClientParams.HeartbeatNs). A session whose lease has been silent
 	// for more than LeaseNs is reclaimed — SQ and CQ deleted through the
 	// admin queue, DMA windows released, QID returned to the free pool —
-	// so a dead host cannot pin device resources. 0 (the default)
-	// disables sessions entirely.
+	// so a dead host cannot pin device resources. The lease is scanned
+	// every LeaseNs/4. 0 (the default) disables sessions entirely.
 	LeaseNs int64
-	// ReaperIntervalNs is the lease-scan cadence (default LeaseNs/4).
-	ReaperIntervalNs int64
 	// WRR, when non-nil, selects weighted-round-robin-with-urgent
 	// arbitration at controller bring-up (CC.AMS) and programs the
 	// Arbitration feature with its burst and class weights. Nil keeps
@@ -63,27 +51,19 @@ type ArbConfig struct {
 	LPW   uint8
 }
 
-func (mp ManagerParams) withDefaults() ManagerParams {
-	if mp.AdminDepth == 0 {
-		mp.AdminDepth = 64
-	}
-	if mp.RPCServiceNs == 0 {
-		mp.RPCServiceNs = 2000
-	}
-	if mp.RPCTransportNs == 0 {
-		mp.RPCTransportNs = 1500
-	}
-	if mp.IOMMUAperture == 0 {
-		mp.IOMMUAperture = 256 << 20
-	}
-	if mp.LeaseNs > 0 && mp.ReaperIntervalNs == 0 {
-		mp.ReaperIntervalNs = mp.LeaseNs / 4
-		if mp.ReaperIntervalNs == 0 {
-			mp.ReaperIntervalNs = 1
-		}
-	}
-	return mp
-}
+// The manager's fixed sizes and calibrated control-plane costs.
+const (
+	// AdminDepth is the admin queue depth.
+	AdminDepth = 64
+	// IOMMUAperture sizes the IOVA space.
+	IOMMUAperture = 256 << 20
+	// RPCServiceNs is the manager-side cost of servicing one client
+	// request (message parsing, bookkeeping). Control-plane only.
+	RPCServiceNs = 2000
+	// RPCTransportNs is the one-way client<->manager message latency over
+	// the shared-memory mailbox.
+	RPCTransportNs = 1500
+)
 
 // IOMMUApertureBase is where the device host's IOVA space is claimed.
 const IOMMUApertureBase = 0xC000_0000
@@ -208,7 +188,6 @@ type Manager struct {
 // controller, publishes the metadata segment, downgrades to a shared
 // reference and starts servicing client requests.
 func NewManager(p *sim.Proc, svc *smartio.Service, devID smartio.DeviceID, node *sisci.Node, params ManagerParams) (*Manager, error) {
-	params = params.withDefaults()
 	ref, err := svc.Acquire(devID, node, true)
 	if err != nil {
 		return nil, err
@@ -223,7 +202,7 @@ func NewManager(p *sim.Proc, svc *smartio.Service, devID smartio.DeviceID, node 
 	if params.WRR != nil {
 		m.admin.AMS = nvme.AMSWRRUrgent
 	}
-	if err := m.admin.Enable(p, params.AdminDepth); err != nil {
+	if err := m.admin.Enable(p, AdminDepth); err != nil {
 		ref.Release()
 		return nil, err
 	}
@@ -285,7 +264,7 @@ func NewManager(p *sim.Proc, svc *smartio.Service, devID smartio.DeviceID, node 
 		// there and translated transactions re-enter routing from there.
 		m.mmu, err = iommu.New("iommu-"+m.meta.Serial, node.Host().Domain(),
 			node.Host().Node(),
-			pcie.Range{Base: IOMMUApertureBase, Size: params.IOMMUAperture}, iommu.Params{})
+			pcie.Range{Base: IOMMUApertureBase, Size: IOMMUAperture})
 		if err != nil {
 			ref.Release()
 			return nil, err
@@ -307,7 +286,7 @@ func NewManager(p *sim.Proc, svc *smartio.Service, devID smartio.DeviceID, node 
 	if params.LeaseNs > 0 {
 		// Weak ticker: the lease scan runs while the simulation has other
 		// work but never keeps it alive by itself.
-		m.reaper = k.NewTicker(params.ReaperIntervalNs, m.reapTick)
+		m.reaper = k.NewTicker(max(params.LeaseNs/4, 1), m.reapTick)
 	}
 	return m, nil
 }
@@ -335,7 +314,7 @@ func (m *Manager) serve(p *sim.Proc) {
 			// added control-plane latency, not failure.
 			p.Sleep(wake - p.Now())
 		}
-		p.Sleep(m.params.RPCServiceNs)
+		p.Sleep(RPCServiceNs)
 		switch req := msg.(type) {
 		case *qpRequest:
 			grant, err := m.createQP(p, req)
@@ -510,7 +489,7 @@ func (m *Manager) createQP(p *sim.Proc, req *qpRequest) (QueueGrant, error) {
 			return QueueGrant{}, fmt.Errorf("%w: IOMMU not enabled on manager", ErrBadGrant)
 		}
 		size := (req.IOVABytes + iommu.PageSize - 1) &^ (iommu.PageSize - 1)
-		if m.iovaNext+size > m.params.IOMMUAperture {
+		if m.iovaNext+size > IOMMUAperture {
 			_ = m.admin.DeleteQueuePair(p, qid)
 			return QueueGrant{}, fmt.Errorf("%w: IOVA aperture exhausted", ErrBadGrant)
 		}
@@ -633,10 +612,10 @@ func (q QueuePrio) wire() uint8 {
 // a client process; the round trip models the shared-memory RPC of §V.
 func (m *Manager) RequestQueue(p *sim.Proc, r QueueRequest) (QueueGrant, error) {
 	req := &qpRequest{QueueRequest: r, reply: sim.NewEvent(p.Kernel())}
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	m.mail.Push(req)
 	v := p.Wait(req.reply)
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	switch out := v.(type) {
 	case QueueGrant:
 		return out, nil
@@ -649,7 +628,7 @@ func (m *Manager) RequestQueue(p *sim.Proc, r QueueRequest) (QueueGrant, error) 
 // Heartbeat refreshes the client's session lease (fire-and-forget: one
 // posted mailbox write, no reply to wait for).
 func (m *Manager) Heartbeat(p *sim.Proc, qid uint16) {
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	m.mail.Push(&heartbeatMsg{qid: qid})
 }
 
@@ -660,10 +639,10 @@ func (m *Manager) Heartbeat(p *sim.Proc, qid uint16) {
 // counted, matching the control-plane traffic a real recovery generates.
 func (m *Manager) AbortCommand(p *sim.Proc, sqid, cid uint16) error {
 	req := &abortReq{sqid: sqid, cid: cid, reply: sim.NewEvent(p.Kernel())}
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	m.mail.Push(req)
 	v := p.Wait(req.reply)
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	if v == nil {
 		return nil
 	}
@@ -673,10 +652,10 @@ func (m *Manager) AbortCommand(p *sim.Proc, sqid, cid uint16) error {
 // ReleaseQueuePair returns a queue pair to the manager.
 func (m *Manager) ReleaseQueuePair(p *sim.Proc, qid uint16) error {
 	req := &qpRelease{qid: qid, reply: sim.NewEvent(p.Kernel())}
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	m.mail.Push(req)
 	v := p.Wait(req.reply)
-	p.Sleep(m.params.RPCTransportNs)
+	p.Sleep(RPCTransportNs)
 	if v == nil {
 		return nil
 	}

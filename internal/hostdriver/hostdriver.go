@@ -19,9 +19,6 @@ import (
 type Params struct {
 	// SubmitNs is the optimized submission-path cost per command.
 	SubmitNs int64
-	// IRQEntryNs is interrupt delivery to ISR start (MSI landing to
-	// handler running).
-	IRQEntryNs int64
 	// ISRNs is per-completion handler cost.
 	ISRNs int64
 	// Queues is the number of I/O queue pairs to create.
@@ -37,11 +34,14 @@ type Params struct {
 	Tracer *trace.Tracer
 }
 
+// IRQEntryNs is interrupt delivery to ISR start (MSI landing to handler
+// running).
+const IRQEntryNs = 1100
+
 // DefaultParams returns the stock-driver calibration.
 func DefaultParams() Params {
 	return Params{
 		SubmitNs:   300,
-		IRQEntryNs: 1100,
 		ISRNs:      250,
 		Queues:     1,
 		QueueDepth: 256,
@@ -53,9 +53,6 @@ func (p Params) withDefaults() Params {
 	d := DefaultParams()
 	if p.SubmitNs == 0 {
 		p.SubmitNs = d.SubmitNs
-	}
-	if p.IRQEntryNs == 0 {
-		p.IRQEntryNs = d.IRQEntryNs
 	}
 	if p.ISRNs == 0 {
 		p.ISRNs = d.ISRNs
@@ -237,7 +234,7 @@ func (d *Driver) createQueue(p *sim.Proc, qid uint16, ctrl *nvme.Controller) (*i
 	// IRQ entry, then the handler cost for each CQE it reaps.
 	q.reaper, err = nvme.NewReaper(fmt.Sprintf("%s/isr-q%d", d.name, qid), d.host, q.view, nvme.ReaperParams{
 		Edge:       pcie.Range{Base: msiAddr, Size: 4},
-		WakeNs:     d.params.IRQEntryNs,
+		WakeNs:     IRQEntryNs,
 		PerCQENs:   d.params.ISRNs,
 		BlockFirst: true,
 	})

@@ -32,42 +32,22 @@ var (
 // PageSize is the translation granule.
 const PageSize = 4096
 
-// Params is the cost model.
-type Params struct {
+// The calibrated cost model: typical x86 IOMMU costs.
+const (
 	// MapNs is the cost of installing one page-table entry.
-	MapNs int64
+	MapNs = 150
 	// UnmapNs is the cost of clearing an entry plus the IOTLB
 	// invalidation.
-	UnmapNs int64
+	UnmapNs = 400
 	// TranslateNs is the per-transaction IOTLB lookup cost.
-	TranslateNs int64
-}
-
-// DefaultParams returns typical x86 IOMMU costs.
-func DefaultParams() Params {
-	return Params{MapNs: 150, UnmapNs: 400, TranslateNs: 20}
-}
-
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.MapNs == 0 {
-		p.MapNs = d.MapNs
-	}
-	if p.UnmapNs == 0 {
-		p.UnmapNs = d.UnmapNs
-	}
-	if p.TranslateNs == 0 {
-		p.TranslateNs = d.TranslateNs
-	}
-	return p
-}
+	TranslateNs = 20
+)
 
 // Unit is an IOMMU claiming an IOVA aperture in one domain. Transactions
 // hitting the aperture are translated page-by-page and re-routed within
 // the same domain (possibly into an NTB window, chaining across hosts).
 type Unit struct {
-	Name   string
-	params Params
+	Name string
 
 	dom      *pcie.Domain
 	entry    pcie.NodeID // where translated traffic re-enters the fabric
@@ -82,13 +62,12 @@ type Unit struct {
 // New creates a unit claiming aperture in dom. Translated transactions
 // re-enter routing at entry (normally the root complex, where the IOMMU
 // physically sits).
-func New(name string, dom *pcie.Domain, entry pcie.NodeID, aperture pcie.Range, params Params) (*Unit, error) {
+func New(name string, dom *pcie.Domain, entry pcie.NodeID, aperture pcie.Range) (*Unit, error) {
 	if aperture.Base%PageSize != 0 || aperture.Size%PageSize != 0 {
 		return nil, ErrNotAligned
 	}
 	u := &Unit{
 		Name:     name,
-		params:   params.withDefaults(),
 		dom:      dom,
 		aperture: aperture,
 		pages:    make(map[uint64]pcie.Addr),
@@ -121,7 +100,7 @@ func (u *Unit) Map(p *sim.Proc, iova, phys pcie.Addr, n uint64) error {
 	for i := uint64(0); i < npages; i++ {
 		u.pages[first+i] = phys + pcie.Addr(i*PageSize)
 	}
-	p.Sleep(int64(npages) * u.params.MapNs)
+	p.Sleep(int64(npages) * MapNs)
 	return nil
 }
 
@@ -180,7 +159,7 @@ func (u *Unit) Unmap(p *sim.Proc, iova pcie.Addr, n uint64) error {
 	for i := uint64(0); i < npages; i++ {
 		delete(u.pages, first+i)
 	}
-	p.Sleep(u.params.UnmapNs) // one batched IOTLB invalidation
+	p.Sleep(UnmapNs) // one batched IOTLB invalidation
 	return nil
 }
 
@@ -201,7 +180,7 @@ func (u *Unit) Forward(addr pcie.Addr, n uint64) (*pcie.Domain, pcie.NodeID, pci
 			return nil, 0, 0, 0, fmt.Errorf("%w: [%#x,+%d) runs into page %#x", ErrUnmapped, addr, n, u.aperture.Base+pg*PageSize)
 		}
 	}
-	return u.dom, u.entry, phys + pcie.Addr(off%PageSize), u.params.TranslateNs, nil
+	return u.dom, u.entry, phys + pcie.Addr(off%PageSize), TranslateNs, nil
 }
 
 // TargetWrite implements pcie.Target; never reached when routing is

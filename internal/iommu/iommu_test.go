@@ -28,7 +28,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	u, err := iommu.New("iommu0", c.Hosts[0].Dom, c.Hosts[0].RC,
-		pcie.Range{Base: aperBase, Size: 16 << 20}, iommu.Params{})
+		pcie.Range{Base: aperBase, Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestMapUnmapCostsTime(t *testing.T) {
 		unmapCost = p.Now() - t0
 	})
 	r.c.Run()
-	if mapCost != 4*iommu.DefaultParams().MapNs {
-		t.Fatalf("map cost %d, want %d", mapCost, 4*iommu.DefaultParams().MapNs)
+	if mapCost != 4*iommu.MapNs {
+		t.Fatalf("map cost %d, want %d", mapCost, 4*iommu.MapNs)
 	}
-	if unmapCost != iommu.DefaultParams().UnmapNs {
-		t.Fatalf("unmap cost %d, want %d (batched invalidation)", unmapCost, iommu.DefaultParams().UnmapNs)
+	if unmapCost != iommu.UnmapNs {
+		t.Fatalf("unmap cost %d, want %d (batched invalidation)", unmapCost, iommu.UnmapNs)
 	}
 }
 

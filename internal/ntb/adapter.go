@@ -18,10 +18,9 @@ import (
 // domain (add it as a pcie.Switch node); CrossNs covers the cluster
 // switch traversal plus LUT translation.
 type ClusterAdapter struct {
-	Name          string
-	CrossNs       int64
-	MaxWindows    int
-	ProgramCostNs int64
+	Name       string
+	CrossNs    int64
+	MaxWindows int
 
 	// Translations counts successful LUT translations; Programmed counts
 	// windows written. Plain observability counters.
@@ -65,28 +64,24 @@ type AdapterConfig struct {
 	// Node is the adapter's NTB endpoint node in the local domain.
 	Node pcie.NodeID
 	BAR  pcie.Range
-	// CrossNs, MaxWindows, ProgramCostNs override defaults when nonzero.
-	CrossNs       int64
-	MaxWindows    int
-	ProgramCostNs int64
+	// CrossNs is the crossing cost; MaxWindows bounds the LUT
+	// (DefaultMaxWindows when zero).
+	CrossNs    int64
+	MaxWindows int
 }
 
 // NewClusterAdapter creates the adapter and claims its BAR.
 func NewClusterAdapter(cfg AdapterConfig) (*ClusterAdapter, error) {
 	a := &ClusterAdapter{
-		Name:          cfg.Name,
-		CrossNs:       cfg.CrossNs,
-		MaxWindows:    cfg.MaxWindows,
-		ProgramCostNs: cfg.ProgramCostNs,
-		local:         cfg.Local,
-		node:          cfg.Node,
-		bar:           cfg.BAR,
+		Name:       cfg.Name,
+		CrossNs:    cfg.CrossNs,
+		MaxWindows: cfg.MaxWindows,
+		local:      cfg.Local,
+		node:       cfg.Node,
+		bar:        cfg.BAR,
 	}
 	if a.MaxWindows == 0 {
 		a.MaxWindows = DefaultMaxWindows
-	}
-	if a.ProgramCostNs == 0 {
-		a.ProgramCostNs = DefaultProgramCostNs
 	}
 	if err := cfg.Local.Claim(cfg.BAR, cfg.Node, a); err != nil {
 		return nil, err

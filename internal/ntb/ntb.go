@@ -40,10 +40,10 @@ var (
 // parts.
 const DefaultMaxWindows = 32
 
-// DefaultProgramCostNs is the virtual-time cost of (re)programming one LUT
+// ProgramCostNs is the virtual-time cost of (re)programming one LUT
 // entry, including the required flush of in-flight transactions. Real
 // reprogramming involves config writes and readbacks over the fabric.
-const DefaultProgramCostNs = 10_000 // 10 us
+const ProgramCostNs = 10_000 // 10 us
 
 // NTB is one direction of a non-transparent bridge: transactions hitting
 // the BAR in the local domain are translated into the remote domain. A
@@ -54,10 +54,8 @@ type NTB struct {
 	// chip traversal is usually counted in the fabric topology; this is
 	// the LUT/translation cost).
 	CrossNs int64
-	// MaxWindows bounds the LUT.
+	// MaxWindows bounds the LUT; New sets DefaultMaxWindows.
 	MaxWindows int
-	// ProgramCostNs is the per-entry LUT programming cost (see package doc).
-	ProgramCostNs int64
 
 	// Translations counts successful LUT translations (route resolutions
 	// through this bridge); Programmed counts LUT entries written. Plain
@@ -104,30 +102,21 @@ type Config struct {
 	// through (normally the far NTB's endpoint node).
 	Remote      *pcie.Domain
 	RemoteEntry pcie.NodeID
-	// CrossNs, MaxWindows, ProgramCostNs override the defaults when nonzero.
-	CrossNs       int64
-	MaxWindows    int
-	ProgramCostNs int64
+	// CrossNs is the bridge's one-way translation latency.
+	CrossNs int64
 }
 
 // New creates an NTB and claims its BAR in the local domain.
 func New(cfg Config) (*NTB, error) {
 	n := &NTB{
-		Name:          cfg.Name,
-		CrossNs:       cfg.CrossNs,
-		MaxWindows:    cfg.MaxWindows,
-		ProgramCostNs: cfg.ProgramCostNs,
-		local:         cfg.Local,
-		node:          cfg.Node,
-		bar:           cfg.BAR,
-		remote:        cfg.Remote,
-		remoteEntry:   cfg.RemoteEntry,
-	}
-	if n.MaxWindows == 0 {
-		n.MaxWindows = DefaultMaxWindows
-	}
-	if n.ProgramCostNs == 0 {
-		n.ProgramCostNs = DefaultProgramCostNs
+		Name:        cfg.Name,
+		CrossNs:     cfg.CrossNs,
+		MaxWindows:  DefaultMaxWindows,
+		local:       cfg.Local,
+		node:        cfg.Node,
+		bar:         cfg.BAR,
+		remote:      cfg.Remote,
+		remoteEntry: cfg.RemoteEntry,
 	}
 	if err := cfg.Local.Claim(cfg.BAR, cfg.Node, n); err != nil {
 		return nil, err
@@ -169,7 +158,7 @@ func (n *NTB) MapWindow(off, size uint64, remoteAddr pcie.Addr) error {
 // paper rejects per-I/O remapping because of exactly this cost; the
 // core.ClientParams.RemapPerIO ablation (experiment E8) uses it.
 func (n *NTB) MapWindowSync(p *sim.Proc, off, size uint64, remoteAddr pcie.Addr) error {
-	p.Sleep(n.ProgramCostNs)
+	p.Sleep(ProgramCostNs)
 	return n.MapWindow(off, size, remoteAddr)
 }
 

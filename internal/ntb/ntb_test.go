@@ -243,8 +243,8 @@ func TestMapWindowSyncCostsTime(t *testing.T) {
 		took = p.Now() - start
 	})
 	h.k.RunAll()
-	if took != DefaultProgramCostNs {
-		t.Fatalf("MapWindowSync took %d, want %d", took, DefaultProgramCostNs)
+	if took != ProgramCostNs {
+		t.Fatalf("MapWindowSync took %d, want %d", took, ProgramCostNs)
 	}
 }
 

@@ -38,12 +38,15 @@ type AdminClient struct {
 	AMS uint8
 
 	sqMem, cqMem pcie.Addr
+	// busy admits one Exec at a time: two processes polling the one admin
+	// CQ would both read the same slot and advance the head twice.
+	busy *sim.Semaphore
 }
 
 // NewAdminClient creates a client for the controller whose BAR is visible
 // at bar in the host's domain.
 func NewAdminClient(h *pcie.HostPort, bar pcie.Addr) *AdminClient {
-	return &AdminClient{Host: h, Bar: bar}
+	return &AdminClient{Host: h, Bar: bar, busy: sim.NewSemaphore(h.Domain().Kernel(), 1)}
 }
 
 // Reg32 reads a 32-bit register.
@@ -164,11 +167,14 @@ func (a *AdminClient) Disable(p *sim.Proc) error {
 
 // Exec submits an admin command and busy-polls the admin CQ for its
 // completion. Admin operations are off the I/O critical path, so simple
-// interval polling is faithful enough.
+// interval polling is faithful enough. Concurrent callers run one at a
+// time, each from submission until its completion is consumed.
 func (a *AdminClient) Exec(p *sim.Proc, cmd *SQE) (CQE, error) {
 	if a.Admin == nil {
 		return CQE{}, errors.New("nvme: admin queue not initialized")
 	}
+	p.Acquire(a.busy)
+	defer a.busy.Release()
 	cmd.CID = a.Admin.NextCID()
 	if err := a.Admin.Submit(p, a.Host, cmd); err != nil {
 		return CQE{}, err

@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/memory"
@@ -21,7 +22,7 @@ func TestEnableTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := memory.New(0x100000, 8<<20)
-	host, err := pcie.NewHostPort(dom, rc, mem, pcie.CPUParams{})
+	host, err := pcie.NewHostPort(dom, rc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +54,30 @@ func TestAdminExecBeforeEnable(t *testing.T) {
 		if _, err := a.Exec(p, &cmd); err == nil {
 			t.Error("Exec on uninitialized admin queue succeeded")
 		}
+	})
+}
+
+// TestConcurrentAdminExec starts two admin commands at the same instant
+// on one client, as the manager's lease reaper does when two leases
+// expire in one scan: each caller must get its own completion.
+func TestConcurrentAdminExec(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		a := r.enable(t, p)
+		done := []*sim.Event{sim.NewEvent(r.k), sim.NewEvent(r.k)}
+		for i, ev := range done {
+			r.k.Spawn(fmt.Sprintf("exec%d", i), func(ep *sim.Proc) {
+				defer ev.Trigger(nil)
+				cmd := SQE{Opcode: AdminGetFeatures, CDW10: FeatNumQueues}
+				cqe, err := a.Exec(ep, &cmd)
+				if err != nil {
+					t.Errorf("exec%d: %v", i, err)
+				} else if cqe.CID != cmd.CID {
+					t.Errorf("exec%d: got CQE for CID %d, want %d", i, cqe.CID, cmd.CID)
+				}
+			})
+		}
+		p.WaitAll(done...)
 	})
 }
 

@@ -40,7 +40,7 @@ func (c *Controller) adminIdentify(p *sim.Proc, cmd *SQE) uint16 {
 	switch cns {
 	case CNSController:
 		id := c.ident
-		id.MaxQueueEntries = int(c.params.MQES) + 1
+		id.MaxQueueEntries = MQES + 1
 		page = MarshalIdentifyController(id)
 	case CNSNamespace:
 		if cmd.NSID != 1 {
@@ -70,7 +70,7 @@ func (c *Controller) adminCreateCQ(cmd *SQE) uint16 {
 	if c.cqs[qid] != nil {
 		return Status(SCTCmdSpecific, SCInvalidQID)
 	}
-	if size < 2 || size > int(c.params.MQES)+1 {
+	if size < 2 || size > MQES+1 {
 		return Status(SCTCmdSpecific, SCInvalidQSize)
 	}
 	if cmd.CDW11&1 == 0 {
@@ -98,7 +98,7 @@ func (c *Controller) adminCreateSQ(cmd *SQE) uint16 {
 	if c.sqs[qid] != nil {
 		return Status(SCTCmdSpecific, SCInvalidQID)
 	}
-	if size < 2 || size > int(c.params.MQES)+1 {
+	if size < 2 || size > MQES+1 {
 		return Status(SCTCmdSpecific, SCInvalidQSize)
 	}
 	if cmd.CDW11&1 == 0 {

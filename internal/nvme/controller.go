@@ -18,8 +18,6 @@ type Params struct {
 	// P4800X supports 32 (31 I/O pairs + admin), letting 31 hosts share
 	// the device.
 	MaxQueuePairs int
-	// MQES is CAP.MQES: maximum queue entries, 0-based.
-	MQES uint16
 	// CmdOverheadNs is firmware decode/setup per command.
 	CmdOverheadNs int64
 	// AdminOverheadNs is firmware decode/setup for admin-queue commands
@@ -33,34 +31,37 @@ type Params struct {
 	EnableDelayNs int64
 	// MaxInflight bounds concurrently executing commands.
 	MaxInflight int
-	// DSTRD is CAP.DSTRD (doorbell stride exponent).
-	DSTRD uint8
 	// CMBBytes sizes the Controller Memory Buffer exposed at CMBBase in
 	// BAR0 (0 disables it). The BAR must be large enough to cover it.
 	CMBBytes uint64
+}
+
+// Controller properties and costs that every controller shares.
+const (
+	// MQES is CAP.MQES: maximum queue entries, 0-based.
+	MQES = 1023
+	// DSTRD is CAP.DSTRD (doorbell stride exponent).
+	DSTRD = 0
 	// CMBAccessNs is the controller's internal access time to CMB memory
 	// (SRAM-class; replaces a fabric DMA round trip for queues placed
 	// there).
-	CMBAccessNs int64
+	CMBAccessNs = 60
 	// LinkRetryNs bounds how long a command fetch or CQE post is retried
 	// when the fabric reports a link outage before the controller
 	// declares itself fatal (CSTS.CFS). An NTB link flap shorter than
 	// this window is ridden out instead of bricking the device for every
 	// attached host — the behavior a multi-path volume layer depends on.
-	// Default 2 ms.
-	LinkRetryNs int64
-}
+	LinkRetryNs = 2 * sim.Millisecond
+)
 
 // DefaultParams returns the P4800X-class controller calibration.
 func DefaultParams() Params {
 	return Params{
 		MaxQueuePairs: 32,
-		MQES:          1023,
 		CmdOverheadNs: 350,
 		CplOverheadNs: 150,
 		EnableDelayNs: 50_000,
 		MaxInflight:   64,
-		DSTRD:         0,
 	}
 }
 
@@ -68,9 +69,6 @@ func (p Params) withDefaults() Params {
 	d := DefaultParams()
 	if p.MaxQueuePairs == 0 {
 		p.MaxQueuePairs = d.MaxQueuePairs
-	}
-	if p.MQES == 0 {
-		p.MQES = d.MQES
 	}
 	if p.CmdOverheadNs == 0 {
 		p.CmdOverheadNs = d.CmdOverheadNs
@@ -83,12 +81,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.MaxInflight == 0 {
 		p.MaxInflight = d.MaxInflight
-	}
-	if p.CMBAccessNs == 0 {
-		p.CMBAccessNs = 60
-	}
-	if p.LinkRetryNs == 0 {
-		p.LinkRetryNs = 2 * sim.Millisecond
 	}
 	return p
 }
@@ -176,7 +168,7 @@ type Stats struct {
 	// the host, which must recover by timeout + retry.
 	CQEsDropped uint64
 	// LinkRetries counts fetch/CQE DMAs re-issued after a fabric link
-	// outage (see Params.LinkRetryNs).
+	// outage (see LinkRetryNs).
 	LinkRetries uint64
 	// Reservation counters: successful Register/Acquire/Release commands,
 	// preemptions, and commands completed with Reservation Conflict (each
@@ -415,11 +407,11 @@ func (c *Controller) Fatal() bool { return c.csts&CSTSCFS != 0 }
 
 // cap builds the CAP register value.
 func (c *Controller) capReg() uint64 {
-	v := uint64(c.params.MQES)        // MQES
-	v |= CAPAMSWRRU                   // AMS: WRR with urgent supported
-	v |= uint64(20) << 24             // TO: 10 s in 500 ms units
-	v |= uint64(c.params.DSTRD) << 32 // DSTRD
-	v |= uint64(1) << 37              // CSS: NVM command set
+	v := uint64(MQES)        // MQES
+	v |= CAPAMSWRRU          // AMS: WRR with urgent supported
+	v |= uint64(20) << 24    // TO: 10 s in 500 ms units
+	v |= uint64(DSTRD) << 32 // DSTRD
+	v |= uint64(1) << 37     // CSS: NVM command set
 	return v
 }
 
@@ -547,7 +539,7 @@ func (c *Controller) doorbellWrite(off uint64, data []byte) {
 	if len(data) < 4 {
 		return
 	}
-	stride := uint64(4) << c.params.DSTRD
+	stride := uint64(4) << DSTRD
 	idx := (off - DoorbellBase) / stride
 	if (off-DoorbellBase)%stride != 0 {
 		return
@@ -687,7 +679,7 @@ func (c *Controller) cmbAt(addr pcie.Addr, n int) []byte {
 // address falls inside the buffer, a fabric DMA read otherwise.
 func (c *Controller) dmaRead(p *sim.Proc, addr pcie.Addr, buf []byte) error {
 	if s := c.cmbAt(addr, len(buf)); s != nil {
-		p.Sleep(c.params.CMBAccessNs)
+		p.Sleep(CMBAccessNs)
 		copy(buf, s)
 		return nil
 	}
@@ -698,7 +690,7 @@ func (c *Controller) dmaRead(p *sim.Proc, addr pcie.Addr, buf []byte) error {
 // posted fabric write.
 func (c *Controller) dmaWrite(p *sim.Proc, addr pcie.Addr, data []byte) error {
 	if s := c.cmbAt(addr, len(data)); s != nil {
-		p.Sleep(c.params.CMBAccessNs)
+		p.Sleep(CMBAccessNs)
 		copy(s, data)
 		return nil
 	}
@@ -706,7 +698,7 @@ func (c *Controller) dmaWrite(p *sim.Proc, addr pcie.Addr, data []byte) error {
 }
 
 // dmaRetry runs op, riding out fabric link outages with bounded
-// exponential backoff (Params.LinkRetryNs): a transient NTB flap must
+// exponential backoff (LinkRetryNs): a transient NTB flap must
 // not brick the controller for every attached host. Any other error, or
 // an outage outlasting the window, is returned for the caller to treat
 // as fatal.
@@ -715,7 +707,7 @@ func (c *Controller) dmaRetry(p *sim.Proc, op func() error) error {
 	if err == nil || !errors.Is(err, ntb.ErrLinkDown) {
 		return err
 	}
-	deadline := p.Now() + sim.Time(c.params.LinkRetryNs)
+	deadline := p.Now() + LinkRetryNs
 	backoff := int64(sim.Microsecond)
 	for {
 		c.Stats.LinkRetries++

@@ -35,7 +35,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	mem := memory.New(0x100000, 8<<20)
-	host, err := pcie.NewHostPort(dom, rc, mem, pcie.CPUParams{})
+	host, err := pcie.NewHostPort(dom, rc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestControllerEnableSetsReady(t *testing.T) {
 		if !r.ctrl.Ready() {
 			t.Error("controller not ready after Enable")
 		}
-		if a.MQES != r.ctrl.Params().MQES {
-			t.Errorf("MQES %d, want %d", a.MQES, r.ctrl.Params().MQES)
+		if a.MQES != MQES {
+			t.Errorf("MQES %d, want %d", a.MQES, MQES)
 		}
 	})
 }
@@ -149,7 +149,7 @@ func TestRegisterReadback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if capReg&0xFFFF != uint64(r.ctrl.Params().MQES) {
+		if capReg&0xFFFF != MQES {
 			t.Errorf("CAP.MQES = %d", capReg&0xFFFF)
 		}
 		if capReg>>37&1 != 1 {
@@ -605,7 +605,7 @@ func TestFetchLatencyDependsOnSQPlacement(t *testing.T) {
 		ep := dom.AddNode(pcie.Endpoint, "nvme")
 		dom.Connect(prev, ep)
 		mem := memory.New(0x100000, 8<<20)
-		host, err := pcie.NewHostPort(dom, rc, mem, pcie.CPUParams{})
+		host, err := pcie.NewHostPort(dom, rc, mem)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -217,12 +217,11 @@ func (q *QueueView) Ring(p *sim.Proc, h *pcie.HostPort) error {
 // ringing the CQ head doorbell (deferred to FlushCQ on a view a Reaper
 // drives). Costs one local access (or a fabric read for a remote CQ).
 //
-// The entry is read into a buffer the view owns. A fabric read fills it
-// and then sleeps for the completion's flight, so at most one process may
-// poll a view whose CQ is remote. Every I/O queue is polled by its one
-// Reaper; the admin queue, which two processes may poll at once, lives in
-// the poller's local DRAM, where the buffer is filled after the copy cost
-// with no yield before it is decoded.
+// At most one process may poll a view at a time: two pollers would read
+// the same slot and advance the head twice. Every I/O queue is polled by
+// its one Reaper, and AdminClient.Exec admits one caller at a time to the
+// admin queue. The entry is read into a buffer the view owns, which a
+// fabric read fills before it sleeps for the completion's flight.
 func (q *QueueView) Poll(p *sim.Proc, h *pcie.HostPort) (CQE, bool, error) {
 	t0 := p.Now()
 	if err := h.Read(p, q.CQAddr+pcie.Addr(q.cqHead*CQESize), q.cqe[:]); err != nil {

@@ -105,7 +105,7 @@ func newSerialRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	mem := memory.New(0x100000, 8<<20)
-	host, err := pcie.NewHostPort(dom, rc, mem, pcie.CPUParams{})
+	host, err := pcie.NewHostPort(dom, rc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

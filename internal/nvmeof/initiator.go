@@ -23,14 +23,19 @@ var (
 	ErrTooLarge      = errors.New("nvmeof: transfer exceeds slot buffer")
 )
 
+// The stock-kernel-style initiator's calibrated software costs.
+const (
+	// InitiatorSubmitNs is the initiator's submission-path software cost.
+	InitiatorSubmitNs = 450
+	// InitiatorCompleteNs is the completion-path software cost after the
+	// IRQ.
+	InitiatorCompleteNs = 400
+	// InitiatorIRQEntryNs is the recv-completion interrupt latency.
+	InitiatorIRQEntryNs = 1100
+)
+
 // InitiatorParams tunes the stock-kernel-style initiator.
 type InitiatorParams struct {
-	// SubmitNs is the initiator's submission-path software cost.
-	SubmitNs int64
-	// CompleteNs is the completion-path software cost after the IRQ.
-	CompleteNs int64
-	// IRQEntryNs is the recv-completion interrupt latency.
-	IRQEntryNs int64
 	// QueueDepth is the number of outstanding commands (slots).
 	QueueDepth int
 	// SlotBytes is each slot's data buffer size.
@@ -45,9 +50,6 @@ type InitiatorParams struct {
 // DefaultInitiatorParams returns the stock-initiator calibration.
 func DefaultInitiatorParams() InitiatorParams {
 	return InitiatorParams{
-		SubmitNs:   450,
-		CompleteNs: 400,
-		IRQEntryNs: 1100,
 		QueueDepth: 32,
 		SlotBytes:  128 << 10,
 		InCapsule:  4096,
@@ -56,15 +58,6 @@ func DefaultInitiatorParams() InitiatorParams {
 
 func (ip InitiatorParams) withDefaults() InitiatorParams {
 	d := DefaultInitiatorParams()
-	if ip.SubmitNs == 0 {
-		ip.SubmitNs = d.SubmitNs
-	}
-	if ip.CompleteNs == 0 {
-		ip.CompleteNs = d.CompleteNs
-	}
-	if ip.IRQEntryNs == 0 {
-		ip.IRQEntryNs = d.IRQEntryNs
-	}
 	if ip.QueueDepth == 0 {
 		ip.QueueDepth = d.QueueDepth
 	}
@@ -148,7 +141,7 @@ func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, pa
 func (ini *Initiator) isr(p *sim.Proc) {
 	for {
 		wc := rdma.WaitWC(p, ini.qp.RecvCQ)
-		p.Sleep(ini.params.IRQEntryNs)
+		p.Sleep(InitiatorIRQEntryNs)
 		for {
 			if wc.Status != nil {
 				return
@@ -194,7 +187,7 @@ func (ini *Initiator) exec(p *sim.Proc, cap *CmdCapsule, inline []byte) (RespCap
 	ini.qp.PostSendInline(uint64(cap.CID), msg, 0)
 	p.Wait(w.done)
 	tWait := p.Now()
-	p.Sleep(ini.params.CompleteNs)
+	p.Sleep(InitiatorCompleteNs)
 	end := p.Now()
 	// Coarse two-stage partition: the capsule round trip (fabric + target
 	// + device) and the host completion path after the response landed.
@@ -216,7 +209,7 @@ func (ini *Initiator) Blocks() uint64 { return ini.blocks }
 
 // Flush implements block.Device.
 func (ini *Initiator) Flush(p *sim.Proc) error {
-	p.Sleep(ini.params.SubmitNs)
+	p.Sleep(InitiatorSubmitNs)
 	resp, err := ini.exec(p, &CmdCapsule{Opcode: nvme.IOFlush, NSID: 1}, nil)
 	if err != nil {
 		return err
@@ -246,7 +239,7 @@ func (ini *Initiator) releaseSlot(slot int) {
 // DiscardBlocks implements block.Discarder: a single-range DSM
 // deallocate with the range definition in-capsule.
 func (ini *Initiator) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
-	p.Sleep(ini.params.SubmitNs)
+	p.Sleep(InitiatorSubmitNs)
 	cap := &CmdCapsule{Opcode: nvme.IODSM, NSID: 1, Nblk: 1,
 		DataLen: nvme.DSMRangeSize, Flags: FlagInline}
 	resp, err := ini.exec(p, cap, nvme.DSMRange(lba, nblk))
@@ -261,7 +254,7 @@ func (ini *Initiator) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 
 // WriteZeroesBlocks implements block.ZeroWriter.
 func (ini *Initiator) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
-	p.Sleep(ini.params.SubmitNs)
+	p.Sleep(InitiatorSubmitNs)
 	cap := &CmdCapsule{Opcode: nvme.IOWriteZeroes, NSID: 1, LBA: lba, Nblk: uint32(nblk)}
 	resp, err := ini.exec(p, cap, nil)
 	if err != nil {
@@ -284,7 +277,7 @@ func (ini *Initiator) ReadBlocks(p *sim.Proc, lba uint64, nblk int, buf []byte) 
 	if uint64(n) > ini.params.SlotBytes {
 		return ErrTooLarge
 	}
-	p.Sleep(ini.params.SubmitNs)
+	p.Sleep(InitiatorSubmitNs)
 	slot := ini.acquireSlot(p)
 	defer ini.releaseSlot(slot)
 	slotAddr := ini.slotBuf + pcie.Addr(uint64(slot)*ini.params.SlotBytes)
@@ -319,7 +312,7 @@ func (ini *Initiator) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte
 	if uint64(n) > ini.params.SlotBytes {
 		return ErrTooLarge
 	}
-	p.Sleep(ini.params.SubmitNs)
+	p.Sleep(InitiatorSubmitNs)
 	slot := ini.acquireSlot(p)
 	defer ini.releaseSlot(slot)
 	cap := &CmdCapsule{

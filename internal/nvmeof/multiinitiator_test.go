@@ -31,7 +31,7 @@ func TestMultipleInitiators(t *testing.T) {
 		if err := h.Dom.Connect(h.RC, ep); err != nil {
 			t.Fatal(err)
 		}
-		return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
+		return rdma.NewNIC(name, h.Port, ep)
 	}
 	nicT := attach(c.Hosts[0], "cx5-target")
 	var tgtQPs, iniQPs []*rdma.QP
@@ -115,8 +115,7 @@ func TestChainedPRPList(t *testing.T) {
 		t.Run(fmt.Sprintf("%d pages", pages), func(t *testing.T) {
 			r := newRig(t, cluster.NVMeConfig{})
 			r.start(t,
-				// 4 MiB of data plus the two list pages it needs.
-				nvmeof.TargetParams{StagingBytes: 4<<20 + 2*nvme.PageSize, QueueDepth: 8},
+				nvmeof.TargetParams{StagingBytes: 4 << 20, QueueDepth: 8},
 				nvmeof.InitiatorParams{SlotBytes: 4 << 20, QueueDepth: 4},
 				func(p *sim.Proc, ini *nvmeof.Initiator) {
 					n := pages * nvme.PageSize

@@ -39,7 +39,7 @@ func newRig(t *testing.T, nvmeCfg cluster.NVMeConfig) *rig {
 		if err := h.Dom.Connect(h.RC, ep); err != nil {
 			t.Fatal(err)
 		}
-		return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
+		return rdma.NewNIC(name, h.Port, ep)
 	}
 	nicT := attach(c.Hosts[0], "cx5-target")
 	nicI := attach(c.Hosts[1], "cx5-init")
@@ -115,27 +115,33 @@ func TestReadWriteInCapsule(t *testing.T) {
 	}
 }
 
+// TestLargeWriteUsesRDMARead moves transfers beyond in-capsule and beyond
+// two pages with default parameters on both sides, up to the 128 kB the
+// initiator's slot holds, which fills the target's staging partition.
 func TestLargeWriteUsesRDMARead(t *testing.T) {
-	r := newRig(t, cluster.NVMeConfig{})
-	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
-		n := 16 * 4096 // 64 kB: beyond in-capsule, beyond 2 pages
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = byte(i*11 + 3)
-		}
-		if err := ini.WriteBlocks(p, 0, n/512, want); err != nil {
-			t.Errorf("write: %v", err)
-			return
-		}
-		got := make([]byte, n)
-		if err := ini.ReadBlocks(p, 0, n/512, got); err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		if !bytes.Equal(got, want) {
-			t.Error("large transfer mismatch")
-		}
-	})
+	for _, n := range []int{64 << 10, 128 << 10} {
+		t.Run(fmt.Sprintf("%d kB", n>>10), func(t *testing.T) {
+			r := newRig(t, cluster.NVMeConfig{})
+			r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = byte(i*11 + 3)
+				}
+				if err := ini.WriteBlocks(p, 0, n/512, want); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				got := make([]byte, n)
+				if err := ini.ReadBlocks(p, 0, n/512, got); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Error("large transfer mismatch")
+				}
+			})
+		})
+	}
 }
 
 func TestFlushOverFabrics(t *testing.T) {

@@ -9,25 +9,32 @@ import (
 	"repro/internal/sim"
 )
 
+// The SPDK-style polled target's calibrated software costs.
+const (
+	// TargetPollNs is the poll-loop pickup cost when a capsule arrives.
+	TargetPollNs = 200
+	// TargetCapsuleProcNs is command capsule parsing/translation cost.
+	TargetCapsuleProcNs = 550
+	// TargetCplProcNs is the completion-path processing cost.
+	TargetCplProcNs = 350
+	// TargetDataCapsuleNs is the extra target cost of accepting
+	// unsolicited in-capsule data (buffer accounting and validation
+	// before the controller may DMA from the receive buffer).
+	TargetDataCapsuleNs = 900
+	// TargetSubmitNs is the polled userspace driver's NVMe submission
+	// cost.
+	TargetSubmitNs = 300
+)
+
 // TargetParams tunes the SPDK-style polled target.
 type TargetParams struct {
-	// PollNs is the poll-loop pickup cost when a capsule arrives.
-	PollNs int64
-	// CapsuleProcNs is command capsule parsing/translation cost.
-	CapsuleProcNs int64
-	// CplProcNs is the completion-path processing cost.
-	CplProcNs int64
-	// DataCapsuleNs is the extra target cost of accepting unsolicited
-	// in-capsule data (buffer accounting and validation before the
-	// controller may DMA from the receive buffer).
-	DataCapsuleNs int64
-	// SubmitNs is the polled userspace driver's NVMe submission cost.
-	SubmitNs int64
 	// InCapsule is the largest write payload accepted in-capsule.
 	InCapsule int
 	// QueueDepth is the per-connection NVMe queue depth.
 	QueueDepth int
-	// StagingBytes is each connection slot's staging partition.
+	// StagingBytes is each connection slot's staging partition, and so
+	// the largest transfer. Each slot also gets the PRP list pages a
+	// transfer of this size needs (nvme.PRPListPages).
 	StagingBytes uint64
 	// Offload moves capsule handling into NIC firmware (target
 	// offloading). The paper tried it and found it "only appeared to
@@ -40,34 +47,14 @@ type TargetParams struct {
 // DefaultTargetParams returns the SPDK-class calibration.
 func DefaultTargetParams() TargetParams {
 	return TargetParams{
-		PollNs:        200,
-		CapsuleProcNs: 550,
-		CplProcNs:     350,
-		DataCapsuleNs: 900,
-		SubmitNs:      300,
-		InCapsule:     4096,
-		QueueDepth:    64,
-		StagingBytes:  128 << 10,
+		InCapsule:    4096,
+		QueueDepth:   64,
+		StagingBytes: 128 << 10,
 	}
 }
 
 func (tp TargetParams) withDefaults() TargetParams {
 	d := DefaultTargetParams()
-	if tp.PollNs == 0 {
-		tp.PollNs = d.PollNs
-	}
-	if tp.CapsuleProcNs == 0 {
-		tp.CapsuleProcNs = d.CapsuleProcNs
-	}
-	if tp.CplProcNs == 0 {
-		tp.CplProcNs = d.CplProcNs
-	}
-	if tp.DataCapsuleNs == 0 {
-		tp.DataCapsuleNs = d.DataCapsuleNs
-	}
-	if tp.SubmitNs == 0 {
-		tp.SubmitNs = d.SubmitNs
-	}
 	if tp.InCapsule == 0 {
 		tp.InCapsule = d.InCapsule
 	}
@@ -137,9 +124,12 @@ type conn struct {
 	qp      *rdma.QP
 	ioq     *nvme.Reaper
 	staging pcie.Addr
-	recvBuf pcie.Addr
-	bufSize uint64
-	slots   int
+	// slotBytes is a staging slot's stride: StagingBytes of data, then
+	// the PRP list region of the slot's largest transfer.
+	slotBytes uint64
+	recvBuf   pcie.Addr
+	bufSize   uint64
+	slots     int
 }
 
 // Serve accepts a connection on qp: it creates the connection's NVMe
@@ -166,7 +156,7 @@ func (t *Target) Serve(p *sim.Proc, qp *rdma.QP) error {
 	view.EnableLocking(t.host.Domain().Kernel())
 	// SPDK-style completion polling: the poller wakes when completion
 	// DMA lands in the local CQ ring and pays one poll-loop pickup.
-	ioq, err := nvme.NewReaper(fmt.Sprintf("nvmf-tgt-q%d/poll", qid), t.host, view, nvme.ReaperParams{WakeNs: params.PollNs})
+	ioq, err := nvme.NewReaper(fmt.Sprintf("nvmf-tgt-q%d/poll", qid), t.host, view, nvme.ReaperParams{WakeNs: TargetPollNs})
 	if err != nil {
 		return err
 	}
@@ -176,7 +166,12 @@ func (t *Target) Serve(p *sim.Proc, qp *rdma.QP) error {
 	if err != nil {
 		return err
 	}
-	c.staging, err = t.host.Alloc(uint64(c.slots)*params.StagingBytes, nvme.PageSize)
+	// A staged transfer starts on a page boundary, but an in-capsule
+	// payload starts wherever its receive buffer puts it, so size the
+	// list for a transfer of StagingBytes starting anywhere in a page.
+	listPages := nvme.PRPListPages(nvme.PageSize-1, int(params.StagingBytes))
+	c.slotBytes = params.StagingBytes + uint64(listPages)*nvme.PageSize
+	c.staging, err = t.host.Alloc(uint64(c.slots)*c.slotBytes, nvme.PageSize)
 	if err != nil {
 		return err
 	}
@@ -207,7 +202,7 @@ func (c *conn) handle(p *sim.Proc) {
 			return
 		}
 		c.t.Polls++
-		c.t.cpuSleep(p, c.t.params.PollNs)
+		c.t.cpuSleep(p, TargetPollNs)
 		slot := wc.WRID
 		c.t.host.Domain().Kernel().Spawn(fmt.Sprintf("nvmf-tgt-cmd%d", slot),
 			func(wp *sim.Proc) { c.serveOne(wp, slot) })
@@ -227,9 +222,9 @@ func (c *conn) serveOne(p *sim.Proc, slot uint64) {
 		c.qp.PostRecv(slot, bufAddr, int(c.bufSize))
 		return
 	}
-	c.t.cpuSleep(p, c.t.params.CapsuleProcNs)
+	c.t.cpuSleep(p, TargetCapsuleProcNs)
 	resp, sentData := c.execute(p, bufAddr, int(slot), cap)
-	c.t.cpuSleep(p, c.t.params.CplProcNs)
+	c.t.cpuSleep(p, TargetCplProcNs)
 	c.qp.PostSendInline(wridResponse|slot, resp.Marshal(), 0)
 	// The recv buffer can be rearmed as soon as the response is queued:
 	// the engine processes it after the in-flight sends.
@@ -258,14 +253,14 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 		resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
 		return resp, false
 	}
-	stage := c.staging + pcie.Addr(uint64(slot)*c.t.params.StagingBytes)
+	stage := c.staging + pcie.Addr(uint64(slot)*c.slotBytes)
 	prp := stage
 	if cap.Opcode == nvme.IOWrite || cap.Opcode == nvme.IODSM {
 		if cap.Flags&FlagInline != 0 {
 			// Zero copy: the controller DMA-reads straight out of the
 			// receive buffer where the NIC deposited the payload —
 			// after the target accounts for the unsolicited data.
-			c.t.cpuSleep(p, c.t.params.DataCapsuleNs)
+			c.t.cpuSleep(p, TargetDataCapsuleNs)
 			prp = bufAddr + CmdHeaderSize
 		} else {
 			// Fetch initiator data with a one-sided RDMA READ.
@@ -289,23 +284,18 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 			CDW10: cap.Nblk - 1, CDW11: nvme.DSMAttrDeallocate}
 	default:
 		// Staging partitions are physically contiguous, and a transfer
-		// past two pages takes its PRP list from the partition's tail.
-		// In-capsule payloads start right after the 64-byte header, so
-		// they straddle a page boundary even at 4 kB.
+		// past two pages takes its PRP list from the region behind the
+		// slot's data. In-capsule payloads start right after the 64-byte
+		// header, so they straddle a page boundary even at 4 kB.
 		cmd = nvme.IOCmd(cap.Opcode, cap.LBA, int(cap.Nblk))
-		listBytes := uint64(nvme.PRPListPages(prp, n)) * nvme.PageSize
-		if uint64(n)+listBytes > c.t.params.StagingBytes {
-			resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
-			return resp, false
-		}
-		list := stage + pcie.Addr(c.t.params.StagingBytes-listBytes)
+		list := stage + pcie.Addr(c.t.params.StagingBytes)
 		if err := nvme.PRPs(c.t.host, &cmd, prp, n, list, list); err != nil {
 			resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCDataTransfer)
 			return resp, false
 		}
 	}
 	cmd.NSID = cap.NSID
-	c.t.cpuSleep(p, c.t.params.SubmitNs)
+	c.t.cpuSleep(p, TargetSubmitNs)
 	status, err := c.ioq.Exec(p, &cmd)
 	if err != nil {
 		resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCDataTransfer)

@@ -7,36 +7,20 @@ import (
 	"repro/internal/sim"
 )
 
-// CPUParams is the cost model for CPU-side memory access.
-type CPUParams struct {
+// The calibrated cost model for CPU-side access to local memory.
+const (
 	// CopyBytesPerNs is CPU copy bandwidth for local memory (~16 B/ns).
-	CopyBytesPerNs float64
+	CopyBytesPerNs = 16
 	// LocalAccessNs is the fixed cost of touching local DRAM/cache.
-	LocalAccessNs int64
-}
-
-// DefaultCPUParams returns the calibrated CPU model.
-func DefaultCPUParams() CPUParams {
-	return CPUParams{CopyBytesPerNs: 16, LocalAccessNs: 25}
-}
-
-func (cp CPUParams) withDefaults() CPUParams {
-	d := DefaultCPUParams()
-	if cp.CopyBytesPerNs == 0 {
-		cp.CopyBytesPerNs = d.CopyBytesPerNs
-	}
-	if cp.LocalAccessNs == 0 {
-		cp.LocalAccessNs = d.LocalAccessNs
-	}
-	return cp
-}
+	LocalAccessNs = 25
+)
 
 // CopyNs returns the CPU time to copy n local bytes.
-func (cp CPUParams) CopyNs(n int) int64 {
+func CopyNs(n int) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return cp.LocalAccessNs + int64(float64(n)/cp.CopyBytesPerNs)
+	return LocalAccessNs + int64(float64(n)/CopyBytesPerNs)
 }
 
 // HostPort is a host CPU's view of its domain: direct (cheap) access to
@@ -51,7 +35,6 @@ type HostPort struct {
 	dom     *Domain
 	node    NodeID
 	mem     *memory.Memory
-	cpu     CPUParams
 	watches []watchEntry
 }
 
@@ -62,8 +45,8 @@ type watchEntry struct {
 
 // NewHostPort creates the port and claims mem's range at node (normally
 // the root complex).
-func NewHostPort(dom *Domain, node NodeID, mem *memory.Memory, cpu CPUParams) (*HostPort, error) {
-	h := &HostPort{dom: dom, node: node, mem: mem, cpu: cpu.withDefaults()}
+func NewHostPort(dom *Domain, node NodeID, mem *memory.Memory) (*HostPort, error) {
+	h := &HostPort{dom: dom, node: node, mem: mem}
 	if err := dom.Claim(Range{Base: mem.Base(), Size: mem.Size()}, node, h); err != nil {
 		return nil, err
 	}
@@ -78,9 +61,6 @@ func (h *HostPort) Node() NodeID { return h.node }
 
 // Mem returns the host's local DRAM.
 func (h *HostPort) Mem() *memory.Memory { return h.mem }
-
-// CPU returns the CPU cost model.
-func (h *HostPort) CPU() CPUParams { return h.cpu }
 
 // TargetWrite implements Target: inbound DMA to system memory.
 func (h *HostPort) TargetWrite(addr Addr, data []byte) {
@@ -123,7 +103,7 @@ func (h *HostPort) Local(addr Addr, n uint64) bool { return h.mem.Contains(addr,
 // immediately visible; other addresses become posted fabric writes.
 func (h *HostPort) Write(p *sim.Proc, addr Addr, data []byte) error {
 	if h.Local(addr, uint64(len(data))) {
-		p.Sleep(h.cpu.CopyNs(len(data)))
+		p.Sleep(CopyNs(len(data)))
 		if err := h.mem.Write(addr, data); err != nil {
 			return err
 		}
@@ -137,7 +117,7 @@ func (h *HostPort) Write(p *sim.Proc, addr Addr, data []byte) error {
 	if len(data) <= 8 {
 		return h.dom.MMIOWrite(p, h.node, addr, data)
 	}
-	p.Sleep(h.cpu.CopyNs(len(data))) // CPU streams the bytes to the window
+	p.Sleep(CopyNs(len(data))) // CPU streams the bytes to the window
 	return h.dom.MemWrite(p, h.node, addr, data)
 }
 
@@ -145,7 +125,7 @@ func (h *HostPort) Write(p *sim.Proc, addr Addr, data []byte) error {
 // time; other addresses are non-posted fabric reads (full round trip).
 func (h *HostPort) Read(p *sim.Proc, addr Addr, buf []byte) error {
 	if h.Local(addr, uint64(len(buf))) {
-		p.Sleep(h.cpu.CopyNs(len(buf)))
+		p.Sleep(CopyNs(len(buf)))
 		return h.mem.Read(addr, buf)
 	}
 	return h.dom.MemRead(p, h.node, addr, buf)

@@ -20,7 +20,7 @@ func hostRig(t *testing.T) (*sim.Kernel, *Domain, *HostPort, *memory.Memory) {
 		t.Fatal(err)
 	}
 	mem := memory.New(0x10000, 1<<20)
-	hp, err := NewHostPort(d, rc, mem, CPUParams{})
+	hp, err := NewHostPort(d, rc, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestHostPortLocalAccessIsCheap(t *testing.T) {
 	if localCost >= remoteCost {
 		t.Fatalf("local read (%d) not cheaper than MMIO read (%d)", localCost, remoteCost)
 	}
-	want := hp.CPU().CopyNs(64)
+	want := CopyNs(64)
 	if localCost != want {
 		t.Fatalf("local cost %d, want %d", localCost, want)
 	}
@@ -153,12 +153,11 @@ func TestHostPortAllocFreeSlice(t *testing.T) {
 	}
 }
 
-func TestCPUParamsCopyNs(t *testing.T) {
-	cp := CPUParams{}.withDefaults()
-	if cp.CopyNs(0) != 0 {
+func TestCopyNs(t *testing.T) {
+	if CopyNs(0) != 0 {
 		t.Fatal("zero-byte copy costs time")
 	}
-	if cp.CopyNs(1600) != cp.LocalAccessNs+100 {
-		t.Fatalf("1600B at 16B/ns = %d", cp.CopyNs(1600))
+	if CopyNs(1600) != LocalAccessNs+100 {
+		t.Fatalf("1600B at 16B/ns = %d", CopyNs(1600))
 	}
 }

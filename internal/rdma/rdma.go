@@ -15,45 +15,24 @@ import (
 	"repro/internal/sim"
 )
 
-// Params is the NIC/network cost model (ConnectX-5 class, 100 Gb/s).
-type Params struct {
+// The calibrated NIC/network cost model (ConnectX-5 class, 100 Gb/s).
+const (
 	// TxNs is send-side NIC processing per work request.
-	TxNs int64
+	TxNs = 500
 	// RxNs is receive-side NIC processing per message.
-	RxNs int64
+	RxNs = 500
 	// WireNs is one-way propagation including the IB switch.
-	WireNs int64
+	WireNs = 450
 	// BytesPerNs is wire bandwidth (100 Gb/s = 12.5 B/ns).
-	BytesPerNs float64
-}
+	BytesPerNs = 12.5
+)
 
-// DefaultParams returns the calibrated 100 Gb/s model.
-func DefaultParams() Params {
-	return Params{TxNs: 500, RxNs: 500, WireNs: 450, BytesPerNs: 12.5}
-}
-
-func (p Params) withDefaults() Params {
-	d := DefaultParams()
-	if p.TxNs == 0 {
-		p.TxNs = d.TxNs
-	}
-	if p.RxNs == 0 {
-		p.RxNs = d.RxNs
-	}
-	if p.WireNs == 0 {
-		p.WireNs = d.WireNs
-	}
-	if p.BytesPerNs == 0 {
-		p.BytesPerNs = d.BytesPerNs
-	}
-	return p
-}
-
-func (p Params) serNs(n int) int64 {
+// serNs is the wire serialization time of n bytes.
+func serNs(n int) int64 {
 	if n <= 0 {
 		return 0
 	}
-	return int64(float64(n) / p.BytesPerNs)
+	return int64(float64(n) / BytesPerNs)
 }
 
 // Errors returned by the verbs layer.
@@ -142,24 +121,19 @@ type NIC struct {
 	Name   string
 	host   *pcie.HostPort
 	node   pcie.NodeID
-	params Params
 	kernel *sim.Kernel
 	nextQP int
 }
 
 // NewNIC attaches an adapter at node in the host's domain.
-func NewNIC(name string, host *pcie.HostPort, node pcie.NodeID, params Params) *NIC {
+func NewNIC(name string, host *pcie.HostPort, node pcie.NodeID) *NIC {
 	return &NIC{
 		Name:   name,
 		host:   host,
 		node:   node,
-		params: params.withDefaults(),
 		kernel: host.Domain().Kernel(),
 	}
 }
-
-// Params returns the NIC cost model.
-func (n *NIC) Params() Params { return n.params }
 
 type recvWR struct {
 	wrid uint64
@@ -256,7 +230,6 @@ func (q *QP) PostRead(wrid uint64, laddr pcie.Addr, n int, raddr pcie.Addr) {
 func (q *QP) engine(p *sim.Proc) {
 	for {
 		wr := p.Pop(q.sendQ).(*sendWR)
-		par := q.nic.params
 		if q.peer == nil {
 			q.SendCQ.push(WC{WRID: wr.wrid, Op: wr.op, Status: ErrNotConnected})
 			continue
@@ -266,9 +239,9 @@ func (q *QP) engine(p *sim.Proc) {
 			// Engine occupancy is per-message processing plus payload
 			// serialization; the payload DMA from host memory is
 			// pipelined into the flight (fetched by remoteSide).
-			p.Sleep(par.TxNs + par.serNs(wr.n))
+			p.Sleep(TxNs + serNs(wr.n))
 		case OpRead:
-			p.Sleep(par.TxNs)
+			p.Sleep(TxNs)
 		}
 		q.dispatch(wr, wr.inline)
 	}
@@ -278,8 +251,7 @@ func (q *QP) engine(p *sim.Proc) {
 // now, keeping per-QP arrival order and chaining completion visibility.
 func (q *QP) dispatch(wr *sendWR, payload []byte) {
 	k := q.nic.kernel
-	par := q.nic.params
-	arrival := k.Now() + par.WireNs
+	arrival := k.Now() + WireNs
 	if arrival < q.lastArrival {
 		arrival = q.lastArrival
 	}
@@ -302,7 +274,6 @@ func (q *QP) dispatch(wr *sendWR, payload []byte) {
 // so a small message never becomes visible before an earlier large one's
 // data.
 func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Event) {
-	par := q.nic.params
 	peer := q.peer
 	finish := func(local WC, recv *WC) {
 		if prev != nil {
@@ -324,7 +295,7 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 	}
 	switch wr.op {
 	case OpSend:
-		rp.Sleep(par.RxNs)
+		rp.Sleep(RxNs)
 		if len(peer.recvs) == 0 {
 			finish(WC{WRID: wr.wrid, Op: OpSend, Status: ErrRNR}, nil)
 			return
@@ -345,7 +316,7 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 			&WC{WRID: rwr.wrid, Op: OpRecv, ByteLen: len(payload), Imm: wr.imm})
 
 	case OpWrite:
-		rp.Sleep(par.RxNs)
+		rp.Sleep(RxNs)
 		if err := deliver(rp, peer.nic, wr.raddr, payload); err != nil {
 			finish(WC{WRID: wr.wrid, Op: OpWrite, Status: err}, nil)
 			return
@@ -360,7 +331,7 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 			finish(WC{WRID: wr.wrid, Op: OpRead, Status: err}, nil)
 			return
 		}
-		rp.Sleep(par.WireNs + par.serNs(wr.n) + par.RxNs)
+		rp.Sleep(WireNs + serNs(wr.n) + RxNs)
 		if err := deliver(rp, q.nic, wr.laddr, buf); err != nil {
 			finish(WC{WRID: wr.wrid, Op: OpRead, Status: err}, nil)
 			return

@@ -31,7 +31,7 @@ func newRig(t *testing.T) *rig {
 		if err := h.Dom.Connect(h.RC, ep); err != nil {
 			t.Fatal(err)
 		}
-		return rdma.NewNIC(name, h.Port, ep, rdma.Params{})
+		return rdma.NewNIC(name, h.Port, ep)
 	}
 	r := &rig{c: c}
 	r.nicA = attach(c.Hosts[0], "cx5-a")
