@@ -508,7 +508,7 @@ func fabricsTenants(k, ios int) (medianNs, iops float64) {
 					tenantErr = err
 					return
 				}
-				out, err := fio.Run(cp, block.NewQueue(r.K, ini, block.QueueParams{}), fio.JobSpec{
+				out, err := fio.Run(cp, block.NewQueue(ini), fio.JobSpec{
 					Name: fmt.Sprintf("t%d", host), Op: fio.RandRead, QueueDepth: 2,
 					MaxIOs: ios, RangeBlocks: 1 << 14, Seed: int64(host),
 				})

@@ -37,7 +37,7 @@ func main() {
 		newQueue := func(host int) *block.Queue {
 			cl, err := r.Client(p, host, mgr, fmt.Sprintf("dnvme%d", host), core.ClientParams{})
 			check(err)
-			return block.NewQueue(r.K, cl, block.QueueParams{})
+			return block.NewQueue(cl)
 		}
 
 		// Host 1 formats the shared device.

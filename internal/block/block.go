@@ -1,8 +1,9 @@
-// Package block is a miniature Linux-block-layer facsimile: drivers
-// register block devices, upper layers submit requests to per-device
-// request queues, worker contexts dispatch them to the driver, and
-// completion is signaled through events. It adds the per-request software
-// cost that sits between a filesystem/benchmark and any NVMe driver.
+// Package block is a miniature Linux block layer: upper layers submit
+// requests to a per-device request queue, which validates each, splits
+// it for the driver and adds the per-request software cost that sits
+// between a filesystem or benchmark and any NVMe driver. As blk-mq does
+// (blk_mq_try_issue_directly), the submitting process issues its own
+// request to the driver, so the submitters are the queue's concurrency.
 package block
 
 import (
@@ -78,164 +79,79 @@ var ErrUnsupported = errors.New("block: operation not supported by device")
 var (
 	ErrOutOfRange = errors.New("block: request beyond device capacity")
 	ErrBadRequest = errors.New("block: malformed request")
-	ErrStopped    = errors.New("block: queue stopped")
 )
 
-// Request is one block I/O.
-type Request struct {
-	Op   Op
-	LBA  uint64
-	Nblk int
-	// Data is the destination for reads and the source for writes.
-	Data []byte
-	// Done triggers when the request completes; its payload is the error
-	// (nil on success).
-	Done *sim.Event
+// The block layer's calibrated costs.
+const (
+	// SubmitNs is the software cost charged on submission.
+	SubmitNs = 200
+	// CompleteNs is the completion-path cost.
+	CompleteNs = 150
+	// MaxBlocks is the largest request the driver receives; a longer
+	// read or write is split into chunks of at most this many blocks.
+	MaxBlocks = 2048
+)
 
-	submitted sim.Time
-}
-
-// Err extracts the completion error after Done has triggered.
-func (r *Request) Err() error {
-	if v := r.Done.Payload(); v != nil {
-		return v.(error)
-	}
-	return nil
-}
-
-// QueueParams tunes a request queue.
-type QueueParams struct {
-	// SubmitNs is the block-layer software cost charged on submission.
-	SubmitNs int64
-	// CompleteNs is the block-layer completion-path cost.
-	CompleteNs int64
-	// MaxBlocks splits larger requests into chunks (0 = no splitting).
-	MaxBlocks int
-	// Workers is the number of dispatch contexts (default 16).
-	Workers int
-}
-
-// DefaultQueueParams returns the standard block layer calibration.
-func DefaultQueueParams() QueueParams {
-	return QueueParams{SubmitNs: 200, CompleteNs: 150, MaxBlocks: 2048, Workers: 16}
-}
-
-func (qp QueueParams) withDefaults() QueueParams {
-	d := DefaultQueueParams()
-	if qp.SubmitNs == 0 {
-		qp.SubmitNs = d.SubmitNs
-	}
-	if qp.CompleteNs == 0 {
-		qp.CompleteNs = d.CompleteNs
-	}
-	if qp.MaxBlocks == 0 {
-		qp.MaxBlocks = d.MaxBlocks
-	}
-	if qp.Workers == 0 {
-		qp.Workers = d.Workers
-	}
-	return qp
-}
-
-// Queue is a per-device request queue with a fixed pool of dispatch
-// workers.
+// Queue is the block layer's request path to one device. It holds no
+// requests: SubmitAndWait runs each one in the process that submits it.
 type Queue struct {
-	dev    Device
-	kernel *sim.Kernel
-	params QueueParams
-	q      *sim.Queue
-
-	// Submitted and Completed count requests for observability.
-	Submitted uint64
-	Completed uint64
-
+	dev     Device
 	latHist *stats.PowHistogram
 }
 
 // SetLatencyHist attaches a histogram that records each request's
-// submit-to-completion latency in virtual ns. Pure accounting: it adds
-// no simulated cost and never touches the kernel, so attaching it leaves
-// virtual-time results bit-identical. Pass nil to detach.
+// latency in virtual ns, from the end of the submission cost to the end
+// of the completion cost. Pure accounting: it adds no simulated cost and
+// never touches the kernel, so attaching it leaves virtual-time results
+// bit-identical. Pass nil to detach.
 func (q *Queue) SetLatencyHist(h *stats.PowHistogram) { q.latHist = h }
 
-// NewQueue creates the request queue and starts its workers.
-func NewQueue(k *sim.Kernel, dev Device, params QueueParams) *Queue {
-	q := &Queue{dev: dev, kernel: k, params: params.withDefaults(), q: sim.NewQueue(k)}
-	for i := 0; i < q.params.Workers; i++ {
-		k.Spawn(fmt.Sprintf("blk/%s/w%d", dev.Name(), i), q.worker)
-	}
-	return q
-}
+// NewQueue creates the request queue for dev.
+func NewQueue(dev Device) *Queue { return &Queue{dev: dev} }
 
 // Device returns the backing device.
 func (q *Queue) Device() Device { return q.dev }
 
-// Submit validates and enqueues req, charging the submission cost. The
-// caller waits on req.Done for completion.
-func (q *Queue) Submit(p *sim.Proc, req *Request) error {
-	if req.Done == nil {
-		req.Done = sim.NewEvent(q.kernel)
-	}
-	if err := q.validate(req); err != nil {
+// SubmitAndWait runs one request in p and returns its I/O error: it
+// validates the request, charges SubmitNs, dispatches it to the driver
+// and charges CompleteNs. data is the destination for reads and the
+// source for writes; flush, discard and write-zeroes carry none.
+func (q *Queue) SubmitAndWait(p *sim.Proc, op Op, lba uint64, nblk int, data []byte) error {
+	if err := q.validate(op, lba, nblk, data); err != nil {
 		return err
 	}
-	p.Sleep(q.params.SubmitNs)
-	req.submitted = p.Now()
-	q.Submitted++
-	q.q.Push(req)
-	return nil
+	p.Sleep(SubmitNs)
+	start := p.Now()
+	err := q.dispatch(p, op, lba, nblk, data)
+	p.Sleep(CompleteNs)
+	if q.latHist != nil {
+		q.latHist.AddNs(p.Now() - start)
+	}
+	return err
 }
 
-func (q *Queue) validate(req *Request) error {
-	if req.Op == OpFlush {
+func (q *Queue) validate(op Op, lba uint64, nblk int, data []byte) error {
+	if op == OpFlush {
 		return nil
 	}
-	if req.Nblk <= 0 {
-		return fmt.Errorf("%w: nblk=%d", ErrBadRequest, req.Nblk)
+	if nblk <= 0 {
+		return fmt.Errorf("%w: nblk=%d", ErrBadRequest, nblk)
 	}
-	if req.LBA+uint64(req.Nblk) > q.dev.Blocks() {
-		return fmt.Errorf("%w: lba %d + %d > %d", ErrOutOfRange, req.LBA, req.Nblk, q.dev.Blocks())
+	if lba+uint64(nblk) > q.dev.Blocks() {
+		return fmt.Errorf("%w: lba %d + %d > %d", ErrOutOfRange, lba, nblk, q.dev.Blocks())
 	}
-	if req.Op == OpDiscard || req.Op == OpWriteZeroes {
+	if op == OpDiscard || op == OpWriteZeroes {
 		return nil // no data payload
 	}
-	if len(req.Data) != req.Nblk*q.dev.BlockSize() {
-		return fmt.Errorf("%w: data %d bytes for %d blocks", ErrBadRequest, len(req.Data), req.Nblk)
+	if len(data) != nblk*q.dev.BlockSize() {
+		return fmt.Errorf("%w: data %d bytes for %d blocks", ErrBadRequest, len(data), nblk)
 	}
 	return nil
 }
 
-// SubmitAndWait is a convenience wrapper: submit, block until done,
-// return the I/O error.
-func (q *Queue) SubmitAndWait(p *sim.Proc, op Op, lba uint64, nblk int, data []byte) error {
-	req := &Request{Op: op, LBA: lba, Nblk: nblk, Data: data, Done: sim.NewEvent(q.kernel)}
-	if err := q.Submit(p, req); err != nil {
-		return err
-	}
-	p.Wait(req.Done)
-	return req.Err()
-}
-
-func (q *Queue) worker(p *sim.Proc) {
-	for {
-		req := p.Pop(q.q).(*Request)
-		err := q.dispatch(p, req)
-		p.Sleep(q.params.CompleteNs)
-		q.Completed++
-		if q.latHist != nil {
-			q.latHist.AddNs(p.Now() - req.submitted)
-		}
-		if err != nil {
-			req.Done.Trigger(err)
-		} else {
-			req.Done.Trigger(nil)
-		}
-	}
-}
-
-// dispatch runs one request, splitting it per MaxBlocks.
-func (q *Queue) dispatch(p *sim.Proc, req *Request) error {
-	switch req.Op {
+// dispatch runs one request on the driver, splitting it per MaxBlocks.
+func (q *Queue) dispatch(p *sim.Proc, op Op, lba uint64, nblk int, data []byte) error {
+	switch op {
 	case OpFlush:
 		return q.dev.Flush(p)
 	case OpDiscard:
@@ -243,38 +159,32 @@ func (q *Queue) dispatch(p *sim.Proc, req *Request) error {
 		if !ok {
 			return fmt.Errorf("%w: discard on %s", ErrUnsupported, q.dev.Name())
 		}
-		return d.DiscardBlocks(p, req.LBA, req.Nblk)
+		return d.DiscardBlocks(p, lba, nblk)
 	case OpWriteZeroes:
 		z, ok := q.dev.(ZeroWriter)
 		if !ok {
 			return fmt.Errorf("%w: write-zeroes on %s", ErrUnsupported, q.dev.Name())
 		}
-		return z.WriteZeroesBlocks(p, req.LBA, req.Nblk)
+		return z.WriteZeroesBlocks(p, lba, nblk)
 	case OpRead, OpWrite:
 		bs := q.dev.BlockSize()
-		lba, nblk := req.LBA, req.Nblk
-		off := 0
 		for nblk > 0 {
-			chunk := nblk
-			if chunk > q.params.MaxBlocks {
-				chunk = q.params.MaxBlocks
-			}
-			data := req.Data[off : off+chunk*bs]
+			chunk := min(nblk, MaxBlocks)
 			var err error
-			if req.Op == OpRead {
-				err = q.dev.ReadBlocks(p, lba, chunk, data)
+			if op == OpRead {
+				err = q.dev.ReadBlocks(p, lba, chunk, data[:chunk*bs])
 			} else {
-				err = q.dev.WriteBlocks(p, lba, chunk, data)
+				err = q.dev.WriteBlocks(p, lba, chunk, data[:chunk*bs])
 			}
 			if err != nil {
 				return err
 			}
 			lba += uint64(chunk)
 			nblk -= chunk
-			off += chunk * bs
+			data = data[chunk*bs:]
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: op %d", ErrBadRequest, req.Op)
+		return fmt.Errorf("%w: op %d", ErrBadRequest, op)
 	}
 }

@@ -3,6 +3,7 @@ package block
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -58,18 +59,18 @@ func (d *memDevice) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte) 
 	return nil
 }
 
-func run(t *testing.T, fn func(k *sim.Kernel, p *sim.Proc)) {
+func run(t *testing.T, fn func(p *sim.Proc)) {
 	t.Helper()
 	k := sim.NewKernel()
-	k.Spawn("test", func(p *sim.Proc) { fn(k, p) })
+	k.Spawn("test", fn)
 	k.RunAll()
 	k.Shutdown()
 }
 
 func TestSubmitAndWaitRoundTrip(t *testing.T) {
-	run(t, func(k *sim.Kernel, p *sim.Proc) {
+	run(t, func(p *sim.Proc) {
 		dev := newMemDevice(512, 1024, 1000)
-		q := NewQueue(k, dev, QueueParams{})
+		q := NewQueue(dev)
 		want := bytes.Repeat([]byte{0x3C}, 512*4)
 		if err := q.SubmitAndWait(p, OpWrite, 8, 4, want); err != nil {
 			t.Fatal(err)
@@ -81,16 +82,13 @@ func TestSubmitAndWaitRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("data mismatch")
 		}
-		if q.Submitted != 2 || q.Completed != 2 {
-			t.Fatalf("counters %d/%d", q.Submitted, q.Completed)
-		}
 	})
 }
 
 func TestValidation(t *testing.T) {
-	run(t, func(k *sim.Kernel, p *sim.Proc) {
+	run(t, func(p *sim.Proc) {
 		dev := newMemDevice(512, 100, 10)
-		q := NewQueue(k, dev, QueueParams{})
+		q := NewQueue(dev)
 		if err := q.SubmitAndWait(p, OpRead, 99, 2, make([]byte, 1024)); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("OOB: %v", err)
 		}
@@ -104,37 +102,36 @@ func TestValidation(t *testing.T) {
 }
 
 func TestFlushNeedsNoData(t *testing.T) {
-	run(t, func(k *sim.Kernel, p *sim.Proc) {
+	run(t, func(p *sim.Proc) {
 		dev := newMemDevice(512, 100, 10)
-		q := NewQueue(k, dev, QueueParams{})
+		q := NewQueue(dev)
 		if err := q.SubmitAndWait(p, OpFlush, 0, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
+// TestSplitting sends a write and a read of 3 × MaxBlocks + 8 blocks:
+// the driver must see chunks of MaxBlocks, MaxBlocks, MaxBlocks and 8,
+// and the data must survive the split.
 func TestSplitting(t *testing.T) {
-	run(t, func(k *sim.Kernel, p *sim.Proc) {
-		dev := newMemDevice(512, 10000, 10)
-		q := NewQueue(k, dev, QueueParams{MaxBlocks: 64})
-		data := make([]byte, 512*200)
+	run(t, func(p *sim.Proc) {
+		const nblk = 3*MaxBlocks + 8
+		dev := newMemDevice(512, 4*MaxBlocks, 10)
+		q := NewQueue(dev)
+		data := make([]byte, 512*nblk)
 		for i := range data {
 			data[i] = byte(i)
 		}
-		if err := q.SubmitAndWait(p, OpWrite, 0, 200, data); err != nil {
+		if err := q.SubmitAndWait(p, OpWrite, 0, nblk, data); err != nil {
 			t.Fatal(err)
 		}
-		want := []int{64, 64, 64, 8}
-		if len(dev.chunks) != len(want) {
+		want := []int{MaxBlocks, MaxBlocks, MaxBlocks, 8}
+		if !slices.Equal(dev.chunks, want) {
 			t.Fatalf("chunks %v, want %v", dev.chunks, want)
 		}
-		for i := range want {
-			if dev.chunks[i] != want[i] {
-				t.Fatalf("chunks %v, want %v", dev.chunks, want)
-			}
-		}
 		got := make([]byte, len(data))
-		if err := q.SubmitAndWait(p, OpRead, 0, 200, got); err != nil {
+		if err := q.SubmitAndWait(p, OpRead, 0, nblk, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, data) {
@@ -143,43 +140,38 @@ func TestSplitting(t *testing.T) {
 	})
 }
 
-func TestParallelWorkers(t *testing.T) {
+// TestConcurrentSubmitters checks that each submitter runs its own
+// request, so requests from concurrent processes overlap in virtual time
+// with no cap on how many: 32 reads started together all finish one
+// request's latency later.
+func TestConcurrentSubmitters(t *testing.T) {
+	const (
+		submitters = 32
+		latNs      = 1000
+	)
 	k := sim.NewKernel()
-	dev := newMemDevice(512, 10000, 1000)
-	q := NewQueue(k, dev, QueueParams{Workers: 4})
-	var end sim.Time
-	for i := 0; i < 8; i++ {
+	dev := newMemDevice(512, 10000, latNs)
+	q := NewQueue(dev)
+	var ends []sim.Time
+	for i := 0; i < submitters; i++ {
 		lba := uint64(i * 10)
 		k.Spawn("io", func(p *sim.Proc) {
 			if err := q.SubmitAndWait(p, OpRead, lba, 1, make([]byte, 512)); err != nil {
 				t.Error(err)
 			}
-			if p.Now() > end {
-				end = p.Now()
-			}
+			ends = append(ends, p.Now())
 		})
 	}
 	k.RunAll()
 	k.Shutdown()
-	// 8 requests, 4 workers, 1000 ns each: ~2 waves, far below serial 8000.
-	if end >= 8000 {
-		t.Fatalf("8 requests finished at %d; workers not parallel", end)
+	if len(ends) != submitters {
+		t.Fatalf("%d of %d requests finished", len(ends), submitters)
 	}
-}
-
-func TestRequestErrPropagation(t *testing.T) {
-	run(t, func(k *sim.Kernel, p *sim.Proc) {
-		dev := newMemDevice(512, 100, 10)
-		q := NewQueue(k, dev, QueueParams{})
-		req := &Request{Op: OpRead, LBA: 0, Nblk: 1, Data: make([]byte, 512), Done: sim.NewEvent(k)}
-		if err := q.Submit(p, req); err != nil {
-			t.Fatal(err)
+	for _, end := range ends {
+		if want := sim.Time(SubmitNs + latNs + CompleteNs); end != want {
+			t.Fatalf("a request finished at %d, want every one at %d: requests did not overlap", end, want)
 		}
-		p.Wait(req.Done)
-		if req.Err() != nil {
-			t.Fatalf("unexpected error %v", req.Err())
-		}
-	})
+	}
 }
 
 func TestOpString(t *testing.T) {

@@ -57,13 +57,14 @@ func warmQD1IOs(t *testing.T, s Scenario, op block.Op, ios int, begin, end func(
 }
 
 // TestOursRemoteQD1AllocsPerIO pins the allocation-free IO path. After
-// the warm-up, an ours-remote 4 KiB QD1 IO allocates at most 5 objects:
-// the block layer's Request and its Done event, the client's completion
-// event, and the controller command process's Proc and closure.
+// the warm-up, an ours-remote 4 KiB QD1 IO allocates at most 3 objects:
+// the client's completion event, and the controller command process's
+// Proc and closure. The block layer allocates nothing, because the
+// submitting process runs its request itself.
 func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 	const (
 		ios      = 2000
-		maxPerIO = 5
+		maxPerIO = 3
 	)
 	for _, op := range []block.Op{block.OpRead, block.OpWrite} {
 		t.Run(op.String(), func(t *testing.T) {
@@ -93,23 +94,29 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 // client's polled CQ (ours-remote, ours-local), the stock driver's ISR
 // (linux-local) and the NVMe-oF target's poller (nvmeof-remote). After
 // the warm-up, an ours-remote 4 KiB QD1 IO passes the kernel's dispatch
-// loop between goroutines at most 8 times: the block worker 3, the
-// client's reaper 2, the controller, its command process and the fio job
-// 1 each. The block queue's 15 other idle workers are woken by every
-// request too, but their checked wakeups find the queue empty and resume
-// none of them; resuming each would take 24. An NVMe-oF IO takes more,
-// because rdma and the target spawn a process per message and per
-// command.
+// loop between goroutines at most 6 times:
+//   - the submitting process 2: its command's completion wakes it, and
+//     it yields once more in the client's completion cost while the
+//     reaper finishes its sweep
+//   - the client's reaper 2: the CQ edge wakes it, and its read of the
+//     CQ ring yields once
+//   - the controller and its command process 1 each
+//
+// The submitter runs its own request through the block layer. When a
+// block worker ran it instead, the worker took the submitter's two plus
+// one to pop the request, and waking the submitter at the end took one
+// more: 8 in all. An NVMe-oF IO takes more, because rdma and the target
+// spawn a process per message and per command.
 func TestOursRemoteQD1HandoffsPerIO(t *testing.T) {
 	const ios = 2000
 	scenarios := []struct {
 		s           Scenario
 		read, write float64 // most handoffs per IO
 	}{
-		{OursRemote, 8, 8},
-		{OursLocal, 8, 8},
-		{LinuxLocal, 8, 8},
-		{NVMeoFRemote, 27, 18},
+		{OursRemote, 6, 6},
+		{OursLocal, 6, 6},
+		{LinuxLocal, 6, 6},
+		{NVMeoFRemote, 25, 16},
 	}
 	for _, op := range []block.Op{block.OpRead, block.OpWrite} {
 		t.Run(op.String(), func(t *testing.T) {

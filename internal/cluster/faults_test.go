@@ -68,7 +68,7 @@ func TestMediaErrorDoesNotStallNeighbors(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			qs = append(qs, block.NewQueue(r.K, cl, block.QueueParams{}))
+			qs = append(qs, block.NewQueue(cl))
 		}
 		flash.InjectReadErrors(1)
 		buf := make([]byte, 4096)

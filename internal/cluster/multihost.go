@@ -164,7 +164,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireClientMetrics(cfg.Registry, cl, host)
 					WireControllerQueueMetrics(cfg.Registry, ctrl, cl.QID(), host)
 				}
-				q := block.NewQueue(r.K, cl, block.QueueParams{})
+				q := block.NewQueue(cl)
 				op := cfg.Op
 				fr, err := fio.Run(cp, q, fio.JobSpec{
 					Name: fmt.Sprintf("host%d", host), Op: op,
@@ -199,7 +199,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 					WireControllerQueueMetrics(cfg.Registry, bctrl, qid, base)
 				}
 			}
-			q := block.NewQueue(r.K, drv, block.QueueParams{})
+			q := block.NewQueue(drv)
 			if cfg.Registry != nil {
 				// The stock driver has no client-side completion hook, so
 				// the baseline's host.latency fairness input comes from the

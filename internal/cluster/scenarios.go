@@ -123,7 +123,7 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 			return nil, err
 		}
 		env.Driver = drv
-		env.Queue = block.NewQueue(c.K, drv, block.QueueParams{})
+		env.Queue = block.NewQueue(drv)
 		return env, nil
 
 	case OursLocal, OursRemote:
@@ -140,7 +140,7 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 			return nil, err
 		}
 		env.Client = cl
-		env.Queue = block.NewQueue(c.K, cl, block.QueueParams{})
+		env.Queue = block.NewQueue(cl)
 		return env, nil
 
 	case NVMeoFRemote:
@@ -166,7 +166,7 @@ func bringUp(p *sim.Proc, s Scenario, r *Rig, cfg ScenarioConfig) (*Env, error) 
 			return nil, err
 		}
 		env.Target, env.Initiator = tgt, ini
-		env.Queue = block.NewQueue(c.K, ini, block.QueueParams{})
+		env.Queue = block.NewQueue(ini)
 		return env, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown scenario %q", s)

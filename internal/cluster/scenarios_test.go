@@ -113,6 +113,38 @@ func TestScenarioDataIntegrity(t *testing.T) {
 	}
 }
 
+// TestQD32ReachesController checks that nothing between fio and the
+// driver caps the requests in flight: each of a QD32 job's 32 processes
+// runs its own request, so the three PCIe scenarios hold 32 commands in
+// the controller at once. On nvmeof-remote some of the 32 are always in
+// the fabric or the target's software, so fewer reach the controller
+// together, but more than 16, the cap a pool of 16 block workers set.
+func TestQD32ReachesController(t *testing.T) {
+	for _, s := range Scenarios() {
+		t.Run(string(s), func(t *testing.T) {
+			var peak int64
+			err := RunWorkload(s, ScenarioConfig{}, func(p *sim.Proc, env *Env) error {
+				_, err := fio.Run(p, env.Queue, fio.JobSpec{
+					Name: string(s), Op: fio.RandRead, QueueDepth: 32, MaxIOs: 2000, Seed: 7,
+				})
+				peak = env.Ctrl.BusyOcc.MaxLevel()
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d commands in the controller at most", peak)
+			if s == NVMeoFRemote {
+				if peak <= 16 {
+					t.Errorf("%d commands in the controller at most, want more than 16", peak)
+				}
+			} else if peak != 32 {
+				t.Errorf("%d commands in the controller at most, want 32", peak)
+			}
+		})
+	}
+}
+
 // TestE4ThirtyOneHostSharing reproduces the §VI claim: "The P4800X ...
 // supports up to 32 queue pairs (where one pair is reserved for the admin
 // queues), and we have confirmed that it can be shared by up to 31 hosts

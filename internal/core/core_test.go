@@ -365,7 +365,7 @@ func TestClientViaBlockLayer(t *testing.T) {
 				t.Errorf("client: %v", err)
 				return
 			}
-			q := block.NewQueue(r.c.K, cl, block.QueueParams{})
+			q := block.NewQueue(cl)
 			want := bytes.Repeat([]byte{0x42}, 4096)
 			if err := q.SubmitAndWait(cp, block.OpWrite, 0, 8, want); err != nil {
 				t.Errorf("blk write: %v", err)

@@ -37,7 +37,7 @@ func (d *fixedDevice) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte
 func runJob(t *testing.T, dev block.Device, spec JobSpec) *Result {
 	t.Helper()
 	k := sim.NewKernel()
-	q := block.NewQueue(k, dev, block.QueueParams{SubmitNs: 1, CompleteNs: 1})
+	q := block.NewQueue(dev)
 	var res *Result
 	var err error
 	k.Spawn("fio", func(p *sim.Proc) {
@@ -140,7 +140,7 @@ func TestDeterminism(t *testing.T) {
 func TestBadSpecs(t *testing.T) {
 	dev := &fixedDevice{latNs: 1, blocks: 1024}
 	k := sim.NewKernel()
-	q := block.NewQueue(k, dev, block.QueueParams{})
+	q := block.NewQueue(dev)
 	var err1, err2 error
 	k.Spawn("fio", func(p *sim.Proc) {
 		_, err1 = Run(p, q, JobSpec{Op: RandRead, BlockSize: 1000, MaxIOs: 1})
@@ -192,7 +192,7 @@ func (d *seqTrackingDevice) ReadBlocks(p *sim.Proc, lba uint64, nblk int, buf []
 func TestSequentialReadOffsets(t *testing.T) {
 	dev := &seqTrackingDevice{fixedDevice: fixedDevice{latNs: 10, blocks: 1 << 20}}
 	k := sim.NewKernel()
-	q := block.NewQueue(k, dev, block.QueueParams{SubmitNs: 1, CompleteNs: 1})
+	q := block.NewQueue(dev)
 	k.Spawn("fio", func(p *sim.Proc) {
 		if _, err := Run(p, q, JobSpec{Name: "seq", Op: SeqRead, MaxIOs: 20, Runtime: sim.Second}); err != nil {
 			t.Error(err)
@@ -213,7 +213,7 @@ func TestSequentialReadOffsets(t *testing.T) {
 func TestSequentialWrapsAroundRange(t *testing.T) {
 	dev := &seqTrackingDevice{fixedDevice: fixedDevice{latNs: 10, blocks: 1 << 20}}
 	k := sim.NewKernel()
-	q := block.NewQueue(k, dev, block.QueueParams{SubmitNs: 1, CompleteNs: 1})
+	q := block.NewQueue(dev)
 	k.Spawn("fio", func(p *sim.Proc) {
 		// Range of 4 slots; 10 IOs must wrap.
 		if _, err := Run(p, q, JobSpec{Name: "wrap", Op: SeqRead, MaxIOs: 10,

@@ -207,7 +207,7 @@ func TestDriverBadBuffer(t *testing.T) {
 func TestDriverAsBlockDevice(t *testing.T) {
 	r := newRig(t)
 	r.withDriver(t, hostdriver.Params{}, func(p *sim.Proc, d *hostdriver.Driver) {
-		q := block.NewQueue(r.c.K, d, block.QueueParams{})
+		q := block.NewQueue(d)
 		want := bytes.Repeat([]byte{0x99}, 4096)
 		if err := q.SubmitAndWait(p, block.OpWrite, 128, 8, want); err != nil {
 			t.Fatal(err)

@@ -69,6 +69,7 @@ func New(name string, dom *pcie.Domain, entry pcie.NodeID, aperture pcie.Range) 
 	u := &Unit{
 		Name:     name,
 		dom:      dom,
+		entry:    entry,
 		aperture: aperture,
 		pages:    make(map[uint64]pcie.Addr),
 	}

@@ -245,6 +245,36 @@ func TestStraddlingDMAFails(t *testing.T) {
 	}
 }
 
+// TestForwardReentersAtEntry pins that translated traffic re-enters
+// routing at the node New was given, here the adapter endpoint rather
+// than the root complex.
+func TestForwardReentersAtEntry(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Hosts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.Hosts[0]
+	u, err := iommu.New("iommu0", h.Dom, h.AdapterEP, pcie.Range{Base: aperBase, Size: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, _ := h.Port.Alloc(iommu.PageSize, iommu.PageSize)
+	c.Go("p", func(p *sim.Proc) {
+		if err := u.Map(p, aperBase, phys, iommu.PageSize); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Run()
+	dom, node, addr, _, err := u.Forward(aperBase+8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dom != h.Dom || node != h.AdapterEP || addr != phys+8 {
+		t.Fatalf("Forward re-enters at node %d address %#x, want node %d (the adapter endpoint) address %#x",
+			node, addr, h.AdapterEP, phys+8)
+	}
+}
+
 // Property: translation is the identity on offsets within a mapped page.
 func TestPropAffineWithinPage(t *testing.T) {
 	f := func(off uint16) bool {

@@ -2,6 +2,7 @@ package nvmeof_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -156,6 +157,112 @@ func TestFlushOverFabrics(t *testing.T) {
 	}
 }
 
+// TestTargetRejectsMisstatedData posts command capsules straight on the
+// initiator's QP, as a hostile host could, to a target with default
+// parameters. Each capsule misstates its data. Its DataLen disagrees
+// with the blocks or ranges its command moves or with the bytes it
+// carries, so the PRPs the target would encode for DataLen bytes do not
+// cover what the controller decodes. Or it names 0 blocks, which the
+// command's count, less one, cannot hold. Each must fail with Invalid
+// Field before any command reaches the controller. Unchecked, the
+// in-capsule writes had the controller
+// write 64 KiB or 4 KiB of target memory past the receive buffer to the
+// LBAs. The staged write had it read the second staged page, which holds
+// bytes the initiator sent, as a PRP list, and DMA-read 24 KiB from the
+// target addresses in it. The DSM had it read 48 bytes past the one
+// range carried, and the zero-block Write Zeroes had it zero 65536
+// blocks. The read and the zero-block write reached the controller too,
+// which failed them only because their PRPs pointed at no valid list.
+func TestTargetRejectsMisstatedData(t *testing.T) {
+	cases := []struct {
+		name string
+		cap  nvmeof.CmdCapsule
+		// carried is the payload bytes sent after the header; staged is
+		// the bytes the target may RDMA-READ from RAddr. Past the first
+		// page, the staged bytes are a PRP list of target DRAM pages.
+		carried, staged int
+	}{
+		{name: "in-capsule write claims 64 KiB, carries 16 bytes",
+			cap:     nvmeof.CmdCapsule{Opcode: nvme.IOWrite, Flags: nvmeof.FlagInline, NSID: 1, Nblk: 128, DataLen: 64 << 10},
+			carried: 16},
+		{name: "in-capsule write claims 4 KiB, carries 16 bytes",
+			cap:     nvmeof.CmdCapsule{Opcode: nvme.IOWrite, Flags: nvmeof.FlagInline, NSID: 1, Nblk: 8, DataLen: 4 << 10},
+			carried: 16},
+		{name: "staged write of 8 KiB claims 64 blocks",
+			cap:    nvmeof.CmdCapsule{Opcode: nvme.IOWrite, NSID: 1, Nblk: 64, DataLen: 8 << 10},
+			staged: 8 << 10},
+		{name: "read of 8 KiB claims 64 blocks",
+			cap:    nvmeof.CmdCapsule{Opcode: nvme.IORead, NSID: 1, Nblk: 64, DataLen: 8 << 10},
+			staged: 8 << 10},
+		{name: "in-capsule write of 0 blocks",
+			cap: nvmeof.CmdCapsule{Opcode: nvme.IOWrite, Flags: nvmeof.FlagInline, NSID: 1}},
+		{name: "write zeroes of 0 blocks",
+			cap: nvmeof.CmdCapsule{Opcode: nvme.IOWriteZeroes, NSID: 1}},
+		{name: "DSM claims 4 ranges, carries 1",
+			cap:     nvmeof.CmdCapsule{Opcode: nvme.IODSM, Flags: nvmeof.FlagInline, NSID: 1, Nblk: 4, DataLen: nvme.DSMRangeSize},
+			carried: nvme.DSMRangeSize},
+	}
+	want := nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, cluster.NVMeConfig{})
+			h := r.c.Hosts[1]
+			var status uint16
+			var fetches uint64
+			r.c.Go("main", func(p *sim.Proc) {
+				tgt, err := nvmeof.NewTarget(p, r.c.Hosts[0].Port, cluster.NVMeBARBase, nvmeof.TargetParams{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tgt.Serve(p, r.qpT); err != nil {
+					t.Error(err)
+					return
+				}
+				fetches = r.ctrl.Stats.Fetches
+				resp, _ := h.Port.Alloc(nvmeof.RespSize, 64)
+				if tc.staged > 0 {
+					buf, _ := h.Port.Alloc(uint64(tc.staged), nvme.PageSize)
+					victim, _ := r.c.Hosts[0].Port.Alloc(64<<10, nvme.PageSize)
+					list := make([]byte, tc.staged-nvme.PageSize)
+					for i := 0; i+8 <= len(list); i += 8 {
+						binary.LittleEndian.PutUint64(list[i:], uint64(victim)+uint64(i/8)*nvme.PageSize)
+					}
+					if err := h.Port.Mem().Write(buf+nvme.PageSize, list); err != nil {
+						t.Error(err)
+						return
+					}
+					tc.cap.RAddr = uint64(buf)
+				}
+				r.qpI.PostRecv(0, resp, nvmeof.RespSize)
+				r.qpI.PostSendInline(1, append(tc.cap.Marshal(), make([]byte, tc.carried)...), 0)
+				if wc := rdma.WaitWC(p, r.qpI.RecvCQ); wc.Status != nil {
+					t.Error(wc.Status)
+					return
+				}
+				raw := make([]byte, nvmeof.RespSize)
+				if err := h.Port.Mem().Read(resp, raw); err != nil {
+					t.Error(err)
+					return
+				}
+				rc, err := nvmeof.UnmarshalRespCapsule(raw)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				status = rc.Status
+			})
+			r.c.Run()
+			if status != want {
+				t.Errorf("status %#x, want %#x (Invalid Field)", status, want)
+			}
+			if r.ctrl.Stats.Fetches != fetches {
+				t.Errorf("the controller fetched %d commands, want none", r.ctrl.Stats.Fetches-fetches)
+			}
+		})
+	}
+}
+
 func TestTooLargeRejected(t *testing.T) {
 	r := newRig(t, cluster.NVMeConfig{})
 	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{SlotBytes: 8192},
@@ -182,7 +289,7 @@ func TestIOErrorPropagates(t *testing.T) {
 func TestInitiatorAsBlockDevice(t *testing.T) {
 	r := newRig(t, cluster.NVMeConfig{})
 	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
-		q := block.NewQueue(r.c.K, ini, block.QueueParams{})
+		q := block.NewQueue(ini)
 		want := bytes.Repeat([]byte{0x21}, 4096)
 		if err := q.SubmitAndWait(p, block.OpWrite, 99, 8, want); err != nil {
 			t.Errorf("blk write: %v", err)

@@ -203,15 +203,16 @@ func (c *conn) handle(p *sim.Proc) {
 		}
 		c.t.Polls++
 		c.t.cpuSleep(p, TargetPollNs)
-		slot := wc.WRID
+		slot, recvd := wc.WRID, wc.ByteLen
 		c.t.host.Domain().Kernel().Spawn(fmt.Sprintf("nvmf-tgt-cmd%d", slot),
-			func(wp *sim.Proc) { c.serveOne(wp, slot) })
+			func(wp *sim.Proc) { c.serveOne(wp, slot, recvd) })
 	}
 }
 
-// serveOne runs a single command capsule to completion. The recv slot is
-// exclusively owned until it is reposted, so workers never share staging.
-func (c *conn) serveOne(p *sim.Proc, slot uint64) {
+// serveOne runs a single command capsule, recvd bytes long, to
+// completion. The recv slot is exclusively owned until it is reposted, so
+// workers never share staging.
+func (c *conn) serveOne(p *sim.Proc, slot uint64, recvd int) {
 	bufAddr := c.recvBuf + pcie.Addr(slot*c.bufSize)
 	var hdr [CmdHeaderSize]byte
 	if err := c.t.host.Mem().Read(bufAddr, hdr[:]); err != nil {
@@ -223,7 +224,7 @@ func (c *conn) serveOne(p *sim.Proc, slot uint64) {
 		return
 	}
 	c.t.cpuSleep(p, TargetCapsuleProcNs)
-	resp, sentData := c.execute(p, bufAddr, int(slot), cap)
+	resp, sentData := c.execute(p, bufAddr, int(slot), cap, recvd-CmdHeaderSize)
 	c.t.cpuSleep(p, TargetCplProcNs)
 	c.qp.PostSendInline(wridResponse|slot, resp.Marshal(), 0)
 	// The recv buffer can be rearmed as soon as the response is queued:
@@ -236,7 +237,9 @@ func (c *conn) serveOne(p *sim.Proc, slot uint64) {
 	rdma.WaitWCID(p, c.qp.SendCQ, wridResponse|slot)
 }
 
-func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule) (RespCapsule, bool) {
+// execute runs one command capsule that carried the given payload bytes
+// after its header.
+func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule, carried int) (RespCapsule, bool) {
 	resp := RespCapsule{CID: cap.CID}
 	switch cap.Opcode {
 	case OpConnect:
@@ -249,7 +252,7 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 		return resp, false
 	}
 	n := int(cap.DataLen)
-	if uint64(n) > c.t.params.StagingBytes {
+	if !c.lengthsValid(cap, carried) {
 		resp.Status = nvme.Status(nvme.SCTGeneric, nvme.SCInvalidField)
 		return resp, false
 	}
@@ -310,6 +313,40 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule)
 		return resp, true
 	}
 	return resp, false
+}
+
+// lengthsValid reports whether a capsule's Nblk fits its command and
+// its DataLen is the length that command moves and fits a staging
+// partition and, for an in-capsule payload, what the receive buffer
+// holds and what arrived. The target encodes PRPs for DataLen bytes,
+// and the controller decodes the length from the command, so a DataLen
+// that disagrees would let the controller move target memory the
+// initiator never sent or was never meant to reach.
+func (c *conn) lengthsValid(cap CmdCapsule, carried int) bool {
+	n := uint64(cap.DataLen)
+	if n > c.t.params.StagingBytes {
+		return false
+	}
+	switch cap.Opcode {
+	case nvme.IORead, nvme.IOWrite:
+		if cap.Nblk == 0 || n != uint64(cap.Nblk)<<c.t.ns.LBADS {
+			return false
+		}
+	case nvme.IODSM:
+		// NR rides in the capsule's Nblk field.
+		if cap.Nblk == 0 || cap.Nblk > nvme.DSMMaxRanges || n != uint64(cap.Nblk)*nvme.DSMRangeSize {
+			return false
+		}
+	case nvme.IOWriteZeroes:
+		// The command counts blocks in 16 bits, less one.
+		return n == 0 && cap.Nblk >= 1 && cap.Nblk <= 1<<16
+	default:
+		return n == 0
+	}
+	if cap.Opcode != nvme.IORead && cap.Flags&FlagInline != 0 {
+		return n <= uint64(c.t.params.InCapsule) && int(n) <= carried
+	}
+	return true
 }
 
 func drainCQ(cq *rdma.CQ) {

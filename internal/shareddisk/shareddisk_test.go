@@ -178,7 +178,7 @@ func TestSharedJournalAcrossHosts(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("client %d: %w", i, err)
 			}
-			queues[i] = block.NewQueue(r.K, cl, block.QueueParams{})
+			queues[i] = block.NewQueue(cl)
 		}
 		// Host 1 formats; both open.
 		if err := shareddisk.Format(p, queues[0], 2, 32); err != nil {

@@ -18,9 +18,6 @@ func NewEvent(k *Kernel) *Event {
 	return &Event{k: k}
 }
 
-// Payload returns the value passed to Trigger, or nil before triggering.
-func (e *Event) Payload() any { return e.payload }
-
 // Trigger fires the event with payload v, scheduling all current waiters to
 // resume at the current virtual time in the order they began waiting.
 // Triggering an already-triggered event is a no-op.

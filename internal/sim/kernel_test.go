@@ -161,8 +161,11 @@ func TestEventDoubleTriggerKeepsFirstPayload(t *testing.T) {
 	ev := NewEvent(k)
 	ev.Trigger(1)
 	ev.Trigger(2)
-	if ev.Payload() != 1 {
-		t.Fatalf("payload %v, want 1", ev.Payload())
+	var got any
+	k.Spawn("w", func(p *Proc) { got = p.Wait(ev) })
+	k.RunAll()
+	if got != 1 {
+		t.Fatalf("payload %v, want 1", got)
 	}
 }
 
@@ -304,16 +307,20 @@ func TestProcExitedEvent(t *testing.T) {
 		k := NewKernel()
 		p1 := k.Spawn("a", func(p *Proc) { p.Sleep(40) })
 		var joined Time = -1
+		var payload any = "unset"
 		k.SpawnAt(100, "b", func(p *Proc) {
-			p.Wait(p1.Exited())
+			payload = p.Wait(p1.Exited())
 			joined = p.Now()
 		})
 		k.RunAll()
 		if joined != 100 {
 			t.Fatalf("joined at %d, want 100 (already exited)", joined)
 		}
-		if e := p1.Exited(); e != p1.Exited() || e.Payload() != nil {
-			t.Fatal("Exited returned a different or non-nil-payload event on a later call")
+		if payload != nil {
+			t.Fatalf("Exited event's payload %v, want nil", payload)
+		}
+		if p1.Exited() != p1.Exited() {
+			t.Fatal("Exited returned a different event on a later call")
 		}
 	})
 }
