@@ -161,8 +161,8 @@ func TestQoSMetricsGoldenNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, n := range reg.Names() {
-		if strings.HasPrefix(n, "qos.") || strings.HasPrefix(n, "arrival.") {
+	for _, mv := range reg.Snapshot() {
+		if n := mv.FullName(); strings.HasPrefix(n, "qos.") || strings.HasPrefix(n, "arrival.") {
 			got = append(got, n)
 		}
 	}

@@ -145,7 +145,11 @@ func TestWireMetricsCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := reg.Names()
+	snap := reg.Snapshot()
+	var names []string
+	for _, mv := range snap {
+		names = append(names, mv.FullName())
+	}
 	if len(names) != len(wireMetricsGoldenNames) {
 		t.Errorf("registered %d metrics, golden has %d", len(names), len(wireMetricsGoldenNames))
 	}
@@ -158,7 +162,7 @@ func TestWireMetricsCoverage(t *testing.T) {
 			t.Errorf("names[%d] = %q, want %q", i, names[i], want)
 		}
 	}
-	for _, mv := range reg.Snapshot() {
+	for _, mv := range snap {
 		if mv.Kind != "gauge" {
 			continue
 		}

@@ -26,7 +26,6 @@ var (
 	ErrOverlap    = errors.New("iommu: IOVA already mapped")
 	ErrNotAligned = errors.New("iommu: address not page aligned")
 	ErrAperture   = errors.New("iommu: IOVA outside aperture")
-	ErrNoSpace    = errors.New("iommu: aperture exhausted")
 )
 
 // PageSize is the translation granule.
@@ -55,8 +54,6 @@ type Unit struct {
 	// pages maps IOVA page number (within the aperture) to the physical
 	// page base it translates to.
 	pages map[uint64]pcie.Addr
-	// nextScan accelerates first-fit IOVA allocation.
-	nextScan uint64
 }
 
 // New creates a unit claiming aperture in dom. Translated transactions
@@ -103,43 +100,6 @@ func (u *Unit) Map(p *sim.Proc, iova, phys pcie.Addr, n uint64) error {
 	}
 	p.Sleep(int64(npages) * MapNs)
 	return nil
-}
-
-// MapAuto finds a free IOVA range for n bytes, maps it to phys, and
-// returns the IOVA.
-func (u *Unit) MapAuto(p *sim.Proc, phys pcie.Addr, n uint64) (pcie.Addr, error) {
-	if n == 0 || n%PageSize != 0 {
-		return 0, ErrNotAligned
-	}
-	npages := n / PageSize
-	total := u.aperture.Size / PageSize
-	scanned := uint64(0)
-	cand := u.nextScan % total
-	for scanned < total {
-		run := uint64(0)
-		for run < npages && cand+run < total {
-			if _, used := u.pages[cand+run]; used {
-				break
-			}
-			run++
-		}
-		if run == npages {
-			iova := u.aperture.Base + pcie.Addr(cand*PageSize)
-			if err := u.Map(p, iova, phys, n); err != nil {
-				return 0, err
-			}
-			u.nextScan = cand + npages
-			return iova, nil
-		}
-		step := run + 1
-		cand += step
-		scanned += step
-		if cand >= total {
-			scanned += total - cand
-			cand = 0
-		}
-	}
-	return 0, ErrNoSpace
 }
 
 // Unmap clears [iova, iova+n) and charges the invalidation cost.

@@ -39,16 +39,13 @@ func TestMapTranslateLocal(t *testing.T) {
 	r := newRig(t)
 	h := r.c.Hosts[0]
 	phys, _ := h.Port.Alloc(8192, iommu.PageSize)
-	var iova pcie.Addr
 	r.c.Go("p", func(p *sim.Proc) {
-		var err error
-		iova, err = r.u.MapAuto(p, phys, 8192)
-		if err != nil {
+		if err := r.u.Map(p, aperBase, phys, 8192); err != nil {
 			t.Error(err)
 			return
 		}
 		// A "device" DMA through the IOVA lands in the physical pages.
-		if err := h.Dom.MemWrite(p, h.AdapterEP, iova+100, []byte("via iommu")); err != nil {
+		if err := h.Dom.MemWrite(p, h.AdapterEP, aperBase+100, []byte("via iommu")); err != nil {
 			t.Error(err)
 		}
 	})
@@ -73,12 +70,11 @@ func TestChainIOMMUIntoNTBWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.c.Go("p", func(p *sim.Proc) {
-		iova, err := r.u.MapAuto(p, window, 4096)
-		if err != nil {
+		if err := r.u.Map(p, aperBase, window, 4096); err != nil {
 			t.Error(err)
 			return
 		}
-		if err := h0.Dom.MemWrite(p, h0.RC, iova+8, []byte{0xE7}); err != nil {
+		if err := h0.Dom.MemWrite(p, h0.RC, aperBase+8, []byte{0xE7}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -117,8 +113,8 @@ func TestUnmapAndFault(t *testing.T) {
 	phys, _ := h.Port.Alloc(4096, iommu.PageSize)
 	var faulted error
 	r.c.Go("p", func(p *sim.Proc) {
-		iova, err := r.u.MapAuto(p, phys, 4096)
-		if err != nil {
+		const iova = aperBase + 0x5000
+		if err := r.u.Map(p, iova, phys, 4096); err != nil {
 			t.Error(err)
 			return
 		}
@@ -141,35 +137,6 @@ func TestUnmapAndFault(t *testing.T) {
 	}
 }
 
-func TestMapAutoReusesFreedSpace(t *testing.T) {
-	r := newRig(t)
-	h := r.c.Hosts[0]
-	phys, _ := h.Port.Alloc(64<<10, iommu.PageSize)
-	r.c.Go("p", func(p *sim.Proc) {
-		var iovas []pcie.Addr
-		// Fill the 16 MiB aperture completely with 1 MiB mappings.
-		for i := 0; i < 16; i++ {
-			iova, err := r.u.MapAuto(p, phys, 1<<20)
-			if err != nil {
-				t.Errorf("map %d: %v", i, err)
-				return
-			}
-			iovas = append(iovas, iova)
-		}
-		if _, err := r.u.MapAuto(p, phys, 4096); !errors.Is(err, iommu.ErrNoSpace) {
-			t.Errorf("full aperture: %v", err)
-		}
-		if err := r.u.Unmap(p, iovas[7], 1<<20); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := r.u.MapAuto(p, phys, 1<<20); err != nil {
-			t.Errorf("reuse freed space: %v", err)
-		}
-	})
-	r.c.Run()
-}
-
 func TestMapUnmapCostsTime(t *testing.T) {
 	r := newRig(t)
 	h := r.c.Hosts[0]
@@ -177,14 +144,13 @@ func TestMapUnmapCostsTime(t *testing.T) {
 	var mapCost, unmapCost sim.Duration
 	r.c.Go("p", func(p *sim.Proc) {
 		t0 := p.Now()
-		iova, err := r.u.MapAuto(p, phys, 16<<10) // 4 pages
-		if err != nil {
+		if err := r.u.Map(p, aperBase, phys, 16<<10); err != nil { // 4 pages
 			t.Error(err)
 			return
 		}
 		mapCost = p.Now() - t0
 		t0 = p.Now()
-		if err := r.u.Unmap(p, iova, 16<<10); err != nil {
+		if err := r.u.Unmap(p, aperBase, 16<<10); err != nil {
 			t.Error(err)
 		}
 		unmapCost = p.Now() - t0
@@ -284,12 +250,11 @@ func TestPropAffineWithinPage(t *testing.T) {
 		o := uint64(off) % 4096
 		ok := true
 		r.c.Go("p", func(p *sim.Proc) {
-			iova, err := r.u.MapAuto(p, phys, 4096)
-			if err != nil {
+			if err := r.u.Map(p, aperBase, phys, 4096); err != nil {
 				ok = false
 				return
 			}
-			if err := h.Dom.MemWrite(p, h.RC, iova+pcie.Addr(o), []byte{0x77}); err != nil {
+			if err := h.Dom.MemWrite(p, h.RC, aperBase+pcie.Addr(o), []byte{0x77}); err != nil {
 				ok = false
 			}
 		})

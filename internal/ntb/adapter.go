@@ -42,8 +42,9 @@ type ClusterAdapter struct {
 	bar   pcie.Range
 	wins  []clusterWindow
 
-	// Fault-injection windows on the virtual clock, same semantics as
-	// NTB.InjectLinkDown / NTB.InjectStall.
+	// Fault-injection windows on the virtual clock (see InjectLinkDown
+	// and InjectStall): before downUntil every Forward fails with
+	// ErrLinkDown; before slowUntil every crossing costs slowExtraNs more.
 	downUntil   int64
 	slowUntil   int64
 	slowExtraNs int64

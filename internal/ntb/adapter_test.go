@@ -1,6 +1,7 @@
 package ntb
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -9,7 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// triCluster is three hosts, each with a ClusterAdapter, all interconnected.
+const (
+	barBase = 0x8000_0000
+	barSize = 0x100_0000
+)
+
+// triCluster is three hosts, each RC--SW--adapter endpoint with DRAM on
+// the root complex and a ClusterAdapter, all interconnected.
 type triCluster struct {
 	k    *sim.Kernel
 	dom  [3]*pcie.Domain
@@ -31,7 +38,7 @@ func newTriCluster(t *testing.T) *triCluster {
 		d.Connect(rc, sw)
 		d.Connect(sw, nep)
 		m := memory.New(0x10_0000, 1<<20)
-		if err := pcie.AttachMemory(d, rc, m); err != nil {
+		if _, err := pcie.NewHostPort(d, rc, m); err != nil {
 			t.Fatal(err)
 		}
 		a, err := NewClusterAdapter(AdapterConfig{
@@ -107,11 +114,15 @@ func TestAdapterWindowLifecycle(t *testing.T) {
 	}
 }
 
+// TestAdapterLUTFull: an adapter configured without MaxWindows gets
+// DefaultMaxWindows LUT entries, and the next window fails.
 func TestAdapterLUTFull(t *testing.T) {
 	c := newTriCluster(t)
 	a := c.adpt[0]
-	a.MaxWindows = 3
-	for i := 0; i < 3; i++ {
+	if a.MaxWindows != DefaultMaxWindows {
+		t.Fatalf("MaxWindows = %d, want %d", a.MaxWindows, DefaultMaxWindows)
+	}
+	for i := 0; i < DefaultMaxWindows; i++ {
 		if _, err := a.MapAuto(4096, 4096, c.dom[1], c.nep[1], c.mem[1].Base()); err != nil {
 			t.Fatal(err)
 		}
@@ -121,13 +132,15 @@ func TestAdapterLUTFull(t *testing.T) {
 	}
 }
 
+// TestAdapterBadWindow: a window that starts at the BAR's end, or whose
+// end wraps around the address space, is refused.
 func TestAdapterBadWindow(t *testing.T) {
 	c := newTriCluster(t)
 	if _, err := c.adpt[0].Map(barSize, 4096, c.dom[1], c.nep[1], 0); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("got %v, want ErrBadWindow", err)
 	}
-	if _, err := c.adpt[0].Map(0, 0, c.dom[1], c.nep[1], 0); !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("zero size: %v", err)
+	if _, err := c.adpt[0].Map(^uint64(0)-0xfff, 0x2000, c.dom[1], c.nep[1], 0); !errors.Is(err, ErrBadWindow) {
+		t.Fatalf("wrapping window: %v", err)
 	}
 }
 
@@ -164,17 +177,20 @@ func TestAdapterSymmetricCommunication(t *testing.T) {
 	}
 }
 
-// TestAdapterWindowStraddlingWriteFails is TestWindowStraddlingTransferFails
-// for the cluster adapter: a write that runs past the end of its window
-// fails and leaves the remote DRAM untouched.
+// TestAdapterWindowStraddlingWriteFails: two windows side by side in the
+// BAR do not make one. A write that starts in the window toward B and
+// runs into the one toward C fails, and neither host's DRAM changes.
 func TestAdapterWindowStraddlingWriteFails(t *testing.T) {
 	c := newTriCluster(t)
-	toB, err := c.adpt[0].MapAuto(4096, 4096, c.dom[1], c.nep[1], c.mem[1].Base())
+	toB, err := c.adpt[0].Map(0, 4096, c.dom[1], c.nep[1], c.mem[1].Base())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.adpt[0].Map(4096, 4096, c.dom[2], c.nep[2], c.mem[2].Base()); err != nil {
+		t.Fatal(err)
+	}
 	c.k.Spawn("cpuA", func(p *sim.Proc) {
-		err = c.dom[0].MemWrite(p, c.rc[0], toB+4000, make([]byte, 200))
+		err = c.dom[0].MemWrite(p, c.rc[0], toB+4000, bytes.Repeat([]byte{0xA5}, 200))
 	})
 	c.k.RunAll()
 	if !errors.Is(err, ErrNoTranslation) {
@@ -182,5 +198,12 @@ func TestAdapterWindowStraddlingWriteFails(t *testing.T) {
 	}
 	if c.adpt[0].Translations != 0 {
 		t.Fatalf("%d translations, want 0", c.adpt[0].Translations)
+	}
+	for _, h := range []int{1, 2} {
+		got := make([]byte, 4096)
+		c.mem[h].Read(c.mem[h].Base(), got)
+		if !bytes.Equal(got, make([]byte, 4096)) {
+			t.Errorf("a refused write changed host %d's DRAM", h)
+		}
 	}
 }

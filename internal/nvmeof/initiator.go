@@ -184,7 +184,7 @@ func (ini *Initiator) exec(p *sim.Proc, cap *CmdCapsule, inline []byte) (RespCap
 	}
 	tr := ini.params.Tracer
 	t0 := p.Now()
-	ini.qp.PostSendInline(uint64(cap.CID), msg, 0)
+	ini.qp.PostSendInline(uint64(cap.CID), msg)
 	p.Wait(w.done)
 	tWait := p.Now()
 	p.Sleep(InitiatorCompleteNs)

@@ -235,7 +235,7 @@ func TestTargetRejectsMisstatedData(t *testing.T) {
 					tc.cap.RAddr = uint64(buf)
 				}
 				r.qpI.PostRecv(0, resp, nvmeof.RespSize)
-				r.qpI.PostSendInline(1, append(tc.cap.Marshal(), make([]byte, tc.carried)...), 0)
+				r.qpI.PostSendInline(1, append(tc.cap.Marshal(), make([]byte, tc.carried)...))
 				if wc := rdma.WaitWC(p, r.qpI.RecvCQ); wc.Status != nil {
 					t.Error(wc.Status)
 					return
@@ -260,6 +260,68 @@ func TestTargetRejectsMisstatedData(t *testing.T) {
 				t.Errorf("the controller fetched %d commands, want none", r.ctrl.Stats.Fetches-fetches)
 			}
 		})
+	}
+}
+
+// TestShortCapsuleRunsNothing: a SEND shorter than a capsule header runs
+// no command and gets no response, and the receive slot it landed in
+// still takes the next capsule. With one receive slot, the target once
+// decoded a whole header from that slot, so a 1-byte SEND of the Read
+// opcode after a read ran the read again from the stale bytes and
+// answered it with the earlier capsule's CID.
+func TestShortCapsuleRunsNothing(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	h := r.c.Hosts[1]
+	r.c.Go("main", func(p *sim.Proc) {
+		tgt, err := nvmeof.NewTarget(p, r.c.Hosts[0].Port, cluster.NVMeBARBase, nvmeof.TargetParams{QueueDepth: 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tgt.Serve(p, r.qpT); err != nil {
+			t.Error(err)
+			return
+		}
+		resp, _ := h.Port.Alloc(nvmeof.RespSize, 64)
+		data, _ := h.Port.Alloc(4096, nvme.PageSize)
+		read := nvmeof.CmdCapsule{Opcode: nvme.IORead, CID: 7, NSID: 1, Nblk: 8, DataLen: 4096, RAddr: uint64(data)}
+		// exchange sends msg as WRID wrid and, unless the target answers
+		// nothing, returns its response.
+		exchange := func(wrid uint64, msg []byte) (nvmeof.RespCapsule, bool) {
+			r.qpI.PostRecv(0, resp, nvmeof.RespSize)
+			r.qpI.PostSendInline(wrid, msg)
+			if wc := rdma.WaitWCID(p, r.qpI.SendCQ, wrid); wc.Status != nil {
+				t.Errorf("send %d: %v", wrid, wc.Status)
+				return nvmeof.RespCapsule{}, false
+			}
+			p.Sleep(sim.Millisecond)
+			if _, ok := r.qpI.RecvCQ.Poll(); !ok {
+				return nvmeof.RespCapsule{}, false
+			}
+			raw := make([]byte, nvmeof.RespSize)
+			if err := h.Port.Mem().Read(resp, raw); err != nil {
+				t.Error(err)
+			}
+			rc, err := nvmeof.UnmarshalRespCapsule(raw)
+			if err != nil {
+				t.Error(err)
+			}
+			return rc, true
+		}
+		if rc, ok := exchange(1, read.Marshal()); !ok || rc.CID != 7 || rc.Status != 0 {
+			t.Errorf("first read: response %+v (arrived %v), want CID 7 status 0", rc, ok)
+		}
+		if rc, ok := exchange(2, []byte{nvme.IORead}); ok {
+			t.Errorf("a 1-byte capsule got response %+v; the controller has run %d reads", rc, r.ctrl.Stats.ReadCmds)
+		}
+		read.CID = 8
+		if rc, ok := exchange(3, read.Marshal()); !ok || rc.CID != 8 || rc.Status != 0 {
+			t.Errorf("read after the short capsule: response %+v (arrived %v), want CID 8 status 0", rc, ok)
+		}
+	})
+	r.c.Run()
+	if r.ctrl.Stats.ReadCmds != 2 {
+		t.Errorf("the controller ran %d reads, want 2", r.ctrl.Stats.ReadCmds)
 	}
 }
 

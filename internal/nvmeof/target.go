@@ -211,14 +211,16 @@ func (c *conn) handle(p *sim.Proc) {
 
 // serveOne runs a single command capsule, recvd bytes long, to
 // completion. The recv slot is exclusively owned until it is reposted, so
-// workers never share staging.
+// workers never share staging. A SEND shorter than a header carries no
+// command and no CID to answer: the slot is reposted and nothing runs,
+// whatever an earlier capsule left in the bytes it did not overwrite.
 func (c *conn) serveOne(p *sim.Proc, slot uint64, recvd int) {
 	bufAddr := c.recvBuf + pcie.Addr(slot*c.bufSize)
 	var hdr [CmdHeaderSize]byte
 	if err := c.t.host.Mem().Read(bufAddr, hdr[:]); err != nil {
 		return
 	}
-	cap, err := UnmarshalCmdCapsule(hdr[:])
+	cap, err := UnmarshalCmdCapsule(hdr[:min(recvd, CmdHeaderSize)])
 	if err != nil {
 		c.qp.PostRecv(slot, bufAddr, int(c.bufSize))
 		return
@@ -226,7 +228,7 @@ func (c *conn) serveOne(p *sim.Proc, slot uint64, recvd int) {
 	c.t.cpuSleep(p, TargetCapsuleProcNs)
 	resp, sentData := c.execute(p, bufAddr, int(slot), cap, recvd-CmdHeaderSize)
 	c.t.cpuSleep(p, TargetCplProcNs)
-	c.qp.PostSendInline(wridResponse|slot, resp.Marshal(), 0)
+	c.qp.PostSendInline(wridResponse|slot, resp.Marshal())
 	// The recv buffer can be rearmed as soon as the response is queued:
 	// the engine processes it after the in-flight sends.
 	c.qp.PostRecv(slot, bufAddr, int(c.bufSize))

@@ -26,7 +26,7 @@ func hostRig(t *testing.T) (*sim.Kernel, *Domain, *HostPort, *memory.Memory) {
 	}
 	// A device-memory claim for non-local accesses.
 	devMem := memory.New(0xD000_0000, 1<<16)
-	if err := AttachMemory(d, ep, devMem); err != nil {
+	if _, err := NewHostPort(d, ep, devMem); err != nil {
 		t.Fatal(err)
 	}
 	return k, d, hp, mem

@@ -105,19 +105,31 @@ func (r Range) Overlaps(o Range) bool {
 	return r.Base < o.End() && o.Base < r.End()
 }
 
-// LinkParams is the fabric cost model. Zero values are replaced by
-// DefaultLinkParams fields.
+// The link costs no caller varies: a Gen3 x8 class fabric.
+const (
+	// PropNs is the base propagation/SERDES cost per path per direction.
+	PropNs = 250
+	// BytesPerNs is link bandwidth (PCIe gen3 x8 ≈ 7.9 GB/s ≈ 7.9 B/ns).
+	BytesPerNs float64 = 7.9
+	// CplServiceNs is completer service time for a read (DRAM or register
+	// file access at the target).
+	CplServiceNs = 80
+)
+
+// SerializeNs returns the time to move n payload bytes across the link.
+func SerializeNs(n int) int64 {
+	if n <= 0 {
+		return 0
+	}
+	return int64(float64(n) / BytesPerNs)
+}
+
+// LinkParams is the part of the fabric cost model a what-if overlay
+// scales. Zero values are replaced by DefaultLinkParams fields.
 type LinkParams struct {
 	// PerSwitchNs is the added delay per switch chip per direction.
 	// The paper cites 100–150 ns; default 125.
 	PerSwitchNs int64
-	// PropNs is the base propagation/SERDES cost per path per direction.
-	PropNs int64
-	// BytesPerNs is link bandwidth (PCIe gen3 x8 ≈ 7.9 GB/s ≈ 7.9 B/ns).
-	BytesPerNs float64
-	// CplServiceNs is completer service time for a read (DRAM or register
-	// file access at the target).
-	CplServiceNs int64
 	// MMIOIssueNs is the CPU-side cost of issuing a posted store.
 	MMIOIssueNs int64
 }
@@ -126,11 +138,8 @@ type LinkParams struct {
 // the evaluation.
 func DefaultLinkParams() LinkParams {
 	return LinkParams{
-		PerSwitchNs:  125,
-		PropNs:       250,
-		BytesPerNs:   7.9,
-		CplServiceNs: 80,
-		MMIOIssueNs:  40,
+		PerSwitchNs: 125,
+		MMIOIssueNs: 40,
 	}
 }
 
@@ -139,27 +148,10 @@ func (lp LinkParams) withDefaults() LinkParams {
 	if lp.PerSwitchNs == 0 {
 		lp.PerSwitchNs = d.PerSwitchNs
 	}
-	if lp.PropNs == 0 {
-		lp.PropNs = d.PropNs
-	}
-	if lp.BytesPerNs == 0 {
-		lp.BytesPerNs = d.BytesPerNs
-	}
-	if lp.CplServiceNs == 0 {
-		lp.CplServiceNs = d.CplServiceNs
-	}
 	if lp.MMIOIssueNs == 0 {
 		lp.MMIOIssueNs = d.MMIOIssueNs
 	}
 	return lp
-}
-
-// SerializeNs returns the time to move n payload bytes across the link.
-func (lp LinkParams) SerializeNs(n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(float64(n) / lp.BytesPerNs)
 }
 
 // Errors returned by routing.
@@ -236,9 +228,6 @@ func NewDomain(name string, k *sim.Kernel, params LinkParams) *Domain {
 
 // Kernel returns the simulation kernel the domain runs on.
 func (d *Domain) Kernel() *sim.Kernel { return d.kernel }
-
-// Params returns the domain's link cost model.
-func (d *Domain) Params() LinkParams { return d.params }
 
 // AddNode adds a fabric node and returns its ID.
 func (d *Domain) AddNode(kind NodeKind, name string) NodeID {
@@ -390,7 +379,7 @@ func (d *Domain) Resolve(from NodeID, addr Addr, n uint64) (Resolved, error) {
 		if err != nil {
 			return res, err
 		}
-		cost += int64(hops)*cur.params.PerSwitchNs + cur.params.PropNs
+		cost += int64(hops)*cur.params.PerSwitchNs + PropNs
 		if c.fw != nil {
 			next, entry, raddr, crossNs, err := c.fw.Forward(curAddr, n)
 			if err != nil {
@@ -476,7 +465,7 @@ func (d *Domain) MemWrite(p *sim.Proc, from NodeID, addr Addr, data []byte) erro
 	d.stats.Crossings += uint64(res.Crossings)
 	t0 := d.kernel.Now()
 	// The initiator occupies its port for the serialization time.
-	p.Sleep(d.params.SerializeNs(len(data)))
+	p.Sleep(SerializeNs(len(data)))
 	d.post(from, res, t0, data)
 	return nil
 }
@@ -517,7 +506,7 @@ func (d *Domain) MemRead(p *sim.Proc, from NodeID, addr Addr, buf []byte) error 
 	// Completer services the read now.
 	res.Target.TargetRead(res.Addr, buf)
 	// Completion flight plus payload serialization.
-	p.Sleep(res.OneWayNs + d.params.CplServiceNs + d.params.SerializeNs(len(buf)))
+	p.Sleep(res.OneWayNs + CplServiceNs + SerializeNs(len(buf)))
 	if res.Crossings > 0 {
 		d.link.Record(t0, d.kernel.Now(), uint64(len(buf)))
 	}
@@ -531,7 +520,7 @@ func (d *Domain) ReadLatency(from NodeID, addr Addr, n int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return 2*res.OneWayNs + d.params.CplServiceNs + d.params.SerializeNs(n), nil
+	return 2*res.OneWayNs + CplServiceNs + SerializeNs(n), nil
 }
 
 // WriteLatency returns the one-way delivery cost of writing n bytes.
@@ -540,5 +529,5 @@ func (d *Domain) WriteLatency(from NodeID, addr Addr, n int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return res.OneWayNs + d.params.SerializeNs(n), nil
+	return res.OneWayNs + SerializeNs(n), nil
 }

@@ -25,7 +25,7 @@ func testFabric(t *testing.T) (*sim.Kernel, *Domain, NodeID, NodeID, *memory.Mem
 		t.Fatal(err)
 	}
 	mem := memory.New(0x10000, 1<<16)
-	if err := AttachMemory(d, rc, mem); err != nil {
+	if _, err := NewHostPort(d, rc, mem); err != nil {
 		t.Fatal(err)
 	}
 	return k, d, rc, ep, mem
@@ -63,11 +63,11 @@ func TestClaimOverlapRejected(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDomain("d", k, LinkParams{})
 	rc := d.AddNode(RootComplex, "rc")
-	m := memory.New(0, 4096)
-	if err := AttachMemory(d, rc, m); err != nil {
+	hp, err := NewHostPort(d, rc, memory.New(0, 4096))
+	if err != nil {
 		t.Fatal(err)
 	}
-	err := d.Claim(Range{Base: 100, Size: 10}, rc, MemTarget{m})
+	err = d.Claim(Range{Base: 100, Size: 10}, rc, hp)
 	if !errors.Is(err, ErrOverlap) {
 		t.Fatalf("got %v, want ErrOverlap", err)
 	}
@@ -79,7 +79,7 @@ func TestUnclaim(t *testing.T) {
 	rc := d.AddNode(RootComplex, "rc")
 	m := memory.New(0, 4096)
 	r := Range{Base: m.Base(), Size: m.Size()}
-	if err := AttachMemory(d, rc, m); err != nil {
+	if _, err := NewHostPort(d, rc, m); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Unclaim(r) {
@@ -110,8 +110,7 @@ func TestDisconnectedNodes(t *testing.T) {
 	d := NewDomain("d", k, LinkParams{})
 	rc := d.AddNode(RootComplex, "rc")
 	ep := d.AddNode(Endpoint, "island")
-	m := memory.New(0, 4096)
-	if err := AttachMemory(d, rc, m); err != nil {
+	if _, err := NewHostPort(d, rc, memory.New(0, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	var err error
@@ -153,8 +152,7 @@ func TestReadLatencyScalesWithHops(t *testing.T) {
 	// appear twice (round trip) per chip.
 	build := func(nSwitch int) (int64, error) {
 		k := sim.NewKernel()
-		params := LinkParams{PerSwitchNs: 100, PropNs: 200, BytesPerNs: 8, CplServiceNs: 50, MMIOIssueNs: 40}
-		d := NewDomain("d", k, params)
+		d := NewDomain("d", k, LinkParams{PerSwitchNs: 100})
 		rc := d.AddNode(RootComplex, "rc")
 		prev := rc
 		for i := 0; i < nSwitch; i++ {
@@ -164,8 +162,9 @@ func TestReadLatencyScalesWithHops(t *testing.T) {
 		}
 		ep := d.AddNode(Endpoint, "ep")
 		d.Connect(prev, ep)
-		m := memory.New(0, 4096)
-		AttachMemory(d, rc, m)
+		if _, err := NewHostPort(d, rc, memory.New(0, 4096)); err != nil {
+			return 0, err
+		}
 		return d.ReadLatency(ep, 0, 64)
 	}
 	l0, err := build(0)
@@ -218,7 +217,7 @@ func TestMemWriteIsPosted(t *testing.T) {
 		}
 	})
 	k.RunAll()
-	ser := d.Params().SerializeNs(1)
+	ser := SerializeNs(1)
 	if issued != ser {
 		t.Fatalf("initiator blocked %d ns, want serialization only (%d)", issued, ser)
 	}
@@ -303,8 +302,8 @@ func TestMMIOWriteBlocksIssueCostOnly(t *testing.T) {
 		issued = p.Now()
 	})
 	k.RunAll()
-	if issued != d.Params().MMIOIssueNs {
-		t.Fatalf("blocked %d, want %d", issued, d.Params().MMIOIssueNs)
+	if want := DefaultLinkParams().MMIOIssueNs; issued != want {
+		t.Fatalf("blocked %d, want %d", issued, want)
 	}
 }
 
@@ -334,21 +333,21 @@ func TestResolveLatencyHelpersAgree(t *testing.T) {
 	}
 	rl, _ := d.ReadLatency(ep, 0x10000, 8)
 	wl, _ := d.WriteLatency(ep, 0x10000, 8)
-	if rl != 2*res.OneWayNs+d.Params().CplServiceNs+d.Params().SerializeNs(8) {
+	if rl != 2*res.OneWayNs+CplServiceNs+SerializeNs(8) {
 		t.Fatal("ReadLatency formula mismatch")
 	}
-	if wl != res.OneWayNs+d.Params().SerializeNs(8) {
+	if wl != res.OneWayNs+SerializeNs(8) {
 		t.Fatal("WriteLatency formula mismatch")
 	}
 }
 
 func TestSerializeNs(t *testing.T) {
-	lp := LinkParams{BytesPerNs: 8}.withDefaults()
-	if lp.SerializeNs(0) != 0 || lp.SerializeNs(-1) != 0 {
+	if SerializeNs(0) != 0 || SerializeNs(-1) != 0 {
 		t.Fatal("non-positive sizes must cost 0")
 	}
-	if lp.SerializeNs(4096) != 512 {
-		t.Fatalf("4096B at 8B/ns = %d, want 512", lp.SerializeNs(4096))
+	// 4096 / 7.9 = 518.48..., truncated.
+	if SerializeNs(4096) != 518 {
+		t.Fatalf("4096B at 7.9B/ns = %d, want 518", SerializeNs(4096))
 	}
 }
 
@@ -357,7 +356,7 @@ func TestDefaultsFilledIn(t *testing.T) {
 	if lp.PerSwitchNs != 999 {
 		t.Fatal("explicit value overwritten")
 	}
-	if lp.PropNs == 0 || lp.BytesPerNs == 0 || lp.CplServiceNs == 0 || lp.MMIOIssueNs == 0 {
+	if lp.MMIOIssueNs == 0 {
 		t.Fatal("defaults not applied")
 	}
 }

@@ -59,12 +59,10 @@ type WC struct {
 	Op      Opcode
 	Status  error // nil on success
 	ByteLen int
-	// Imm carries the 32-bit immediate for SENDs that include one.
-	Imm uint32
 }
 
-// CQ is a completion queue polled by software; Signal fires on every new
-// entry so pollers need not burn virtual time.
+// CQ is a completion queue polled by software; its signal fires on every
+// new entry so waiters need not burn virtual time.
 type CQ struct {
 	entries []WC
 	sig     *sim.Signal
@@ -108,9 +106,6 @@ func (p *CQ) waitPoll(proc *sim.Proc) WC {
 	}
 }
 
-// Signal returns the new-entry signal for custom pollers.
-func (cq *CQ) Signal() *sim.Signal { return cq.sig }
-
 func (cq *CQ) push(wc WC) {
 	cq.entries = append(cq.entries, wc)
 	cq.sig.Set()
@@ -123,6 +118,10 @@ type NIC struct {
 	node   pcie.NodeID
 	kernel *sim.Kernel
 	nextQP int
+	// bufs is the free list of payload buffers, each holding the bytes of
+	// one RDMA WRITE or READ between the DMA read that fetches them and
+	// the DMA write that lands them.
+	bufs [][]byte
 }
 
 // NewNIC attaches an adapter at node in the host's domain.
@@ -134,6 +133,25 @@ func NewNIC(name string, host *pcie.HostPort, node pcie.NodeID) *NIC {
 		kernel: host.Domain().Kernel(),
 	}
 }
+
+// payload returns an n-byte buffer from the free list. Its bytes are
+// stale: a DMA read fills every one (pcie.Target).
+func (n *NIC) payload(size int) []byte {
+	if last := len(n.bufs) - 1; last >= 0 {
+		b := n.bufs[last]
+		n.bufs[last] = nil
+		n.bufs = n.bufs[:last]
+		if cap(b) >= size {
+			return b[:size]
+		}
+	}
+	return make([]byte, size)
+}
+
+// release returns a payload buffer to the free list. deliver's posted
+// write copies the bytes it lands, so a buffer may go back as soon as
+// deliver returns.
+func (n *NIC) release(b []byte) { n.bufs = append(n.bufs, b) }
 
 type recvWR struct {
 	wrid uint64
@@ -147,8 +165,7 @@ type sendWR struct {
 	laddr  pcie.Addr
 	n      int
 	raddr  pcie.Addr // for RDMA read/write
-	imm    uint32
-	inline []byte // inline payload (bypasses local DMA read)
+	inline []byte    // a SEND's payload, captured at post time
 }
 
 // QP is a reliable-connected queue pair.
@@ -195,18 +212,13 @@ func (q *QP) PostRecv(wrid uint64, addr pcie.Addr, n int) {
 	q.recvs = append(q.recvs, recvWR{wrid: wrid, addr: addr, n: n})
 }
 
-// PostSend enqueues a SEND of n bytes from local memory at addr, with
-// immediate imm. Completion arrives on SendCQ.
-func (q *QP) PostSend(wrid uint64, addr pcie.Addr, n int, imm uint32) {
-	q.sendQ.Push(&sendWR{wrid: wrid, op: OpSend, laddr: addr, n: n, imm: imm})
-}
-
 // PostSendInline enqueues a SEND whose payload is captured from data at
 // post time (no local DMA read), as small command capsules are sent.
-func (q *QP) PostSendInline(wrid uint64, data []byte, imm uint32) {
+// Completion arrives on SendCQ.
+func (q *QP) PostSendInline(wrid uint64, data []byte) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	q.sendQ.Push(&sendWR{wrid: wrid, op: OpSend, n: len(buf), imm: imm, inline: buf})
+	q.sendQ.Push(&sendWR{wrid: wrid, op: OpSend, n: len(buf), inline: buf})
 }
 
 // PostWrite enqueues an RDMA WRITE of n bytes from local addr to remote
@@ -243,13 +255,13 @@ func (q *QP) engine(p *sim.Proc) {
 		case OpRead:
 			p.Sleep(TxNs)
 		}
-		q.dispatch(wr, wr.inline)
+		q.dispatch(wr)
 	}
 }
 
 // dispatch schedules the message's remote-side work one wire flight from
 // now, keeping per-QP arrival order and chaining completion visibility.
-func (q *QP) dispatch(wr *sendWR, payload []byte) {
+func (q *QP) dispatch(wr *sendWR) {
 	k := q.nic.kernel
 	arrival := k.Now() + WireNs
 	if arrival < q.lastArrival {
@@ -264,7 +276,7 @@ func (q *QP) dispatch(wr *sendWR, payload []byte) {
 	k.After(arrival-k.Now(), func() {
 		k.Spawn(fmt.Sprintf("%s/qp%d/rx%d", q.nic.Name, q.Num, seq), func(rp *sim.Proc) {
 			defer done.Trigger(nil)
-			q.remoteSide(rp, wr, payload, prev)
+			q.remoteSide(rp, wr, prev)
 		})
 	})
 }
@@ -273,7 +285,7 @@ func (q *QP) dispatch(wr *sendWR, payload []byte) {
 // previous message's done event: completions are published only after it,
 // so a small message never becomes visible before an earlier large one's
 // data.
-func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Event) {
+func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, prev *sim.Event) {
 	peer := q.peer
 	finish := func(local WC, recv *WC) {
 		if prev != nil {
@@ -284,17 +296,9 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 		}
 		q.SendCQ.push(local)
 	}
-	// Non-inline payloads were DMA-fetched from the sender's memory by
-	// the NIC, pipelined with the wire flight; materialize them here.
-	if payload == nil && (wr.op == OpSend || wr.op == OpWrite) && wr.n > 0 {
-		payload = make([]byte, wr.n)
-		if err := q.nic.host.Domain().MemRead(rp, q.nic.node, wr.laddr, payload); err != nil {
-			finish(WC{WRID: wr.wrid, Op: wr.op, Status: err}, nil)
-			return
-		}
-	}
 	switch wr.op {
 	case OpSend:
+		payload := wr.inline
 		rp.Sleep(RxNs)
 		if len(peer.recvs) == 0 {
 			finish(WC{WRID: wr.wrid, Op: OpSend, Status: ErrRNR}, nil)
@@ -313,11 +317,22 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 			}
 		}
 		finish(WC{WRID: wr.wrid, Op: OpSend, ByteLen: len(payload)},
-			&WC{WRID: rwr.wrid, Op: OpRecv, ByteLen: len(payload), Imm: wr.imm})
+			&WC{WRID: rwr.wrid, Op: OpRecv, ByteLen: len(payload)})
 
 	case OpWrite:
-		rp.Sleep(RxNs)
-		if err := deliver(rp, peer.nic, wr.raddr, payload); err != nil {
+		// The payload was DMA-fetched from the sender's memory by the
+		// NIC, pipelined with the wire flight; materialize it here.
+		buf := q.nic.payload(wr.n)
+		var err error
+		if wr.n > 0 {
+			err = q.nic.host.Domain().MemRead(rp, q.nic.node, wr.laddr, buf)
+		}
+		if err == nil {
+			rp.Sleep(RxNs)
+			err = deliver(rp, peer.nic, wr.raddr, buf)
+		}
+		q.nic.release(buf)
+		if err != nil {
 			finish(WC{WRID: wr.wrid, Op: OpWrite, Status: err}, nil)
 			return
 		}
@@ -326,13 +341,14 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, payload []byte, prev *sim.Even
 	case OpRead:
 		// The request has arrived at the peer; fetch the data and fly it
 		// back.
-		buf := make([]byte, wr.n)
-		if err := peer.nic.host.Domain().MemRead(rp, peer.nic.node, wr.raddr, buf); err != nil {
-			finish(WC{WRID: wr.wrid, Op: OpRead, Status: err}, nil)
-			return
+		buf := q.nic.payload(wr.n)
+		err := peer.nic.host.Domain().MemRead(rp, peer.nic.node, wr.raddr, buf)
+		if err == nil {
+			rp.Sleep(WireNs + serNs(wr.n) + RxNs)
+			err = deliver(rp, q.nic, wr.laddr, buf)
 		}
-		rp.Sleep(WireNs + serNs(wr.n) + RxNs)
-		if err := deliver(rp, q.nic, wr.laddr, buf); err != nil {
+		q.nic.release(buf)
+		if err != nil {
 			finish(WC{WRID: wr.wrid, Op: OpRead, Status: err}, nil)
 			return
 		}

@@ -3,6 +3,7 @@ package rdma_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -51,17 +52,16 @@ func (r *rig) alloc(t *testing.T, host int, n uint64) pcie.Addr {
 	return a
 }
 
+// TestSendRecv: a SEND consumes the oldest posted receive, and both
+// sides complete with their own WRID, opcode and the message length.
 func TestSendRecv(t *testing.T) {
 	r := newRig(t)
-	src := r.alloc(t, 0, 256)
 	dst := r.alloc(t, 1, 256)
 	msg := []byte("rdma send/recv payload")
-	s, _ := r.c.Hosts[0].Port.Slice(src, uint64(len(msg)))
-	copy(s, msg)
 	r.qpB.PostRecv(7, dst, 256)
 	var sendWC, recvWC rdma.WC
 	r.c.Go("sender", func(p *sim.Proc) {
-		r.qpA.PostSend(1, src, len(msg), 0xABCD)
+		r.qpA.PostSendInline(1, msg)
 		sendWC = rdma.WaitWC(p, r.qpA.SendCQ)
 	})
 	r.c.Go("receiver", func(p *sim.Proc) {
@@ -71,7 +71,10 @@ func TestSendRecv(t *testing.T) {
 	if sendWC.Status != nil || recvWC.Status != nil {
 		t.Fatalf("wc errors: %v %v", sendWC.Status, recvWC.Status)
 	}
-	if recvWC.WRID != 7 || recvWC.ByteLen != len(msg) || recvWC.Imm != 0xABCD {
+	if sendWC.WRID != 1 || sendWC.Op != rdma.OpSend || sendWC.ByteLen != len(msg) {
+		t.Fatalf("send wc %+v", sendWC)
+	}
+	if recvWC.WRID != 7 || recvWC.Op != rdma.OpRecv || recvWC.ByteLen != len(msg) {
 		t.Fatalf("recv wc %+v", recvWC)
 	}
 	got, _ := r.c.Hosts[1].Port.Slice(dst, uint64(len(msg)))
@@ -80,13 +83,18 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
+// TestSendInline: an inline SEND carries the bytes its source held at
+// post time, though the caller overwrites the source before the message
+// leaves.
 func TestSendInline(t *testing.T) {
 	r := newRig(t)
 	dst := r.alloc(t, 1, 128)
 	r.qpB.PostRecv(1, dst, 128)
 	msg := []byte("inline capsule")
 	r.c.Go("s", func(p *sim.Proc) {
-		r.qpA.PostSendInline(2, msg, 0)
+		src := append([]byte(nil), msg...)
+		r.qpA.PostSendInline(2, src)
+		copy(src, "overwritten!!!")
 		wc := rdma.WaitWC(p, r.qpA.SendCQ)
 		if wc.Status != nil {
 			t.Errorf("send: %v", wc.Status)
@@ -95,7 +103,7 @@ func TestSendInline(t *testing.T) {
 	r.c.Run()
 	got, _ := r.c.Hosts[1].Port.Slice(dst, uint64(len(msg)))
 	if !bytes.Equal(got, msg) {
-		t.Fatal("inline payload mismatch")
+		t.Fatalf("inline payload %q, want %q", got, msg)
 	}
 }
 
@@ -103,7 +111,7 @@ func TestRNRWhenNoReceivePosted(t *testing.T) {
 	r := newRig(t)
 	var wc rdma.WC
 	r.c.Go("s", func(p *sim.Proc) {
-		r.qpA.PostSendInline(3, []byte("x"), 0)
+		r.qpA.PostSendInline(3, []byte("x"))
 		wc = rdma.WaitWC(p, r.qpA.SendCQ)
 	})
 	r.c.Run()
@@ -118,7 +126,7 @@ func TestRecvBufferTooSmall(t *testing.T) {
 	r.qpB.PostRecv(1, dst, 4)
 	var wc rdma.WC
 	r.c.Go("s", func(p *sim.Proc) {
-		r.qpA.PostSendInline(3, []byte("longer than four"), 0)
+		r.qpA.PostSendInline(3, []byte("longer than four"))
 		wc = rdma.WaitWC(p, r.qpA.SendCQ)
 	})
 	r.c.Run()
@@ -132,7 +140,7 @@ func TestNotConnected(t *testing.T) {
 	lone := r.nicA.NewQP()
 	var wc rdma.WC
 	r.c.Go("s", func(p *sim.Proc) {
-		lone.PostSendInline(1, []byte("x"), 0)
+		lone.PostSendInline(1, []byte("x"))
 		wc = rdma.WaitWC(p, lone.SendCQ)
 	})
 	r.c.Run()
@@ -183,6 +191,59 @@ func TestRDMAReadOneSided(t *testing.T) {
 	}
 }
 
+// TestPayloadBuffersReused: a NIC keeps its RDMA READ and WRITE payload
+// buffers for the next message rather than allocating one per message.
+// After a first round has backed the destination pages and warmed the
+// free lists, 16 more rounds of a 64 KiB READ and a 64 KiB WRITE
+// allocate less than one payload, and every byte still arrives.
+func TestPayloadBuffersReused(t *testing.T) {
+	const n, size = 16, 64 << 10
+	r := newRig(t)
+	readDst, readSrc := r.alloc(t, 0, size), r.alloc(t, 1, size)
+	writeSrc, writeDst := r.alloc(t, 0, size), r.alloc(t, 1, size)
+	if err := r.c.Hosts[1].Port.Mem().Write(readSrc, bytes.Repeat([]byte{0x3C}, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.c.Hosts[0].Port.Mem().Write(writeSrc, bytes.Repeat([]byte{0xC3}, size)); err != nil {
+		t.Fatal(err)
+	}
+	var allocated uint64
+	r.c.Go("s", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		for i := 0; i <= n; i++ {
+			if i == 1 {
+				runtime.ReadMemStats(&before)
+			}
+			r.qpA.PostRead(uint64(2*i), readDst, size, readSrc)
+			r.qpA.PostWrite(uint64(2*i+1), writeSrc, size, writeDst)
+			for j := 0; j < 2; j++ {
+				if wc := rdma.WaitWC(p, r.qpA.SendCQ); wc.Status != nil {
+					t.Errorf("wc %+v", wc)
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+	})
+	r.c.Run()
+	if allocated >= size {
+		t.Errorf("%d transfers of %d bytes allocated %d bytes, want less than one transfer's", 2*n, size, allocated)
+	}
+	for _, c := range []struct {
+		host int
+		addr pcie.Addr
+		want byte
+	}{{0, readDst, 0x3C}, {1, writeDst, 0xC3}} {
+		got := make([]byte, size)
+		if err := r.c.Hosts[c.host].Port.Mem().Read(c.addr, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{c.want}, size)) {
+			t.Errorf("host %d's buffer lost bytes of the transfer into it", c.host)
+		}
+	}
+}
+
 func TestOrderingWithinQP(t *testing.T) {
 	// Two sends from one QP arrive in post order.
 	r := newRig(t)
@@ -198,8 +259,8 @@ func TestOrderingWithinQP(t *testing.T) {
 		}
 	})
 	r.c.Go("send", func(p *sim.Proc) {
-		r.qpA.PostSendInline(1, bytes.Repeat([]byte{1}, 16), 0)
-		r.qpA.PostSendInline(2, []byte{2}, 0)
+		r.qpA.PostSendInline(1, bytes.Repeat([]byte{1}, 16))
+		r.qpA.PostSendInline(2, []byte{2})
 	})
 	r.c.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {

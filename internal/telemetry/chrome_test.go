@@ -15,15 +15,16 @@ func TestCounterLanes(t *testing.T) {
 	k := sim.NewKernel()
 	var frac float64 = 1.0
 	reg.GaugeFunc("qos.min_admit_frac", func() float64 { return frac }, trace.L("class", "noisy"))
-	issued := reg.Counter("arrival.issued", trace.L("class", "noisy"))
-	reg.Counter("pcie.writes") // must be filtered out
+	var issued, writes uint64
+	reg.GaugeFunc("arrival.issued", func() float64 { return float64(issued) }, trace.L("class", "noisy"))
+	reg.GaugeFunc("pcie.writes", func() float64 { return float64(writes) }) // must be filtered out
 
 	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 64})
 	p.Attach(k)
 	k.Spawn("load", func(pr *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			pr.Sleep(100)
-			issued.Inc()
+			issued++
 			frac *= 0.5
 		}
 	})

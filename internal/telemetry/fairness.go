@@ -9,7 +9,8 @@ import (
 // Well-known metric names the fairness layer consumes. The cluster
 // multihost runner registers one of each per host, labeled host="N".
 const (
-	// MetricHostIOs counts I/Os completed by one host (counter).
+	// MetricHostIOs counts I/Os completed by one host (a gauge over a
+	// monotone count).
 	MetricHostIOs = "host.ios_completed"
 	// MetricHostLatency is one host's end-to-end I/O latency in
 	// virtual ns (histogram).

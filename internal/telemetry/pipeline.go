@@ -53,7 +53,6 @@ type Pipeline struct {
 	series []*Series          // registration order
 	byKey  map[string]*Series // full name -> series
 	wins   map[string]*stats.HistWindow
-	prev   map[string]uint64  // counters: previous cumulative value
 	prevG  map[string]float64 // gauges: previous value (for deltas)
 	// Cumulative histogram totals since the pipeline started sampling,
 	// for Prometheus summary _count/_sum.
@@ -73,7 +72,6 @@ func NewPipeline(reg *trace.Registry, cfg Config) *Pipeline {
 		reg:       reg,
 		byKey:     make(map[string]*Series),
 		wins:      make(map[string]*stats.HistWindow),
-		prev:      make(map[string]uint64),
 		prevG:     make(map[string]float64),
 		histCount: make(map[string]uint64),
 		histSum:   make(map[string]float64),
@@ -113,12 +111,6 @@ func (p *Pipeline) Sample(now sim.Time) {
 		}
 		pt := Point{T: now}
 		switch m.Kind() {
-		case trace.KindCounter:
-			cur := m.Count()
-			pt.V = float64(cur)
-			pt.D = float64(cur - p.prev[key])
-			pt.Rate = pt.D * 1e9 / float64(p.cfg.IntervalNs)
-			p.prev[key] = cur
 		case trace.KindGauge:
 			pt.V = m.Gauge()
 			pt.D = pt.V - p.prevG[key]

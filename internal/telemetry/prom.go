@@ -56,8 +56,8 @@ func promLabels(s *Series, extra ...string) string {
 }
 
 // WriteProm renders the latest sample of every series in Prometheus
-// text exposition format (version 0.0.4). Counters expose their
-// cumulative value, gauges their last value, histograms a summary whose
+// text exposition format (version 0.0.4). Gauges expose their last
+// value, histograms a summary whose
 // quantiles cover the *last sampling interval* (the live view a scraper
 // wants) with cumulative _count/_sum. Only sampled state is read, so
 // scraping during a run is safe.
@@ -87,8 +87,6 @@ func (p *Pipeline) WriteProm(w io.Writer) {
 		switch g.kind {
 		case "histogram":
 			fmt.Fprintf(w, "# TYPE %s summary\n", pn)
-		case "counter":
-			fmt.Fprintf(w, "# TYPE %s counter\n", pn)
 		default:
 			fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
 		}

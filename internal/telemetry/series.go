@@ -2,9 +2,9 @@
 // into virtual-time series. A Pipeline attaches to the simulation
 // kernel as a weak repeating timer (sim.Ticker) and, every sampling
 // interval of *virtual* time, snapshots every registered metric into a
-// fixed-capacity ring buffer: gauges record their value, counters their
-// cumulative value plus the interval delta and rate, histograms their
-// interval (not cumulative) p50/p95/p99/p999 via stats.HistWindow.
+// fixed-capacity ring buffer: gauges record their value and the change
+// since the previous sample, histograms their interval (not cumulative)
+// p50/p95/p99/p999 via stats.HistWindow.
 //
 // Because the sampler runs on virtual time inside the kernel loop, it
 // adds no wall-clock dependence and does not perturb simulated I/O
@@ -24,15 +24,13 @@ import "repro/internal/trace"
 // fields are populated depends on the series kind:
 //
 //   - gauge:     V (callback value), D (change since previous sample —
-//     for monotone gauges this is the interval delta, like a counter's)
-//   - counter:   V (cumulative), D (delta this interval), Rate (per s)
+//     for a gauge over a monotone count this is the interval delta)
 //   - histogram: N (interval observations), V (interval mean),
 //     P50/P95/P99/P999 (interval quantiles, ns)
 type Point struct {
 	T    int64   `json:"t"`
 	V    float64 `json:"v"`
 	D    float64 `json:"d,omitempty"`
-	Rate float64 `json:"rate,omitempty"`
 	N    uint64  `json:"n,omitempty"`
 	P50  float64 `json:"p50,omitempty"`
 	P95  float64 `json:"p95,omitempty"`

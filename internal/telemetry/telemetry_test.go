@@ -36,24 +36,25 @@ func TestSeriesRing(t *testing.T) {
 }
 
 // TestPipelineSampling: attached to a kernel, the pipeline samples
-// every interval of virtual time and derives per-kind fields — counter
-// cumulative/delta/rate, gauge value, histogram interval quantiles.
+// every interval of virtual time and derives per-kind fields — gauge
+// value and interval delta, histogram interval quantiles.
 func TestPipelineSampling(t *testing.T) {
 	reg := trace.NewRegistry()
 	k := sim.NewKernel()
-	ops := reg.Counter("ops")
+	var ops uint64
+	reg.GaugeFunc("ops", func() float64 { return float64(ops) })
 	var depth float64
 	reg.GaugeFunc("depth", func() float64 { return depth })
-	lat := reg.Histogram("lat")
+	lat := reg.Histogram("lat").Hist()
 
 	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 64})
 	p.Attach(k)
 	k.Spawn("worker", func(pr *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			pr.Sleep(50) // two ops per 100ns tick
-			ops.Inc()
+			ops++
 			depth += 1
-			lat.ObserveNs(int64(1000 * (i + 1)))
+			lat.AddNs(int64(1000 * (i + 1)))
 		}
 	})
 	k.RunAll()
@@ -79,10 +80,6 @@ func TestPipelineSampling(t *testing.T) {
 		cum += wantD[i]
 		if pt.D != wantD[i] || pt.V != cum {
 			t.Errorf("ops[%d] = {V:%g D:%g}, want {V:%g D:%g}", i, pt.V, pt.D, cum, wantD[i])
-		}
-		wantRate := wantD[i] * 1e9 / 100
-		if pt.Rate != wantRate {
-			t.Errorf("ops[%d].Rate = %g, want %g", i, pt.Rate, wantRate)
 		}
 		if pt.T != int64(100*(i+1)) {
 			t.Errorf("ops[%d].T = %d, want %d", i, pt.T, 100*(i+1))
@@ -132,8 +129,9 @@ func TestFairnessReport(t *testing.T) {
 	p.Attach(k)
 	for h := 0; h < 2; h++ {
 		h := h
-		ios := reg.Counter(MetricHostIOs, trace.L("host", h))
-		lat := reg.Histogram(MetricHostLatency, trace.L("host", h))
+		ios := new(uint64)
+		reg.GaugeFunc(MetricHostIOs, func() float64 { return float64(*ios) }, trace.L("host", h))
+		lat := reg.Histogram(MetricHostLatency, trace.L("host", h)).Hist()
 		k.Spawn("host", func(pr *sim.Proc) {
 			// host 0: 30 IOs at ~1µs; host 1: 10 IOs at ~4µs.
 			n, latNs := 30, int64(1000)
@@ -142,8 +140,8 @@ func TestFairnessReport(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				pr.Sleep(10)
-				ios.Inc()
-				lat.ObserveNs(latNs)
+				*ios++
+				lat.AddNs(latNs)
 			}
 		})
 	}
@@ -185,13 +183,14 @@ func runSampled() *Pipeline {
 	k := sim.NewKernel()
 	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 32})
 	p.Attach(k)
-	c := reg.Counter("ops", trace.L("host", 0))
-	h := reg.Histogram("lat", trace.L("host", 0))
+	var ops uint64
+	reg.GaugeFunc("ops", func() float64 { return float64(ops) }, trace.L("host", 0))
+	h := reg.Histogram("lat", trace.L("host", 0)).Hist()
 	k.Spawn("w", func(pr *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			pr.Sleep(37)
-			c.Inc()
-			h.ObserveNs(int64(100 + i))
+			ops++
+			h.AddNs(int64(100 + i))
 		}
 	})
 	k.RunAll()
@@ -230,7 +229,7 @@ func TestPromFormat(t *testing.T) {
 	p.WriteProm(&sb)
 	text := sb.String()
 	for _, want := range []string{
-		"# TYPE ops counter",
+		"# TYPE ops gauge",
 		`ops{host="0"} 20`,
 		"# TYPE lat summary",
 		`lat{host="0",quantile="0.99"} `,
@@ -257,8 +256,9 @@ func TestServerEndpoints(t *testing.T) {
 	k := sim.NewKernel()
 	p := NewPipeline(reg, Config{IntervalNs: 50, Capacity: 128})
 	p.Attach(k)
-	ops := reg.Counter("ops", trace.L("host", 1))
-	lat := reg.Histogram(MetricHostLatency, trace.L("host", 1))
+	var ops uint64
+	reg.GaugeFunc("ops", func() float64 { return float64(ops) }, trace.L("host", 1))
+	lat := reg.Histogram(MetricHostLatency, trace.L("host", 1)).Hist()
 	srv := httptest.NewServer(NewHandler(p))
 	defer srv.Close()
 
@@ -298,8 +298,8 @@ func TestServerEndpoints(t *testing.T) {
 	k.Spawn("w", func(pr *sim.Proc) {
 		for i := 0; i < 2000; i++ {
 			pr.Sleep(25)
-			ops.Inc()
-			lat.ObserveNs(int64(500 + i%100))
+			ops++
+			lat.AddNs(int64(500 + i%100))
 		}
 	})
 	k.RunAll()
@@ -312,7 +312,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	_, metrics := get("/metrics")
 	if !strings.Contains(metrics, `ops{host="1"} 2000`) {
-		t.Errorf("final /metrics missing cumulative counter:\n%s", metrics)
+		t.Errorf("final /metrics missing the count's last value:\n%s", metrics)
 	}
 	code, body := get("/telemetry.json")
 	if code != http.StatusOK {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -13,20 +12,16 @@ import (
 type MetricKind uint8
 
 const (
-	// KindCounter is a monotonically increasing count owned by the metric.
-	KindCounter MetricKind = iota
 	// KindGauge is a point-in-time value read from a callback at snapshot
-	// time — the idiomatic way to expose a layer's plain counter fields
-	// without making the layer depend on the registry.
-	KindGauge
+	// time — the way a layer exposes its plain counter fields without
+	// depending on the registry.
+	KindGauge MetricKind = iota
 	// KindHistogram is a bounded streaming distribution (PowHistogram).
 	KindHistogram
 )
 
 func (k MetricKind) String() string {
 	switch k {
-	case KindCounter:
-		return "counter"
 	case KindGauge:
 		return "gauge"
 	case KindHistogram:
@@ -36,7 +31,7 @@ func (k MetricKind) String() string {
 }
 
 // Label is one metric dimension (e.g. host="3", qid="7"). Labels make
-// the same counter attributable to the host or queue that caused it —
+// the same metric attributable to the host or queue that caused it —
 // the per-host view the telemetry pipeline and fairness layer build on.
 type Label struct {
 	Key   string `json:"key"`
@@ -67,29 +62,16 @@ func renderLabels(labels []Label) string {
 	return sb.String()
 }
 
-// Metric is one registered instrument. Counter/histogram mutation
-// methods are lock-free: they must only be called from the simulation
-// loop (see Registry's concurrency contract).
+// Metric is one registered instrument. A histogram is recorded into
+// without a lock, so only from the simulation loop (see Registry's
+// concurrency contract).
 type Metric struct {
 	name   string // base name, no labels
 	labels []Label
 	kind   MetricKind
-	count  uint64
 	fn     func() float64
 	hist   *stats.PowHistogram
 }
-
-// Inc adds one to a counter.
-func (m *Metric) Inc() { m.count++ }
-
-// Add adds n to a counter.
-func (m *Metric) Add(n uint64) { m.count += n }
-
-// Observe records a value into a histogram.
-func (m *Metric) Observe(v float64) { m.hist.Add(v) }
-
-// ObserveNs records a virtual-nanosecond value into a histogram.
-func (m *Metric) ObserveNs(ns int64) { m.hist.AddNs(ns) }
 
 // Hist exposes the underlying histogram (nil for non-histogram metrics),
 // so layers can record into it directly and samplers can open interval
@@ -105,9 +87,6 @@ func (m *Metric) Name() string { return m.name }
 // Labels returns the label set given at registration (not a copy; do
 // not mutate).
 func (m *Metric) Labels() []Label { return m.labels }
-
-// Count returns a counter's current value (zero for other kinds).
-func (m *Metric) Count() uint64 { return m.count }
 
 // Gauge evaluates a gauge's callback (zero if unset or not a gauge).
 // Subject to the same concurrency contract as Snapshot.
@@ -144,9 +123,9 @@ func (v MetricValue) FullName() string { return v.Name + renderLabels(v.Labels) 
 //
 // Registration order is preserved in Snapshot so output is deterministic.
 //
-// Concurrency contract: registration and observation (counter bumps,
-// gauge callback reads, Snapshot) must happen on the simulation loop —
-// either before Run, from a simulated process, or from a sim.Ticker
+// Concurrency contract: registration and observation (histogram
+// records, gauge callback reads, Snapshot) must happen on the simulation
+// loop — either before Run, from a simulated process, or from a sim.Ticker
 // callback — where the kernel's one-process-at-a-time guarantee
 // serializes them. The registry's own bookkeeping (order, items) is
 // additionally guarded by a mutex, so tools that snapshot after the run
@@ -185,14 +164,9 @@ func (r *Registry) register(name string, kind MetricKind, labels []Label, config
 	return m
 }
 
-// Counter returns the named counter, creating it if needed. Optional
-// labels add per-host/per-queue dimensions.
-func (r *Registry) Counter(name string, labels ...Label) *Metric {
-	return r.register(name, KindCounter, labels, nil)
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at snapshot
-// time. Re-registering the same name+labels replaces its callback.
+// time. Optional labels add per-host/per-queue dimensions.
+// Re-registering the same name+labels replaces its callback.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	r.register(name, KindGauge, labels, func(m *Metric) { m.fn = fn })
 }
@@ -204,24 +178,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *Metric {
 			m.hist = stats.NewPowHistogram(5)
 		}
 	})
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
-}
-
-// Names returns every registered metric's full name (base + labels) in
-// registration order — the stable identity list exposition endpoints
-// golden-test against.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // Each calls fn for every metric in registration order, under the
@@ -251,9 +207,6 @@ func (r *Registry) Snapshot() []MetricValue {
 func (m *Metric) read() MetricValue {
 	mv := MetricValue{Name: m.name, Labels: m.labels, Kind: m.kind.String()}
 	switch m.kind {
-	case KindCounter:
-		mv.Value = float64(m.count)
-		mv.Count = m.count
 	case KindGauge:
 		if m.fn != nil {
 			mv.Value = m.fn()
@@ -268,39 +221,4 @@ func (m *Metric) read() MetricValue {
 		mv.Max = float64(m.hist.Max())
 	}
 	return mv
-}
-
-// ByLabel groups a snapshot by the value of one label key, preserving
-// order within each group. Rows without the key are omitted. Group keys
-// come back sorted for deterministic iteration.
-func ByLabel(snap []MetricValue, key string) (groups map[string][]MetricValue, keys []string) {
-	groups = make(map[string][]MetricValue)
-	for _, mv := range snap {
-		for _, l := range mv.Labels {
-			if l.Key == key {
-				if _, ok := groups[l.Value]; !ok {
-					keys = append(keys, l.Value)
-				}
-				groups[l.Value] = append(groups[l.Value], mv)
-				break
-			}
-		}
-	}
-	sort.Strings(keys)
-	return groups, keys
-}
-
-// Dump renders a snapshot as aligned text, one metric per line.
-func (r *Registry) Dump() string {
-	var sb strings.Builder
-	for _, mv := range r.Snapshot() {
-		switch mv.Kind {
-		case "histogram":
-			fmt.Fprintf(&sb, "%-52s %-9s n=%-8d mean=%.1f p50=%.1f p99=%.1f max=%.1f\n",
-				mv.FullName(), mv.Kind, mv.Count, mv.Value, mv.P50, mv.P99, mv.Max)
-		default:
-			fmt.Fprintf(&sb, "%-52s %-9s %.0f\n", mv.FullName(), mv.Kind, mv.Value)
-		}
-	}
-	return sb.String()
 }

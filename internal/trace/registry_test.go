@@ -14,11 +14,12 @@ func TestLabeledMetrics(t *testing.T) {
 		host := host
 		r.GaugeFunc("pcie.writes", func() float64 { return float64(host * 10) }, L("host", host))
 	}
-	r.Counter("nvme.queue.fetched", L("host", 1), L("qid", 7)).Add(42)
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
-	}
+	fetched := 42
+	r.GaugeFunc("nvme.queue.fetched", func() float64 { return float64(fetched) }, L("host", 1), L("qid", 7))
 	snap := r.Snapshot()
+	if len(snap) != 4 {
+		t.Fatalf("len = %d, want 4", len(snap))
+	}
 	if got := snap[1].FullName(); got != `pcie.writes{host="1"}` {
 		t.Errorf("full name = %q", got)
 	}
@@ -26,23 +27,19 @@ func TestLabeledMetrics(t *testing.T) {
 		t.Errorf("labeled gauge value = %v, want 10", snap[1].Value)
 	}
 	if got := snap[3].FullName(); got != `nvme.queue.fetched{host="1",qid="7"}` {
-		t.Errorf("labeled counter full name = %q", got)
+		t.Errorf("two-label full name = %q", got)
 	}
-	if snap[3].Count != 42 {
-		t.Errorf("labeled counter = %v, want 42", snap[3].Count)
+	if snap[3].Value != 42 {
+		t.Errorf("two-label gauge = %v, want 42", snap[3].Value)
 	}
-	// Same name+labels returns the same instrument.
-	r.Counter("nvme.queue.fetched", L("host", 1), L("qid", 7)).Inc()
-	if r.Len() != 4 {
-		t.Errorf("re-registration grew registry to %d", r.Len())
+	// Same name+labels replaces the callback, not adds an instrument.
+	r.GaugeFunc("nvme.queue.fetched", func() float64 { return float64(fetched + 1) }, L("host", 1), L("qid", 7))
+	snap = r.Snapshot()
+	if len(snap) != 4 {
+		t.Errorf("re-registration grew registry to %d", len(snap))
 	}
-
-	groups, keys := ByLabel(snap, "host")
-	if len(keys) != 3 || keys[0] != "0" || keys[2] != "2" {
-		t.Fatalf("ByLabel keys = %v", keys)
-	}
-	if len(groups["1"]) != 2 {
-		t.Errorf("host=1 group = %d rows, want 2 (gauge + queue counter)", len(groups["1"]))
+	if snap[3].Value != 43 {
+		t.Errorf("re-registered gauge = %v, want 43 from the new callback", snap[3].Value)
 	}
 }
 
@@ -51,7 +48,7 @@ func TestHistogramPercentileFields(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat")
 	for i := int64(1); i <= 10000; i++ {
-		h.ObserveNs(i)
+		h.Hist().AddNs(i)
 	}
 	mv := r.Snapshot()[0]
 	checks := []struct {
@@ -89,12 +86,11 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 				v := float64(i)
 				r.GaugeFunc(fmt.Sprintf("g%d.m%d", g, i), func() float64 { return v })
 				_ = r.Snapshot()
-				_ = r.Names()
 			}
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Errorf("len = %d, want 800", r.Len())
+	if n := len(r.Snapshot()); n != 800 {
+		t.Errorf("len = %d, want 800", n)
 	}
 }

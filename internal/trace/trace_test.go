@@ -175,36 +175,36 @@ func TestValidateChromeRejects(t *testing.T) {
 // TestRegistry: insertion order is preserved, kinds snapshot correctly.
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.count").Add(3)
+	var count uint64 = 3
+	r.GaugeFunc("b.count", func() float64 { return float64(count) })
 	v := 7.0
 	r.GaugeFunc("a.gauge", func() float64 { return v })
 	h := r.Histogram("c.lat")
 	for i := int64(1); i <= 100; i++ {
-		h.ObserveNs(i * 1000)
+		h.Hist().AddNs(i * 1000)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if n := len(r.Snapshot()); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
-	v = 9 // gauges read at snapshot time
+	v, count = 9, 4 // gauges read at snapshot time
 	snap := r.Snapshot()
 	if snap[0].Name != "b.count" || snap[1].Name != "a.gauge" || snap[2].Name != "c.lat" {
 		t.Errorf("order not preserved: %v %v %v", snap[0].Name, snap[1].Name, snap[2].Name)
 	}
-	if snap[0].Value != 3 || snap[0].Kind != "counter" {
-		t.Errorf("counter = %+v", snap[0])
+	if snap[0].Value != 4 || snap[0].Kind != "gauge" {
+		t.Errorf("count gauge = %+v", snap[0])
 	}
 	if snap[1].Value != 9 || snap[1].Kind != "gauge" {
 		t.Errorf("gauge = %+v", snap[1])
 	}
-	if snap[2].Count != 100 || snap[2].Max != 100000 || snap[2].P99 < 90000 {
+	if snap[2].Count != 100 || snap[2].Max != 100000 || snap[2].P99 < 90000 || snap[2].Kind != "histogram" {
 		t.Errorf("histogram = %+v", snap[2])
 	}
 	// Re-registering a name returns the same metric, not a duplicate.
-	r.Counter("b.count").Inc()
-	if r.Len() != 3 {
-		t.Errorf("duplicate registration grew registry to %d", r.Len())
+	if r.Histogram("c.lat") != h {
+		t.Error("re-registered histogram is a new metric")
 	}
-	if !strings.Contains(r.Dump(), "c.lat") {
-		t.Error("dump missing histogram row")
+	if n := len(r.Snapshot()); n != 3 {
+		t.Errorf("duplicate registration grew registry to %d", n)
 	}
 }
