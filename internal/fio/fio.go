@@ -68,7 +68,11 @@ type JobSpec struct {
 	RangeBlocks uint64
 	// ReadPct is the read percentage for RandRW (default 50).
 	ReadPct int
-	// Seed makes the offset stream deterministic.
+	// Seed makes the job deterministic: it seeds each worker's offsets,
+	// ops and write buffers, and the prefill's buffers. A buffer holds
+	// the bytes math/rand's Read writes for the same draws, so what a job
+	// stores, and any digest of it, does not depend on how the fill is
+	// done.
 	Seed int64
 	// WarmupIOs are issued first and excluded from statistics.
 	WarmupIOs int
@@ -175,7 +179,8 @@ func Run(p *sim.Proc, q *block.Queue, spec JobSpec) (*Result, error) {
 	start := p.Now()
 	var done []*sim.Event
 	for w := 0; w < spec.QueueDepth; w++ {
-		rng := rand.New(rand.NewSource(spec.Seed + int64(w)*7919))
+		src := &stream{seed: spec.Seed + int64(w)*7919}
+		rng := rand.New(src)
 		fin := sim.NewEvent(k)
 		done = append(done, fin)
 		k.Spawn(fmt.Sprintf("fio/%s/w%d", spec.Name, w), func(wp *sim.Proc) {
@@ -211,7 +216,7 @@ func Run(p *sim.Proc, q *block.Queue, spec JobSpec) (*Result, error) {
 					}
 				}
 				if op == block.OpWrite {
-					rng.Read(buf)
+					src.fill(buf)
 				}
 				t0 := wp.Now()
 				err := q.SubmitAndWait(wp, op, lba, nblk, buf)
@@ -247,10 +252,10 @@ func prefill(p *sim.Proc, q *block.Queue, spec JobSpec, slots uint64) error {
 		n = uint64(spec.MaxIOs)
 	}
 	nblk := spec.BlockSize / q.Device().BlockSize()
-	rng := rand.New(rand.NewSource(spec.Seed ^ 0x5EED))
+	src := &stream{seed: spec.Seed ^ 0x5EED}
 	buf := make([]byte, spec.BlockSize)
 	for i := uint64(0); i < n; i++ {
-		rng.Read(buf)
+		src.fill(buf)
 		if err := q.SubmitAndWait(p, block.OpWrite, i*uint64(nblk), nblk, buf); err != nil {
 			return err
 		}

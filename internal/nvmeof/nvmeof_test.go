@@ -325,6 +325,51 @@ func TestShortCapsuleRunsNothing(t *testing.T) {
 	}
 }
 
+// TestOversizeSendKeepsSlot: a SEND longer than a receive slot consumes
+// the slot and lands nothing, and the target reposts it. With one receive
+// slot, the target once never got that slot back, so every capsule after
+// the oversize SEND failed with ErrRNR.
+func TestOversizeSendKeepsSlot(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	h := r.c.Hosts[1]
+	r.c.Go("main", func(p *sim.Proc) {
+		tgt, err := nvmeof.NewTarget(p, r.c.Hosts[0].Port, cluster.NVMeBARBase, nvmeof.TargetParams{QueueDepth: 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tgt.Serve(p, r.qpT); err != nil {
+			t.Error(err)
+			return
+		}
+		r.qpI.PostSendInline(1, make([]byte, nvmeof.CmdHeaderSize+4097))
+		if wc := rdma.WaitWCID(p, r.qpI.SendCQ, 1); !errors.Is(wc.Status, rdma.ErrBadLength) {
+			t.Errorf("oversize SEND: %v, want ErrBadLength", wc.Status)
+		}
+		resp, _ := h.Port.Alloc(nvmeof.RespSize, 64)
+		data, _ := h.Port.Alloc(4096, nvme.PageSize)
+		read := nvmeof.CmdCapsule{Opcode: nvme.IORead, CID: 7, NSID: 1, Nblk: 8, DataLen: 4096, RAddr: uint64(data)}
+		r.qpI.PostRecv(0, resp, nvmeof.RespSize)
+		r.qpI.PostSendInline(2, read.Marshal())
+		if wc := rdma.WaitWCID(p, r.qpI.SendCQ, 2); wc.Status != nil {
+			t.Errorf("read capsule after the oversize SEND: %v", wc.Status)
+			return
+		}
+		if wc := rdma.WaitWC(p, r.qpI.RecvCQ); wc.Status != nil {
+			t.Errorf("response: %v", wc.Status)
+			return
+		}
+		raw := make([]byte, nvmeof.RespSize)
+		if err := h.Port.Mem().Read(resp, raw); err != nil {
+			t.Error(err)
+		}
+		if rc, err := nvmeof.UnmarshalRespCapsule(raw); err != nil || rc.CID != 7 || rc.Status != 0 {
+			t.Errorf("response %+v (%v), want CID 7 status 0", rc, err)
+		}
+	})
+	r.c.Run()
+}
+
 func TestTooLargeRejected(t *testing.T) {
 	r := newRig(t, cluster.NVMeConfig{})
 	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{SlotBytes: 8192},

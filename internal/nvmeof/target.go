@@ -198,12 +198,15 @@ const (
 func (c *conn) handle(p *sim.Proc) {
 	for {
 		wc := rdma.WaitWC(p, c.qp.RecvCQ)
+		slot, recvd := wc.WRID, wc.ByteLen
 		if wc.Status != nil {
-			return
+			// A SEND too long for the slot consumed it and landed
+			// nothing: rearm the slot and keep serving.
+			c.qp.PostRecv(slot, c.recvBuf+pcie.Addr(slot*c.bufSize), int(c.bufSize))
+			continue
 		}
 		c.t.Polls++
 		c.t.cpuSleep(p, TargetPollNs)
-		slot, recvd := wc.WRID, wc.ByteLen
 		c.t.host.Domain().Kernel().Spawn(fmt.Sprintf("nvmf-tgt-cmd%d", slot),
 			func(wp *sim.Proc) { c.serveOne(wp, slot, recvd) })
 	}

@@ -307,7 +307,11 @@ func (q *QP) remoteSide(rp *sim.Proc, wr *sendWR, prev *sim.Event) {
 		rwr := peer.recvs[0]
 		peer.recvs = peer.recvs[1:]
 		if rwr.n < len(payload) {
-			finish(WC{WRID: wr.wrid, Op: OpSend, Status: ErrBadLength}, nil)
+			// The message consumed the receive and landed nothing; like
+			// a verbs NIC's local length error, the receiver gets that
+			// receive back as a failed completion to repost.
+			finish(WC{WRID: wr.wrid, Op: OpSend, Status: ErrBadLength},
+				&WC{WRID: rwr.wrid, Op: OpRecv, Status: ErrBadLength})
 			return
 		}
 		if len(payload) > 0 {

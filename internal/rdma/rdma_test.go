@@ -120,6 +120,9 @@ func TestRNRWhenNoReceivePosted(t *testing.T) {
 	}
 }
 
+// TestRecvBufferTooSmall: a SEND longer than the receive buffer fails on
+// both sides. The receiver gets the receive it consumed back as a failed
+// completion, so it can repost that buffer.
 func TestRecvBufferTooSmall(t *testing.T) {
 	r := newRig(t)
 	dst := r.alloc(t, 1, 4)
@@ -132,6 +135,10 @@ func TestRecvBufferTooSmall(t *testing.T) {
 	r.c.Run()
 	if !errors.Is(wc.Status, rdma.ErrBadLength) {
 		t.Fatalf("got %v, want ErrBadLength", wc.Status)
+	}
+	rwc, ok := r.qpB.RecvCQ.Poll()
+	if !ok || rwc.WRID != 1 || rwc.Op != rdma.OpRecv || !errors.Is(rwc.Status, rdma.ErrBadLength) {
+		t.Fatalf("receiver's completion %+v (arrived %v), want WRID 1 OpRecv ErrBadLength", rwc, ok)
 	}
 }
 
