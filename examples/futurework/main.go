@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -19,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "futurework:", err)
+		os.Exit(1)
+	}
+}
+
+// run measures both clients and prints the comparison to w.
+func run(w io.Writer) error {
 	r, err := cluster.NewRig(cluster.RigConfig{
 		Cluster: cluster.Config{Hosts: 3, AdapterWindows: 512},
 		NVMe: []cluster.NVMeConfig{{
@@ -26,12 +35,16 @@ func main() {
 			Flash: nvme.FlashParams{JitterNs: 1, TailProb: 1e-12},
 		}},
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	check(r.Run("main", func(p *sim.Proc) error {
+	return r.Run("main", func(p *sim.Proc) error {
 		mgr, err := r.Manager(p, 0, core.ManagerParams{EnableIOMMU: true})
-		check(err)
-		fmt.Printf("manager up with IOMMU domain and %d B of controller memory buffer\n\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "manager up with IOMMU domain and %d B of controller memory buffer\n\n",
 			mgr.CMBBytes())
 
 		type variant struct {
@@ -48,44 +61,55 @@ func main() {
 			}, 2},
 		}
 		for _, v := range variants {
-			cl, err := r.Client(p, v.host, mgr, v.name, v.params)
-			check(err)
-			want := bytes.Repeat([]byte{0xF7}, 4096)
-			check(cl.WriteBlocks(p, 123, 8, want))
-			got := make([]byte, 4096)
-			check(cl.ReadBlocks(p, 123, 8, got))
-			if !bytes.Equal(got, want) {
-				fmt.Fprintln(os.Stderr, "data mismatch for", v.name)
-				os.Exit(1)
+			readLat, writeLat, err := measure(p, r, mgr, v.host, v.name, v.params)
+			if err != nil {
+				return fmt.Errorf("%s: %w", v.name, err)
 			}
-			buf := make([]byte, 4096)
-			start := p.Now()
-			const n = 30
-			for i := 0; i < n; i++ {
-				check(cl.ReadBlocks(p, uint64(i*8), 8, buf))
-			}
-			readLat := float64(p.Now()-start) / n / 1000
-			start = p.Now()
-			for i := 0; i < n; i++ {
-				check(cl.WriteBlocks(p, uint64(i*8), 8, buf))
-			}
-			writeLat := float64(p.Now()-start) / n / 1000
-			fmt.Printf("%-52s  read %6.2f us   write %6.2f us  (verified)\n",
+			fmt.Fprintf(w, "%-52s  read %6.2f us   write %6.2f us  (verified)\n",
 				v.name, readLat, writeLat)
-			check(cl.Close(p))
 		}
-		fmt.Println()
-		fmt.Println("At 4 kB the extensions roughly break even: interrupts cost IRQ latency")
-		fmt.Println("that polling avoids, while zero-copy saves the bounce memcpy and the")
-		fmt.Println("CMB saves the SQE fetch. The wins compound for large transfers")
-		fmt.Println("(see experiment E12) and for CPU efficiency (no poll burn).")
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "At 4 kB the extensions roughly break even: interrupts cost IRQ latency")
+		fmt.Fprintln(w, "that polling avoids, while zero-copy saves the bounce memcpy and the")
+		fmt.Fprintln(w, "CMB saves the SQE fetch. The wins compound for large transfers")
+		fmt.Fprintln(w, "(see experiment E12) and for CPU efficiency (no poll burn).")
 		return nil
-	}))
+	})
 }
 
-func check(err error) {
+// measure attaches a client on host, verifies a write-read round trip
+// and returns its mean 4 kB QD1 read and write latencies in µs.
+func measure(p *sim.Proc, r *cluster.Rig, mgr *core.Manager, host int, name string, params core.ClientParams) (readLat, writeLat float64, err error) {
+	cl, err := r.Client(p, host, mgr, name, params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "futurework:", err)
-		os.Exit(1)
+		return 0, 0, err
 	}
+	want := bytes.Repeat([]byte{0xF7}, 4096)
+	if err := cl.WriteBlocks(p, 123, 8, want); err != nil {
+		return 0, 0, err
+	}
+	got := make([]byte, 4096)
+	if err := cl.ReadBlocks(p, 123, 8, got); err != nil {
+		return 0, 0, err
+	}
+	if !bytes.Equal(got, want) {
+		return 0, 0, fmt.Errorf("data mismatch")
+	}
+	const n = 30
+	buf := make([]byte, 4096)
+	start := p.Now()
+	for i := 0; i < n; i++ {
+		if err := cl.ReadBlocks(p, uint64(i*8), 8, buf); err != nil {
+			return 0, 0, err
+		}
+	}
+	readLat = float64(p.Now()-start) / n / 1000
+	start = p.Now()
+	for i := 0; i < n; i++ {
+		if err := cl.WriteBlocks(p, uint64(i*8), 8, buf); err != nil {
+			return 0, 0, err
+		}
+	}
+	writeLat = float64(p.Now()-start) / n / 1000
+	return readLat, writeLat, cl.Close(p)
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cluster"
@@ -16,6 +18,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+// run performs the round trip and prints what it saw to w.
+func run(w io.Writer) error {
 	// 1. Build a two-host PCIe cluster (NTB adapters + cluster switch)
 	//    and plug an Optane-class NVMe device into host 0.
 	// 2. Register the device with the SmartIO service: its BAR becomes a
@@ -24,14 +34,18 @@ func main() {
 		Cluster: cluster.Config{Hosts: 2},
 		NVMe:    []cluster.NVMeConfig{{}},
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	check(r.Run("main", func(p *sim.Proc) error {
+	return r.Run("main", func(p *sim.Proc) error {
 		// 3. The manager (on the device host) initializes the controller
 		//    and publishes the metadata segment.
 		mgr, err := r.Manager(p, 0, core.ManagerParams{})
-		check(err)
-		fmt.Printf("manager up: %s, %d I/O queue pairs available\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "manager up: %s, %d I/O queue pairs available\n",
 			mgr.Metadata().Serial, mgr.Metadata().MaxQueues)
 
 		// 4. A client on host 1 bootstraps from the metadata segment and
@@ -39,34 +53,34 @@ func main() {
 		//    device-host memory (Fig. 8 placement), its completion queue
 		//    stays local for polling.
 		cl, err := r.Client(p, 1, mgr, "dnvme1", core.ClientParams{})
-		check(err)
-		fmt.Printf("client on host 1: queue pair %d, SQ placement %s\n", cl.QID(), cl.Placement())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "client on host 1: queue pair %d, SQ placement %s\n", cl.QID(), cl.Placement())
 
 		// 5. Block I/O straight to the remote device.
 		want := bytes.Repeat([]byte("shared-nvme!"), 342)[:4096]
-		check(cl.WriteBlocks(p, 2048, 8, want))
-		got := make([]byte, 4096)
-		check(cl.ReadBlocks(p, 2048, 8, got))
-		if !bytes.Equal(got, want) {
-			fmt.Fprintln(os.Stderr, "data mismatch!")
-			os.Exit(1)
+		if err := cl.WriteBlocks(p, 2048, 8, want); err != nil {
+			return err
 		}
-		fmt.Println("wrote and read back 4 kB through the shared controller — data verified")
+		got := make([]byte, 4096)
+		if err := cl.ReadBlocks(p, 2048, 8, got); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return errors.New("data mismatch")
+		}
+		fmt.Fprintln(w, "wrote and read back 4 kB through the shared controller — data verified")
 
 		// 6. Measure the QD1 latency over 50 reads.
 		start := p.Now()
 		for i := 0; i < 50; i++ {
-			check(cl.ReadBlocks(p, uint64(i*8), 8, got))
+			if err := cl.ReadBlocks(p, uint64(i*8), 8, got); err != nil {
+				return err
+			}
 		}
-		fmt.Printf("remote 4 kB QD1 read latency: %.2f us average\n",
+		fmt.Fprintf(w, "remote 4 kB QD1 read latency: %.2f us average\n",
 			float64(p.Now()-start)/50/1000)
 		return nil
-	}))
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quickstart:", err)
-		os.Exit(1)
-	}
+	})
 }

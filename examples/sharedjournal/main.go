@@ -7,7 +7,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/block"
@@ -24,84 +26,125 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "sharedjournal:", err)
+		os.Exit(1)
+	}
+}
+
+// run formats the device, appends every writer's records, audits them
+// and prints each step to w.
+func run(w io.Writer) error {
 	r, err := cluster.NewRig(cluster.RigConfig{
 		Cluster: cluster.Config{Hosts: writers + 2, AdapterWindows: 512},
 		NVMe:    []cluster.NVMeConfig{{}},
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	check(r.Run("main", func(p *sim.Proc) error {
+	err = r.Run("main", func(p *sim.Proc) error {
 		mgr, err := r.Manager(p, 0, core.ManagerParams{})
-		check(err)
+		if err != nil {
+			return err
+		}
 
-		newQueue := func(host int) *block.Queue {
+		newQueue := func(host int) (*block.Queue, error) {
 			cl, err := r.Client(p, host, mgr, fmt.Sprintf("dnvme%d", host), core.ClientParams{})
-			check(err)
-			return block.NewQueue(cl)
+			if err != nil {
+				return nil, err
+			}
+			return block.NewQueue(cl), nil
 		}
 
 		// Host 1 formats the shared device.
-		fmtQ := newQueue(1)
-		check(shareddisk.Format(p, fmtQ, writers, extentBlocks))
-		fmt.Printf("formatted shared journal: %d hosts x %d blocks\n", writers, extentBlocks)
+		fmtQ, err := newQueue(1)
+		if err != nil {
+			return err
+		}
+		if err := shareddisk.Format(p, fmtQ, writers, extentBlocks); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "formatted shared journal: %d hosts x %d blocks\n", writers, extentBlocks)
 
 		// Writers on hosts 1..writers (host 1 reuses its queue).
 		queues := map[int]*block.Queue{1: fmtQ}
 		done := make([]*sim.Event, 0, writers)
-		for w := 0; w < writers; w++ {
-			host := w + 1
+		errs := make([]error, writers)
+		for idx := 0; idx < writers; idx++ {
+			host := idx + 1
 			if _, ok := queues[host]; !ok {
-				queues[host] = newQueue(host)
+				if queues[host], err = newQueue(host); err != nil {
+					return err
+				}
 			}
 			q := queues[host]
-			idx := w
 			fin := sim.NewEvent(r.K)
 			done = append(done, fin)
 			r.Go(fmt.Sprintf("writer%d", idx), func(wp *sim.Proc) {
 				defer fin.Trigger(nil)
-				j, err := shareddisk.Open(wp, q, idx)
-				check(err)
-				for k := 0; k < recsPerHost; k++ {
-					check(j.Append(wp, []byte(fmt.Sprintf("event host=%d seq=%d", idx, k))))
+				errs[idx] = appendRecords(wp, q, idx)
+				if errs[idx] == nil {
+					fmt.Fprintf(w, "host %d appended %d records to extent %d\n", host, recsPerHost, idx)
 				}
-				fmt.Printf("host %d appended %d records to extent %d\n", host, recsPerHost, idx)
 			})
 		}
 		for _, fin := range done {
 			p.Wait(fin)
 		}
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
 
 		// A separate auditor host reads everything back.
-		auditQ := newQueue(writers + 1)
+		auditQ, err := newQueue(writers + 1)
+		if err != nil {
+			return err
+		}
 		j, err := shareddisk.Open(p, auditQ, 0)
-		check(err)
+		if err != nil {
+			return err
+		}
 		total := 0
-		for w := 0; w < writers; w++ {
-			recs, err := j.ReadAll(p, w)
-			check(err)
+		for idx := 0; idx < writers; idx++ {
+			recs, err := j.ReadAll(p, idx)
+			if err != nil {
+				return err
+			}
 			for k, rec := range recs {
-				want := fmt.Sprintf("event host=%d seq=%d", w, k)
-				if string(rec) != want {
-					fmt.Fprintf(os.Stderr, "corrupt record %d/%d: %q\n", w, k, rec)
-					os.Exit(1)
+				if want := record(idx, k); string(rec) != want {
+					return fmt.Errorf("corrupt record %d/%d: %q", idx, k, rec)
 				}
 			}
 			total += len(recs)
 		}
-		fmt.Printf("auditor on host %d verified %d records across %d journals (checksums OK)\n",
+		fmt.Fprintf(w, "auditor on host %d verified %d records across %d journals (checksums OK)\n",
 			writers+1, total, writers)
 		if total != writers*recsPerHost {
-			fmt.Fprintf(os.Stderr, "expected %d records\n", writers*recsPerHost)
-			os.Exit(1)
+			return fmt.Errorf("expected %d records", writers*recsPerHost)
 		}
 		return nil
-	}))
-	fmt.Println("shared-disk semantics verified over one single-function NVMe device")
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "shared-disk semantics verified over one single-function NVMe device")
+	return nil
 }
 
-func check(err error) {
+// appendRecords appends writer idx's records to its own journal extent.
+func appendRecords(p *sim.Proc, q *block.Queue, idx int) error {
+	j, err := shareddisk.Open(p, q, idx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sharedjournal:", err)
-		os.Exit(1)
+		return err
 	}
+	for k := 0; k < recsPerHost; k++ {
+		if err := j.Append(p, []byte(record(idx, k))); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// record is writer idx's k-th journal record.
+func record(idx, k int) string { return fmt.Sprintf("event host=%d seq=%d", idx, k) }

@@ -20,16 +20,15 @@
 // Engine folds every arrival into an FNV-1a digest so tests can assert
 // identity across GOMAXPROCS settings.
 //
-// Three arrival processes cover the workload taxonomy used in the
+// Two arrival processes cover the workload taxonomy used in the
 // evaluation:
 //
 //   - Poisson: memoryless arrivals at a constant mean rate.
 //   - MMPP: a two-state Markov-modulated process (exponential on/off
 //     dwell times) that emits Poisson arrivals only while "on" — the
 //     classic bursty-tenant model.
-//   - Diurnal: a piecewise-constant rate trace cycled phase by phase;
-//     exponential memorylessness makes resampling at each phase
-//     boundary an exact simulation of the inhomogeneous process.
+//
+// Every request is requestBlocks long.
 package arrival
 
 import (
@@ -50,10 +49,10 @@ const (
 	// arrivals at RateHz while on, silence while off, with
 	// exponentially distributed dwell times OnMeanNs / OffMeanNs.
 	MMPP
-	// Diurnal cycles through Trace as per-phase multipliers of RateHz,
-	// each phase lasting PhaseNs.
-	Diurnal
 )
+
+// requestBlocks is the length of every request in blocks.
+const requestBlocks = 1
 
 func (k Kind) String() string {
 	switch k {
@@ -61,8 +60,6 @@ func (k Kind) String() string {
 		return "poisson"
 	case MMPP:
 		return "mmpp"
-	case Diurnal:
-		return "diurnal"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -71,19 +68,12 @@ func (k Kind) String() string {
 type TenantSpec struct {
 	Name   string
 	Kind   Kind
-	RateHz float64 // mean arrival rate (on-state rate for MMPP, base rate for Diurnal)
+	RateHz float64 // mean arrival rate (on-state rate for MMPP)
 
-	// MMPP dwell times (ignored for other kinds).
+	// MMPP dwell times (ignored for Poisson).
 	OnMeanNs  int64
 	OffMeanNs int64
 
-	// Diurnal rate trace: multipliers of RateHz, cycled, PhaseNs each
-	// (ignored for other kinds). A zero multiplier silences the phase.
-	Trace   []float64
-	PhaseNs int64
-
-	// Request shape.
-	Blocks   int     // blocks per request (default 1)
 	ReadFrac float64 // fraction of requests that are reads (0 = all writes)
 
 	// MaxOutstanding bounds the tenant's in-flight requests. An arrival
@@ -165,21 +155,8 @@ func New(cfg Config) (*Engine, error) {
 		if s.RateHz <= 0 {
 			return nil, fmt.Errorf("arrival: tenant %d (%s): RateHz must be positive", i, s.Name)
 		}
-		if s.Blocks <= 0 {
-			s.Blocks = 1
-		}
-		if uint64(s.Blocks) > cfg.SpanBlocks {
-			return nil, fmt.Errorf("arrival: tenant %d (%s): Blocks %d exceeds SpanBlocks %d", i, s.Name, s.Blocks, cfg.SpanBlocks)
-		}
-		switch s.Kind {
-		case MMPP:
-			if s.OnMeanNs <= 0 || s.OffMeanNs <= 0 {
-				return nil, fmt.Errorf("arrival: tenant %d (%s): MMPP needs positive On/OffMeanNs", i, s.Name)
-			}
-		case Diurnal:
-			if len(s.Trace) == 0 || s.PhaseNs <= 0 {
-				return nil, fmt.Errorf("arrival: tenant %d (%s): Diurnal needs Trace and PhaseNs", i, s.Name)
-			}
+		if s.Kind == MMPP && (s.OnMeanNs <= 0 || s.OffMeanNs <= 0) {
+			return nil, fmt.Errorf("arrival: tenant %d (%s): MMPP needs positive On/OffMeanNs", i, s.Name)
 		}
 		// Golden-ratio gamma spaces per-tenant streams so tenant i's
 		// draws never alias tenant j's regardless of draw counts.
@@ -228,9 +205,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // fire dispatches one arrival for tenant i.
 func (e *Engine) fire(p *sim.Proc, i int, t *tenantState) {
 	read := t.u01() < t.spec.ReadFrac
-	nblk := t.spec.Blocks
-	lba := splitmix(&t.rng) % (e.cfg.SpanBlocks - uint64(nblk) + 1)
-	e.mix(uint64(i), uint64(t.next), lba, uint64(nblk), boolWord(read))
+	lba := splitmix(&t.rng) % (e.cfg.SpanBlocks - requestBlocks + 1)
+	e.mix(uint64(i), uint64(t.next), lba, requestBlocks, boolWord(read))
 	if t.spec.MaxOutstanding > 0 && t.outstanding >= t.spec.MaxOutstanding {
 		t.stats.Dropped++
 		return
@@ -241,7 +217,7 @@ func (e *Engine) fire(p *sim.Proc, i int, t *tenantState) {
 	name := fmt.Sprintf("arrival/t%d-%d", i, e.seq)
 	p.Kernel().Spawn(name, func(wp *sim.Proc) {
 		start := wp.Now()
-		err := e.cfg.Submit(wp, i, read, lba, nblk)
+		err := e.cfg.Submit(wp, i, read, lba, requestBlocks)
 		t.outstanding--
 		switch {
 		case err == nil:
@@ -276,25 +252,6 @@ func (e *Engine) nextArrival(t *tenantState, at sim.Time) sim.Time {
 			}
 			cur = t.phaseEnd + t.expNs(float64(t.spec.OffMeanNs))
 			t.phaseEnd = cur + t.expNs(float64(t.spec.OnMeanNs))
-		}
-	case Diurnal:
-		// Piecewise-constant rate: resampling a fresh exponential at
-		// each phase boundary is exact by memorylessness.
-		cur := at
-		for {
-			elapsed := cur - e.started
-			idx := int(elapsed/t.spec.PhaseNs) % len(t.spec.Trace)
-			boundary := e.started + (elapsed/t.spec.PhaseNs+1)*t.spec.PhaseNs
-			mult := t.spec.Trace[idx]
-			if mult <= 0 {
-				cur = boundary
-				continue
-			}
-			gap := t.expNs(meanGap / mult)
-			if cur+gap <= boundary {
-				return cur + gap
-			}
-			cur = boundary
 		}
 	default: // Poisson
 		return at + t.expNs(meanGap)

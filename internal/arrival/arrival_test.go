@@ -48,11 +48,6 @@ func mixedTenants() []TenantSpec {
 		OnMeanNs: int64(2 * sim.Millisecond), OffMeanNs: int64(8 * sim.Millisecond),
 		MaxOutstanding: 8,
 	})...)
-	specs = append(specs, Fleet(40, TenantSpec{
-		Name: "diurnal", Kind: Diurnal, RateHz: 4000, ReadFrac: 1.0,
-		Trace: []float64{0.2, 1.0, 2.0, 1.0}, PhaseNs: int64(10 * sim.Millisecond),
-		MaxOutstanding: 4,
-	})...)
 	return specs
 }
 

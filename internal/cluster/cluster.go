@@ -32,6 +32,16 @@ const (
 	NVMeBARSize = 0x8000
 )
 
+// hostMemBytes is each host's DRAM. Only the pages a run writes are
+// backed, so an unused size costs nothing.
+const hostMemBytes = 64 << 20
+
+// The namespace every attached controller serves: 4 GiB of 512 B blocks.
+const (
+	nsBlockSize = 512
+	nsBlocks    = (4 << 30) / nsBlockSize
+)
+
 // DefaultCrossNs is the calibrated cluster-switch+LUT crossing cost per
 // direction (Config.CrossNs zero value) — the paper's "each switch chip
 // adds 100–150 ns" figure.
@@ -41,9 +51,6 @@ const DefaultCrossNs int64 = 125
 type Config struct {
 	// Hosts is the number of hosts (≥ 1).
 	Hosts int
-	// MemBytes is per-host DRAM (default 64 MiB). Only the pages a run
-	// writes are backed, so an unused size costs nothing.
-	MemBytes uint64
 	// Link is the fabric cost model (defaults applied per pcie).
 	Link pcie.LinkParams
 	// CrossNs is the cluster-switch+LUT crossing cost per direction.
@@ -57,9 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Hosts == 0 {
 		c.Hosts = 2
-	}
-	if c.MemBytes == 0 {
-		c.MemBytes = 64 << 20
 	}
 	if c.CrossNs == 0 {
 		c.CrossNs = DefaultCrossNs // the cluster switch chip traversal
@@ -114,7 +118,7 @@ func (c *Cluster) addHost(i int) (*Host, error) {
 	if err := d.Connect(sw, nep); err != nil {
 		return nil, err
 	}
-	mem := memory.New(DRAMBase, c.cfg.MemBytes)
+	mem := memory.New(DRAMBase, hostMemBytes)
 	port, err := pcie.NewHostPort(d, rc, mem)
 	if err != nil {
 		return nil, err
@@ -143,15 +147,19 @@ func (c *Cluster) addHost(i int) (*Host, error) {
 
 // NVMeConfig parameterizes an attached controller.
 type NVMeConfig struct {
-	// BlockSize and Blocks define the namespace (defaults 512 B, 4 GiB).
-	BlockSize int
-	Blocks    uint64
-	Flash     nvme.FlashParams
-	Ctrl      nvme.Params
-	Seed      int64
+	Flash nvme.FlashParams
+	Ctrl  nvme.Params
+	Seed  int64
 	// ExtraSwitches inserts switch chips between the root complex and the
 	// device, for hop-scaling experiments.
 	ExtraSwitches int
+}
+
+func (nc NVMeConfig) withDefaults() NVMeConfig {
+	if nc.Seed == 0 {
+		nc.Seed = 0x5EED
+	}
+	return nc
 }
 
 // AttachNVMe plugs a controller into host hostIdx and returns it.
@@ -159,15 +167,7 @@ func (c *Cluster) AttachNVMe(hostIdx int, cfg NVMeConfig) (*nvme.Controller, err
 	if hostIdx < 0 || hostIdx >= len(c.Hosts) {
 		return nil, fmt.Errorf("cluster: no host %d", hostIdx)
 	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
-	if cfg.Blocks == 0 {
-		cfg.Blocks = (4 << 30) / uint64(cfg.BlockSize)
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0x5EED
-	}
+	cfg = cfg.withDefaults()
 	h := c.Hosts[hostIdx]
 	prev := h.RC
 	for i := 0; i < cfg.ExtraSwitches; i++ {
@@ -181,7 +181,7 @@ func (c *Cluster) AttachNVMe(hostIdx int, cfg NVMeConfig) (*nvme.Controller, err
 	if err := h.Dom.Connect(prev, ep); err != nil {
 		return nil, err
 	}
-	med := nvme.NewFlashMedium(c.K, cfg.BlockSize, cfg.Blocks, cfg.Flash, cfg.Seed)
+	med := nvme.NewFlashMedium(c.K, nsBlockSize, nsBlocks, cfg.Flash, cfg.Seed)
 	ctrl, err := nvme.New(fmt.Sprintf("nvme@host%d", hostIdx), h.Dom, ep,
 		pcie.Range{Base: NVMeBARBase, Size: NVMeBARSize}, med, cfg.Ctrl)
 	if err != nil {

@@ -36,24 +36,6 @@ func TestExtensionsThroughFullStack(t *testing.T) {
 	}
 }
 
-// TestSequentialWorkloadAcrossScenarios runs sequential read/write jobs
-// (beyond the paper's random-only evaluation) through every stack.
-func TestSequentialWorkloadAcrossScenarios(t *testing.T) {
-	for _, s := range Scenarios() {
-		for _, op := range []fio.Op{fio.SeqWrite, fio.SeqRead} {
-			res, err := RunJob(s, ScenarioConfig{}, fio.JobSpec{
-				Name: string(s), Op: op, MaxIOs: 100, RangeBlocks: 1 << 12, Seed: 2,
-			})
-			if err != nil {
-				t.Fatalf("%s %s: %v", s, op, err)
-			}
-			if res.Errors != 0 || res.IOs != 100 {
-				t.Fatalf("%s %s: ios=%d errors=%d", s, op, res.IOs, res.Errors)
-			}
-		}
-	}
-}
-
 // TestTailWhiskerShape: Figure 10's whiskers (min..p99) sit clearly below
 // occasional tail events (max), reproducing the boxplot geometry the
 // Optane's tight-but-tailed distribution produces.

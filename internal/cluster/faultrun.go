@@ -55,8 +55,6 @@ type FaultRunConfig struct {
 	// doorbells, dropped CQEs) on top of the explicit crash/restart.
 	Noise fault.PlanSpec
 
-	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 }
@@ -153,9 +151,7 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 	if cfg.Hosts < 2 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: fault scenario needs 2..31 client hosts, got %d", cfg.Hosts)
 	}
-	cc := cfg.Cluster
-	cc.Hosts = cfg.Hosts + 1
-	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+	r, err := NewRig(RigConfig{Cluster: Config{Hosts: cfg.Hosts + 1}, NVMe: []NVMeConfig{{}},
 		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err

@@ -130,28 +130,20 @@ func WireClientMetrics(reg *trace.Registry, cl *core.Client, host int) {
 	cl.SetLatencyHist(reg.Histogram("host.latency", hl).Hist())
 }
 
-// WireHostDriverMetrics registers the stock driver's per-queue counters
+// WireHostDriverMetrics registers the stock driver's queue counters
 // and its host.* fairness input.
 func WireHostDriverMetrics(reg *trace.Registry, drv *hostdriver.Driver, host int) {
 	hl := trace.L("host", host)
-	for _, qs := range drv.QueueStats() {
-		qid := qs.QID
-		labels := []trace.Label{hl, trace.L("qid", qid)}
-		reg.GaugeFunc("hostdriver.queue.submitted", func() float64 { return float64(drv.QueueStat(qid).Submitted) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.completed", func() float64 { return float64(drv.QueueStat(qid).Completed) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.sq_doorbells", func() float64 { return float64(drv.QueueStat(qid).SQDoorbells) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.sq_doorbells_saved", func() float64 { return float64(drv.QueueStat(qid).SQDoorbellsSaved) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.cq_doorbells", func() float64 { return float64(drv.QueueStat(qid).CQDoorbells) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.cq_rings_saved", func() float64 { return float64(drv.QueueStat(qid).CQRingsSaved) }, labels...)
-		reg.GaugeFunc("hostdriver.queue.inflight", func() float64 { return float64(drv.QueueStat(qid).Inflight) }, labels...)
-	}
-	reg.GaugeFunc("host.ios_completed", func() float64 {
-		var n uint64
-		for _, qs := range drv.QueueStats() {
-			n += qs.Completed
-		}
-		return float64(n)
-	}, hl)
+	qs := drv.QueueStats
+	labels := []trace.Label{hl, trace.L("qid", qs().QID)}
+	reg.GaugeFunc("hostdriver.queue.submitted", func() float64 { return float64(qs().Submitted) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.completed", func() float64 { return float64(qs().Completed) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.sq_doorbells", func() float64 { return float64(qs().SQDoorbells) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.sq_doorbells_saved", func() float64 { return float64(qs().SQDoorbellsSaved) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.cq_doorbells", func() float64 { return float64(qs().CQDoorbells) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.cq_rings_saved", func() float64 { return float64(qs().CQRingsSaved) }, labels...)
+	reg.GaugeFunc("hostdriver.queue.inflight", func() float64 { return float64(qs().Inflight) }, labels...)
+	reg.GaugeFunc("host.ios_completed", func() float64 { return float64(qs().Completed) }, hl)
 }
 
 // clientHost returns the host index the scenario's client stack runs on.

@@ -35,9 +35,6 @@ type MultiHostConfig struct {
 	Op fio.Op
 	// NVMe configures the shared controller.
 	NVMe NVMeConfig
-	// Cluster overrides fabric parameters (Hosts is set from the field
-	// above).
-	Cluster Config
 	// Client tunes each client (queue depth and partition size get
 	// workable defaults when zero).
 	Client core.ClientParams
@@ -128,8 +125,7 @@ func RunMultiHost(cfg MultiHostConfig) (*MultiHostResult, error) {
 	if cfg.Hosts < 1 || cfg.Hosts > 31 {
 		return nil, fmt.Errorf("cluster: multihost needs 1..31 client hosts, got %d", cfg.Hosts)
 	}
-	cc := cfg.Cluster
-	cc.Hosts = cfg.Hosts + 1
+	cc := Config{Hosts: cfg.Hosts + 1}
 	if cfg.LocalBaseline {
 		cc.Hosts++
 	}

@@ -108,7 +108,7 @@ func TestOverlayMaterializesDefaults(t *testing.T) {
 		t.Errorf("ReadBaseNs = %d, want %d", got, want)
 	}
 	// Jitter and tail keep the baseline draws on purpose.
-	if nc.Flash.JitterNs != 0 || nc.Flash.TailNs != 0 {
+	if nc.Flash.JitterNs != 0 || nc.Flash.TailProb != 0 {
 		t.Errorf("jitter/tail scaled: %+v", nc.Flash)
 	}
 	if got, want := cp.SubmitOverheadNs, ScaleNs(dcl.SubmitOverheadNs, 0.5); got != want {

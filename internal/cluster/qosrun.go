@@ -60,6 +60,8 @@ const (
 	// windows before a class counts as failing: one bad window in ten is
 	// noise, more is interference.
 	qosViolationBudget = 0.10
+	// qosSpanBlocks is the LBA range every tenant draws from.
+	qosSpanBlocks = 1 << 16
 )
 
 // QoSRunConfig parameterizes RunQoSScenario.
@@ -80,7 +82,6 @@ type QoSRunConfig struct {
 	Seed uint64
 
 	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 	Tracer   *trace.Tracer
@@ -259,9 +260,7 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 		return nil, err
 	}
 
-	cc := cfg.Cluster
-	cc.Hosts = len(classes) + 1
-	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
+	r, err := NewRig(RigConfig{Cluster: Config{Hosts: len(classes) + 1}, NVMe: []NVMeConfig{cfg.NVMe},
 		Registry: cfg.Registry, Pipeline: cfg.Pipeline, tracer: cfg.Tracer})
 	if err != nil {
 		return nil, err
@@ -323,17 +322,10 @@ func RunQoSScenario(cfg QoSRunConfig) (*QoSRunResult, error) {
 			}
 
 			bs := cl.BlockSize()
-			span := cfg.NVMe.Blocks
-			if span == 0 {
-				span = (4 << 30) / uint64(bs)
-			}
-			if span > 1<<16 {
-				span = 1 << 16
-			}
 			eng, err := arrival.New(arrival.Config{
 				Seed:       cfg.Seed + uint64(ci)*0x9E37,
 				Tenants:    qc.specs,
-				SpanBlocks: span,
+				SpanBlocks: qosSpanBlocks,
 				Shed:       core.ErrShed,
 				Submit: func(wp *sim.Proc, tenant int, read bool, lba uint64, nblk int) error {
 					buf := make([]byte, nblk*bs)

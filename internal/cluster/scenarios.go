@@ -43,8 +43,6 @@ func Scenarios() []Scenario {
 type ScenarioConfig struct {
 	// NVMe configures the shared controller and medium.
 	NVMe NVMeConfig
-	// Cluster overrides fabric parameters (Hosts is set per scenario).
-	Cluster Config
 	// Client tunes the distributed driver's client (ours-* scenarios).
 	Client core.ClientParams
 	// Manager tunes the distributed driver's manager (ours-* scenarios).
@@ -92,7 +90,7 @@ func Build(s Scenario, cfg ScenarioConfig) (*Cluster, *nvme.Controller, error) {
 // buildRig is Build keeping the rig, whose registered device the ours-*
 // scenarios bring up.
 func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
-	cc := cfg.Cluster
+	cc := Config{AdapterWindows: 256}
 	switch s {
 	case LinuxLocal, OursLocal:
 		cc.Hosts = 1
@@ -100,9 +98,6 @@ func buildRig(s Scenario, cfg ScenarioConfig) (*Rig, error) {
 		cc.Hosts = 2
 	default:
 		return nil, fmt.Errorf("cluster: unknown scenario %q", s)
-	}
-	if cc.AdapterWindows == 0 {
-		cc.AdapterWindows = 256
 	}
 	return NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{cfg.NVMe},
 		tracer: cfg.Tracer, overlay: cfg.Overlay})

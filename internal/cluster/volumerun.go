@@ -44,11 +44,10 @@ type VolumeRunConfig struct {
 	IOsPerWorker int
 	// QueueDepth is each path client's queue depth (default 8).
 	QueueDepth int
-	// Seed drives the two devices' medium calibration.
+	// Seed drives the two devices' medium calibration: device A's medium
+	// is seeded Seed+1 and B's Seed+2.
 	Seed int64
 
-	NVMe     NVMeConfig
-	Cluster  Config
 	Registry *trace.Registry
 	Pipeline *telemetry.Pipeline
 }
@@ -156,17 +155,8 @@ func volumePattern(buf []byte, lba uint64, gen int) {
 //     against a reference image — zero lost writes.
 func RunVolumeScenario(cfg VolumeRunConfig) (*VolumeRunResult, error) {
 	cfg = cfg.withDefaults()
-	cc := cfg.Cluster
-	cc.Hosts = 3
-	nvA := cfg.NVMe
-	if nvA.Seed == 0 {
-		nvA.Seed = cfg.Seed + 1
-	}
-	nvB := cfg.NVMe
-	if nvB.Seed == 0 {
-		nvB.Seed = cfg.Seed + 2
-	}
-	r, err := NewRig(RigConfig{Cluster: cc, NVMe: []NVMeConfig{nvA, nvB},
+	r, err := NewRig(RigConfig{Cluster: Config{Hosts: 3},
+		NVMe:     []NVMeConfig{{Seed: cfg.Seed + 1}, {Seed: cfg.Seed + 2}},
 		Registry: cfg.Registry, Pipeline: cfg.Pipeline})
 	if err != nil {
 		return nil, err

@@ -101,11 +101,9 @@ type ClientParams struct {
 	// failure is transient (timeout, lost doorbell, link flap). Each
 	// retry resubmits with a fresh CID and a fresh bounce slot — the
 	// failed attempt's slot may still be quarantined awaiting its late
-	// completion. 0 (the default) preserves fail-fast behavior.
+	// completion. 0 (the default) preserves fail-fast behavior. The
+	// first retry waits retryBackoffNs, doubling per attempt.
 	MaxRetries int
-	// RetryBackoffNs is the first retry's delay; it doubles per attempt
-	// (default 100 µs).
-	RetryBackoffNs int64
 	// AbortOnTimeout makes the client ask the manager to issue an NVMe
 	// Abort for each timed-out CID, as the kernel driver's timeout
 	// handler does. The simulated controller runs commands to completion,
@@ -143,6 +141,9 @@ const (
 	IRQEntryNs = 1100
 )
 
+// retryBackoffNs is the first retry's delay; it doubles per attempt.
+const retryBackoffNs = 100 * sim.Microsecond
+
 // DefaultClientParams returns the §V proof-of-concept calibration.
 func DefaultClientParams() ClientParams {
 	return ClientParams{
@@ -170,9 +171,6 @@ func (cp ClientParams) withDefaults() ClientParams {
 	}
 	if cp.IOTimeoutNs == 0 {
 		cp.IOTimeoutNs = 10 * sim.Second
-	}
-	if cp.RetryBackoffNs == 0 {
-		cp.RetryBackoffNs = 100 * sim.Microsecond
 	}
 	return cp
 }
@@ -622,7 +620,7 @@ func (c *Client) io(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf []byte,
 	if uint64(n) > c.params.PartitionBytes {
 		return ErrTransferTooLarge
 	}
-	backoff := c.params.RetryBackoffNs
+	backoff := retryBackoffNs
 	for attempt := 0; ; attempt++ {
 		err := c.ioAttempt(p, opcode, lba, nblk, buf, tenant)
 		if err == nil || attempt >= c.params.MaxRetries ||

@@ -85,7 +85,6 @@ func TestRetryAfterDroppedDoorbell(t *testing.T) {
 				QueueDepth:     3,
 				IOTimeoutNs:    50 * sim.Microsecond,
 				MaxRetries:     2,
-				RetryBackoffNs: 10 * sim.Microsecond,
 				AbortOnTimeout: true,
 			})
 		if err != nil {

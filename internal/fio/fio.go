@@ -23,9 +23,10 @@ const (
 	RandRead Op = iota
 	RandWrite
 	RandRW
-	SeqRead
-	SeqWrite
 )
+
+// readPct is RandRW's read percentage.
+const readPct = 50
 
 func (o Op) String() string {
 	switch o {
@@ -35,16 +36,9 @@ func (o Op) String() string {
 		return "randwrite"
 	case RandRW:
 		return "randrw"
-	case SeqRead:
-		return "read"
-	case SeqWrite:
-		return "write"
 	}
 	return "unknown"
 }
-
-// sequential reports whether offsets advance linearly.
-func (o Op) sequential() bool { return o == SeqRead || o == SeqWrite }
 
 // ErrBadSpec reports an invalid job specification.
 var ErrBadSpec = errors.New("fio: bad job spec")
@@ -66,8 +60,6 @@ type JobSpec struct {
 	// RangeBlocks restricts offsets to the first N device blocks
 	// (0 = whole device).
 	RangeBlocks uint64
-	// ReadPct is the read percentage for RandRW (default 50).
-	ReadPct int
 	// Seed makes the job deterministic: it seeds each worker's offsets,
 	// ops and write buffers, and the prefill's buffers. A buffer holds
 	// the bytes math/rand's Read writes for the same draws, so what a job
@@ -90,9 +82,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	}
 	if s.Runtime == 0 {
 		s.Runtime = 60 * sim.Second
-	}
-	if s.ReadPct == 0 {
-		s.ReadPct = 50
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -175,7 +164,6 @@ func Run(p *sim.Proc, q *block.Queue, spec JobSpec) (*Result, error) {
 	deadline := p.Now() + spec.Runtime
 	issued := 0
 	warmLeft := spec.WarmupIOs
-	var seqCursor uint64 // shared among workers for sequential jobs
 	start := p.Now()
 	var done []*sim.Event
 	for w := 0; w < spec.QueueDepth; w++ {
@@ -199,19 +187,13 @@ func Run(p *sim.Proc, q *block.Queue, spec JobSpec) (*Result, error) {
 					warmLeft--
 					warm = true
 				}
-				var lba uint64
-				if spec.Op.sequential() {
-					lba = (seqCursor % slots) * uint64(nblk)
-					seqCursor++
-				} else {
-					lba = uint64(rng.Int63n(int64(slots))) * uint64(nblk)
-				}
+				lba := uint64(rng.Int63n(int64(slots))) * uint64(nblk)
 				op := block.OpRead
 				switch spec.Op {
-				case RandWrite, SeqWrite:
+				case RandWrite:
 					op = block.OpWrite
 				case RandRW:
-					if rng.Intn(100) >= spec.ReadPct {
+					if rng.Intn(100) >= readPct {
 						op = block.OpWrite
 					}
 				}

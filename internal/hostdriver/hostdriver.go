@@ -1,7 +1,7 @@
 // Package hostdriver is the "stock Linux NVMe driver" baseline of the
 // paper's evaluation (Fig. 9a, local case): an optimized local driver
-// with interrupt-driven completion, per-queue command contexts with
-// preallocated DMA pages (no bounce copies), and multiple I/O queues.
+// with interrupt-driven completion and command contexts with
+// preallocated DMA pages (no bounce copies) on one I/O queue pair.
 // It registers as a block.Device.
 package hostdriver
 
@@ -21,8 +21,6 @@ type Params struct {
 	SubmitNs int64
 	// ISRNs is per-completion handler cost.
 	ISRNs int64
-	// Queues is the number of I/O queue pairs to create.
-	Queues int
 	// QueueDepth is entries per queue.
 	QueueDepth int
 	// MaxPages bounds the transfer size per command: each command
@@ -43,7 +41,6 @@ func DefaultParams() Params {
 	return Params{
 		SubmitNs:   300,
 		ISRNs:      250,
-		Queues:     1,
 		QueueDepth: 256,
 		MaxPages:   32,
 	}
@@ -56,9 +53,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.ISRNs == 0 {
 		p.ISRNs = d.ISRNs
-	}
-	if p.Queues == 0 {
-		p.Queues = d.Queues
 	}
 	if p.QueueDepth == 0 {
 		p.QueueDepth = d.QueueDepth
@@ -108,13 +102,13 @@ type ioQueue struct {
 	free *sim.Semaphore
 	drv  *Driver
 	id   uint16
-	// submitted and completed count commands through this queue, for
+	// submitted and completed count commands through the queue, for
 	// per-queue telemetry attribution.
 	submitted uint64
 	completed uint64
 }
 
-// QueueStats are one I/O queue's driver-side counters: command traffic
+// QueueStats are the I/O queue's driver-side counters: command traffic
 // plus the doorbell/coalescing counters of its QueueView.
 type QueueStats struct {
 	QID       uint16
@@ -138,14 +132,13 @@ type Driver struct {
 	admin  *nvme.AdminClient
 	ns     nvme.IdentifyNamespace
 	ident  nvme.IdentifyController
-	queues []*ioQueue
-	rr     int
+	q      *ioQueue
 }
 
 // New initializes the controller at barBase (in host's domain) and brings
-// up I/O queues with MSI-X interrupts. ctrl is needed only to program MSI
-// vectors (the driver writes the MSI-X table through config space on real
-// hardware; the model sets it directly).
+// up I/O queue pair 1 with an MSI-X interrupt. ctrl is needed only to
+// program MSI vectors (the driver writes the MSI-X table through config
+// space on real hardware; the model sets it directly).
 func New(p *sim.Proc, name string, host *pcie.HostPort, barBase pcie.Addr, ctrl *nvme.Controller, params Params) (*Driver, error) {
 	params = params.withDefaults()
 	d := &Driver{
@@ -167,19 +160,11 @@ func New(p *sim.Proc, name string, host *pcie.HostPort, barBase pcie.Addr, ctrl 
 	if err != nil {
 		return nil, err
 	}
-	nsq, _, err := d.admin.SetNumQueues(p, params.Queues)
-	if err != nil {
+	if _, _, err := d.admin.SetNumQueues(p, 1); err != nil {
 		return nil, err
 	}
-	if params.Queues > nsq {
-		params.Queues = nsq
-	}
-	for qid := uint16(1); qid <= uint16(params.Queues); qid++ {
-		q, err := d.createQueue(p, qid, ctrl)
-		if err != nil {
-			return nil, err
-		}
-		d.queues = append(d.queues, q)
+	if d.q, err = d.createQueue(p, 1, ctrl); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -261,45 +246,16 @@ func (d *Driver) SMART(p *sim.Proc) (nvme.SMARTLog, error) {
 	return d.admin.SMART(p)
 }
 
-// Queues returns the number of I/O queues created.
-func (d *Driver) Queues() int { return len(d.queues) }
-
-// QueueStats returns per-queue driver-side counters in queue order, the
+// QueueStats returns the I/O queue's driver-side counters, the
 // attribution surface telemetry wires as {host,qid}-labeled gauges.
-func (d *Driver) QueueStats() []QueueStats {
-	out := make([]QueueStats, 0, len(d.queues))
-	for _, q := range d.queues {
-		out = append(out, q.stats())
-	}
-	return out
-}
-
-// QueueStat returns one queue's counters by queue ID (zero value if no
-// such queue) — the gauge-callback-friendly form of QueueStats.
-func (d *Driver) QueueStat(qid uint16) QueueStats {
-	for _, q := range d.queues {
-		if q.id == qid {
-			return q.stats()
-		}
-	}
-	return QueueStats{}
-}
-
-func (q *ioQueue) stats() QueueStats {
-	v := q.view
+func (d *Driver) QueueStats() QueueStats {
+	q, v := d.q, d.q.view
 	return QueueStats{
 		QID: q.id, Submitted: q.submitted, Completed: q.completed,
 		SQDoorbells: v.SQDoorbells, SQDoorbellsSaved: v.SQDoorbellsSaved,
 		CQDoorbells: v.CQDoorbells, CQRingsSaved: v.CQRingsSaved,
 		Inflight: v.Inflight(),
 	}
-}
-
-// pick selects a queue round-robin (stand-in for per-CPU queues).
-func (d *Driver) pick() *ioQueue {
-	q := d.queues[d.rr%len(d.queues)]
-	d.rr++
-	return q
 }
 
 // ReadBlocks implements block.Device.
@@ -314,9 +270,8 @@ func (d *Driver) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte) err
 
 // Flush implements block.Device.
 func (d *Driver) Flush(p *sim.Proc) error {
-	q := d.pick()
 	cmd := nvme.SQE{Opcode: nvme.IOFlush, NSID: 1}
-	return q.exec(p, &cmd, nil)
+	return d.q.exec(p, &cmd, nil)
 }
 
 func (d *Driver) io(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf []byte) error {
@@ -329,7 +284,7 @@ func (d *Driver) io(p *sim.Proc, opcode uint8, lba uint64, nblk int, buf []byte)
 		return ErrTooLarge
 	}
 	cmd := nvme.IOCmd(opcode, lba, nblk)
-	return d.pick().exec(p, &cmd, buf)
+	return d.q.exec(p, &cmd, buf)
 }
 
 // exec runs one command through the queue: claims a context, points the
@@ -407,13 +362,13 @@ func opcodeSendsData(op uint8) bool {
 // the deallocate attribute.
 func (d *Driver) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 	cmd := nvme.SQE{Opcode: nvme.IODSM, NSID: 1, CDW10: 0, CDW11: nvme.DSMAttrDeallocate}
-	return d.pick().exec(p, &cmd, nvme.DSMRange(lba, nblk))
+	return d.q.exec(p, &cmd, nvme.DSMRange(lba, nblk))
 }
 
 // WriteZeroesBlocks implements block.ZeroWriter.
 func (d *Driver) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
 	cmd := nvme.IOCmd(nvme.IOWriteZeroes, lba, nblk)
-	return d.pick().exec(p, &cmd, nil)
+	return d.q.exec(p, &cmd, nil)
 }
 
 // CompareBlocks issues an NVMe Compare: it succeeds only when the device

@@ -19,7 +19,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Hosts: 1, MemBytes: 256 << 20})
+	c, err := cluster.New(cluster.Config{Hosts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,25 +54,6 @@ func TestDriverInit(t *testing.T) {
 		}
 		if d.Identify().Model == "" {
 			t.Error("empty model")
-		}
-		if d.Queues() != 1 {
-			t.Errorf("queues %d", d.Queues())
-		}
-	})
-}
-
-func TestDriverMultiQueue(t *testing.T) {
-	r := newRig(t)
-	r.withDriver(t, hostdriver.Params{Queues: 4}, func(p *sim.Proc, d *hostdriver.Driver) {
-		if d.Queues() != 4 {
-			t.Errorf("queues %d, want 4", d.Queues())
-		}
-		// I/O still works when spread round-robin.
-		buf := make([]byte, 4096)
-		for i := 0; i < 8; i++ {
-			if err := d.ReadBlocks(p, uint64(i*8), 8, buf); err != nil {
-				t.Errorf("read %d: %v", i, err)
-			}
 		}
 	})
 }

@@ -126,9 +126,10 @@ func (c *Controller) adminDeleteSQ(cmd *SQE) uint16 {
 	if c.cqs[cqid] != nil {
 		c.cqs[cqid].sqCount--
 	}
-	// Registrant identity follows the queue pair, so a deleted queue's
-	// registration dies with it — a later client granted the same qid must
-	// not inherit its reservation rights.
+	// Registrant identity and armed faults follow the queue pair, so a
+	// deleted queue's registration and CQE drops die with it — a later
+	// client granted the same qid must not inherit either.
+	c.dropCQE[qid] = 0
 	if _, ok := c.resv.regs[qid]; ok {
 		c.resvDropRegistrant(qid)
 		c.resv.gen++

@@ -532,6 +532,30 @@ func TestDeleteQueuePair(t *testing.T) {
 	})
 }
 
+// TestDeletedQueueDropsArmedCQEDrops arms a CQE drop on an idle queue,
+// deletes and re-creates its QID, and checks that the new queue's first
+// command completes: the drop was aimed at the old queue's owner.
+func TestDeletedQueueDropsArmedCQEDrops(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		a := r.enable(t, p)
+		q := r.ioQueue(t, p, a, 64)
+		r.ctrl.InjectDropCQEs(1, 1)
+		if err := a.DeleteQueuePair(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		q = r.ioQueue(t, p, a, 64)
+		buf, _ := r.host.Alloc(PageSize, PageSize)
+		rd := SQE{Opcode: IORead, NSID: 1, PRP1: buf, CDW12: 7}
+		if cqe := execIO(t, p, r.host, q, &rd); !cqe.OK() {
+			t.Fatalf("read status %#x", cqe.Status())
+		}
+	})
+	if n := r.ctrl.Stats.CQEsDropped; n != 0 {
+		t.Fatalf("%d CQEs dropped on the re-created queue", n)
+	}
+}
+
 func TestAbortReportsNotAborted(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {

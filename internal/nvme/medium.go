@@ -42,19 +42,24 @@ type FlashParams struct {
 	WriteBaseNs int64
 	// JitterNs bounds the uniform jitter added per command.
 	JitterNs int64
-	// TailProb is the probability of a tail event adding TailNs (models
-	// the long whisker up to p99).
+	// TailProb is the probability of a tail event adding up to
+	// mediumTailNs (models the long whisker up to p99).
 	TailProb float64
-	TailNs   int64
 	// PerBlockNs is the incremental cost per additional block.
 	PerBlockNs int64
-	// Channels bounds internal command concurrency.
-	Channels int
-	// FlushNs is the cost of a flush.
-	FlushNs int64
-	// TrimNs is the cost of a deallocate command (per range).
-	TrimNs int64
 }
+
+// The medium's fixed costs and parallelism.
+const (
+	// mediumTailNs bounds the uniform extra latency of a tail event.
+	mediumTailNs = 4000
+	// mediumChannels bounds internal command concurrency.
+	mediumChannels = 7
+	// flushNs is the cost of a flush.
+	flushNs = 2000
+	// trimNs is the cost of a deallocate command (per range).
+	trimNs = 3000
+)
 
 // DefaultFlashParams returns the Optane P4800X-class calibration.
 func DefaultFlashParams() FlashParams {
@@ -63,12 +68,28 @@ func DefaultFlashParams() FlashParams {
 		WriteBaseNs: 8800,
 		JitterNs:    500,
 		TailProb:    0.01,
-		TailNs:      4000,
 		PerBlockNs:  120,
-		Channels:    7,
-		FlushNs:     2000,
-		TrimNs:      3000,
 	}
+}
+
+func (p FlashParams) withDefaults() FlashParams {
+	d := DefaultFlashParams()
+	if p.ReadBaseNs == 0 {
+		p.ReadBaseNs = d.ReadBaseNs
+	}
+	if p.WriteBaseNs == 0 {
+		p.WriteBaseNs = d.WriteBaseNs
+	}
+	if p.JitterNs == 0 {
+		p.JitterNs = d.JitterNs
+	}
+	if p.TailProb == 0 {
+		p.TailProb = d.TailProb
+	}
+	if p.PerBlockNs == 0 {
+		p.PerBlockNs = d.PerBlockNs
+	}
+	return p
 }
 
 // FlashMedium is a deterministic (seeded) flash model with sparse backing
@@ -100,41 +121,13 @@ type FlashMedium struct {
 // must be a power of two; params zero-fields are filled from
 // DefaultFlashParams.
 func NewFlashMedium(k *sim.Kernel, blockSize int, blocks uint64, params FlashParams, seed int64) *FlashMedium {
-	d := DefaultFlashParams()
-	if params.ReadBaseNs == 0 {
-		params.ReadBaseNs = d.ReadBaseNs
-	}
-	if params.WriteBaseNs == 0 {
-		params.WriteBaseNs = d.WriteBaseNs
-	}
-	if params.JitterNs == 0 {
-		params.JitterNs = d.JitterNs
-	}
-	if params.TailProb == 0 {
-		params.TailProb = d.TailProb
-	}
-	if params.TailNs == 0 {
-		params.TailNs = d.TailNs
-	}
-	if params.PerBlockNs == 0 {
-		params.PerBlockNs = d.PerBlockNs
-	}
-	if params.Channels == 0 {
-		params.Channels = d.Channels
-	}
-	if params.FlushNs == 0 {
-		params.FlushNs = d.FlushNs
-	}
-	if params.TrimNs == 0 {
-		params.TrimNs = d.TrimNs
-	}
 	return &FlashMedium{
-		params:    params,
+		params:    params.withDefaults(),
 		blockSize: blockSize,
 		blocks:    blocks,
 		pages:     make(map[uint64]flashPage),
 		perPage:   max(1, min(PageSize/blockSize, 64)),
-		chans:     sim.NewSemaphore(k, params.Channels),
+		chans:     sim.NewSemaphore(k, mediumChannels),
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
@@ -182,7 +175,7 @@ func (f *FlashMedium) check(lba uint64, nblk int, buf []byte) error {
 func (f *FlashMedium) latency(base int64, nblk int) sim.Duration {
 	lat := base + int64(nblk-1)*f.params.PerBlockNs + f.rng.Int63n(f.params.JitterNs+1)
 	if f.rng.Float64() < f.params.TailProb {
-		lat += f.rng.Int63n(f.params.TailNs + 1)
+		lat += f.rng.Int63n(mediumTailNs + 1)
 	}
 	return lat
 }
@@ -268,7 +261,7 @@ func (f *FlashMedium) Write(p *sim.Proc, lba uint64, nblk int, data []byte) erro
 
 // Flush implements Medium.
 func (f *FlashMedium) Flush(p *sim.Proc) error {
-	p.Sleep(f.params.FlushNs)
+	p.Sleep(flushNs)
 	f.Flushes++
 	return nil
 }
@@ -280,7 +273,7 @@ func (f *FlashMedium) Trim(p *sim.Proc, lba uint64, nblk int) error {
 	if nblk <= 0 || lba+uint64(nblk) < lba || lba+uint64(nblk) > f.blocks {
 		return fmt.Errorf("nvme: trim out of range: %d+%d of %d", lba, nblk, f.blocks)
 	}
-	p.Sleep(f.params.TrimNs)
+	p.Sleep(trimNs)
 	bs := f.blockSize
 	for i := 0; i < nblk; {
 		pg, slot, n := f.span(lba+uint64(i), nblk-i)

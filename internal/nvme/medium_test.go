@@ -53,7 +53,7 @@ func TestMediumValidation(t *testing.T) {
 
 func TestMediumLatencyWithinModel(t *testing.T) {
 	k := sim.NewKernel()
-	params := FlashParams{ReadBaseNs: 8000, JitterNs: 500, TailProb: 1e-12, TailNs: 1, PerBlockNs: 100}
+	params := FlashParams{ReadBaseNs: 8000, JitterNs: 500, TailProb: 1e-12, PerBlockNs: 100}
 	med := NewFlashMedium(k, 512, 1<<16, params, 5)
 	var took sim.Duration
 	k.Spawn("p", func(p *sim.Proc) {
@@ -71,10 +71,10 @@ func TestMediumLatencyWithinModel(t *testing.T) {
 
 func TestMediumChannelLimit(t *testing.T) {
 	k := sim.NewKernel()
-	params := FlashParams{ReadBaseNs: 1000, JitterNs: 1, TailProb: 1e-12, Channels: 2}
+	params := FlashParams{ReadBaseNs: 1000, JitterNs: 1, TailProb: 1e-12}
 	med := NewFlashMedium(k, 512, 1<<16, params, 5)
 	var end sim.Time
-	for i := 0; i < 4; i++ {
+	for i := 0; i < mediumChannels+1; i++ {
 		k.Spawn("r", func(p *sim.Proc) {
 			med.Read(p, 0, 1, make([]byte, 512))
 			if p.Now() > end {
@@ -83,9 +83,9 @@ func TestMediumChannelLimit(t *testing.T) {
 		})
 	}
 	k.RunAll()
-	// 4 reads, 2 channels => 2 serial batches of ~1000 ns.
+	// One read more than there are channels waits for a second batch.
 	if end < 2000 {
-		t.Fatalf("finished at %d, expected >= 2000 with 2 channels", end)
+		t.Fatalf("finished at %d, expected >= 2000 with %d channels", end, mediumChannels)
 	}
 }
 

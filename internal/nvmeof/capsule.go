@@ -81,12 +81,17 @@ func UnmarshalCmdCapsule(b []byte) (CmdCapsule, error) {
 }
 
 // RespCapsule is a response capsule. For OpConnect responses the
-// BlockShift/Blocks fields carry the namespace geometry.
+// BlockShift/Blocks fields carry the namespace geometry, and InCapsule and
+// Slots the connection's limits, as NVMe-oF's IOCCSZ and SQSIZE do: the
+// largest write payload the target accepts in-capsule, and how many
+// command capsules it can hold at once.
 type RespCapsule struct {
 	CID        uint16
 	Status     uint16
 	BlockShift uint8
 	Blocks     uint64
+	InCapsule  uint32
+	Slots      uint32
 }
 
 // Marshal encodes the response capsule.
@@ -96,6 +101,8 @@ func (r *RespCapsule) Marshal() []byte {
 	binary.LittleEndian.PutUint16(b[2:], r.Status)
 	b[4] = r.BlockShift
 	binary.LittleEndian.PutUint64(b[8:], r.Blocks)
+	binary.LittleEndian.PutUint32(b[16:], r.InCapsule)
+	binary.LittleEndian.PutUint32(b[20:], r.Slots)
 	return b
 }
 
@@ -109,5 +116,7 @@ func UnmarshalRespCapsule(b []byte) (RespCapsule, error) {
 		Status:     binary.LittleEndian.Uint16(b[2:]),
 		BlockShift: b[4],
 		Blocks:     binary.LittleEndian.Uint64(b[8:]),
+		InCapsule:  binary.LittleEndian.Uint32(b[16:]),
+		Slots:      binary.LittleEndian.Uint32(b[20:]),
 	}, nil
 }

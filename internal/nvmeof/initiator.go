@@ -36,12 +36,11 @@ const (
 
 // InitiatorParams tunes the stock-kernel-style initiator.
 type InitiatorParams struct {
-	// QueueDepth is the number of outstanding commands (slots).
+	// QueueDepth is the number of outstanding commands (slots). The
+	// target's receive slots cap it.
 	QueueDepth int
 	// SlotBytes is each slot's data buffer size.
 	SlotBytes uint64
-	// InCapsule is the largest write sent with in-capsule data.
-	InCapsule int
 	// Tracer, when non-nil, records a coarse span per capsule exchange
 	// (device wait + completion path). Nil by default.
 	Tracer *trace.Tracer
@@ -52,7 +51,6 @@ func DefaultInitiatorParams() InitiatorParams {
 	return InitiatorParams{
 		QueueDepth: 32,
 		SlotBytes:  128 << 10,
-		InCapsule:  4096,
 	}
 }
 
@@ -63,9 +61,6 @@ func (ip InitiatorParams) withDefaults() InitiatorParams {
 	}
 	if ip.SlotBytes == 0 {
 		ip.SlotBytes = d.SlotBytes
-	}
-	if ip.InCapsule == 0 {
-		ip.InCapsule = d.InCapsule
 	}
 	return ip
 }
@@ -87,6 +82,8 @@ type Initiator struct {
 
 	blockShift uint8
 	blocks     uint64
+	// inCapsule is the largest write the target takes in-capsule.
+	inCapsule int
 
 	slotFree *sim.Semaphore
 	slots    []bool
@@ -101,7 +98,8 @@ type Initiator struct {
 }
 
 // NewInitiator connects over qp (already rdma.Connect-ed to a served
-// target QP) and performs the identify handshake.
+// target QP) and performs the identify handshake, which also tells it
+// the target's in-capsule size and receive slots.
 func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, params InitiatorParams) (*Initiator, error) {
 	params = params.withDefaults()
 	ini := &Initiator{
@@ -109,8 +107,6 @@ func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, pa
 		pending: make(map[uint16]*initPending),
 	}
 	k := host.Domain().Kernel()
-	ini.slotFree = sim.NewSemaphore(k, params.QueueDepth)
-	ini.slots = make([]bool, params.QueueDepth)
 	var err error
 	ini.slotBuf, err = host.Alloc(uint64(params.QueueDepth)*params.SlotBytes, nvme.PageSize)
 	if err != nil {
@@ -129,11 +125,15 @@ func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, pa
 	if err != nil {
 		return nil, err
 	}
-	if resp.Status != nvme.StatusOK || resp.Blocks == 0 {
+	if resp.Status != nvme.StatusOK || resp.Blocks == 0 || resp.Slots == 0 {
 		return nil, fmt.Errorf("%w: status %#x", ErrConnectFailed, resp.Status)
 	}
 	ini.blockShift = resp.BlockShift
 	ini.blocks = resp.Blocks
+	ini.inCapsule = int(resp.InCapsule)
+	depth := min(params.QueueDepth, int(resp.Slots))
+	ini.slotFree = sim.NewSemaphore(k, depth)
+	ini.slots = make([]bool, depth)
 	return ini, nil
 }
 
@@ -210,6 +210,7 @@ func (ini *Initiator) Blocks() uint64 { return ini.blocks }
 // Flush implements block.Device.
 func (ini *Initiator) Flush(p *sim.Proc) error {
 	p.Sleep(InitiatorSubmitNs)
+	defer ini.releaseSlot(ini.acquireSlot(p))
 	resp, err := ini.exec(p, &CmdCapsule{Opcode: nvme.IOFlush, NSID: 1}, nil)
 	if err != nil {
 		return err
@@ -220,6 +221,8 @@ func (ini *Initiator) Flush(p *sim.Proc) error {
 	return nil
 }
 
+// acquireSlot takes a slot for one command capsule, so no more capsules
+// are in flight than the target has receive slots for.
 func (ini *Initiator) acquireSlot(p *sim.Proc) int {
 	p.Acquire(ini.slotFree)
 	for i, used := range ini.slots {
@@ -240,6 +243,7 @@ func (ini *Initiator) releaseSlot(slot int) {
 // deallocate with the range definition in-capsule.
 func (ini *Initiator) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 	p.Sleep(InitiatorSubmitNs)
+	defer ini.releaseSlot(ini.acquireSlot(p))
 	cap := &CmdCapsule{Opcode: nvme.IODSM, NSID: 1, Nblk: 1,
 		DataLen: nvme.DSMRangeSize, Flags: FlagInline}
 	resp, err := ini.exec(p, cap, nvme.DSMRange(lba, nblk))
@@ -255,6 +259,7 @@ func (ini *Initiator) DiscardBlocks(p *sim.Proc, lba uint64, nblk int) error {
 // WriteZeroesBlocks implements block.ZeroWriter.
 func (ini *Initiator) WriteZeroesBlocks(p *sim.Proc, lba uint64, nblk int) error {
 	p.Sleep(InitiatorSubmitNs)
+	defer ini.releaseSlot(ini.acquireSlot(p))
 	cap := &CmdCapsule{Opcode: nvme.IOWriteZeroes, NSID: 1, LBA: lba, Nblk: uint32(nblk)}
 	resp, err := ini.exec(p, cap, nil)
 	if err != nil {
@@ -301,9 +306,9 @@ func (ini *Initiator) ReadBlocks(p *sim.Proc, lba uint64, nblk int, buf []byte) 
 	return nil
 }
 
-// WriteBlocks implements block.Device: payloads up to InCapsule ride in
-// the command capsule (as real initiators do for 4 kB); larger ones are
-// staged for the target's RDMA READ.
+// WriteBlocks implements block.Device: payloads up to the target's
+// in-capsule size ride in the command capsule (as real initiators do for
+// 4 kB); larger ones are staged for the target's RDMA READ.
 func (ini *Initiator) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte) error {
 	n := nblk * ini.BlockSize()
 	if len(data) != n {
@@ -320,7 +325,7 @@ func (ini *Initiator) WriteBlocks(p *sim.Proc, lba uint64, nblk int, data []byte
 		LBA: lba, Nblk: uint32(nblk), DataLen: uint32(n),
 	}
 	var inline []byte
-	if n <= ini.params.InCapsule {
+	if n <= ini.inCapsule {
 		cap.Flags |= FlagInline
 		inline = data
 	} else {

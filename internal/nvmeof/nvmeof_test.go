@@ -93,7 +93,7 @@ func TestReadWriteInCapsule(t *testing.T) {
 	for _, n := range []int{4096, 16384} {
 		t.Run(fmt.Sprintf("%d bytes", n), func(t *testing.T) {
 			r := newRig(t, cluster.NVMeConfig{})
-			r.start(t, nvmeof.TargetParams{InCapsule: n}, nvmeof.InitiatorParams{InCapsule: n},
+			r.start(t, nvmeof.TargetParams{InCapsule: n}, nvmeof.InitiatorParams{},
 				func(p *sim.Proc, ini *nvmeof.Initiator) {
 					want := bytes.Repeat([]byte{0xFA, 0xB1}, n/2)
 					if err := ini.WriteBlocks(p, 555, n/512, want); err != nil {
@@ -113,6 +113,63 @@ func TestReadWriteInCapsule(t *testing.T) {
 				t.Fatalf("controller stats %+v", r.ctrl.Stats)
 			}
 		})
+	}
+}
+
+// TestInitiatorHonoursTargetInCapsule writes 4 kB to a target that takes
+// only 2 kB in-capsule: the initiator learns that at connect and stages
+// the write for an RDMA READ instead of sending a capsule the target
+// drops.
+func TestInitiatorHonoursTargetInCapsule(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	r.start(t, nvmeof.TargetParams{InCapsule: 2048}, nvmeof.InitiatorParams{},
+		func(p *sim.Proc, ini *nvmeof.Initiator) {
+			want := bytes.Repeat([]byte{0x3C}, 4096)
+			if err := ini.WriteBlocks(p, 40, 8, want); err != nil {
+				t.Errorf("write: %v", err)
+				return
+			}
+			got := make([]byte, 4096)
+			if err := ini.ReadBlocks(p, 40, 8, got); err != nil {
+				t.Errorf("read: %v", err)
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("data mismatch over fabrics")
+			}
+		})
+	if r.ctrl.Stats.ReadCmds != 1 || r.ctrl.Stats.WriteCmds != 1 {
+		t.Fatalf("controller stats %+v", r.ctrl.Stats)
+	}
+}
+
+// TestInitiatorHonoursTargetSlots runs more concurrent reads than a
+// QueueDepth-4 target has receive slots (3): the initiator holds the rest
+// back instead of sending capsules the target has nowhere to put.
+func TestInitiatorHonoursTargetSlots(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	done := 0
+	r.start(t, nvmeof.TargetParams{QueueDepth: 4}, nvmeof.InitiatorParams{},
+		func(p *sim.Proc, ini *nvmeof.Initiator) {
+			evs := make([]*sim.Event, 8)
+			for i := range evs {
+				ev := sim.NewEvent(r.c.K)
+				evs[i] = ev
+				r.c.K.Spawn("read", func(wp *sim.Proc) {
+					defer ev.Trigger(nil)
+					if err := ini.ReadBlocks(wp, uint64(i*8), 8, make([]byte, 4096)); err != nil {
+						t.Errorf("read %d: %v", i, err)
+						return
+					}
+					done++
+				})
+			}
+			for _, ev := range evs {
+				p.Wait(ev)
+			}
+		})
+	if done != 8 || r.ctrl.Stats.ReadCmds != 8 {
+		t.Fatalf("%d of 8 reads returned, controller stats %+v", done, r.ctrl.Stats)
 	}
 }
 

@@ -250,6 +250,8 @@ func (c *conn) execute(p *sim.Proc, bufAddr pcie.Addr, slot int, cap CmdCapsule,
 	case OpConnect:
 		resp.BlockShift = c.t.ns.LBADS
 		resp.Blocks = c.t.ns.NSZE
+		resp.InCapsule = uint32(c.t.params.InCapsule)
+		resp.Slots = uint32(c.slots)
 		return resp, false
 	case nvme.IORead, nvme.IOWrite, nvme.IOFlush, nvme.IOWriteZeroes, nvme.IODSM:
 	default:

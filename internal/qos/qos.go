@@ -13,12 +13,12 @@
 //	        ↑                                        │
 //	        └──────── Controller.Observe ←───────────┘ (per-IO latency)
 //
-// Every WindowNs of virtual time a tracker window closes: the interval
+// Every windowNs of virtual time a tracker window closes: the interval
 // p99/p99.9 (from stats.HistWindow over the tenant's running power
 // histogram) is compared against the tenant's SLO. ViolateAfter
 // consecutive bad windows trip AIMD throttling — the tenant's admit
 // fraction is multiplicatively decreased, shedding a deterministic
-// subset of its arrivals — and RecoverAfter consecutive clean windows
+// subset of its arrivals — and recoverAfter consecutive clean windows
 // walk it back up additively. Admission decisions use a counted-ratio
 // pacer rather than a random draw, keeping the whole control loop
 // byte-reproducible for a fixed seed.
@@ -52,45 +52,40 @@ type TenantConfig struct {
 	Exempt bool
 }
 
+// The control loop's fixed settings.
+const (
+	// windowNs is the SLO evaluation window.
+	windowNs = sim.Millisecond
+	// recoverAfter is how many consecutive clean windows ease the
+	// throttle one step.
+	recoverAfter = 2
+	// minAdmit floors the admit fraction so a throttled tenant keeps a
+	// trickle of probes flowing — without them its windows go empty and
+	// the loop could never observe recovery.
+	minAdmit = 0.05
+)
+
 // Params tunes the control loop. Zero fields take documented defaults.
 type Params struct {
-	// WindowNs is the SLO evaluation window (default 1ms virtual).
-	WindowNs int64
 	// ViolateAfter is how many consecutive violating windows trip
 	// throttling (default 2 — one bad window is noise, two is a trend).
 	ViolateAfter int
-	// RecoverAfter is how many consecutive clean windows ease the
-	// throttle one step (default 2).
-	RecoverAfter int
 	// Decrease is the multiplicative backoff applied to the admit
 	// fraction on a trip (default 0.5).
 	Decrease float64
 	// Increase is the additive recovery step (default 0.1).
 	Increase float64
-	// MinAdmit floors the admit fraction so a throttled tenant keeps a
-	// trickle of probes flowing — without them its windows go empty and
-	// the loop could never observe recovery (default 0.05).
-	MinAdmit float64
 }
 
 func (p Params) withDefaults() Params {
-	if p.WindowNs <= 0 {
-		p.WindowNs = int64(sim.Millisecond)
-	}
 	if p.ViolateAfter <= 0 {
 		p.ViolateAfter = 2
-	}
-	if p.RecoverAfter <= 0 {
-		p.RecoverAfter = 2
 	}
 	if p.Decrease <= 0 || p.Decrease >= 1 {
 		p.Decrease = 0.5
 	}
 	if p.Increase <= 0 {
 		p.Increase = 0.1
-	}
-	if p.MinAdmit <= 0 {
-		p.MinAdmit = 0.05
 	}
 	return p
 }
@@ -162,7 +157,7 @@ func NewController(k *sim.Kernel, params Params, tenants []TenantConfig) *Contro
 			admitFrac: 1.0,
 		})
 	}
-	c.ticker = k.NewTicker(c.params.WindowNs, func(now sim.Time) { c.tick() })
+	c.ticker = k.NewTicker(windowNs, func(now sim.Time) { c.tick() })
 	return c
 }
 
@@ -204,7 +199,7 @@ func (c *Controller) tick() {
 		t.lastWinCount = count
 		if count == 0 {
 			// No completions: an idle tenant is trivially clean; a
-			// fully-shed one is kept alive by the MinAdmit trickle.
+			// fully-shed one is kept alive by the minAdmit trickle.
 			t.seen, t.admitted = 0, 0
 			continue
 		}
@@ -222,8 +217,8 @@ func (c *Controller) tick() {
 			t.cleanStreak = 0
 			if !t.cfg.Exempt && t.badStreak >= c.params.ViolateAfter {
 				t.admitFrac *= c.params.Decrease
-				if t.admitFrac < c.params.MinAdmit {
-					t.admitFrac = c.params.MinAdmit
+				if t.admitFrac < minAdmit {
+					t.admitFrac = minAdmit
 				}
 				t.throttleOps++
 				t.badStreak = 0
@@ -231,7 +226,7 @@ func (c *Controller) tick() {
 		} else {
 			t.cleanStreak++
 			t.badStreak = 0
-			if t.cleanStreak >= c.params.RecoverAfter && t.admitFrac < 1.0 {
+			if t.cleanStreak >= recoverAfter && t.admitFrac < 1.0 {
 				t.admitFrac += c.params.Increase
 				if t.admitFrac > 1.0 {
 					t.admitFrac = 1.0

@@ -19,7 +19,7 @@ func TestCounterLanes(t *testing.T) {
 	reg.GaugeFunc("arrival.issued", func() float64 { return float64(issued) }, trace.L("class", "noisy"))
 	reg.GaugeFunc("pcie.writes", func() float64 { return float64(writes) }) // must be filtered out
 
-	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 64})
+	p := NewPipeline(reg, Config{IntervalNs: 100})
 	p.Attach(k)
 	k.Spawn("load", func(pr *sim.Proc) {
 		for i := 0; i < 4; i++ {

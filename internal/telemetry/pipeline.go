@@ -14,22 +14,14 @@ type Config struct {
 	// IntervalNs is the sampling period in virtual nanoseconds
 	// (default 100 µs).
 	IntervalNs int64
-	// Capacity is the per-series ring size (default 4096 points).
-	Capacity int
 }
 
-// DefaultConfig returns the default sampling parameters.
-func DefaultConfig() Config {
-	return Config{IntervalNs: 100_000, Capacity: 4096}
-}
+// seriesCapacity is the per-series ring size in points.
+const seriesCapacity = 4096
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.IntervalNs <= 0 {
-		c.IntervalNs = d.IntervalNs
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = d.Capacity
+		c.IntervalNs = 100_000
 	}
 	return c
 }
@@ -105,7 +97,7 @@ func (p *Pipeline) Sample(now sim.Time) {
 	p.reg.Each(func(key string, m *trace.Metric) {
 		s := p.byKey[key]
 		if s == nil {
-			s = newSeries(m.Name(), m.Labels(), m.Kind().String(), p.cfg.Capacity)
+			s = newSeries(m.Name(), m.Labels(), m.Kind().String(), seriesCapacity)
 			p.byKey[key] = s
 			p.series = append(p.series, s)
 		}
@@ -188,7 +180,7 @@ func (p *Pipeline) Snapshot() Dump {
 	d := Dump{
 		Schema:     DumpSchema,
 		IntervalNs: p.cfg.IntervalNs,
-		Capacity:   p.cfg.Capacity,
+		Capacity:   seriesCapacity,
 		Samples:    p.samples,
 		LastTNs:    p.lastT,
 		Series:     make([]SeriesDump, 0, len(p.series)),

@@ -47,7 +47,7 @@ func TestPipelineSampling(t *testing.T) {
 	reg.GaugeFunc("depth", func() float64 { return depth })
 	lat := reg.Histogram("lat").Hist()
 
-	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 64})
+	p := NewPipeline(reg, Config{IntervalNs: 100})
 	p.Attach(k)
 	k.Spawn("worker", func(pr *sim.Proc) {
 		for i := 0; i < 10; i++ {
@@ -125,7 +125,7 @@ func TestJain(t *testing.T) {
 func TestFairnessReport(t *testing.T) {
 	reg := trace.NewRegistry()
 	k := sim.NewKernel()
-	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 64})
+	p := NewPipeline(reg, Config{IntervalNs: 100})
 	p.Attach(k)
 	for h := 0; h < 2; h++ {
 		h := h
@@ -181,7 +181,7 @@ func TestFairnessReport(t *testing.T) {
 func runSampled() *Pipeline {
 	reg := trace.NewRegistry()
 	k := sim.NewKernel()
-	p := NewPipeline(reg, Config{IntervalNs: 100, Capacity: 32})
+	p := NewPipeline(reg, Config{IntervalNs: 100})
 	p.Attach(k)
 	var ops uint64
 	reg.GaugeFunc("ops", func() float64 { return float64(ops) }, trace.L("host", 0))
@@ -254,7 +254,7 @@ func TestPromFormat(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	reg := trace.NewRegistry()
 	k := sim.NewKernel()
-	p := NewPipeline(reg, Config{IntervalNs: 50, Capacity: 128})
+	p := NewPipeline(reg, Config{IntervalNs: 50})
 	p.Attach(k)
 	var ops uint64
 	reg.GaugeFunc("ops", func() float64 { return float64(ops) }, trace.L("host", 1))
