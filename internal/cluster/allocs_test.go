@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -9,13 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// warmQD1IOs runs ios 4 KiB QD1 IOs of op on scenario s after a warm-up,
-// calling begin just before them and end just after, all inside one
-// RunWorkload body on one P. The warm-up writes every IO slot and then
-// runs 1000 IOs of op, so runners, posted-write records and per-command
-// buffers are all made, and every measured IO lands on a block already
-// written, which the medium overwrites in place.
-func warmQD1IOs(t *testing.T, s Scenario, op block.Op, ios int, begin, end func(p *sim.Proc)) {
+// warmQD1IOs runs batches of ios 4 KiB QD1 IOs of op on scenario s after
+// a warm-up, calling begin just before each batch and end just after it,
+// all inside one RunWorkload body on one P. The warm-up writes every IO
+// slot and then runs 1000 IOs of op, so runners, posted-write records and
+// per-command buffers are all made, and every measured IO lands on a
+// block already written, which the medium overwrites in place.
+func warmQD1IOs(t *testing.T, s Scenario, op block.Op, batches, ios int, begin, end func(p *sim.Proc)) {
 	t.Helper()
 	const (
 		warmIOs = 1000
@@ -42,13 +43,15 @@ func warmQD1IOs(t *testing.T, s Scenario, op block.Op, ios int, begin, end func(
 				return err
 			}
 		}
-		begin(p)
-		for i := 0; i < ios; i++ {
-			if err := q.SubmitAndWait(p, op, lba(i), nblk, buf); err != nil {
-				return err
+		for b := 0; b < batches; b++ {
+			begin(p)
+			for i := b * ios; i < (b+1)*ios; i++ {
+				if err := q.SubmitAndWait(p, op, lba(i), nblk, buf); err != nil {
+					return err
+				}
 			}
+			end(p)
 		}
-		end(p)
 		return nil
 	})
 	if err != nil {
@@ -61,9 +64,15 @@ func warmQD1IOs(t *testing.T, s Scenario, op block.Op, ios int, begin, end func(
 // the client's completion event, and the controller command process's
 // Proc and closure. The block layer allocates nothing, because the
 // submitting process runs its request itself.
+//
+// MemStats counts every allocation in the test binary, and a stray one
+// by the runtime once failed a single window of 2000 IOs at 6001. So the
+// test counts four batches and judges the least: a stray allocation
+// lands in one batch, while a fourth allocation per IO lands in all.
 func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 	const (
-		ios      = 2000
+		batches  = 4
+		ios      = 500 // per batch
 		maxPerIO = 3
 	)
 	for _, op := range []block.Op{block.OpRead, block.OpWrite} {
@@ -75,13 +84,16 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 			// measured IOs to refill those caches.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var m0, m1 runtime.MemStats
-			warmQD1IOs(t, OursRemote, op, ios, func(*sim.Proc) {
+			least := uint64(math.MaxUint64)
+			warmQD1IOs(t, OursRemote, op, batches, ios, func(*sim.Proc) {
 				runtime.ReadMemStats(&m0)
 			}, func(*sim.Proc) {
 				runtime.ReadMemStats(&m1)
+				n := m1.Mallocs - m0.Mallocs
+				t.Logf("%d allocations in %d IOs", n, ios)
+				least = min(least, n)
 			})
-			perIO := float64(m1.Mallocs-m0.Mallocs) / ios
-			t.Logf("%.2f allocations per IO", perIO)
+			perIO := float64(least) / ios
 			if perIO > maxPerIO {
 				t.Errorf("%.2f allocations per IO, want at most %d", perIO, maxPerIO)
 			}
@@ -89,12 +101,12 @@ func TestOursRemoteQD1AllocsPerIO(t *testing.T) {
 	}
 }
 
-// TestOursRemoteQD1HandoffsPerIO pins the goroutine switches of the IO
+// TestOursRemoteQD1HandoffsPerIO pins the process switches of the IO
 // path in each Fig. 10 scenario, so every completion path has a row: the
 // client's polled CQ (ours-remote, ours-local), the stock driver's ISR
 // (linux-local) and the NVMe-oF target's poller (nvmeof-remote). After
 // the warm-up, an ours-remote 4 KiB QD1 IO passes the kernel's dispatch
-// loop between goroutines at most 6 times:
+// loop between processes at most 6 times:
 //   - the submitting process 2: its command's completion wakes it, and
 //     it yields once more in the client's completion cost while the
 //     reaper finishes its sweep
@@ -127,7 +139,7 @@ func TestOursRemoteQD1HandoffsPerIO(t *testing.T) {
 				}
 				t.Run(string(tc.s), func(t *testing.T) {
 					var h0, h1 uint64
-					warmQD1IOs(t, tc.s, op, ios, func(p *sim.Proc) {
+					warmQD1IOs(t, tc.s, op, 1, ios, func(p *sim.Proc) {
 						h0 = p.Kernel().Stats().Handoffs
 					}, func(p *sim.Proc) {
 						h1 = p.Kernel().Stats().Handoffs

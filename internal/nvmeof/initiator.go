@@ -66,9 +66,10 @@ func (ip InitiatorParams) withDefaults() InitiatorParams {
 }
 
 type initPending struct {
-	done   *sim.Event
-	status uint16
-	resp   RespCapsule
+	done *sim.Event
+	resp RespCapsule
+	// err is set instead of resp when the capsule's SEND failed.
+	err error
 }
 
 // Initiator is the host-side NVMe-oF block driver: commands leave as
@@ -119,6 +120,7 @@ func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, pa
 	for i := 0; i <= params.QueueDepth; i++ {
 		qp.PostRecv(uint64(i), ini.respBuf+pcie.Addr(i*RespSize), RespSize)
 	}
+	qp.SendCQ.OnError(ini.sendFailed)
 	k.Spawn(name+"/isr", ini.isr)
 
 	resp, err := ini.exec(p, &CmdCapsule{Opcode: OpConnect}, nil)
@@ -138,28 +140,18 @@ func NewInitiator(p *sim.Proc, name string, host *pcie.HostPort, qp *rdma.QP, pa
 }
 
 // isr drains response capsules after the receive-completion interrupt.
+// A failed receive (a SEND too long for its buffer) landed nothing: its
+// buffer is reposted and the ISR keeps serving.
 func (ini *Initiator) isr(p *sim.Proc) {
 	for {
 		wc := rdma.WaitWC(p, ini.qp.RecvCQ)
 		p.Sleep(InitiatorIRQEntryNs)
 		for {
-			if wc.Status != nil {
-				return
+			addr := ini.respBuf + pcie.Addr(wc.WRID*RespSize)
+			if wc.Status == nil {
+				ini.complete(addr)
 			}
-			raw, err := ini.host.Slice(ini.respBuf+pcie.Addr(wc.WRID*RespSize), RespSize)
-			if err != nil {
-				return
-			}
-			resp, err := UnmarshalRespCapsule(raw)
-			if err == nil {
-				if w, ok := ini.pending[resp.CID]; ok {
-					delete(ini.pending, resp.CID)
-					w.status = resp.Status
-					w.resp = resp
-					w.done.Trigger(nil)
-				}
-			}
-			ini.qp.PostRecv(wc.WRID, ini.respBuf+pcie.Addr(wc.WRID*RespSize), RespSize)
+			ini.qp.PostRecv(wc.WRID, addr, RespSize)
 			drainCQ(ini.qp.SendCQ)
 			var ok bool
 			wc, ok = ini.qp.RecvCQ.Poll()
@@ -167,6 +159,34 @@ func (ini *Initiator) isr(p *sim.Proc) {
 				break
 			}
 		}
+	}
+}
+
+// complete hands the response capsule at addr to the command it answers.
+func (ini *Initiator) complete(addr pcie.Addr) {
+	raw, err := ini.host.Slice(addr, RespSize)
+	if err != nil {
+		return
+	}
+	resp, err := UnmarshalRespCapsule(raw)
+	if err != nil {
+		return
+	}
+	if w, ok := ini.pending[resp.CID]; ok {
+		delete(ini.pending, resp.CID)
+		w.resp = resp
+		w.done.Trigger(nil)
+	}
+}
+
+// sendFailed fails the command whose capsule SEND failed, since no
+// response will come for it. A capsule's WRID is its CID.
+func (ini *Initiator) sendFailed(wc rdma.WC) {
+	cid := uint16(wc.WRID)
+	if w, ok := ini.pending[cid]; ok {
+		delete(ini.pending, cid)
+		w.err = fmt.Errorf("%w: capsule send: %w", ErrIOFailed, wc.Status)
+		w.done.Trigger(nil)
 	}
 }
 
@@ -186,6 +206,9 @@ func (ini *Initiator) exec(p *sim.Proc, cap *CmdCapsule, inline []byte) (RespCap
 	t0 := p.Now()
 	ini.qp.PostSendInline(uint64(cap.CID), msg)
 	p.Wait(w.done)
+	if w.err != nil {
+		return RespCapsule{}, w.err
+	}
 	tWait := p.Now()
 	p.Sleep(InitiatorCompleteNs)
 	end := p.Now()

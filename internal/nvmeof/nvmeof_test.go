@@ -21,6 +21,7 @@ import (
 type rig struct {
 	c    *cluster.Cluster
 	ctrl *nvme.Controller
+	nicT *rdma.NIC
 	qpT  *rdma.QP
 	qpI  *rdma.QP
 }
@@ -47,7 +48,7 @@ func newRig(t *testing.T, nvmeCfg cluster.NVMeConfig) *rig {
 	qpT := nicT.NewQP()
 	qpI := nicI.NewQP()
 	rdma.Connect(qpT, qpI)
-	return &rig{c: c, ctrl: ctrl, qpT: qpT, qpI: qpI}
+	return &rig{c: c, ctrl: ctrl, nicT: nicT, qpT: qpT, qpI: qpI}
 }
 
 // start brings up target + initiator, then runs fn as the initiator host.
@@ -425,6 +426,52 @@ func TestOversizeSendKeepsSlot(t *testing.T) {
 		}
 	})
 	r.c.Run()
+}
+
+// TestOversizeResponseKeepsISR: a SEND longer than a response buffer
+// fails the initiator's receive and lands nothing. The ISR reposts the
+// buffer and keeps serving, so a read afterwards completes. The ISR once
+// returned on the failed receive, and every later IO on the initiator
+// hung.
+func TestOversizeResponseKeepsISR(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	read := false
+	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
+		r.qpT.PostSendInline(0xbad, make([]byte, nvmeof.RespSize+1))
+		if wc := rdma.WaitWCID(p, r.qpT.SendCQ, 0xbad); !errors.Is(wc.Status, rdma.ErrBadLength) {
+			t.Errorf("oversize response SEND: %v, want ErrBadLength", wc.Status)
+		}
+		if err := ini.ReadBlocks(p, 0, 8, make([]byte, 4096)); err != nil {
+			t.Errorf("read after the oversize response: %v", err)
+			return
+		}
+		read = true
+	})
+	if !read {
+		t.Fatal("the read after an oversize response never returned")
+	}
+}
+
+// TestFailedSendFailsIO: a read whose capsule SEND fails returns an
+// error. Here the initiator's QP is connected again, to a QP with no
+// receive posted, so the SEND fails with receiver not ready. The ISR once
+// dropped the failed completion with the rest of the send CQ, and the
+// read waited forever for a response.
+func TestFailedSendFailsIO(t *testing.T) {
+	r := newRig(t, cluster.NVMeConfig{})
+	var err error
+	returned := false
+	r.start(t, nvmeof.TargetParams{}, nvmeof.InitiatorParams{}, func(p *sim.Proc, ini *nvmeof.Initiator) {
+		rdma.Connect(r.qpI, r.nicT.NewQP())
+		err = ini.ReadBlocks(p, 0, 8, make([]byte, 4096))
+		returned = true
+	})
+	if !returned {
+		t.Fatal("the read whose capsule SEND failed never returned")
+	}
+	if !errors.Is(err, nvmeof.ErrIOFailed) || !errors.Is(err, rdma.ErrRNR) {
+		t.Fatalf("read: %v, want ErrIOFailed from ErrRNR", err)
+	}
 }
 
 func TestTooLargeRejected(t *testing.T) {

@@ -66,7 +66,15 @@ type WC struct {
 type CQ struct {
 	entries []WC
 	sig     *sim.Signal
+	// onError, when set, sees each failed completion as it lands.
+	onError func(WC)
 }
+
+// OnError calls fn with each failed completion as it lands on cq, as a
+// verbs CQ armed for solicited events only still raises an event for an
+// unsuccessful completion. The completion stays queued for pollers. fn
+// runs in the NIC's process and must not block.
+func (cq *CQ) OnError(fn func(WC)) { cq.onError = fn }
 
 // NewCQ creates an empty completion queue.
 func NewCQ(k *sim.Kernel) *CQ {
@@ -108,6 +116,9 @@ func (p *CQ) waitPoll(proc *sim.Proc) WC {
 
 func (cq *CQ) push(wc WC) {
 	cq.entries = append(cq.entries, wc)
+	if wc.Status != nil && cq.onError != nil {
+		cq.onError(wc)
+	}
 	cq.sig.Set()
 }
 

@@ -10,7 +10,7 @@ func reportEventsPerSec(b *testing.B, k *Kernel) {
 
 // BenchmarkKernelSleepChain is the fast-path ceiling: one process sleeping
 // repeatedly with an otherwise empty heap, so every wakeup advances the
-// clock inline without a goroutine handoff.
+// clock inline without a process switch.
 func BenchmarkKernelSleepChain(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("sleeper", func(p *Proc) {
@@ -27,8 +27,8 @@ func BenchmarkKernelSleepChain(b *testing.B) {
 
 // BenchmarkKernelPingPong is the slow-path floor: two processes waking
 // each other through signals, so every wakeup hands the dispatch loop to
-// the other process's goroutine (one switch) plus heap (or run-queue)
-// traffic.
+// the other process through the dispatcher (one handoff, two coroutine
+// switches) plus heap (or run-queue) traffic.
 func BenchmarkKernelPingPong(b *testing.B) {
 	k := NewKernel()
 	ping, pong := NewSignal(k), NewSignal(k)
@@ -57,7 +57,7 @@ func BenchmarkKernelPingPong(b *testing.B) {
 // BenchmarkKernelSpawn measures process churn, the controller's pattern
 // of one short process per command: b.N processes, each spawned by one
 // long-lived process, sleeping once and exiting. Each starts on the
-// runner the previous one parked, so only the first starts a goroutine.
+// runner the previous one parked, so only the first starts a runner.
 func BenchmarkKernelSpawn(b *testing.B) {
 	k := NewKernel()
 	short := func(p *Proc) { p.Sleep(10) }

@@ -57,7 +57,7 @@ func (p *Proc) Wait(e *Event) any {
 	e.addWaiter(p)
 	p.yield()
 	if !e.triggered {
-		// A resume without a trigger means another goroutine called this
+		// A resume without a trigger means another process called this
 		// proc's blocking methods (illegal concurrent use): fail loudly
 		// instead of returning a nil payload that corrupts the caller.
 		panic("sim: spurious wake of " + p.name + " in Wait")

@@ -3,7 +3,6 @@ package sim
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 // TestShutdownDoesNotCountExecuted is the regression test for the drain
@@ -271,10 +270,9 @@ func TestWakeupZeroAllocSteadyState(t *testing.T) {
 	k.Shutdown()
 }
 
-// TestHandoffsPerSwitch pins the direct handoff: a switch between two
-// processes is one goroutine handoff, and a process whose own wakeup comes
-// next keeps the dispatch loop without any. A central kernel goroutine
-// needs two per resume (kernel to process and back).
+// TestHandoffsPerSwitch pins the handoff count: a switch between two
+// processes is one handoff, through the dispatcher, and a process whose
+// own wakeup comes next keeps the dispatch loop without any.
 func TestHandoffsPerSwitch(t *testing.T) {
 	t.Run("ping-pong", func(t *testing.T) {
 		const rounds = 50
@@ -345,7 +343,7 @@ var checkedWaits = []struct {
 // TestCheckedWakeupHerd pins checked wakeups: a Push (Release) with 16
 // processes blocked in Pop (Acquire) schedules 16 wakeups, but only the
 // first finds an element (permit) and resumes. The other 15 are dispatched
-// without a goroutine switch, so the giver's sleep costs one handoff to
+// without a process switch, so the giver's sleep costs one handoff to
 // the served process and one back. Resuming every waiter would take 17.
 func TestCheckedWakeupHerd(t *testing.T) {
 	const waiters = 16
@@ -421,11 +419,12 @@ func TestCheckedWakeupOrder(t *testing.T) {
 	}
 }
 
-// TestSpawnChurnReusesRunner pins goroutine reuse: 100 short processes,
+// TestSpawnChurnReusesRunner pins runner reuse: 100 short processes,
 // each spawned after the previous one exits, run on the one runner the
 // first of them started. In the chain case each process spawns its
-// successor as it exits, so the exiting runner hands the start to itself.
-// After Shutdown no runner goroutine is left.
+// successor as it exits, so the exiting runner is handed the start of its
+// successor. When Shutdown returns, no runner is left. A goroutine that
+// an earlier test started may still be ending, so the count may fall.
 func TestSpawnChurnReusesRunner(t *testing.T) {
 	const procs = 100
 	t.Run("sequential", func(t *testing.T) {
@@ -440,10 +439,12 @@ func TestSpawnChurnReusesRunner(t *testing.T) {
 			k.RunAll()
 		}
 		if ran != procs || k.goStarts != 1 {
-			t.Errorf("%d processes ran on %d goroutine starts, want %d on 1", ran, k.goStarts, procs)
+			t.Errorf("%d processes ran on %d runner starts, want %d on 1", ran, k.goStarts, procs)
 		}
 		k.Shutdown()
-		waitGoroutines(t, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines after Shutdown, want at most %d", n, base)
+		}
 	})
 	t.Run("chain", func(t *testing.T) {
 		base := runtime.NumGoroutine()
@@ -459,38 +460,38 @@ func TestSpawnChurnReusesRunner(t *testing.T) {
 		k.Spawn("short", body)
 		k.RunAll()
 		if ran != procs || k.goStarts != 1 || k.Now() != procs {
-			t.Errorf("%d processes ran to t=%d on %d goroutine starts, want %d to t=%d on 1",
+			t.Errorf("%d processes ran to t=%d on %d runner starts, want %d to t=%d on 1",
 				ran, k.Now(), k.goStarts, procs, procs)
 		}
 		k.Shutdown()
-		waitGoroutines(t, base)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines after Shutdown, want at most %d", n, base)
+		}
 	})
 }
 
-// waitGoroutines polls until at most n goroutines are left: released
-// runners exit asynchronously after Shutdown returns.
-func waitGoroutines(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left after Shutdown, want %d", runtime.NumGoroutine(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestGoexitEndsRunner: a process body that calls runtime.Goexit, as
-// t.FailNow does, ends its runner instead of parking it. The next process
-// then starts on a new goroutine rather than on the dead runner, where it
-// would never run and Run would never return.
+// t.FailNow does, ends its runner instead of parking it, and iter.Pull
+// raises the Goexit again in the dispatcher, so Run's caller exits too.
+// The kernel stays usable: the next process starts on a new runner rather
+// than on the dead one, where it would never run and Run would never
+// return.
 func TestGoexitEndsRunner(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("quits", func(p *Proc) {
 		p.Sleep(1)
 		runtime.Goexit()
 	})
-	k.RunAll()
+	returned := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		k.RunAll()
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("RunAll returned after a process called runtime.Goexit, want its caller to exit")
+	}
 	ran := false
 	k.Spawn("next", func(p *Proc) {
 		p.Sleep(1)
@@ -498,7 +499,35 @@ func TestGoexitEndsRunner(t *testing.T) {
 	})
 	k.RunAll()
 	if !ran || k.goStarts != 2 {
-		t.Fatalf("next ran=%v on %d goroutine starts, want true on 2", ran, k.goStarts)
+		t.Fatalf("next ran=%v on %d runner starts, want true on 2", ran, k.goStarts)
+	}
+	k.Shutdown()
+}
+
+// TestProcessPanicReachesRun: a process's panic value leaves through
+// Run, where its caller can recover it, and the kernel stays usable. A
+// panic on a goroutine of the process's own would end the program.
+func TestProcessPanicReachesRun(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("waits", func(p *Proc) { p.Sleep(10) })
+	k.Spawn("panics", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.RunAll()
+	}()
+	if got != "boom" {
+		t.Fatalf("Run's caller recovered %v, want boom", got)
+	}
+	if k.Now() != 1 || len(k.procs) != 1 {
+		t.Fatalf("after the panic: t=%d with %d processes alive, want t=1 with 1", k.Now(), len(k.procs))
+	}
+	k.RunAll()
+	if k.Now() != 10 || len(k.procs) != 0 {
+		t.Fatalf("after the rerun: t=%d with %d processes alive, want t=10 with 0", k.Now(), len(k.procs))
 	}
 	k.Shutdown()
 }

@@ -1,34 +1,38 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation kernel
 // with coroutine-style processes.
 //
 // The kernel maintains a virtual clock in nanoseconds and an event heap
 // ordered by (time, sequence). Simulated actors — CPU threads, device
 // controllers, NIC engines — are written as ordinary blocking Go functions
-// running in goroutines, but the kernel guarantees that exactly one process
-// executes at a time and that wakeups are delivered in a deterministic
-// order. This gives SimPy-style ergonomics (Sleep, Wait, Signal) with
-// bit-reproducible runs.
+// running as runtime coroutines (iter.Pull), but the kernel guarantees
+// that exactly one process executes at a time and that wakeups are
+// delivered in a deterministic order. This gives SimPy-style ergonomics
+// (Sleep, Wait, Signal) with bit-reproducible runs.
 //
-// The dispatch loop runs on whichever goroutine holds it: Run's caller
-// until the first process wakes, then each process as it blocks.
-// Callbacks and ticks run inline on that goroutine. When the next item
-// wakes another process, the loop passes to it with one channel send
-// (direct handoff); when it wakes the blocking process itself, that
-// process keeps running with no goroutine switch. Run's caller gets the
-// loop back once no item is left within the limit. So a panicking
-// callback panics on whichever goroutine holds the loop, just as a
-// panicking process panics on its own.
+// Run's caller is the dispatcher. It runs the dispatch loop until the
+// first process wakes and resumes that process. From then on the loop
+// runs in whichever process blocks: callbacks and ticks run inline, and
+// when the next item wakes the blocking process itself, that process
+// keeps running with no switch at all. When it wakes another process,
+// the blocking process yields that process to the dispatcher, which
+// resumes it: two coroutine switches, with no pass through the Go
+// scheduler. Run returns once no item is left within the limit. A
+// panic or runtime.Goexit in a process, or in a callback it runs,
+// leaves through the dispatcher: Run's caller panics with the same
+// value, or exits.
 //
-// A goroutine that runs processes is a runner, and it outlives them. When
+// A coroutine that runs processes is a runner, and it outlives them. When
 // a process's body returns, its runner parks itself on the kernel's idle
-// list, passes the dispatch loop on and waits on its own start channel. A
-// process's first wakeup runs it on a parked runner; only when none is
-// parked does the kernel start a goroutine. So a simulation that starts a
-// short process per operation (a controller command, an arrival, a
-// received message) starts goroutines only up to its peak concurrency.
-// Shutdown ends the runners of the processes it unwinds and then releases
-// the parked ones. A kernel dropped without Shutdown leaks its parked
-// runners, as it leaks its blocked processes.
+// list and yields the next process to the dispatcher. A process's first
+// wakeup runs it on a parked runner; only when none is parked does the
+// kernel start a coroutine. So a simulation that starts a short process
+// per operation (a controller command, an arrival, a received message)
+// starts coroutines only up to its peak concurrency. Shutdown ends the
+// runners of the processes it unwinds and then stops the parked ones, so
+// every runner has ended when it returns. A kernel dropped without
+// Shutdown leaks its parked runners, as it leaks its blocked processes.
 //
 // Hot-path design (see DESIGN.md "Performance"): scheduled items are
 // pooled with generation counters (zero allocations per schedule in the
@@ -37,12 +41,14 @@
 // that would be the next item anyway advances the clock inline without
 // running the dispatch loop at all, and a wakeup of a process in Pop or
 // Acquire that would find nothing to take puts it back on its waiter list
-// without a goroutine switch (checked wakeups).
+// without a process switch (checked wakeups).
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"runtime"
 )
 
 // Time is virtual simulation time in nanoseconds.
@@ -198,10 +204,7 @@ type Kernel struct {
 	rqh  int
 	// pool is the item free list; released items keep their backing
 	// storage so steady-state scheduling allocates nothing.
-	pool []*item
-	// ack hands the dispatch loop back to the goroutine waiting in Run
-	// or Shutdown.
-	ack         chan struct{}
+	pool        []*item
 	stopping    bool
 	dispatching bool // inside Run (or Shutdown) dispatch
 	limit       Time // Run's current limit, valid while dispatching
@@ -223,10 +226,9 @@ type Kernel struct {
 	poolMisses   uint64
 	inlineSleeps uint64
 	ticks        uint64
-	// handoffs counts goroutine handoffs of the dispatch loop
-	// (KernelStats.Handoffs), and goStarts the runner goroutines started.
-	// Tests pin both; no registry reads either, so no report gains a
-	// series.
+	// handoffs counts passes of the dispatch loop (KernelStats.Handoffs),
+	// and goStarts the runners started. Tests pin both; no registry reads
+	// either, so no report gains a series.
 	handoffs uint64
 	goStarts uint64
 }
@@ -240,7 +242,7 @@ type KernelStats struct {
 	PoolMisses   uint64 // item allocations because the pool was empty
 	InlineSleeps uint64 // Sleep fast-path clock advances (no item at all)
 	Ticks        uint64 // ticker firings (not counted in Executed)
-	Handoffs     uint64 // dispatch-loop passes from one goroutine to another
+	Handoffs     uint64 // dispatch-loop passes between processes and Run's caller
 }
 
 // Stats returns the kernel's scheduler-work counters.
@@ -258,7 +260,7 @@ func (k *Kernel) Stats() KernelStats {
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{ack: make(chan struct{}), nextTick: MaxTime}
+	return &Kernel{nextTick: MaxTime}
 }
 
 // Now returns the current virtual time.
@@ -443,7 +445,7 @@ type Stopped struct{}
 func (Stopped) Error() string { return "sim: kernel stopped" }
 
 // Proc is a simulated process. A Proc may only call its blocking methods
-// (Sleep, Wait, ...) from the goroutine running its body.
+// (Sleep, Wait, ...) from its own body.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -464,13 +466,17 @@ type Proc struct {
 	slot int // index in Kernel.procs while alive
 }
 
-// runner is a goroutine that runs processes one after another. A process
-// blocked in yield waits on resume; a parked runner waits on start, which
-// holds one entry so handing a runner a process never blocks, even when
-// the runner hands it to itself.
+// runner is a coroutine that runs processes one after another. The
+// dispatcher resumes it with next; it suspends itself with yield, passing
+// the next process to run. A process blocked in Proc.yield and a parked
+// runner are both suspended in yield.
 type runner struct {
-	start  chan *Proc
-	resume chan struct{}
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+	// p is the process the runner starts when next resumes it from the
+	// idle list, or first.
+	p *Proc
 }
 
 // Name returns the process name given at Spawn.
@@ -500,21 +506,24 @@ func (k *Kernel) SpawnAt(d Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the body of a runner goroutine: it runs p, then each process
-// handed to it while parked, until one is unwound by Shutdown or Shutdown
-// releases the parked runner with nil.
-func (r *runner) loop(p *Proc) {
-	for p != nil && r.run(p) {
-		p = <-r.start
+// loop is a runner's body: it runs its process, and each time a body
+// returns, it runs the dispatch loop from the idle list and yields the
+// next process to the dispatcher. It ends when Shutdown unwinds its
+// process or stops it while parked.
+func (r *runner) loop(yield func(*Proc) bool) {
+	r.yield = yield
+	for r.run(r.p) {
+		if !yield(r.p.k.step()) {
+			return
+		}
 	}
 }
 
-// run executes p's body on r and then passes the dispatch loop on, to
-// the next process or back to Run's caller. When the body returned, r
-// parks on the idle list first and run reports true, so r waits for its
-// next process. It reports false when Shutdown unwound p, which ends r.
-// A body that calls runtime.Goexit (t.FailNow does) ends r too: run
-// never returns, and r must not park.
+// run executes p's body on r. When the body returns, r parks on the idle
+// list and run reports true. It reports false when Shutdown unwound p,
+// which ends r. A panic or runtime.Goexit (t.FailNow calls it) in the
+// body ends r too: run never returns, r does not park, and iter.Pull
+// raises the panic, or the Goexit, again in the dispatcher.
 func (r *runner) run(p *Proc) (returned bool) {
 	defer func() {
 		k := p.k
@@ -525,9 +534,7 @@ func (r *runner) run(p *Proc) (returned bool) {
 		k.procs = k.procs[:len(k.procs)-1]
 		if rec := recover(); rec != nil {
 			if _, ok := rec.(Stopped); ok {
-				// Unwound by kernel shutdown: hand control back quietly.
-				k.handoff(nil)
-				return
+				return // unwound by kernel shutdown
 			}
 			panic(rec)
 		}
@@ -537,7 +544,6 @@ func (r *runner) run(p *Proc) (returned bool) {
 		if returned {
 			k.idle = append(k.idle, r)
 		}
-		k.handoff(k.step())
 	}()
 	fn := p.body
 	p.body = nil
@@ -545,15 +551,14 @@ func (r *runner) run(p *Proc) (returned bool) {
 	return true
 }
 
-// yield blocks p until its next wakeup. p's runner runs the dispatch
-// loop; unless that loop resumes p itself, p hands the loop on and waits
-// on its runner's resume channel for it to come back.
+// yield blocks p until its next wakeup. p runs the dispatch loop; unless
+// that loop wakes p itself, p yields the process it woke (nil when none)
+// to the dispatcher and stays suspended until the dispatcher resumes it.
+// Only parked runners are stopped, so the runner's yield returns true.
 func (p *Proc) yield() {
 	k := p.k
 	if next := k.step(); next != p {
-		resume := p.r.resume
-		k.handoff(next)
-		<-resume
+		p.r.yield(next)
 	}
 	p.epoch++
 	if k.stopping {
@@ -572,7 +577,7 @@ func (p *Proc) wakeAt(t Time) timer {
 // Fast path: when the wakeup would be the very next item the kernel
 // dispatches anyway — nothing in the run queue, nothing in the heap before
 // t, t within Run's limit — the process advances the clock inline and
-// keeps running. No item, no heap operations, no goroutine handoffs; the
+// keeps running. No item, no heap operations, no process switch; the
 // observable schedule is identical.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
@@ -626,7 +631,7 @@ func (k *Kernel) next() *item {
 // process has exited or was already resumed in the item's epoch (nil).
 // A wakeup of a process in a checked wait whose condition is false
 // returns nil too: take queues the process on its signal again, where it
-// would have queued itself after finding nothing, with no goroutine
+// would have queued itself after finding nothing, with no process
 // switch. During Shutdown every wakeup resumes its process, to unwind it.
 func (k *Kernel) take() *Proc {
 	it := k.next()
@@ -645,7 +650,7 @@ func (k *Kernel) take() *Proc {
 	return p
 }
 
-// step runs the dispatch loop on the calling goroutine until an item wakes
+// step runs the dispatch loop in the caller until an item wakes
 // a process, and returns that process. It returns nil when no item is left
 // within Run's limit, and during Shutdown, which drives its own drain.
 func (k *Kernel) step() *Proc {
@@ -677,44 +682,55 @@ func (k *Kernel) step() *Proc {
 	return nil
 }
 
-// handoff passes the dispatch loop to p, or back to the goroutine waiting
-// in Run or Shutdown when p is nil. On p's first wakeup it hands p to the
-// most recently parked runner, and starts a runner goroutine only when
-// none is parked. The caller must not touch kernel state afterwards: the
-// receiver owns it.
-func (k *Kernel) handoff(p *Proc) {
-	k.handoffs++
-	switch {
-	case p == nil:
-		k.ack <- struct{}{}
-	case p.r != nil:
-		p.r.resume <- struct{}{}
-	default:
-		n := len(k.idle) - 1
-		if n < 0 {
-			k.goStarts++
-			p.r = &runner{start: make(chan *Proc, 1), resume: make(chan struct{})}
-			go p.r.loop(p)
-			return
+// resumesPerGosched is how many process resumes the dispatcher makes
+// per runtime.Gosched call. A coroutine switch does not pass through the
+// Go scheduler, so at GOMAXPROCS=1 nothing else runs on the P until the
+// runtime preempts the dispatcher, after 10 ms, and the GC's mark worker
+// waits that long while the heap grows. Without the yield, GC marks in
+// the benchmark's remote-qd1-read on a 2-vCPU VM took 2.1 ms in the
+// median and up to 19 ms, and its peak heap rose from 1.73 to 2.48 MiB.
+// With a yield every 64 resumes they took 0.31 ms in the median (0.46 ms
+// with channels).
+const resumesPerGosched = 64
+
+// dispatch resumes p, and then each process the dispatch loop yields
+// after it, until the loop yields nil. A process's first wakeup takes the
+// most recently parked runner, or starts one when none is parked.
+func (k *Kernel) dispatch(p *Proc) {
+	k.handoffs++ // to p
+	for n := 1; p != nil; n++ {
+		if n%resumesPerGosched == 0 {
+			runtime.Gosched()
 		}
-		p.r = k.idle[n]
-		k.idle[n] = nil
-		k.idle = k.idle[:n]
-		p.r.start <- p
+		r := p.r
+		if r == nil {
+			if i := len(k.idle) - 1; i >= 0 {
+				r = k.idle[i]
+				k.idle[i] = nil
+				k.idle = k.idle[:i]
+			} else {
+				k.goStarts++
+				r = new(runner)
+				r.next, r.stop = iter.Pull(r.loop)
+			}
+			p.r, r.p = r, p
+		}
+		p, _ = r.next()
+		k.handoffs++ // to the next process, or back to the dispatcher
 	}
 }
 
 // Run executes scheduled items until none remain or until the clock
 // would pass limit. It returns the virtual time at which execution stopped.
-// Use MaxTime to run to completion. The calling goroutine runs the
-// dispatch loop until a process wakes, then waits for the loop to end.
+// Use MaxTime to run to completion. The caller runs the dispatch loop
+// until a process wakes, and then dispatches processes as the loop yields
+// them.
 func (k *Kernel) Run(limit Time) Time {
 	k.dispatching = true
 	k.limit = limit
 	defer func() { k.dispatching = false }()
 	if p := k.step(); p != nil {
-		k.handoff(p)
-		<-k.ack
+		k.dispatch(p)
 	}
 	return k.now
 }
@@ -723,15 +739,15 @@ func (k *Kernel) Run(limit Time) Time {
 func (k *Kernel) RunAll() Time { return k.Run(MaxTime) }
 
 // Shutdown unwinds all blocked processes, which ends their runners, and
-// then releases the parked runners. Pending timers for dead processes are
-// discarded. Call after Run when the kernel will no longer be used (e.g.
-// between benchmark iterations) to avoid leaking goroutines. Shutdown's
-// drain does not count toward Executed — only items genuinely run by Run
-// do.
+// then stops the parked runners, so no runner is left when it returns.
+// Pending timers for dead processes are discarded. Call after Run when
+// the kernel will no longer be used (e.g. between benchmark iterations)
+// to avoid leaking goroutines. Shutdown's drain does not count toward
+// Executed — only items genuinely run by Run do.
 func (k *Kernel) Shutdown() {
 	k.stopping = true
-	// Resuming a blocked process makes it panic with Stopped{} in yield,
-	// unwind, and hand control back on k.ack. First drain pending items:
+	// Resuming a blocked process makes it panic with Stopped{} in yield
+	// and unwind, which ends its runner. First drain pending items:
 	// callbacks run, wakeups resume their process (an unstarted one starts
 	// and unwinds at its first block). Then resume every process still
 	// alive. Unwinding defers may schedule again, so loop until nothing is
@@ -742,15 +758,13 @@ func (k *Kernel) Shutdown() {
 		k.limit = k.now
 		for k.rqh < len(k.runq) || len(k.heap) > 0 {
 			if p := k.take(); p != nil {
-				k.handoff(p)
-				<-k.ack
+				k.dispatch(p)
 			}
 			progress = true
 		}
 		k.dispatching = false
 		for len(k.procs) > 0 {
-			k.handoff(k.procs[len(k.procs)-1])
-			<-k.ack
+			k.dispatch(k.procs[len(k.procs)-1])
 			progress = true
 		}
 		if !progress {
@@ -758,7 +772,7 @@ func (k *Kernel) Shutdown() {
 		}
 	}
 	for _, r := range k.idle {
-		r.start <- nil
+		r.stop()
 	}
 	k.idle = nil
 }

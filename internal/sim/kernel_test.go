@@ -341,7 +341,7 @@ func TestShutdownUnwindsBlockedProcs(t *testing.T) {
 	k.Spawn("stuck-on-event", func(p *Proc) { p.Wait(ev) })
 	k.Spawn("stuck-on-signal", func(p *Proc) { p.WaitSignal(NewSignal(k)) })
 	k.Spawn("sleeper", func(p *Proc) { p.Sleep(MaxTime / 2) })
-	// Starts past Run's limit, so it has no goroutine yet at Shutdown.
+	// Starts past Run's limit, so it has no runner yet at Shutdown.
 	k.SpawnAt(200, "unstarted", func(p *Proc) { p.Sleep(1) })
 	k.Run(100)
 	k.Shutdown()

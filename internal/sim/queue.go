@@ -8,7 +8,7 @@ package sim
 // first to run takes the element. The wakeups are checked: a consumer
 // resumes only if the queue is non-empty when its wakeup is dispatched;
 // otherwise the kernel queues it to wait again, where it would have queued
-// itself, with no goroutine switch. Consumers are thus served in
+// itself, with no process switch. Consumers are thus served in
 // wake-all's order. Waking only the longest waiter would change it: a
 // consumer woken for an element the pusher took back would queue again
 // behind the others.
