@@ -61,6 +61,9 @@ func runFaults(w io.Writer, seed int64, hosts, qd, ios int, intervalNs int64, ou
 		fmt.Fprintf(w, "host %d crashed: lease expired, manager reclaimed qid %d at t=%.0fµs in %.2fµs\n",
 			ev.Host, ev.QID, float64(ev.DetectedNs)/1e3, float64(ev.DurationNs)/1e3)
 	}
+	if res.CrashAfterBudget {
+		fmt.Fprintf(w, "the crash landed after the crashed host's last IO: it had finished all %d, so no IO was interrupted\n", ios)
+	}
 	if res.ReuseOK {
 		fmt.Fprintf(w, "reclaimed qid %d re-granted to probe client and verified with a live read\n", res.ReusedQID)
 	}
@@ -71,8 +74,8 @@ func runFaults(w io.Writer, seed int64, hosts, qd, ios int, intervalNs int64, ou
 			h.Host, h.QID, h.IOs, h.Errors, h.Timeouts, h.Retries, h.Aborts,
 			h.LateCompletions, h.Crashed)
 	}
-	fmt.Fprintf(w, "\nsurvivor fairness (Jain): %.4f before crash, %.4f after\n",
-		res.JainBefore, res.JainAfter)
+	fmt.Fprintf(w, "\nsurvivor fairness (Jain): %s before crash, %s after\n",
+		jain(res.JainBefore), jain(res.JainAfter))
 	fmt.Fprintf(w, "elapsed: %.2f virtual ms, %d heartbeats, %d manager restarts\n",
 		float64(res.ElapsedNs)/1e6, res.Heartbeats, res.Restarts)
 
@@ -90,4 +93,13 @@ func runFaults(w io.Writer, seed int64, hosts, qd, ios int, intervalNs int64, ou
 	}
 	fmt.Fprintf(w, "wrote %s\n", out)
 	return nil
+}
+
+// jain formats a Jain index, or n/a for the 0 of a window that holds no
+// completion: an index over at least one completion is positive.
+func jain(v float64) string {
+	if v == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.4f", v)
 }

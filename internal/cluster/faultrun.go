@@ -98,8 +98,13 @@ type FaultRunResult struct {
 	// client after reclamation; ReuseOK reports the probe's round trip.
 	ReusedQID uint16 `json:"reused_qid"`
 	ReuseOK   bool   `json:"reuse_ok"`
+	// CrashAfterBudget reports that the crash host had finished its whole
+	// I/O budget before the crash landed, so the crash interrupted no IO:
+	// with a small IOsPerHost every host can finish first.
+	CrashAfterBudget bool `json:"crash_after_budget,omitempty"`
 	// JainBefore/JainAfter are survivor-throughput fairness indices over
-	// the windows before and after the crash (0 without a Pipeline).
+	// the windows before and after the crash: 0 without a Pipeline, and 0
+	// for a window that holds no completion.
 	JainBefore float64 `json:"jain_before"`
 	JainAfter  float64 `json:"jain_after"`
 	// Fault tallies the plane's injections; Plan echoes the schedule.
@@ -242,6 +247,10 @@ func RunFaultScenario(cfg FaultRunConfig) (*FaultRunResult, error) {
 			})
 		}
 		p.WaitAll(done...)
+		// A host's workload stops at its first fatal error, so a crash
+		// host that did its whole budget and saw no crash finished first.
+		crashed := runs[faultCrashHost-1]
+		res.CrashAfterBudget = crashed.Err == "" && !crashed.Crashed && crashed.IOs == cfg.IOsPerHost
 
 		// Prove the reclaimed QID is reusable: wait for the reaper, then
 		// re-request a queue on a survivor host while every survivor

@@ -63,6 +63,9 @@ func TestFaultScenarioCrashRecovery(t *testing.T) {
 			t.Errorf("survivor host %d saw %d timeouts, want 0", h.Host, h.Timeouts)
 		}
 	}
+	if res.CrashAfterBudget {
+		t.Error("the crash host is reported to have finished its budget before the crash")
+	}
 	if res.Heartbeats == 0 {
 		t.Error("manager saw no heartbeats")
 	}
@@ -96,5 +99,31 @@ func TestFaultScenarioCrashRecovery(t *testing.T) {
 	}
 	if !found {
 		t.Error("registry snapshot missing fault.host_crashes=1")
+	}
+}
+
+// TestFaultScenarioCrashAfterBudget: at 40 IOs per host every host
+// finishes before the crash, 500 µs after client start. The crash is
+// still detected and its queue reclaimed, but the result must say that it
+// interrupted no IO, and the after-crash window, which holds no
+// completion, has no Jain index (0).
+func TestFaultScenarioCrashAfterBudget(t *testing.T) {
+	reg := trace.NewRegistry()
+	pipe := telemetry.NewPipeline(reg, telemetry.Config{IntervalNs: 25_000})
+	res, err := RunFaultScenario(FaultRunConfig{IOsPerHost: 40, Seed: 7, Registry: reg, Pipeline: pipe})
+	if err != nil {
+		t.Fatalf("RunFaultScenario: %v", err)
+	}
+	if len(res.Reclaims) != 1 || !res.ReuseOK {
+		t.Fatalf("reclaims %+v, reuse ok %v: want one reclaim and a reused QID", res.Reclaims, res.ReuseOK)
+	}
+	if h := res.PerHost[faultCrashHost-1]; h.Crashed || h.IOs != 40 {
+		t.Fatalf("crash host did %d IOs, crashed %v: want all 40 before the crash", h.IOs, h.Crashed)
+	}
+	if !res.CrashAfterBudget {
+		t.Error("CrashAfterBudget is false for a crash after the crash host's last IO")
+	}
+	if res.JainAfter != 0 {
+		t.Errorf("after-crash Jain index = %.4f over a window with no completion, want 0", res.JainAfter)
 	}
 }

@@ -114,15 +114,17 @@ func sqPending(sq *subQueue) int {
 }
 
 // classPending lists the created I/O queues of a weighted class (0..2 =
-// high/medium/low) that have pending entries, in ascending qid order.
+// high/medium/low) that have pending entries, in ascending qid order. The
+// list is the controller's, valid until the next call for the class.
 func (c *Controller) classPending(class int) []uint16 {
 	prio := uint8(class + 1)
-	var out []uint16
-	for i := 1; i < len(c.sqs); i++ {
+	out := c.pending[class][:0]
+	for i := 1; i < c.sqEnd; i++ {
 		if sq := c.sqs[i]; sq != nil && sq.created && sq.prio == prio && sq.head != sq.tail {
 			out = append(out, uint16(i))
 		}
 	}
+	c.pending[class] = out
 	return out
 }
 
@@ -140,7 +142,9 @@ func (c *Controller) wrrPass(p *sim.Proc) bool {
 	}
 	for {
 		served := false
-		for i := 1; i < len(c.sqs); i++ {
+		// As in rrPass, dispatch can block while a queue is created, so
+		// the bound is read again at every step.
+		for i := 1; i < c.sqEnd; i++ {
 			sq := c.sqs[i]
 			if sq == nil || !sq.created || sq.prio != QPrioUrgent {
 				continue

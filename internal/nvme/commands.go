@@ -111,6 +111,7 @@ func (c *Controller) adminCreateSQ(cmd *SQE) uint16 {
 		id: qid, base: cmd.PRP1, size: size, cqid: cqid, created: true,
 		prio: uint8(cmd.CDW11 >> 1 & 3), // QPRIO, meaningful under WRR
 	}
+	c.sqEnd = max(c.sqEnd, int(qid)+1)
 	c.cqs[cqid].sqCount++
 	c.doorbell.Set() // the arbiter may be idle; re-scan queues
 	return StatusOK

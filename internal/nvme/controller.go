@@ -208,6 +208,9 @@ type Controller struct {
 
 	sqs []*subQueue
 	cqs []*compQueue
+	// sqEnd is one past the highest SQ ID ever created. Every slot from it
+	// on is empty, so arbitration scans stop there.
+	sqEnd int
 
 	doorbell  *sim.Signal
 	cqSpace   *sim.Signal
@@ -249,6 +252,9 @@ type Controller struct {
 	// WRR with urgent.
 	arbCDW11 uint32
 	wrr      wrrSched
+	// pending holds classPending's list for each weighted class, reused
+	// from pass to pass.
+	pending [3][]uint16
 
 	// tracer records device-side hops (fetch, decode, medium, transfer,
 	// completion post) on the span keyed by (SQ ID, CID). Nil when
@@ -515,6 +521,7 @@ func (c *Controller) enable() {
 	asqs := int(c.aqa&0xFFF) + 1
 	acqs := int(c.aqa>>16&0xFFF) + 1
 	c.sqs[0] = &subQueue{id: 0, base: c.asq, size: asqs, cqid: 0, created: true}
+	c.sqEnd = max(c.sqEnd, 1)
 	c.cqs[0] = &compQueue{id: 0, base: c.acq, size: acqs, phase: true, ien: true, iv: 0, created: true, sqCount: 1}
 	c.csts |= CSTSReady
 	c.enableSig.Set()
@@ -604,20 +611,36 @@ func (c *Controller) run(p *sim.Proc) {
 
 // rrPass is one round-robin arbitration pass: every queue with pending
 // entries gets one command dispatched, starting after the queue served
-// first on the previous pass.
+// first on the previous pass. It visits the slots from *rr to the end and
+// then from the start, as a scan of every slot would, but stops each run
+// at sqEnd. dispatch can block while a command creates a queue, so the
+// bound is read again at every step; the slots a scan would visit before
+// the bound rose were empty when it visited them.
 func (c *Controller) rrPass(p *sim.Proc, rr *int) bool {
 	progressed := false
-	n := len(c.sqs)
-	for i := 0; i < n; i++ {
-		sq := c.sqs[(*rr+i)%n]
-		if sq == nil || !sq.created || sq.head == sq.tail {
-			continue
+	for i := *rr; i < c.sqEnd; i++ {
+		if c.serveOne(p, i) {
+			progressed = true
 		}
-		c.dispatch(p, sq)
-		progressed = true
 	}
-	*rr = (*rr + 1) % n
+	for i := 0; i < *rr && i < c.sqEnd; i++ {
+		if c.serveOne(p, i) {
+			progressed = true
+		}
+	}
+	*rr = (*rr + 1) % len(c.sqs)
 	return progressed
+}
+
+// serveOne dispatches one command from SQ qid if it has entries pending,
+// and reports whether it did.
+func (c *Controller) serveOne(p *sim.Proc, qid int) bool {
+	sq := c.sqs[qid]
+	if sq == nil || !sq.created || sq.head == sq.tail {
+		return false
+	}
+	c.dispatch(p, sq)
+	return true
 }
 
 // dispatch claims the next slot of sq and starts a command process to

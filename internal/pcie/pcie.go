@@ -181,11 +181,15 @@ type Domain struct {
 	nodes  []Node
 	adj    map[NodeID][]NodeID
 	claims []claim
+	// hops[from*len(nodes)+to] counts the switch chips between two nodes,
+	// -1 when no path joins them. AddNode and Connect drop the table, and
+	// the next route builds it again.
+	hops []int
 	// lastArrival enforces per-initiator posted-write ordering: a later
 	// posted write from the same initiator never arrives before an
-	// earlier one, matching PCIe ordering rules.
-	lastArrival map[NodeID]sim.Time
-	hopCache    map[[2]NodeID]int
+	// earlier one, matching PCIe ordering rules. It is indexed by NodeID,
+	// and sized with the hop table.
+	lastArrival []sim.Time
 	// posted is the free list of posted-write records.
 	posted []*postedWrite
 	stats  DomainStats
@@ -217,12 +221,10 @@ func (d *Domain) Link() attr.Window { return d.link }
 // use defaults.
 func NewDomain(name string, k *sim.Kernel, params LinkParams) *Domain {
 	return &Domain{
-		Name:        name,
-		kernel:      k,
-		params:      params.withDefaults(),
-		adj:         make(map[NodeID][]NodeID),
-		lastArrival: make(map[NodeID]sim.Time),
-		hopCache:    make(map[[2]NodeID]int),
+		Name:   name,
+		kernel: k,
+		params: params.withDefaults(),
+		adj:    make(map[NodeID][]NodeID),
 	}
 }
 
@@ -233,6 +235,7 @@ func (d *Domain) Kernel() *sim.Kernel { return d.kernel }
 func (d *Domain) AddNode(kind NodeKind, name string) NodeID {
 	id := NodeID(len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Kind: kind, Name: name})
+	d.hops = nil
 	return id
 }
 
@@ -243,7 +246,7 @@ func (d *Domain) Connect(a, b NodeID) error {
 	}
 	d.adj[a] = append(d.adj[a], b)
 	d.adj[b] = append(d.adj[b], a)
-	d.hopCache = make(map[[2]NodeID]int)
+	d.hops = nil
 	return nil
 }
 
@@ -285,60 +288,63 @@ func (d *Domain) Unclaim(rng Range) bool {
 }
 
 // lookup finds the claim containing [addr, addr+n).
-func (d *Domain) lookup(addr Addr, n uint64) (claim, error) {
-	for _, c := range d.claims {
-		if c.rng.Contains(addr, n) {
+func (d *Domain) lookup(addr Addr, n uint64) (*claim, error) {
+	for i := range d.claims {
+		if c := &d.claims[i]; c.rng.Contains(addr, n) {
 			return c, nil
 		}
 	}
-	return claim{}, fmt.Errorf("%w: %s [%#x,+%d)", ErrNoRoute, d.Name, addr, n)
+	return nil, fmt.Errorf("%w: %s [%#x,+%d)", ErrNoRoute, d.Name, addr, n)
 }
 
-// switchHops counts switch chips on the path between two nodes (BFS).
-// The endpoints themselves are not counted even if they are switches.
+// switchHops counts switch chips on the path between two nodes. The
+// endpoints themselves are not counted even if they are switches.
 func (d *Domain) switchHops(from, to NodeID) (int, error) {
-	if from == to {
-		return 0, nil
+	if d.hops == nil {
+		d.buildHops()
 	}
-	key := [2]NodeID{from, to}
-	if h, ok := d.hopCache[key]; ok {
-		return h, nil
-	}
-	type state struct {
-		node NodeID
-		prev NodeID
-	}
-	parent := make(map[NodeID]NodeID)
-	seen := map[NodeID]bool{from: true}
-	queue := []state{{from, -1}}
-	found := false
-	for len(queue) > 0 && !found {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range d.adj[cur.node] {
-			if seen[nb] {
-				continue
-			}
-			seen[nb] = true
-			parent[nb] = cur.node
-			if nb == to {
-				found = true
-				break
-			}
-			queue = append(queue, state{nb, cur.node})
+	n := len(d.nodes)
+	if d.valid(from) {
+		if h := d.hops[int(from)*n+int(to)]; h >= 0 {
+			return h, nil
 		}
 	}
-	if !found {
-		return 0, fmt.Errorf("%w: %s %d -> %d", ErrDisconnected, d.Name, from, to)
-	}
-	hops := 0
-	for n := parent[to]; n != from; n = parent[n] {
-		if d.nodes[n].Kind == Switch {
-			hops++
+	return 0, fmt.Errorf("%w: %s %d -> %d", ErrDisconnected, d.Name, from, to)
+}
+
+// buildHops fills the hop table with a breadth-first search from every
+// node. Each search visits neighbors in the order Connect added them, so
+// of two shortest paths the table takes the one a search for that pair
+// alone would find. It also sizes lastArrival for every node.
+func (d *Domain) buildHops() {
+	n := len(d.nodes)
+	d.hops = make([]int, n*n)
+	queue := make([]NodeID, 0, n)
+	for from := range n {
+		row := d.hops[from*n : (from+1)*n]
+		for i := range row {
+			row[i] = -1
+		}
+		row[from] = 0
+		queue = append(queue[:0], NodeID(from))
+		for i := 0; i < len(queue); i++ {
+			cur := queue[i]
+			// Switches between from and a node reached through cur.
+			via := row[cur]
+			if int(cur) != from && d.nodes[cur].Kind == Switch {
+				via++
+			}
+			for _, nb := range d.adj[cur] {
+				if row[nb] < 0 {
+					row[nb] = via
+					queue = append(queue, nb)
+				}
+			}
 		}
 	}
-	d.hopCache[key] = hops
-	return hops, nil
+	if len(d.lastArrival) < n {
+		d.lastArrival = append(d.lastArrival, make([]sim.Time, n-len(d.lastArrival))...)
+	}
 }
 
 // Resolved is the outcome of routing an address, possibly across domains.

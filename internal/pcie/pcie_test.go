@@ -418,3 +418,54 @@ func TestPropDMADataIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHopTableFollowsTopology: switch counts come from a table built on
+// the first route after an AddNode or Connect. Resolve a route, then add
+// nodes on a longer path, and an island that Connect joins later, and
+// resolve from each: the new counts must show, and posted writes from
+// the new nodes must be ordered, so a stale or wrongly sized table, or
+// arrival slice, fails here.
+func TestHopTableFollowsTopology(t *testing.T) {
+	k, d, _, ep, _ := testFabric(t)
+	oneWay := func(from NodeID) (int64, error) {
+		res, err := d.Resolve(from, 0x10000, 4)
+		return res.OneWayNs, err
+	}
+	if got, err := oneWay(ep); err != nil || got != PropNs+125 {
+		t.Fatalf("ep -> DRAM: %d ns, %v; want %d ns over one switch", got, err, PropNs+125)
+	}
+	sw0 := NodeID(1)
+	sw1 := d.AddNode(Switch, "sw1")
+	ep2 := d.AddNode(Endpoint, "ep2")
+	if err := d.Connect(sw0, sw1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Connect(sw1, ep2); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := oneWay(ep2); err != nil || got != PropNs+2*125 {
+		t.Fatalf("ep2 -> DRAM: %d ns, %v; want %d ns over two switches", got, err, PropNs+2*125)
+	}
+	island := d.AddNode(Endpoint, "island")
+	if _, err := oneWay(island); !errors.Is(err, ErrDisconnected) {
+		t.Fatalf("island -> DRAM: %v, want ErrDisconnected", err)
+	}
+	if err := d.Connect(island, sw1); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := oneWay(island); err != nil || got != PropNs+2*125 {
+		t.Fatalf("island -> DRAM after Connect: %d ns, %v; want %d ns", got, err, PropNs+2*125)
+	}
+	var errs []error
+	k.Spawn("p", func(p *sim.Proc) {
+		for _, from := range []NodeID{ep2, island} {
+			errs = append(errs, d.MemWrite(p, from, 0x10000, []byte{1, 2, 3, 4}))
+		}
+	})
+	k.RunAll()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -132,6 +132,34 @@ func BenchmarkKernelFanout(b *testing.B) {
 	reportEventsPerSec(b, k)
 }
 
+// BenchmarkKernelHerd measures checked wakeups: each Release wakes 52
+// processes blocked in Acquire, as a medium channel's release does on the
+// benchmark's shared-8host-rw. One is served and the other 51 find no
+// permit.
+func BenchmarkKernelHerd(b *testing.B) {
+	const waiters = 52
+	k := NewKernel()
+	s := NewSemaphore(k, 0)
+	for w := 0; w < waiters; w++ {
+		k.Spawn("w", func(p *Proc) {
+			for {
+				p.Acquire(s)
+			}
+		})
+	}
+	k.Spawn("releaser", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(10)
+			s.Release()
+		}
+	})
+	b.ResetTimer()
+	k.RunAll()
+	b.StopTimer()
+	k.Shutdown()
+	reportEventsPerSec(b, k)
+}
+
 // BenchmarkKernelHeapMix stresses the heap proper: many processes asleep
 // with distinct deadlines, so the fast path rarely applies and pops and
 // pushes dominate.

@@ -114,12 +114,18 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 // sequence check in polling loops.
 func (s *Signal) Sets() uint64 { return s.sets }
 
-// Set wakes all processes currently blocked in WaitSignal.
+// Set wakes all processes currently blocked in WaitSignal. On a checked
+// signal with more than one waiter, one item holds all their wakeups (a
+// herd), so a wakeup that would find nothing costs no item of its own.
 func (s *Signal) Set() {
 	s.sets++
 	ws := s.waiters
-	for _, p := range ws {
-		s.k.scheduleProc(s.k.now, p)
+	if s.ready != nil && len(ws) > 1 {
+		s.k.scheduleHerd(s, ws)
+	} else {
+		for _, p := range ws {
+			s.k.scheduleProc(s.k.now, p)
+		}
 	}
 	// Set runs atomically (no process executes mid-loop), so the backing
 	// array can be reused for the next round of waiters.

@@ -341,10 +341,12 @@ var checkedWaits = []struct {
 }
 
 // TestCheckedWakeupHerd pins checked wakeups: a Push (Release) with 16
-// processes blocked in Pop (Acquire) schedules 16 wakeups, but only the
-// first finds an element (permit) and resumes. The other 15 are dispatched
-// without a process switch, so the giver's sleep costs one handoff to
-// the served process and one back. Resuming every waiter would take 17.
+// processes blocked in Pop (Acquire) schedules their 16 wakeups as one
+// herd item, which Scheduled, RunQueued and Executed count as 16. Only
+// the first wakeup finds an element (permit) and resumes its process. The
+// other 15 are taken without a process switch, so the giver's sleep costs
+// one handoff to the served process and one back. Resuming every waiter
+// would take 17.
 func TestCheckedWakeupHerd(t *testing.T) {
 	const waiters = 16
 	for _, tc := range checkedWaits {
@@ -358,16 +360,31 @@ func TestCheckedWakeupHerd(t *testing.T) {
 					served++
 				})
 			}
-			var during uint64
+			var during, queued uint64
+			var before, given KernelStats
 			k.SpawnAt(1, "giver", func(p *Proc) {
-				before := k.handoffs
+				before = k.Stats()
 				give()
+				given, queued = k.Stats(), uint64(len(k.runq)-k.rqh)
 				p.Sleep(1)
-				during = k.handoffs - before
+				during = k.handoffs - before.Handoffs
 			})
 			k.RunAll()
 			if served != 1 {
 				t.Fatalf("one give served %d takers, want 1", served)
+			}
+			if queued != 1 {
+				t.Errorf("the give left %d items in the run queue, want 1", queued)
+			}
+			if got := given.Scheduled - before.Scheduled; got != waiters {
+				t.Errorf("the give scheduled %d items, want %d", got, waiters)
+			}
+			if got := given.RunQueued - before.RunQueued; got != waiters {
+				t.Errorf("the give run-queued %d items, want %d", got, waiters)
+			}
+			// The herd's wakeups and the giver's own.
+			if got := k.Executed() - before.Executed; got != waiters+1 {
+				t.Errorf("executed %d items after the give, want %d", got, waiters+1)
 			}
 			if during != 2 {
 				t.Errorf("give and sleep took %d handoffs, want 2", during)
@@ -415,6 +432,133 @@ func TestCheckedWakeupOrder(t *testing.T) {
 				t.Errorf("served %v, want [B C]", served)
 			}
 			k.Shutdown()
+		})
+	}
+}
+
+// TestHerdServedWaiterGivesBack: A, B and C block, and one give wakes
+// them as a herd. A is served and gives back at once, while the herd still
+// holds B and C, so the give back wakes no one. The herd's next wakeup
+// serves B, as wake-all would, and C waits again.
+func TestHerdServedWaiterGivesBack(t *testing.T) {
+	for _, tc := range checkedWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			take, give := tc.make(k)
+			var served []string
+			for _, name := range []string{"A", "B", "C"} {
+				k.Spawn(name, func(p *Proc) {
+					take(p)
+					served = append(served, p.Name())
+					if p.Name() == "A" {
+						give()
+					}
+				})
+			}
+			k.After(1, give)
+			k.RunAll()
+			if len(served) != 2 || served[0] != "A" || served[1] != "B" {
+				t.Errorf("one give served %v, want [A B]", served)
+			}
+			k.Shutdown()
+		})
+	}
+}
+
+// TestHerdServedWaiterBlocksAgain: A, B and C block, and one give wakes
+// them as a herd. A is served and blocks again before the herd ends, so
+// it queues ahead of B and C, whose wakeups find nothing: the next give
+// serves A again.
+func TestHerdServedWaiterBlocksAgain(t *testing.T) {
+	for _, tc := range checkedWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			take, give := tc.make(k)
+			var served []string
+			for _, name := range []string{"A", "B", "C"} {
+				k.Spawn(name, func(p *Proc) {
+					for {
+						take(p)
+						served = append(served, p.Name())
+					}
+				})
+			}
+			k.After(1, give)
+			k.After(2, give)
+			k.RunAll()
+			if len(served) != 2 || served[0] != "A" || served[1] != "A" {
+				t.Errorf("two gives served %v, want [A A]", served)
+			}
+			if q := len(k.procs); q != 3 {
+				t.Errorf("%d takers alive, want 3", q)
+			}
+			k.Shutdown()
+		})
+	}
+}
+
+// TestHerdZeroAllocSteadyState: a give to 16 waiters, served and skipped
+// alike, allocates nothing once the item pool and the herd free list are
+// warm.
+func TestHerdZeroAllocSteadyState(t *testing.T) {
+	for _, tc := range checkedWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			take, give := tc.make(k)
+			for i := 0; i < 16; i++ {
+				k.Spawn("taker", func(p *Proc) {
+					for {
+						take(p)
+					}
+				})
+			}
+			k.RunAll()
+			for i := 0; i < 8; i++ { // warm the pool, the free list and the waiter slice
+				give()
+				k.RunAll()
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				give()
+				k.RunAll()
+			})
+			if allocs != 0 {
+				t.Fatalf("a give to a herd allocates %.1f objects/op in steady state, want 0", allocs)
+			}
+			k.Shutdown()
+		})
+	}
+}
+
+// TestShutdownUnwindsPendingHerd: Shutdown with a herd's wakeups pending
+// resumes each waiter in turn, whether or not its condition holds, and
+// each unwinds in its wait without taking anything, so no runner is left.
+func TestShutdownUnwindsPendingHerd(t *testing.T) {
+	for _, tc := range checkedWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k := NewKernel()
+			take, give := tc.make(k)
+			const waiters = 16
+			unwound, served := 0, 0
+			for i := 0; i < waiters; i++ {
+				k.Spawn("taker", func(p *Proc) {
+					defer func() { unwound++ }()
+					take(p)
+					served++
+				})
+			}
+			k.RunAll()
+			give()
+			k.Shutdown()
+			if unwound != waiters || served != 0 {
+				t.Errorf("Shutdown unwound %d takers and served %d, want %d and 0", unwound, served, waiters)
+			}
+			if len(k.procs) != 0 || len(k.idle) != 0 {
+				t.Errorf("%d processes and %d parked runners left, want none", len(k.procs), len(k.idle))
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after Shutdown, want at most %d", n, base)
+			}
 		})
 	}
 }

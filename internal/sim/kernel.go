@@ -41,7 +41,9 @@
 // that would be the next item anyway advances the clock inline without
 // running the dispatch loop at all, and a wakeup of a process in Pop or
 // Acquire that would find nothing to take puts it back on its waiter list
-// without a process switch (checked wakeups).
+// without a process switch (checked wakeups). One item holds all the
+// wakeups of a Push or Release to several such waiters (a herd): once one
+// of them finds nothing, the rest are put back together.
 package sim
 
 import (
@@ -74,17 +76,34 @@ const (
 	idxRunQueue = -2 // queued in the same-timestamp run queue
 )
 
-// item is a scheduled entry: either a callback (fn) or a process wakeup
-// (proc). Items are pooled; gen increments on every release so a stale
-// handle to a reused item can neither cancel it nor observe it.
+// item is a scheduled entry: a callback (fn), a process wakeup (proc), or
+// the wakeups of a herd of checked waiters (herd). Items are pooled; gen
+// increments on every release so a stale handle to a reused item can
+// neither cancel it nor observe it.
 type item struct {
 	t    Time
 	seq  uint64
 	fn   func() // callback: runs inline in the dispatch loop; must not block
 	proc *Proc  // wakeup: resume (or start) this process...
 	wake uint64 // ...only if it is still blocked in the same yield epoch
+	herd *herd  // herd: one wakeup per waiter, seq being the next one's
 	idx  int
 	gen  uint64
+}
+
+// herd holds the waiters one Set of a checked signal woke, in wait
+// order, each with the yield epoch its wakeup targets; ws[next:] are yet
+// to be taken. Herds are recycled through the kernel's free list, waiter
+// array and all.
+type herd struct {
+	sig  *Signal
+	ws   []waiter
+	next int
+}
+
+type waiter struct {
+	p    *Proc
+	wake uint64
 }
 
 // timer is a cancelable handle to a scheduled item. The generation pin
@@ -203,8 +222,10 @@ type Kernel struct {
 	runq []*item
 	rqh  int
 	// pool is the item free list; released items keep their backing
-	// storage so steady-state scheduling allocates nothing.
+	// storage so steady-state scheduling allocates nothing. herds is the
+	// free list of herds.
 	pool        []*item
+	herds       []*herd
 	stopping    bool
 	dispatching bool // inside Run (or Shutdown) dispatch
 	limit       Time // Run's current limit, valid while dispatching
@@ -290,6 +311,7 @@ func (k *Kernel) put(it *item) {
 	it.gen++
 	it.fn = nil
 	it.proc = nil
+	it.herd = nil
 	it.idx = idxDetached
 	k.pool = append(k.pool, it)
 }
@@ -334,6 +356,33 @@ func (k *Kernel) scheduleProc(t Time, p *Proc) timer {
 	it.proc = p
 	it.wake = p.epoch
 	return timer{it: it, gen: it.gen}
+}
+
+// scheduleHerd enqueues the wakeups of ws, the waiters of checked signal
+// s, as one item at the current time. The item reserves one sequence
+// number per waiter and counts as one scheduled item per waiter, so the
+// schedule is that of one wakeup item each: take runs them in turn.
+func (k *Kernel) scheduleHerd(s *Signal, ws []*Proc) {
+	it := k.newItem(k.now)
+	rest := uint64(len(ws) - 1)
+	k.seq += rest
+	k.scheduled += rest
+	if it.idx == idxRunQueue {
+		k.runQueued += rest
+	}
+	var h *herd
+	if n := len(k.herds) - 1; n >= 0 {
+		h = k.herds[n]
+		k.herds[n] = nil
+		k.herds = k.herds[:n]
+	} else {
+		h = new(herd)
+	}
+	h.sig = s
+	for _, p := range ws {
+		h.ws = append(h.ws, waiter{p, p.epoch})
+	}
+	it.herd = h
 }
 
 // cancel removes a scheduled item if it is still pending and the handle
@@ -635,6 +684,9 @@ func (k *Kernel) next() *item {
 // switch. During Shutdown every wakeup resumes its process, to unwind it.
 func (k *Kernel) take() *Proc {
 	it := k.next()
+	if it.herd != nil {
+		return k.takeHerd(it)
+	}
 	p, fn := it.proc, it.fn
 	if p != nil && (p.dead || p.epoch != it.wake) {
 		p = nil
@@ -647,6 +699,53 @@ func (k *Kernel) take() *Proc {
 		p.until.waiters = append(p.until.waiters, p)
 		return nil
 	}
+	return p
+}
+
+// takeHerd is take for a herd item, which stands for the wakeups of its
+// waiters left. If the signal's condition is false, none of them can find
+// it true, since a wakeup that finds it false runs nothing: take queues
+// every live waiter left on the signal again, in order, and counts each
+// wakeup as executed. Otherwise it takes the next waiter's wakeup and
+// puts the item back at the head of the run queue for the rest, where the
+// next wakeup's sequence number is below that of every item scheduled
+// since the Set. The process that wakeup resumes is the only thing that
+// runs before the next one. During Shutdown every waiter resumes in turn.
+func (k *Kernel) takeHerd(it *item) *Proc {
+	h := it.herd
+	var p *Proc
+	if !k.stopping && !h.sig.ready() {
+		for _, w := range h.ws[h.next:] {
+			if !w.p.dead && w.p.epoch == w.wake {
+				h.sig.waiters = append(h.sig.waiters, w.p)
+			}
+		}
+		k.executed += uint64(len(h.ws) - h.next - 1) // step counted one
+		h.next = len(h.ws)
+	} else {
+		w := h.ws[h.next]
+		h.next++
+		if !w.p.dead && w.p.epoch == w.wake {
+			p = w.p
+		}
+	}
+	if h.next < len(h.ws) {
+		it.seq++
+		it.idx = idxRunQueue
+		if k.rqh > 0 {
+			k.rqh--
+			k.runq[k.rqh] = it
+		} else {
+			k.runq = append(k.runq, nil)
+			copy(k.runq[1:], k.runq)
+			k.runq[0] = it
+		}
+		return p
+	}
+	clear(h.ws)
+	h.ws, h.next, h.sig = h.ws[:0], 0, nil
+	k.herds = append(k.herds, h)
+	k.put(it)
 	return p
 }
 

@@ -11,7 +11,9 @@ package sim
 // itself, with no process switch. Consumers are thus served in
 // wake-all's order. Waking only the longest waiter would change it: a
 // consumer woken for an element the pusher took back would queue again
-// behind the others.
+// behind the others. A Push to several consumers schedules one item for
+// all their wakeups; once one finds the queue empty, the kernel queues
+// the rest again at once.
 type Queue struct {
 	k *Kernel
 	// items[head:] are queued; popping advances head, so the backing
@@ -72,9 +74,9 @@ func (p *Proc) Pop(q *Queue) any {
 // flash channels or DMA engines.
 //
 // Release wakes every blocked acquirer with the same checked wakeups as
-// Queue.Push: the kernel resumes an acquirer only if a permit is free
-// when its wakeup is dispatched, so a contended permit goes to the
-// process plain wake-all would give it to.
+// Queue.Push, one item for all of them: the kernel resumes an acquirer
+// only if a permit is free when its wakeup is dispatched, so a contended
+// permit goes to the process plain wake-all would give it to.
 type Semaphore struct {
 	k       *Kernel
 	avail   int
