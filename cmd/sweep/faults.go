@@ -14,7 +14,11 @@ import (
 )
 
 // faultSchemaVersion tags the -faults JSON report. Bump when the shape
-// changes so downstream diffing notices.
+// changes so downstream diffing notices: a field removed, renamed or
+// given a new meaning. An omitempty field that a run at the default flags
+// never writes, such as crash_after_budget, leaves those reports byte for
+// byte as they were and is ignored by a reader of the older shape, so it
+// keeps the version.
 const faultSchemaVersion = 1
 
 // faultReport is the deterministic -faults artifact: scenario echo,

@@ -187,8 +187,7 @@ type Domain struct {
 	hops []int
 	// lastArrival enforces per-initiator posted-write ordering: a later
 	// posted write from the same initiator never arrives before an
-	// earlier one, matching PCIe ordering rules. It is indexed by NodeID,
-	// and sized with the hop table.
+	// earlier one, matching PCIe ordering rules. It is indexed by NodeID.
 	lastArrival []sim.Time
 	// posted is the free list of posted-write records.
 	posted []*postedWrite
@@ -235,6 +234,7 @@ func (d *Domain) Kernel() *sim.Kernel { return d.kernel }
 func (d *Domain) AddNode(kind NodeKind, name string) NodeID {
 	id := NodeID(len(d.nodes))
 	d.nodes = append(d.nodes, Node{ID: id, Kind: kind, Name: name})
+	d.lastArrival = append(d.lastArrival, 0)
 	d.hops = nil
 	return id
 }
@@ -315,7 +315,7 @@ func (d *Domain) switchHops(from, to NodeID) (int, error) {
 // buildHops fills the hop table with a breadth-first search from every
 // node. Each search visits neighbors in the order Connect added them, so
 // of two shortest paths the table takes the one a search for that pair
-// alone would find. It also sizes lastArrival for every node.
+// alone would find.
 func (d *Domain) buildHops() {
 	n := len(d.nodes)
 	d.hops = make([]int, n*n)
@@ -341,9 +341,6 @@ func (d *Domain) buildHops() {
 				}
 			}
 		}
-	}
-	if len(d.lastArrival) < n {
-		d.lastArrival = append(d.lastArrival, make([]sim.Time, n-len(d.lastArrival))...)
 	}
 }
 

@@ -102,8 +102,12 @@ type Signal struct {
 	k       *Kernel
 	waiters []*Proc
 	sets    uint64
-	// ready is the condition a checked wait on the signal waits for; nil
-	// on a plain signal.
+	// ready is the condition every wait on a checked signal waits for;
+	// nil on a plain signal. The kernel resumes a waiter on a checked
+	// signal only for a wakeup that finds ready true, and leaves it
+	// waiting for the others. Such a skip does not end the waiter's yield
+	// epoch, so a waiter on a checked signal must have no other wakeup
+	// pending, such as a timeout.
 	ready func() bool
 }
 
@@ -115,17 +119,17 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 func (s *Signal) Sets() uint64 { return s.sets }
 
 // Set wakes all processes currently blocked in WaitSignal. On a checked
-// signal with more than one waiter, one item holds all their wakeups (a
-// herd), so a wakeup that would find nothing costs no item of its own.
+// signal one item holds all their wakeups (a herd), so a wakeup that
+// would find nothing costs no item of its own.
 func (s *Signal) Set() {
 	s.sets++
 	ws := s.waiters
-	if s.ready != nil && len(ws) > 1 {
-		s.k.scheduleHerd(s, ws)
-	} else {
+	if s.ready == nil {
 		for _, p := range ws {
 			s.k.scheduleProc(s.k.now, p)
 		}
+	} else if len(ws) > 0 {
+		s.k.scheduleHerd(s, ws)
 	}
 	// Set runs atomically (no process executes mid-loop), so the backing
 	// array can be reused for the next round of waiters.
@@ -133,21 +137,11 @@ func (s *Signal) Set() {
 	s.waiters = ws[:0]
 }
 
-// WaitSignal blocks until the next Set.
+// WaitSignal blocks until the next Set; on a checked signal, until the
+// next Set whose wakeup finds the signal's condition true.
 func (p *Proc) WaitSignal(s *Signal) {
 	s.waiters = append(s.waiters, p)
 	p.yield()
-}
-
-// waitReady is WaitSignal checked against s.ready: the kernel resumes p
-// only for a Set whose wakeup finds s.ready true, and leaves p waiting on
-// s for the others. p must have no other wakeup pending, such as a
-// timeout, because a wakeup skipped this way does not end p's yield
-// epoch.
-func (p *Proc) waitReady(s *Signal) {
-	p.until = s
-	p.WaitSignal(s)
-	p.until = nil
 }
 
 // WaitSignalTimeout blocks until the next Set or until d elapses, returning

@@ -436,6 +436,47 @@ func TestCheckedWakeupOrder(t *testing.T) {
 	}
 }
 
+// TestCheckedWakeupOfOne: a give to a lone waiter is a herd of one, and
+// is checked like any other. The giver takes the element (permit) back
+// before the waiter's wakeup, which then finds nothing: the waiter stays
+// blocked with no process switch. The giver's own wakeup comes next, so
+// its sleep keeps the dispatch loop and costs no handoff. Resuming the
+// waiter would take two, to the waiter and back.
+func TestCheckedWakeupOfOne(t *testing.T) {
+	for _, tc := range checkedWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			take, give := tc.make(k)
+			served := 0
+			k.Spawn("taker", func(p *Proc) {
+				take(p)
+				served++
+			})
+			var during uint64
+			var before, after KernelStats
+			k.SpawnAt(1, "giver", func(p *Proc) {
+				before = k.Stats()
+				give()
+				take(p) // does not block: the element (permit) is there
+				p.Sleep(1)
+				after = k.Stats()
+				during = after.Handoffs - before.Handoffs
+			})
+			k.RunAll()
+			if served != 0 {
+				t.Fatalf("a retaken give served %d takers, want 0", served)
+			}
+			if got := after.Scheduled - before.Scheduled; got != 2 {
+				t.Errorf("give and sleep scheduled %d items, want 2", got)
+			}
+			if during != 0 {
+				t.Errorf("give and sleep took %d handoffs, want 0", during)
+			}
+			k.Shutdown()
+		})
+	}
+}
+
 // TestHerdServedWaiterGivesBack: A, B and C block, and one give wakes
 // them as a herd. A is served and gives back at once, while the herd still
 // holds B and C, so the give back wakes no one. The herd's next wakeup

@@ -42,8 +42,8 @@
 // running the dispatch loop at all, and a wakeup of a process in Pop or
 // Acquire that would find nothing to take puts it back on its waiter list
 // without a process switch (checked wakeups). One item holds all the
-// wakeups of a Push or Release to several such waiters (a herd): once one
-// of them finds nothing, the rest are put back together.
+// wakeups of a Push or Release (a herd): once one of them finds nothing,
+// the rest are put back together.
 package sim
 
 import (
@@ -504,9 +504,6 @@ type Proc struct {
 	// was scheduled in, making stale wakeups self-discarding.
 	epoch uint64
 	dead  bool
-	// until is the signal p blocks on in a checked wait (Pop, Acquire),
-	// nil otherwise.
-	until *Signal
 	// exitEv is created by the first call to Exited.
 	exitEv *Event
 	// body is the process function until its runner starts it; nil
@@ -677,11 +674,8 @@ func (k *Kernel) next() *item {
 
 // take pops the earliest item and releases it to the pool before acting
 // on it: a callback runs inline; a wakeup returns its process, unless the
-// process has exited or was already resumed in the item's epoch (nil).
-// A wakeup of a process in a checked wait whose condition is false
-// returns nil too: take queues the process on its signal again, where it
-// would have queued itself after finding nothing, with no process
-// switch. During Shutdown every wakeup resumes its process, to unwind it.
+// process has exited or was already resumed in the item's epoch (nil); a
+// herd item goes to takeHerd.
 func (k *Kernel) take() *Proc {
 	it := k.next()
 	if it.herd != nil {
@@ -695,22 +689,20 @@ func (k *Kernel) take() *Proc {
 	if fn != nil {
 		fn()
 	}
-	if p != nil && p.until != nil && !k.stopping && !p.until.ready() {
-		p.until.waiters = append(p.until.waiters, p)
-		return nil
-	}
 	return p
 }
 
 // takeHerd is take for a herd item, which stands for the wakeups of its
-// waiters left. If the signal's condition is false, none of them can find
-// it true, since a wakeup that finds it false runs nothing: take queues
-// every live waiter left on the signal again, in order, and counts each
-// wakeup as executed. Otherwise it takes the next waiter's wakeup and
-// puts the item back at the head of the run queue for the rest, where the
-// next wakeup's sequence number is below that of every item scheduled
-// since the Set. The process that wakeup resumes is the only thing that
-// runs before the next one. During Shutdown every waiter resumes in turn.
+// waiters left. If the signal's condition is false, every waiter left
+// would find it false too, since a wakeup that finds it false runs
+// nothing, and would queue itself on the signal again: takeHerd does
+// that for every live one, in order, with no process switch, and counts
+// each wakeup as executed. Otherwise it takes the next waiter's wakeup
+// and puts the item back at the head of the run queue for the rest,
+// where the next wakeup's sequence number is below that of every item
+// scheduled since the Set. The process that wakeup resumes is the only
+// thing that runs before the next one. During Shutdown every waiter
+// resumes in turn, to unwind.
 func (k *Kernel) takeHerd(it *item) *Proc {
 	h := it.herd
 	var p *Proc

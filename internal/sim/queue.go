@@ -11,9 +11,9 @@ package sim
 // itself, with no process switch. Consumers are thus served in
 // wake-all's order. Waking only the longest waiter would change it: a
 // consumer woken for an element the pusher took back would queue again
-// behind the others. A Push to several consumers schedules one item for
-// all their wakeups; once one finds the queue empty, the kernel queues
-// the rest again at once.
+// behind the others. A Push schedules one item for all the consumers'
+// wakeups; once one finds the queue empty, the kernel queues the rest
+// again at once.
 type Queue struct {
 	k *Kernel
 	// items[head:] are queued; popping advances head, so the backing
@@ -66,7 +66,7 @@ func (p *Proc) Pop(q *Queue) any {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		p.waitReady(q.sig)
+		p.WaitSignal(q.sig)
 	}
 }
 
@@ -101,7 +101,7 @@ func (s *Semaphore) Waiters() int { return s.waiting }
 func (p *Proc) Acquire(s *Semaphore) {
 	for s.avail <= 0 {
 		s.waiting++
-		p.waitReady(s.sig)
+		p.WaitSignal(s.sig)
 		s.waiting--
 	}
 	s.avail--
